@@ -15,13 +15,6 @@ import numpy as np
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    x: np.ndarray
-    t_obs: float
-    delta: int
-
-
 @dataclass
 class SurvivalDataset:
     x: np.ndarray
@@ -62,9 +55,6 @@ class SurvivalDataset:
     @property
     def n_events(self) -> int:
         return int(self.delta.sum())
-
-    def record(self, i: int) -> SurvivalRecord:
-        return SurvivalRecord(self.x[i], float(self.t_obs[i]), int(self.delta[i]))
 
     def subset(self, idx) -> "SurvivalDataset":
         idx = np.asarray(idx)

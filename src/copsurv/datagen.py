@@ -15,7 +15,7 @@ event quantile.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,7 @@ from .copulas import CopulaSpec, U_EPS, conditional_sample, sample_pairs, theta_
 from .copulas import Family
 from .data import SurvivalDataset
 from .errors import ValidationError
+from .training import TrainConfig, fit_marginal
 from .weibull import LinearRisk, QuadraticRisk, WeibullCoxModel, risk_from_dict
 
 
@@ -262,8 +263,6 @@ def censor_regression(
     quantile.  Returns (dataset, info); the dataset carries the
     standardized covariates.
     """
-    from .training import TrainConfig, fit_marginal  # deferred; training imports us not
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.shape != (x.shape[0],):

@@ -31,17 +31,17 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import metrics as met
-from .copulas import CopulaSpec, Family, spec_from_tau
+from .copulas import spec_from_tau
 from .data import SurvivalDataset, load_regression_csv
 from .datagen import PRESETS, censor_regression, generate_synthetic, sidecar_dict, synthetic_regression, zscore_fit
 from .errors import NumericalFailure, ValidationError
 from .metrics import SurvivalL1Config
-from .training import FittedJointModel, TrainConfig, fit, fit_marginal, tau_hat
+from .training import FittedJointModel, TrainConfig, fit, tau_hat
 
 KINDS = ("synthetic_sweep", "mixture_sweep", "metric_bias", "semi_synthetic")
 

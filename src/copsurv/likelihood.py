@@ -11,8 +11,12 @@ which collapses to the familiar independent-censoring likelihood
     delta = 1:  log f_E(t|x) + log S_C(t|x)
     delta = 0:  log f_C(t|x) + log S_E(t|x)
 
-when C is the independence copula.  Both forms are implemented directly and
-agree for the independence family.
+when C is the independence copula.  Independence is therefore fitted as one
+more family of the same objective; there is no separate code path for it.
+
+One kernel serves the joint objective and one the single-marginal
+objective; each computes the log-likelihood and, when asked, its gradient.
+The public functions are thin calls into them.
 
 Gradients are exact, assembled by hand through the chain rule: marginal
 derivatives with respect to (log nu, log rho, g) feed the risk-function
@@ -81,40 +85,73 @@ def _clamped_quantiles(pieces):
     return u, passthrough
 
 
-def loglik_independent(event_model, censor_model, data: SurvivalDataset) -> float:
-    """Independent-censoring log-likelihood (sum over records)."""
-    if len(data) == 0:
-        return 0.0
-    delta = data.delta.astype(float)
-    ev = _marginal_pieces(event_model, data.t_obs, data.x)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
-    terms = delta * (ev.log_f - ce.h_cum) + (1.0 - delta) * (ce.log_f - ev.h_cum)
-    _check_finite(terms)
-    return float(terms.sum())
-
-
-def loglik_copula(event_model, censor_model, spec: CopulaSpec, data: SurvivalDataset) -> float:
-    """Copula log-likelihood (sum over records)."""
-    if len(data) == 0:
-        return 0.0
-    delta = data.delta.astype(float)
-    ev = _marginal_pieces(event_model, data.t_obs, data.x)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
-    u1, _ = _clamped_quantiles(ev)
-    u2, _ = _clamped_quantiles(ce)
-    log_p1 = copulas.log_partial_u1(spec, u1, u2)
-    log_p2 = copulas.log_partial_u2(spec, u1, u2)
-    terms = delta * (ev.log_f + log_p1) + (1.0 - delta) * (ce.log_f + log_p2)
-    _check_finite(terms)
-    return float(terms.sum())
-
-
-def _l2_adjust(grads, prefix, risk, l2_lambda):
+def _marginal_grads(grads, prefix, risk, pieces, own, dh_weight, x, l2_lambda):
+    """Adds to ``grads`` the gradient of sum(own * log f + dh_weight * H)
+    minus l2_lambda * ||risk weights||^2."""
+    coef_a = own * pieces.dlogf_da + dh_weight * pieces.dh_da
+    coef_b = own * pieces.dlogf_db + dh_weight * pieces.dh_db
+    coef_g = own * pieces.dlogf_dg + dh_weight * pieces.dh_dg
+    grads[f"{prefix}.log_nu"] = np.asarray(coef_a.sum())
+    grads[f"{prefix}.log_rho"] = np.asarray(coef_b.sum())
+    for key, val in risk.backprop(x, coef_g).items():
+        grads[f"{prefix}.risk.{key}"] = val
     if l2_lambda == 0.0 or not hasattr(risk, "weight_keys"):
         return
     params = risk.params()
     for key in risk.weight_keys():
         grads[f"{prefix}.risk.{key}"] -= 2.0 * l2_lambda * params[key]
+
+
+def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
+    """The copula objective; returns (loglik, gradient dict or None)."""
+    delta = data.delta.astype(float)
+    ev = _marginal_pieces(event_model, data.t_obs, data.x)
+    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
+    u1, pass1 = _clamped_quantiles(ev)
+    u2, pass2 = _clamped_quantiles(ce)
+
+    log_p1 = copulas.log_partial_u1(spec, u1, u2)
+    log_p2 = copulas.log_partial_u2(spec, u1, u2)
+    terms = delta * (ev.log_f + log_p1) + (1.0 - delta) * (ce.log_f + log_p2)
+    _check_finite(terms)
+    loglik = float(terms.sum())
+    if not want_grad:
+        return loglik, None
+
+    g1_u1, g1_u2, g1_par = copulas.grad_log_partial_u1(spec, u1, u2)
+    g2_u1, g2_u2, g2_par = copulas.grad_log_partial_u2(spec, u1, u2)
+    c_u1 = delta * g1_u1 + (1.0 - delta) * g2_u1
+    c_u2 = delta * g1_u2 + (1.0 - delta) * g2_u2
+
+    grads = {}
+    # d u / d z = -S * dH/dz where the clamp is inactive
+    _marginal_grads(grads, "event", event_model.risk, ev, delta,
+                    c_u1 * (-ev.surv * pass1), data.x, l2_lambda)
+    _marginal_grads(grads, "censor", censor_model.risk, ce, 1.0 - delta,
+                    c_u2 * (-ce.surv * pass2), data.x, l2_lambda)
+    for key in g1_par:
+        contrib = delta * g1_par[key] + (1.0 - delta) * g2_par[key]
+        grads[f"copula.{key}"] = np.asarray(contrib.sum())
+    return loglik, grads
+
+
+def _single(model, data, l2_lambda, want_grad):
+    """The single-marginal objective; returns (loglik, gradient dict or None)."""
+    delta = data.delta.astype(float)
+    pieces = _marginal_pieces(model, data.t_obs, data.x)
+    terms = delta * pieces.log_f - (1.0 - delta) * pieces.h_cum
+    _check_finite(terms)
+    loglik = float(terms.sum())
+    if not want_grad:
+        return loglik, None
+    grads = {}
+    _marginal_grads(grads, "model", model.risk, pieces, delta, -(1.0 - delta), data.x, l2_lambda)
+    return loglik, grads
+
+
+def loglik_copula(event_model, censor_model, spec: CopulaSpec, data: SurvivalDataset) -> float:
+    """Copula log-likelihood (sum over records)."""
+    return _joint(event_model, censor_model, spec, data, 0.0, want_grad=False)[0]
 
 
 def loglik_and_gradient(
@@ -132,63 +169,12 @@ def loglik_and_gradient(
     ``copula.theta`` and so on.  The independence family simply contributes
     no ``copula.*`` keys.
     """
-    delta = data.delta.astype(float)
-    ev = _marginal_pieces(event_model, data.t_obs, data.x)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
-    u1, pass1 = _clamped_quantiles(ev)
-    u2, pass2 = _clamped_quantiles(ce)
-
-    log_p1 = copulas.log_partial_u1(spec, u1, u2)
-    log_p2 = copulas.log_partial_u2(spec, u1, u2)
-    terms = delta * (ev.log_f + log_p1) + (1.0 - delta) * (ce.log_f + log_p2)
-    _check_finite(terms)
-    loglik = float(terms.sum())
-
-    g1_u1, g1_u2, g1_par = copulas.grad_log_partial_u1(spec, u1, u2)
-    g2_u1, g2_u2, g2_par = copulas.grad_log_partial_u2(spec, u1, u2)
-    c_u1 = delta * g1_u1 + (1.0 - delta) * g2_u1
-    c_u2 = delta * g1_u2 + (1.0 - delta) * g2_u2
-
-    grads = {}
-
-    def marginal_grads(prefix, risk, pieces, own_weight, c_u, passthrough):
-        # d u / d z = -S * dH/dz where the clamp is inactive
-        du_scale = -pieces.surv * passthrough
-        coef_a = own_weight * pieces.dlogf_da + c_u * du_scale * pieces.dh_da
-        coef_b = own_weight * pieces.dlogf_db + c_u * du_scale * pieces.dh_db
-        coef_g = own_weight * pieces.dlogf_dg + c_u * du_scale * pieces.dh_dg
-        grads[f"{prefix}.log_nu"] = np.asarray(coef_a.sum())
-        grads[f"{prefix}.log_rho"] = np.asarray(coef_b.sum())
-        for key, val in risk.backprop(data.x, coef_g).items():
-            grads[f"{prefix}.risk.{key}"] = val
-
-    marginal_grads("event", event_model.risk, ev, delta, c_u1, pass1)
-    marginal_grads("censor", censor_model.risk, ce, 1.0 - delta, c_u2, pass2)
-
-    for key in g1_par:
-        contrib = delta * g1_par[key] + (1.0 - delta) * g2_par[key]
-        grads[f"copula.{key}"] = np.asarray(contrib.sum())
-
-    _l2_adjust(grads, "event", event_model.risk, l2_lambda)
-    _l2_adjust(grads, "censor", censor_model.risk, l2_lambda)
-    return loglik, grads
-
-
-def gradient(event_model, censor_model, spec, data, l2_lambda: float = 0.0):
-    """Gradient bundle of the penalized copula log-likelihood."""
-    _, grads = loglik_and_gradient(event_model, censor_model, spec, data, l2_lambda)
-    return grads
+    return _joint(event_model, censor_model, spec, data, l2_lambda, want_grad=True)
 
 
 def marginal_loglik(model, data: SurvivalDataset) -> float:
     """Right-censored single-marginal log-likelihood (sum over records)."""
-    if len(data) == 0:
-        return 0.0
-    delta = data.delta.astype(float)
-    pieces = _marginal_pieces(model, data.t_obs, data.x)
-    terms = delta * pieces.log_f - (1.0 - delta) * pieces.h_cum
-    _check_finite(terms)
-    return float(terms.sum())
+    return _single(model, data, 0.0, want_grad=False)[0]
 
 
 def marginal_loglik_and_gradient(model, data: SurvivalDataset, l2_lambda: float = 0.0):
@@ -197,19 +183,4 @@ def marginal_loglik_and_gradient(model, data: SurvivalDataset, l2_lambda: float 
     Degenerate indicator patterns (all events, all censored) are allowed;
     this is the working objective for fitting one marginal on its own.
     """
-    delta = data.delta.astype(float)
-    pieces = _marginal_pieces(model, data.t_obs, data.x)
-    terms = delta * pieces.log_f - (1.0 - delta) * pieces.h_cum
-    _check_finite(terms)
-    loglik = float(terms.sum())
-    coef_a = delta * pieces.dlogf_da - (1.0 - delta) * pieces.dh_da
-    coef_b = delta * pieces.dlogf_db - (1.0 - delta) * pieces.dh_db
-    coef_g = delta * pieces.dlogf_dg - (1.0 - delta) * pieces.dh_dg
-    grads = {
-        "model.log_nu": np.asarray(coef_a.sum()),
-        "model.log_rho": np.asarray(coef_b.sum()),
-    }
-    for key, val in model.risk.backprop(data.x, coef_g).items():
-        grads[f"model.risk.{key}"] = val
-    _l2_adjust(grads, "model", model.risk, l2_lambda)
-    return loglik, grads
+    return _single(model, data, l2_lambda, want_grad=True)

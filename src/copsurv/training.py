@@ -3,10 +3,11 @@
 Every parameter is updated by Adam on the exact gradient of the penalized
 log-likelihood.  Dependence parameters get a special schedule: their raw
 gradient is multiplied by ``grad_scale`` and clamped into
-``[-clip_bound, clip_bound]`` before the Adam update, and theta is clamped
-to at least ``theta_min`` afterwards (the mixture weight kappa is clamped
-into [0, 1]).  The copula's gradient signal is orders of magnitude weaker
-than the marginals'; without the rescale theta barely moves.
+``[-clip_bound, clip_bound]`` before the Adam update, and afterwards each
+is clipped into its box: theta into ``[theta_min, inf)``, Frank theta into
+``[theta_min, THETA_HI_FRANK]`` and the mixture weight kappa into [0, 1].
+The copula's gradient signal is orders of magnitude weaker than the
+marginals'; without the rescale theta barely moves.
 
 Early stopping watches the negated validation log-likelihood and returns the
 parameters from the best validation epoch.  With ``validation_fraction = 0``
@@ -15,7 +16,7 @@ no split is made, no early stopping happens, and the final epoch wins.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -204,16 +205,17 @@ def _restore(params, snap):
         v[...] = snap[k]
 
 
-def _optimize(params, copula_keys, loss_and_grad, val_negloglik, cfg: TrainConfig):
-    """Shared Adam loop; returns (trace arrays, best_epoch, best_val)."""
+def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainConfig):
+    """Shared Adam loop; returns (trace arrays, best_epoch, best_val).
+
+    ``copula_bounds`` maps each dependence-parameter key to its (lo, hi) box.
+    """
     adam = Adam(params, cfg.alpha)
-    theta_keys = [k for k in copula_keys if not k.endswith("kappa")]
-    kappa_keys = [k for k in copula_keys if k.endswith("kappa")]
     use_val = val_negloglik is not None
 
     train_hist: List[float] = []
     val_hist: List[float] = []
-    copula_hist: Dict[str, List[float]] = {k: [] for k in copula_keys}
+    copula_hist: Dict[str, List[float]] = {k: [] for k in copula_bounds}
 
     best_val = np.inf
     best_epoch = -1
@@ -223,15 +225,13 @@ def _optimize(params, copula_keys, loss_and_grad, val_negloglik, cfg: TrainConfi
     for epoch in range(cfg.max_epochs):
         try:
             loglik, grads = loss_and_grad()
-            for key in copula_keys:
+            for key in copula_bounds:
                 grads[key] = np.clip(
                     grads[key] * cfg.grad_scale, -cfg.clip_bound, cfg.clip_bound
                 )
             adam.step(grads)
-            for key in theta_keys:
-                params[key][...] = np.maximum(params[key], cfg.theta_min)
-            for key in kappa_keys:
-                params[key][...] = np.clip(params[key], 0.0, 1.0)
+            for key, (lo, hi) in copula_bounds.items():
+                params[key][...] = np.clip(params[key], lo, hi)
             val = float(val_negloglik()) if use_val else float("nan")
         except NumericalFailure as failure:
             raise NumericalFailure(
@@ -243,7 +243,7 @@ def _optimize(params, copula_keys, loss_and_grad, val_negloglik, cfg: TrainConfi
 
         train_hist.append(-loglik)
         val_hist.append(val)
-        for key in copula_keys:
+        for key in copula_bounds:
             copula_hist[key].append(float(params[key]))
 
         if use_val:
@@ -279,23 +279,25 @@ def _model_params(model: WeibullCoxModel, prefix: str) -> Dict[str, np.ndarray]:
     return out
 
 
-def _init_copula_params(family: Family):
-    """Starting dependence parameters and trace column names."""
+def _init_copula_params(family: Family, theta_min: float):
+    """Starting dependence parameters, trace column names and (lo, hi) boxes."""
+    theta_box = (theta_min, np.inf)
+    frank_box = (theta_min, copulas.THETA_HI_FRANK)
     if family is Family.INDEPENDENCE:
-        return {}, {}
+        return {}, {}, {}
     if family is Family.MIXTURE:
-        params = {
-            "copula.theta_frank": np.array(1.0),
-            "copula.theta_clayton": np.array(1.0),
-            "copula.kappa": np.array(0.5),
+        table = {
+            "copula.theta_frank": (1.0, "theta_frank", frank_box),
+            "copula.theta_clayton": (1.0, "theta_clayton", theta_box),
+            "copula.kappa": (0.5, "kappa", (0.0, 1.0)),
         }
-        names = {
-            "copula.theta_frank": "theta_frank",
-            "copula.theta_clayton": "theta_clayton",
-            "copula.kappa": "kappa",
-        }
-        return params, names
-    return {"copula.theta": np.array(1.0)}, {"copula.theta": "theta_hat"}
+    else:
+        box = frank_box if family is Family.FRANK else theta_box
+        table = {"copula.theta": (1.0, "theta_hat", box)}
+    params = {key: np.array(start) for key, (start, _, _) in table.items()}
+    names = {key: name for key, (_, name, _) in table.items()}
+    bounds = {key: box for key, (_, _, box) in table.items()}
+    return params, names, bounds
 
 
 def _spec_builder(family: Family, params):
@@ -355,7 +357,7 @@ def fit(
     params = {}
     params.update(_model_params(event_model, "event"))
     params.update(_model_params(censor_model, "censor"))
-    copula_params, trace_names = _init_copula_params(family)
+    copula_params, trace_names, copula_bounds = _init_copula_params(family, cfg.theta_min)
     params.update(copula_params)
     build_spec = _spec_builder(family, params)
     l2 = _resolve_l2(cfg, event_risk, censor_risk)
@@ -371,7 +373,7 @@ def fit(
             return -likelihood.loglik_copula(event_model, censor_model, build_spec(), val_ds)
 
     trace, best_epoch, best_val = _optimize(
-        params, list(copula_params), loss_and_grad, val_fn, cfg
+        params, copula_bounds, loss_and_grad, val_fn, cfg
     )
     trace.copula_path = {trace_names[k]: v for k, v in trace.copula_path.items()}
     return FittedJointModel(
@@ -419,5 +421,5 @@ def fit_marginal(
         def val_fn():
             return -likelihood.marginal_loglik(model, val_ds)
 
-    trace, _, _ = _optimize(params, [], loss_and_grad, val_fn, cfg)
+    trace, _, _ = _optimize(params, {}, loss_and_grad, val_fn, cfg)
     return model, trace

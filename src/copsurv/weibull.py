@@ -7,9 +7,7 @@ covariate risk function g(x), giving
     H(t | x) = (t / rho)^nu exp(g(x)),   S = exp(-H),   f = h S.
 
 Shape and scale are stored as logs so unconstrained gradient updates keep
-them positive.  An equivalent accelerated-failure-time style parameterization
-(sigma = 1/nu, mu = log rho, f(x) = -g(x)/nu) is exposed for numerically
-flat evaluation in log-time; the two routes agree to rounding.
+them positive.
 
 Risk functions:
 
@@ -23,8 +21,8 @@ Risk functions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Union
+from dataclasses import dataclass
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -286,15 +284,6 @@ class WeibullCoxModel:
     def density(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
         return self.hazard(t, x) * self.survival(t, x)
 
-    def log_density(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
-        """log f(t | x) assembled in log space."""
-        t = self._time(t, positive=True)
-        g = self._g(x, t.ndim)
-        nu = self.nu
-        lt = np.log(t)
-        h_cum = np.exp(nu * (lt - self.log_rho) + g)
-        return float(self.log_nu) - nu * float(self.log_rho) + (nu - 1.0) * lt + g - h_cum
-
     def log_survival(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
         t = self._time(t, positive=False)
         g = self._g(x, t.ndim)
@@ -336,64 +325,3 @@ class WeibullCoxModel:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-
-# ---------------------------------------------------------------------------
-# Stable log-time parameterization: sigma = 1/nu, mu = log rho,
-# f(x) = -g(x)/nu, H = exp((log t - mu - f(x)) / sigma).
-
-
-@dataclass
-class StableParams:
-    sigma: float
-    mu: float
-    f_of_x: Callable[[np.ndarray], np.ndarray]
-
-
-def to_stable(model: WeibullCoxModel) -> StableParams:
-    nu = model.nu
-
-    def f_of_x(x):
-        return -model.risk.evaluate(x) / nu
-
-    return StableParams(sigma=1.0 / nu, mu=float(model.log_rho), f_of_x=f_of_x)
-
-
-def _stable_f(params: StableParams, x, t_ndim):
-    f = np.asarray(params.f_of_x(x), dtype=float)
-    while f.ndim < t_ndim:
-        f = f[..., None]
-    return f
-
-
-def stable_cumulative_hazard(params: StableParams, t, x):
-    t = np.asarray(t, dtype=float)
-    f = _stable_f(params, x, t.ndim)
-    with np.errstate(divide="ignore"):
-        lt = np.log(t)
-    z = np.where(t == 0.0, -np.inf, (lt - params.mu - f) / params.sigma)
-    return np.exp(z)
-
-
-def stable_hazard(params: StableParams, t, x):
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("t must be positive")
-    return stable_cumulative_hazard(params, t, x) / (t * params.sigma)
-
-
-def stable_survival(params: StableParams, t, x):
-    return np.maximum(np.exp(-stable_cumulative_hazard(params, t, x)), SURVIVAL_FLOOR)
-
-
-def stable_density(params: StableParams, t, x):
-    return stable_hazard(params, t, x) * stable_survival(params, t, x)
-
-
-def stable_inverse_survival(params: StableParams, q, x):
-    q = np.asarray(q, dtype=float)
-    if np.any(q <= 0.0) or np.any(q > 1.0):
-        raise DomainError("q must lie in (0, 1]")
-    f = _stable_f(params, x, q.ndim)
-    with np.errstate(divide="ignore"):
-        log_neg_log_q = np.log(-np.log(q))
-    return np.exp(params.mu + f + params.sigma * log_neg_log_q)

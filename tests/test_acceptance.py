@@ -18,12 +18,12 @@ from scipy import stats
 from copsurv import copulas
 from copsurv.copulas import CopulaSpec, spec_from_tau
 from copsurv.experiments import ExperimentConfig, run_experiment
-from copsurv.likelihood import loglik_copula, loglik_independent
+from copsurv.likelihood import loglik_copula
 from copsurv.metrics import SurvivalL1Config, survival_l1
 from copsurv.weibull import LinearRisk, WeibullCoxModel
 
 from test_copulas import assert_partials_match_fd, family_grid, spec_id
-from test_likelihood import fd_check, random_instance, spec_cases
+from test_likelihood import fd_check, loglik_independent, random_instance, spec_cases
 
 DESK_TRAIN = {"max_epochs": 12000, "patience": 2000, "seed": 0}
 # run_experiment is serial by default; its rows do not depend on the worker count

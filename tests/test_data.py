@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from copsurv.data import SurvivalDataset, SurvivalRecord, load_regression_csv
+from copsurv.data import SurvivalDataset, load_regression_csv
 from copsurv.errors import ValidationError
 
 
@@ -20,10 +20,6 @@ def test_basic_properties():
     assert len(ds) == 6
     assert ds.dim == 3
     assert ds.n_events == int(ds.delta.sum())
-    rec = ds.record(2)
-    assert isinstance(rec, SurvivalRecord)
-    assert rec.t_obs == ds.t_obs[2]
-    assert np.array_equal(rec.x, ds.x[2])
 
 
 def test_validation_errors():

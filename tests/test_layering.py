@@ -1,0 +1,83 @@
+"""Import layering of the package, read from the source with ``ast``.
+
+Modules import one way, from the lower layers to the higher ones, and only
+at module level: an import inside a function body hides a dependency (and
+often a cycle) until the function runs.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "copsurv"
+
+# lowest layer first; a module may import only modules listed before it
+ORDER = (
+    "__init__",
+    "errors",
+    "copulas",
+    "weibull",
+    "data",
+    "likelihood",
+    "training",
+    "datagen",
+    "metrics",
+    "experiments",
+    "cli",
+    "__main__",
+)
+
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def package_imports(node):
+    """Names of the copsurv modules that one import statement imports."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("copsurv.")]
+    if node.level == 0:
+        if node.module == "copsurv":
+            return [alias.name for alias in node.names]
+        if node.module and node.module.startswith("copsurv."):
+            return [node.module.split(".")[1]]
+        return []
+    if node.module:
+        return [node.module.split(".")[0]]
+    return [alias.name for alias in node.names]
+
+
+def imports_of(module):
+    """(line, imported module, inside a function) for each package import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                for name in package_imports(child):
+                    found.append((child.lineno, name, in_function))
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(tree, False)
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert sorted(ORDER) == MODULES
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_import_inside_a_function(module):
+    deferred = [f"{module}.py:{line} imports {name}"
+                for line, name, in_function in imports_of(module) if in_function]
+    assert not deferred
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_only_lower_layers(module):
+    rank = ORDER.index(module)
+    upward = [f"{module}.py:{line} imports {name}"
+              for line, name, _ in imports_of(module)
+              if name not in ORDER or ORDER.index(name) >= rank]
+    assert not upward

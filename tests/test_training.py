@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from copsurv.copulas import CopulaSpec, Family, spec_from_tau
+from copsurv.copulas import THETA_HI_FRANK, CopulaSpec, Family, spec_from_tau
 from copsurv.data import SurvivalDataset
 from copsurv.datagen import generate_synthetic, preset_linear_risk
 from copsurv.errors import NumericalFailure, ValidationError
@@ -99,7 +99,7 @@ def test_optimize_failure_carries_epoch_and_state():
 
     cfg = TrainConfig(max_epochs=10, patience=10, validation_fraction=0.0)
     with pytest.raises(NumericalFailure) as info:
-        _optimize({"p": p}, [], loss_and_grad, None, cfg)
+        _optimize({"p": p}, {}, loss_and_grad, None, cfg)
     assert info.value.epoch == 3
     assert info.value.record_index == 7
     assert "p" in info.value.last_state
@@ -120,7 +120,7 @@ def test_optimize_early_stop_and_restore():
         return abs(e - 5)  # best at the 5th evaluated epoch
 
     cfg = TrainConfig(max_epochs=100, patience=6, validation_fraction=0.0)
-    trace, best_epoch, best_val = _optimize({"p": p}, [], loss_and_grad, val, cfg)
+    trace, best_epoch, best_val = _optimize({"p": p}, {}, loss_and_grad, val, cfg)
     assert best_epoch == 4
     assert best_val == 0.0
     assert len(trace.epoch) == 4 + 6 + 1
@@ -178,6 +178,17 @@ def test_theta_floor_reached_from_independent_data():
     path = out.trace.copula_path["theta_hat"]
     assert path.min() >= 1e-3
     assert path[-1] == pytest.approx(1e-3, abs=1e-9)
+
+
+def test_frank_theta_is_clipped_at_its_cap():
+    # a huge step size drives Frank theta past the copula's cap; the fit must
+    # clip it there instead of stopping with a ParameterDomainError
+    ds = make_data(1000, tau=0.5, family="frank")
+    cfg = TrainConfig(alpha=100, max_epochs=20, patience=20, seed=0)
+    out = fit(ds, "linear", "linear", "frank", cfg)
+    path = out.trace.copula_path["theta_hat"]
+    assert path.max() == THETA_HI_FRANK
+    assert out.copula.theta <= THETA_HI_FRANK
 
 
 def test_fit_deterministic():

@@ -15,11 +15,6 @@ from copsurv.weibull import (
     default_mlp_widths,
     make_risk,
     risk_from_dict,
-    stable_cumulative_hazard,
-    stable_density,
-    stable_inverse_survival,
-    stable_survival,
-    to_stable,
 )
 
 RNG = np.random.default_rng
@@ -50,7 +45,6 @@ def test_density_is_hazard_times_survival():
     t = rng.uniform(0.1, 6.0, size=50)
     f = model.density(t, x)
     assert np.allclose(f, model.hazard(t, x) * model.survival(t, x), rtol=1e-13)
-    assert np.allclose(model.log_density(t, x), np.log(f), atol=1e-12)
     assert np.allclose(model.log_survival(t, x), -model.cumulative_hazard(t, x), atol=1e-13)
 
 
@@ -105,26 +99,6 @@ def test_rejects_negative_times():
     model = linear_model()
     with pytest.raises(DomainError):
         model.cumulative_hazard(np.array([-0.1]), np.array([[1.0]]))
-
-
-# ---------------------------------------------------------------------------
-# Stable parametrization
-
-
-def test_stable_route_matches_natural():
-    rng = RNG(2)
-    for _ in range(10):
-        nu = math.exp(rng.normal())
-        rho = math.exp(rng.normal() + 1.0)
-        model = WeibullCoxModel.from_natural(nu, rho, LinearRisk(rng.normal(size=4)))
-        x = rng.uniform(size=(30, 4))
-        t = rng.uniform(0.05, 9.0, size=30)
-        sp = to_stable(model)
-        assert np.allclose(stable_cumulative_hazard(sp, t, x), model.cumulative_hazard(t, x), rtol=1e-10)
-        assert np.allclose(stable_survival(sp, t, x), model.survival(t, x), rtol=1e-10)
-        assert np.allclose(stable_density(sp, t, x), model.density(t, x), rtol=1e-10)
-        q = rng.uniform(0.05, 0.95, size=30)
-        assert np.allclose(stable_inverse_survival(sp, q, x), model.inverse_survival(q, x), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
