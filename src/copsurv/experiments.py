@@ -21,6 +21,11 @@ Output tree::
       summary.csv     mean/std aggregates over seeds
       failures.json   present only if some arm failed
       arms/<arm>/<model>/{checkpoint.json, trace.csv, report.json}
+
+``wall_time_s`` is the seconds spent fitting the row's model, evaluation
+excluded.  For the semi-synthetic ``no_censoring`` row that is the
+``censor_regression`` call, whose all-event marginal fit is that model; a
+``metric_bias`` row fits nothing and times its whole computation.
 """
 from __future__ import annotations
 
@@ -249,8 +254,8 @@ def _sweep_arm(payload):
     for model_name, family in (("copula", _fit_spec_family(cfg)), ("independence", "independence")):
         start = time.perf_counter()
         fitted = fit(fit_ds, cfg.event_risk, cfg.censor_risk, family, base_train)
-        report = _evaluate_fitted(fitted, truth, test_ds, cfg.survival_l1)
         wall = time.perf_counter() - start
+        report = _evaluate_fitted(fitted, truth, test_ds, cfg.survival_l1)
         _save_model_artifacts(arm_dir, model_name, fitted, report)
         rows.append(
             {

@@ -149,6 +149,22 @@ def _single(model, data, l2_lambda, want_grad):
     return loglik, grads
 
 
+def l2_penalty(l2_lambda: float, *models) -> float:
+    """l2_lambda * sum ||risk weights||^2 over ``models``.
+
+    The ``*_and_gradient`` functions return the gradient of the log-likelihood
+    minus this penalty, but the value of the log-likelihood alone.
+    """
+    total = 0.0
+    for model in models:
+        risk = model.risk
+        if l2_lambda == 0.0 or not hasattr(risk, "weight_keys"):
+            continue
+        params = risk.params()
+        total += sum(float(np.sum(params[key] ** 2)) for key in risk.weight_keys())
+    return l2_lambda * total
+
+
 def loglik_copula(event_model, censor_model, spec: CopulaSpec, data: SurvivalDataset) -> float:
     """Copula log-likelihood (sum over records)."""
     return _joint(event_model, censor_model, spec, data, 0.0, want_grad=False)[0]

@@ -3,8 +3,8 @@
 The fast checks (axioms, derivative oracles, sampler and reduction
 identities) restate the unit-level bars at their stated tolerances.  The
 sweep fixtures then run the shipped experiment kinds end to end, one worker
-process per available core; together those take on the order of fifteen
-minutes on one core.
+process per available core; together those take about two minutes on two
+cores, most of it in the Clayton and mixture sweeps.
 """
 import csv
 import math

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import pickle
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -140,6 +141,24 @@ def test_sweep_summary_recomputes_from_arms(tiny_sweep):
         assert int(rec["n_seeds"]) == len(sub) == 2
         assert float(rec["mean_survival_l1"]) == pytest.approx(np.mean(sub), abs=1e-15)
         assert float(rec["std_survival_l1"]) == pytest.approx(np.std(sub), abs=1e-15)
+
+
+def test_sweep_wall_time_covers_the_fit_only(tmp_path, monkeypatch):
+    # wall_time_s is the fit's seconds in every kind; evaluation is left out
+    real_evaluate = exp._evaluate_fitted
+
+    def slow_evaluate(*args):
+        time.sleep(1.0)
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(exp, "_evaluate_fitted", slow_evaluate)
+    cfg = ExperimentConfig(
+        experiment_id="wall", kind="synthetic_sweep", tau_grid=(0.4,), seeds=(0,),
+        n_train=200, n_val=50, n_test=50, train={"max_epochs": 5, "patience": 5, "seed": 0},
+    )
+    rows = run_experiment(cfg, tmp_path / "out").rows
+    assert len(rows) == 2
+    assert all(row["wall_time_s"] < 1.0 for row in rows), rows
 
 
 def test_semi_synthetic_standin_rows(tmp_path):
