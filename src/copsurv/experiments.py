@@ -18,9 +18,17 @@ Output tree::
       config.json     resolved configuration echo
       arms.csv        one row per (tau, seed, model); wall_time_s is the one
                       column that varies between reruns
-      summary.csv     mean/std aggregates over seeds
+      summary.csv     aggregates over seeds, one row per group
       failures.json   present only if some arm failed
       arms/<arm>/<model>/{checkpoint.json, trace.csv, report.json}
+
+``SUMMARIES`` gives each kind's ``summary.csv``: the ``arms.csv`` rows are
+grouped by its group columns, in the order of each group's first row, and
+each summarized column gets ``mean_<column>``, ``std_<column>`` (population)
+where flagged, and the group size ``n_seeds``.  Sweeps group per (tau, model,
+outcome), each arm row counting once for the event and once for the censor
+survival-L1; ``semi_synthetic`` groups per (tau, model) and ``metric_bias``
+per tau, with means only.
 
 ``wall_time_s`` is the seconds spent fitting the row's model, evaluation
 excluded.  For the semi-synthetic ``no_censoring`` row that is the
@@ -34,9 +42,11 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -79,6 +89,17 @@ BIAS_COLUMNS = (
     "wall_time_s",
 )
 
+_SWEEP_SUMMARY = (("tau_star", "model", "outcome"), (("survival_l1", True), ("tau_hat", True)))
+
+# kind -> (group columns, ((summarized column, std reported), ...))
+SUMMARIES = {
+    "synthetic_sweep": _SWEEP_SUMMARY,
+    "mixture_sweep": _SWEEP_SUMMARY,
+    # the six c-index and Brier columns, means only
+    "metric_bias": (("tau_star",), tuple((col, False) for col in BIAS_COLUMNS[3:-2])),
+    "semi_synthetic": (("tau_star", "model"), (("r_squared", True), ("tau_hat", True))),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -111,8 +132,16 @@ class ExperimentConfig:
             raise ValidationError(f"tau_grid values must lie in [0, 1): {self.tau_grid}")
         if not self.seeds:
             raise ValidationError("seeds must not be empty")
-        if min(self.n_train, self.n_val, self.n_test) < 1:
-            raise ValidationError("n_train, n_val, n_test must all be >= 1")
+        if min(self.seeds) < 0:
+            raise ValidationError(f"seeds must be non-negative: {self.seeds}")
+        for name in ("tau_grid", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValidationError(f"{name} has duplicate entries: {values}")
+        for name in ("n_train", "n_val", "n_test"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.kind == "mixture_sweep":
             self.family = "mixture"
         elif self.family == "mixture" and self.kind in ("synthetic_sweep", "metric_bias"):
@@ -145,24 +174,7 @@ class ExperimentConfig:
             self.survival_l1 = SurvivalL1Config.from_dict(self.survival_l1)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "kind": self.kind,
-            "family": self.family,
-            "tau_grid": list(self.tau_grid),
-            "preset": self.preset,
-            "data_csv": self.data_csv,
-            "target_column": self.target_column,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "n_test": self.n_test,
-            "seeds": list(self.seeds),
-            "event_risk": self.event_risk,
-            "censor_risk": self.censor_risk,
-            "kappa": self.kappa,
-            "train": self.train.to_dict(),
-            "survival_l1": self.survival_l1.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -198,11 +210,15 @@ def _write_csv(path, columns, rows) -> None:
             fh.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
 
 
-def _fit_spec_family(cfg: ExperimentConfig) -> str:
-    return "mixture" if cfg.kind == "mixture_sweep" else cfg.family
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def _evaluate_fitted(fitted: FittedJointModel, truth, test_ds, l1_cfg):
+def _evaluate_fitted(fitted: FittedJointModel, truth, test_ds, l1_cfg, target=None):
+    """Score ``fitted`` on ``test_ds``; survival-L1 needs ``truth``, R-squared
+    needs the regression ``target`` of the test rows."""
     report = met.EvaluationReport(
         c_index=met.concordance_index(fitted.event_model, test_ds),
         brier=met.brier_score(fitted.event_model, test_ds),
@@ -215,6 +231,8 @@ def _evaluate_fitted(fitted: FittedJointModel, truth, test_ds, l1_cfg):
         report.survival_l1_censor = met.survival_l1(
             truth.censor_model, fitted.censor_model, test_ds.x, l1_cfg
         )
+    if target is not None:
+        report.r_squared = met.r_squared(fitted.event_model, test_ds.x, target)
     return report
 
 
@@ -227,53 +245,50 @@ def _save_model_artifacts(arm_dir: Path, model_name: str, fitted: FittedJointMod
     report.save(mdir / "report.json")
 
 
-def _sweep_arm(payload):
-    cfg, tau, seed, out_root = payload
-    arm_id = f"tau{tau:g}_seed{seed}"
-    arm_dir = Path(out_root) / "arms" / arm_id
-    total = cfg.n_train + cfg.n_val + cfg.n_test
-    data_spec = spec_from_tau(_fit_spec_family(cfg), tau, cfg.kappa)
-    gen_cfg = PRESETS[cfg.preset](
-        seed, n=total, copula=data_spec, data_seed=_child_seed(seed, _tau_key(tau), 1)
+def _row(cfg: ExperimentConfig, tau, seed: int, model: str, family: str, wall: float, report) -> dict:
+    """One ``arms.csv`` row of the sweep and semi-synthetic kinds."""
+    row = dict.fromkeys(SWEEP_COLUMNS)
+    row.update(
+        asdict(report), experiment_id=cfg.experiment_id, tau_star=tau, seed=seed,
+        model=model, family=family, wall_time_s=wall,
     )
-    dataset, truth, _ = generate_synthetic(gen_cfg)
-    fit_ds = dataset.subset(np.arange(cfg.n_train + cfg.n_val))
-    test_ds = dataset.subset(np.arange(cfg.n_train + cfg.n_val, total))
+    return row
 
-    arm_dir.mkdir(parents=True, exist_ok=True)
-    with open(arm_dir / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar_dict(gen_cfg, tau=tau), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
-    base_train = replace(
-        cfg.train,
-        seed=_child_seed(seed, _tau_key(tau), 2),
-        validation_fraction=cfg.n_val / (cfg.n_train + cfg.n_val),
+def _fit_models(cfg, tau, seed, train_seed, fit_ds, test_ds, truth, arm_dir, target=None):
+    """Fit, time, evaluate and save the copula model and the independence
+    baseline on the same data; returns their two rows."""
+    train_cfg = replace(
+        cfg.train, seed=train_seed, validation_fraction=cfg.n_val / (cfg.n_train + cfg.n_val)
     )
     rows = []
-    for model_name, family in (("copula", _fit_spec_family(cfg)), ("independence", "independence")):
+    for model_name, family in (("copula", cfg.family), ("independence", "independence")):
         start = time.perf_counter()
-        fitted = fit(fit_ds, cfg.event_risk, cfg.censor_risk, family, base_train)
+        fitted = fit(fit_ds, cfg.event_risk, cfg.censor_risk, family, train_cfg)
         wall = time.perf_counter() - start
-        report = _evaluate_fitted(fitted, truth, test_ds, cfg.survival_l1)
+        report = _evaluate_fitted(fitted, truth, test_ds, cfg.survival_l1, target)
         _save_model_artifacts(arm_dir, model_name, fitted, report)
-        rows.append(
-            {
-                "experiment_id": cfg.experiment_id,
-                "tau_star": tau,
-                "seed": seed,
-                "model": model_name,
-                "family": family,
-                "survival_l1_event": report.survival_l1_event,
-                "survival_l1_censor": report.survival_l1_censor,
-                "tau_hat": report.tau_hat,
-                "c_index": report.c_index,
-                "brier": report.brier,
-                "r_squared": None,
-                "wall_time_s": wall,
-            }
-        )
-    return arm_id, rows
+        rows.append(_row(cfg, tau, seed, model_name, family, wall, report))
+    return rows
+
+
+def _sweep_arm(payload):
+    cfg, tau, seed, out_root = payload
+    arm_dir = Path(out_root) / "arms" / f"tau{tau:g}_seed{seed}"
+    n_fit = cfg.n_train + cfg.n_val
+    gen_cfg = PRESETS[cfg.preset](
+        seed, n=n_fit + cfg.n_test, copula=spec_from_tau(cfg.family, tau, cfg.kappa),
+        data_seed=_child_seed(seed, _tau_key(tau), 1),
+    )
+    dataset, truth, _ = generate_synthetic(gen_cfg)
+    arm_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(arm_dir / "truth.json", sidecar_dict(gen_cfg, tau=tau))
+    return _fit_models(
+        cfg, tau, seed, _child_seed(seed, _tau_key(tau), 2),
+        dataset.subset(np.arange(n_fit)),
+        dataset.subset(np.arange(n_fit, n_fit + cfg.n_test)),
+        truth, arm_dir,
+    )
 
 
 def _metric_bias_arm(payload):
@@ -285,41 +300,22 @@ def _metric_bias_arm(payload):
             [tau], seed=seed, n=cfg.n_train, family=cfg.family
         )
         wall = time.perf_counter() - start
-        rows.append(
-            {
-                "experiment_id": cfg.experiment_id,
-                "tau_star": bias_row.tau,
-                "seed": seed,
-                "c_index_uncensored": bias_row.c_index_uncensored,
-                "c_index_censored": bias_row.c_index_censored,
-                "c_index_abs_diff": bias_row.c_index_abs_diff,
-                "brier_uncensored": bias_row.brier_uncensored,
-                "brier_censored": bias_row.brier_censored,
-                "brier_abs_diff": bias_row.brier_abs_diff,
-                "censoring_fraction": bias_row.censoring_fraction,
-                "wall_time_s": wall,
-            }
-        )
-    return f"seed{seed}", rows
-
-
-def _semi_synthetic_data(cfg: ExperimentConfig, seed: int):
-    if cfg.data_csv is not None:
-        x, y, _ = load_regression_csv(cfg.data_csv, cfg.target_column)
-    else:
-        total = cfg.n_train + cfg.n_val + cfg.n_test
-        x, y = synthetic_regression(total, 10, _child_seed(seed, 0, 8))
-    return x, y
+        values = asdict(bias_row)
+        rows.append({"experiment_id": cfg.experiment_id, "tau_star": values.pop("tau"),
+                     "seed": seed, **values, "wall_time_s": wall})
+    return rows
 
 
 def _semi_arm(payload):
     cfg, seed, out_root = payload
     arm_dir = Path(out_root) / "arms" / f"seed{seed}"
-    x, y = _semi_synthetic_data(cfg, seed)
+    total = cfg.n_train + cfg.n_val + cfg.n_test
+    if cfg.data_csv is not None:
+        x, y, _ = load_regression_csv(cfg.data_csv, cfg.target_column)
+    else:
+        x, y = synthetic_regression(total, 10, _child_seed(seed, 0, 8))
     n = len(y)
-    sizes = np.array([cfg.n_train, cfg.n_val, cfg.n_test], dtype=float)
-    n_test = max(1, int(round(n * sizes[2] / sizes.sum())))
-    n_val = max(1, int(round(n * sizes[1] / sizes.sum())))
+    n_test = max(1, int(round(n * cfg.n_test / total)))
     perm = np.random.default_rng(_child_seed(seed, 0, 7)).permutation(n)
     test_idx = perm[:n_test]
     tv_idx = perm[n_test:]
@@ -328,91 +324,40 @@ def _semi_arm(payload):
     marginal_cfg = TrainConfig(max_epochs=5000, patience=500, seed=_child_seed(seed, 0, 10))
     mean, std = zscore_fit(x_tv)
     x_test = (x[test_idx] - mean) / std
-    y_test = y[test_idx]
-
-    def test_event_ds(shift):
-        return SurvivalDataset(
-            x_test, y_test + shift, np.ones(len(test_idx), dtype=np.int64)
-        )
 
     rows = []
-    baseline_done = False
     for tau in cfg.tau_grid:
-        spec = spec_from_tau(_fit_spec_family(cfg), tau, cfg.kappa)
+        spec = spec_from_tau(cfg.family, tau, cfg.kappa)
         start = time.perf_counter()
         cens_ds, info = censor_regression(
             x_tv, y_tv, spec, seed=_child_seed(seed, _tau_key(tau), 9),
             fit_config=marginal_cfg,
         )
         prep_wall = time.perf_counter() - start
-        eval_ds = test_event_ds(info.shift)
+        target = y[test_idx] + info.shift
+        test_ds = SurvivalDataset(x_test, target, np.ones(len(test_idx), dtype=np.int64))
 
-        if not baseline_done:
+        if not rows:
             # the all-event marginal fit inside censor_regression is exactly
             # the no-censoring baseline; it does not depend on tau
-            rows.append(
-                {
-                    "experiment_id": cfg.experiment_id,
-                    "tau_star": "",
-                    "seed": seed,
-                    "model": "no_censoring",
-                    "family": "",
-                    "survival_l1_event": None,
-                    "survival_l1_censor": None,
-                    "tau_hat": None,
-                    "c_index": met.concordance_index(info.event_model, eval_ds),
-                    "brier": met.brier_score(info.event_model, eval_ds),
-                    "r_squared": met.r_squared(info.event_model, x_test, y_test + info.shift),
-                    "wall_time_s": prep_wall,
-                }
-            )
-            baseline_done = True
-
-        vf = cfg.n_val / (cfg.n_train + cfg.n_val)
-        tr_cfg = replace(
-            cfg.train, seed=_child_seed(seed, _tau_key(tau), 11), validation_fraction=vf
-        )
-        for model_name, family in (
-            ("copula", _fit_spec_family(cfg)),
-            ("independence", "independence"),
-        ):
-            start = time.perf_counter()
-            fitted = fit(cens_ds, cfg.event_risk, cfg.censor_risk, family, tr_cfg)
-            wall = time.perf_counter() - start
             report = met.EvaluationReport(
-                c_index=met.concordance_index(fitted.event_model, eval_ds),
-                brier=met.brier_score(fitted.event_model, eval_ds),
-                tau_hat=tau_hat(fitted.copula),
-                r_squared=met.r_squared(fitted.event_model, x_test, y_test + info.shift),
+                c_index=met.concordance_index(info.event_model, test_ds),
+                brier=met.brier_score(info.event_model, test_ds),
+                r_squared=met.r_squared(info.event_model, x_test, target),
             )
-            _save_model_artifacts(arm_dir / f"tau{tau:g}", model_name, fitted, report)
-            rows.append(
-                {
-                    "experiment_id": cfg.experiment_id,
-                    "tau_star": tau,
-                    "seed": seed,
-                    "model": model_name,
-                    "family": family,
-                    "survival_l1_event": None,
-                    "survival_l1_censor": None,
-                    "tau_hat": report.tau_hat,
-                    "c_index": report.c_index,
-                    "brier": report.brier,
-                    "r_squared": report.r_squared,
-                    "wall_time_s": wall,
-                }
-            )
-    return f"seed{seed}", rows
+            rows.append(_row(cfg, "", seed, "no_censoring", "", prep_wall, report))
+        rows += _fit_models(
+            cfg, tau, seed, _child_seed(seed, _tau_key(tau), 11), cens_ds, test_ds, None,
+            arm_dir / f"tau{tau:g}", target,
+        )
+    return rows
 
 
 def _arm_payloads(cfg: ExperimentConfig, out_dir: str):
     if cfg.kind in ("synthetic_sweep", "mixture_sweep"):
-        return _sweep_arm, [
-            (cfg, tau, seed, out_dir) for tau in cfg.tau_grid for seed in cfg.seeds
-        ]
-    if cfg.kind == "metric_bias":
-        return _metric_bias_arm, [(cfg, seed, out_dir) for seed in cfg.seeds]
-    return _semi_arm, [(cfg, seed, out_dir) for seed in cfg.seeds]
+        return _sweep_arm, [(cfg, tau, seed, out_dir) for tau in cfg.tau_grid for seed in cfg.seeds]
+    arm_fn = _metric_bias_arm if cfg.kind == "metric_bias" else _semi_arm
+    return arm_fn, [(cfg, seed, out_dir) for seed in cfg.seeds]
 
 
 def _sort_key(row):
@@ -429,98 +374,27 @@ def _mean_std(values):
 
 
 def _summarize(cfg: ExperimentConfig, rows):
-    if cfg.kind == "metric_bias":
-        cols = (
-            "experiment_id",
-            "tau_star",
-            "mean_c_index_uncensored",
-            "mean_c_index_censored",
-            "mean_c_index_abs_diff",
-            "mean_brier_uncensored",
-            "mean_brier_censored",
-            "mean_brier_abs_diff",
-            "n_seeds",
-        )
-        out = []
-        for tau in sorted({row["tau_star"] for row in rows}):
-            sub = [r for r in rows if r["tau_star"] == tau]
-            rec = {"experiment_id": cfg.experiment_id, "tau_star": tau, "n_seeds": len(sub)}
-            for key in (
-                "c_index_uncensored",
-                "c_index_censored",
-                "c_index_abs_diff",
-                "brier_uncensored",
-                "brier_censored",
-                "brier_abs_diff",
-            ):
-                rec[f"mean_{key}"], _ = _mean_std([r[key] for r in sub])
-            out.append(rec)
-        return cols, out
-
-    if cfg.kind == "semi_synthetic":
-        cols = (
-            "experiment_id",
-            "tau_star",
-            "model",
-            "mean_r_squared",
-            "std_r_squared",
-            "mean_tau_hat",
-            "std_tau_hat",
-            "n_seeds",
-        )
-        out = []
-        groups = sorted({(_sort_key(r)[0], r["model"]) for r in rows})
-        for tau_sort, model in groups:
-            sub = [r for r in rows if r["model"] == model and _sort_key(r)[0] == tau_sort]
-            m_r, s_r = _mean_std([r["r_squared"] for r in sub])
-            m_t, s_t = _mean_std([r["tau_hat"] for r in sub])
-            out.append(
-                {
-                    "experiment_id": cfg.experiment_id,
-                    "tau_star": "" if tau_sort < 0 else tau_sort,
-                    "model": model,
-                    "mean_r_squared": m_r,
-                    "std_r_squared": s_r,
-                    "mean_tau_hat": m_t,
-                    "std_tau_hat": s_t,
-                    "n_seeds": len(sub),
-                }
-            )
-        return cols, out
-
-    cols = (
-        "experiment_id",
-        "tau_star",
-        "model",
-        "outcome",
-        "mean_survival_l1",
-        "std_survival_l1",
-        "mean_tau_hat",
-        "std_tau_hat",
-        "n_seeds",
-    )
+    """``summary.csv`` columns and rows of the sorted arm ``rows``."""
+    group_cols, stats = SUMMARIES[cfg.kind]
+    if "outcome" in group_cols:
+        rows = [
+            {**row, "outcome": outcome, "survival_l1": row[f"survival_l1_{outcome}"]}
+            for row in rows
+            for outcome in ("event", "censor")
+        ]
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[col] for col in group_cols), []).append(row)
+    cols = ["experiment_id", *group_cols]
+    for name, with_std in stats:
+        cols += [f"mean_{name}", f"std_{name}"] if with_std else [f"mean_{name}"]
+    cols.append("n_seeds")
     out = []
-    for tau in sorted({r["tau_star"] for r in rows}):
-        for model in ("copula", "independence"):
-            sub = [r for r in rows if r["tau_star"] == tau and r["model"] == model]
-            if not sub:
-                continue
-            m_t, s_t = _mean_std([r["tau_hat"] for r in sub])
-            for outcome in ("event", "censor"):
-                m_l, s_l = _mean_std([r[f"survival_l1_{outcome}"] for r in sub])
-                out.append(
-                    {
-                        "experiment_id": cfg.experiment_id,
-                        "tau_star": tau,
-                        "model": model,
-                        "outcome": outcome,
-                        "mean_survival_l1": m_l,
-                        "std_survival_l1": s_l,
-                        "mean_tau_hat": m_t,
-                        "std_tau_hat": s_t,
-                        "n_seeds": len(sub),
-                    }
-                )
+    for key, sub in groups.items():
+        rec = {"experiment_id": cfg.experiment_id, **dict(zip(group_cols, key)), "n_seeds": len(sub)}
+        for name, _ in stats:
+            rec[f"mean_{name}"], rec[f"std_{name}"] = _mean_std([row[name] for row in sub])
+        out.append(rec)
     return cols, out
 
 
@@ -571,50 +445,34 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: Optional[int] = None
         raise ValidationError(f"workers must be >= 1, got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "config.json", cfg.to_dict())
 
     arm_fn, payloads = _arm_payloads(cfg, str(out))
-    rows: List[dict] = []
-    failures: List[dict] = []
-
-    def consume(payload, outcome, error):
-        if error is not None:
-            arm_desc = "/".join(str(p) for p in payload[1:-1])
-            failures.append(
-                {"arm": arm_desc, "error": type(error).__name__, "message": str(error)}
-            )
+    rows, failures = [], []
+    with ExitStack() as stack:
+        if workers > 1 and len(payloads) > 1:
+            _check_picklable(arm_fn, payloads)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, len(payloads))))
+            calls = [pool.submit(arm_fn, payload).result for payload in payloads]
         else:
-            rows.extend(outcome[1])
-
-    if workers <= 1 or len(payloads) <= 1:
-        for payload in payloads:
+            calls = [partial(arm_fn, payload) for payload in payloads]
+        for payload, call in zip(payloads, calls):
             try:
-                consume(payload, arm_fn(payload), None)
+                rows.extend(call())
+            except BrokenProcessPool:
+                raise
             except Exception as exc:  # noqa: BLE001 - isolate arm failures
-                consume(payload, None, exc)
-    else:
-        _check_picklable(arm_fn, payloads)
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            futures = [pool.submit(arm_fn, p) for p in payloads]
-            for payload, future in zip(payloads, futures):
-                try:
-                    consume(payload, future.result(), None)
-                except BrokenProcessPool:
-                    raise
-                except Exception as exc:  # noqa: BLE001
-                    consume(payload, None, exc)
+                arm_desc = "/".join(str(p) for p in payload[1:-1])
+                failures.append(
+                    {"arm": arm_desc, "error": type(exc).__name__, "message": str(exc)}
+                )
 
     rows.sort(key=_sort_key)
     columns = BIAS_COLUMNS if cfg.kind == "metric_bias" else SWEEP_COLUMNS
     _write_csv(out / "arms.csv", columns, rows)
-    sum_cols, sum_rows = _summarize(cfg, rows)
-    _write_csv(out / "summary.csv", sum_cols, sum_rows)
+    _write_csv(out / "summary.csv", *_summarize(cfg, rows))
     if failures:
-        with open(out / "failures.json", "w", encoding="utf-8") as fh:
-            json.dump(failures, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "failures.json", failures)
     if rows == [] and failures:
         raise NumericalFailure(
             f"all {len(failures)} experiment arms failed; see {out / 'failures.json'}"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -95,17 +95,7 @@ class TrainConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "max_epochs": self.max_epochs,
-            "grad_scale": self.grad_scale,
-            "clip_bound": self.clip_bound,
-            "theta_min": self.theta_min,
-            "l2_lambda": self.l2_lambda,
-            "patience": self.patience,
-            "validation_fraction": self.validation_fraction,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -184,7 +174,6 @@ class FittedJointModel:
     trace: Optional[TrainTrace]
     best_epoch: int
     best_val_negloglik: float
-    config: Optional[TrainConfig] = None
 
     def to_dict(self) -> dict:
         return {
@@ -562,7 +551,6 @@ def fit(
         trace=trace,
         best_epoch=best_epoch,
         best_val_negloglik=best_val,
-        config=cfg,
     )
 
 

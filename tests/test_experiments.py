@@ -12,11 +12,34 @@ import pytest
 
 from copsurv import experiments as exp
 from copsurv.errors import NumericalFailure, ValidationError
-from copsurv.experiments import ExperimentConfig, run_experiment
+from copsurv.experiments import KINDS, ExperimentConfig, run_experiment
 from copsurv.training import TrainConfig
 
 FAST = {"max_epochs": 40, "patience": 40, "seed": 0}
 REAL_BIAS_ARM = exp._metric_bias_arm
+
+TOY = dict(seeds=(0, 1), n_train=300, n_val=100, n_test=100, train=FAST)
+TINY_CONFIGS = {
+    "synthetic_sweep": dict(experiment_id="sweep_tiny", family="clayton", tau_grid=(0.0, 0.4),
+                            survival_l1={"n_steps": 200}, **TOY),
+    "mixture_sweep": dict(experiment_id="mixture_tiny", tau_grid=(0.4,),
+                          survival_l1={"n_steps": 200}, **TOY),
+    "metric_bias": dict(experiment_id="bias_tiny", tau_grid=(0.2, 0.6), seeds=(0, 1), n_train=300),
+    "semi_synthetic": dict(experiment_id="semi_tiny", preset="standin", tau_grid=(0.3, 0.6), **TOY),
+}
+
+# summary.csv header of each kind, as documented in the README
+SWEEP_SUMMARY = ("experiment_id,tau_star,model,outcome,mean_survival_l1,std_survival_l1,"
+                 "mean_tau_hat,std_tau_hat,n_seeds")
+SUMMARY_HEADERS = {
+    "synthetic_sweep": SWEEP_SUMMARY,
+    "mixture_sweep": SWEEP_SUMMARY,
+    "metric_bias": ("experiment_id,tau_star,mean_c_index_uncensored,mean_c_index_censored,"
+                    "mean_c_index_abs_diff,mean_brier_uncensored,mean_brier_censored,"
+                    "mean_brier_abs_diff,n_seeds"),
+    "semi_synthetic": ("experiment_id,tau_star,model,mean_r_squared,std_r_squared,"
+                       "mean_tau_hat,std_tau_hat,n_seeds"),
+}
 
 
 # Module-level arms, so that a worker process can unpickle them.
@@ -35,6 +58,19 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def tree_without_wall_time(root):
+    """Every file under ``root`` by relative path, arms.csv without wall_time_s."""
+    tree = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "arms.csv":
+            lines = [line.split(",") for line in data.decode().splitlines()]
+            wall = lines[0].index("wall_time_s")
+            data = [line[:wall] + line[wall + 1:] for line in lines]
+        tree[str(path.relative_to(root))] = data
+    return tree
+
+
 def test_config_validation():
     bad = [
         {"kind": "ablation"},
@@ -51,6 +87,13 @@ def test_config_validation():
         {"kind": "semi_synthetic", "preset": "standin", "tau_grid": (0.0, 0.5)},
         {"event_risk": "tree"},
         {"kappa": 1.5},
+        {"kind": "metric_bias", "seeds": (-1,)},
+        {"seeds": (0, -3)},
+        {"n_train": 200.5},
+        {"n_val": 100.0},
+        {"n_test": True},
+        {"tau_grid": (0.2, 0.2)},
+        {"seeds": (0, 1, 0)},
     ]
     for overrides in bad:
         kwargs = {"experiment_id": "x", "kind": "synthetic_sweep", "tau_grid": (0.2,)}
@@ -81,14 +124,23 @@ def test_config_round_trip_and_unknown_field():
 
 
 @pytest.fixture(scope="module")
-def tiny_sweep(tmp_path_factory):
-    cfg = ExperimentConfig(
-        experiment_id="sweep_tiny", kind="synthetic_sweep", family="clayton",
-        tau_grid=(0.0, 0.4), seeds=(0, 1), n_train=300, n_val=100, n_test=100,
-        train=dict(FAST), survival_l1={"n_steps": 200},
-    )
-    out = tmp_path_factory.mktemp("sweep")
-    return cfg, run_experiment(cfg, out), out
+def tiny_runs(tmp_path_factory):
+    """Serial run of each kind's tiny config, made on first use: (cfg, result, out)."""
+    runs = {}
+
+    def run(kind):
+        if kind not in runs:
+            cfg = ExperimentConfig(kind=kind, **TINY_CONFIGS[kind])
+            out = tmp_path_factory.mktemp(kind)
+            runs[kind] = cfg, run_experiment(cfg, out), out
+        return runs[kind]
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def tiny_sweep(tiny_runs):
+    return tiny_runs("synthetic_sweep")
 
 
 def test_sweep_row_grid_and_order(tiny_sweep):
@@ -127,20 +179,38 @@ def test_sweep_arms_csv_layout(tiny_sweep):
     assert float(rows[0]["survival_l1_event"]) == result.rows[0]["survival_l1_event"]
 
 
-def test_sweep_summary_recomputes_from_arms(tiny_sweep):
-    cfg, result, _ = tiny_sweep
+@pytest.mark.parametrize("kind", KINDS)
+def test_summary_recomputes_from_arms(tiny_runs, kind):
+    cfg, result, _ = tiny_runs(kind)
+    header = Path(result.summary_csv).read_text().splitlines()[0]
+    assert header == SUMMARY_HEADERS[kind]
+    columns = header.split(",")
+    group = [c for c in columns[1:columns.index("n_seeds")] if not c.startswith(("mean_", "std_"))]
+    arm_group = [c for c in group if c != "outcome"]
     arms = read_rows(result.arms_csv)
     summary = read_rows(result.summary_csv)
-    assert len(summary) == 2 * 2 * 2  # taus x models x outcomes
+
+    # one row per group, in the order of the group's first arms.csv row
+    expected = list(dict.fromkeys(tuple(a[c] for c in arm_group) for a in arms))
+    if "outcome" in group:
+        expected = [key + (outcome,) for key in expected for outcome in ("event", "censor")]
+    assert [tuple(rec[c] for c in group) for rec in summary] == expected
+
     for rec in summary:
-        sub = [
-            float(a[f"survival_l1_{rec['outcome']}"])
-            for a in arms
-            if a["tau_star"] == rec["tau_star"] and a["model"] == rec["model"]
-        ]
-        assert int(rec["n_seeds"]) == len(sub) == 2
-        assert float(rec["mean_survival_l1"]) == pytest.approx(np.mean(sub), abs=1e-15)
-        assert float(rec["std_survival_l1"]) == pytest.approx(np.std(sub), abs=1e-15)
+        sub = [a for a in arms if all(a[c] == rec[c] for c in arm_group)]
+        assert int(rec["n_seeds"]) == len(sub) == len(cfg.seeds)
+        for col in columns:
+            if not col.startswith(("mean_", "std_")):
+                continue
+            stat, name = col.split("_", 1)
+            if name == "survival_l1":
+                name = f"survival_l1_{rec['outcome']}"
+            values = [float(a[name]) for a in sub if a[name] != ""]
+            if not values:  # e.g. tau_hat of the no-censoring baseline
+                assert rec[col] == ""
+                continue
+            want = np.mean(values) if stat == "mean" else np.std(values)
+            assert float(rec[col]) == pytest.approx(want, abs=1e-15)
 
 
 def test_sweep_wall_time_covers_the_fit_only(tmp_path, monkeypatch):
@@ -215,19 +285,16 @@ def test_all_arms_failing_raises(tmp_path, monkeypatch):
     assert all(f["error"] == "RuntimeError" and f["message"] == "boom" for f in failures)
 
 
-def test_parallel_workers_match_serial(tmp_path):
-    cfg = ExperimentConfig(
-        experiment_id="bias_par", kind="metric_bias", tau_grid=(0.2, 0.6),
-        seeds=(0, 1), n_train=300,
-    )
-    serial = run_experiment(cfg, tmp_path / "serial", workers=1)
+@pytest.mark.parametrize("kind", KINDS)
+def test_parallel_workers_match_serial(tmp_path, tiny_runs, kind):
+    cfg, serial, serial_out = tiny_runs(kind)
     parallel = run_experiment(cfg, tmp_path / "parallel", workers=2)
 
     def strip(rows):
         return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
 
     assert strip(serial.rows) == strip(parallel.rows)
-    assert Path(serial.summary_csv).read_bytes() == Path(parallel.summary_csv).read_bytes()
+    assert tree_without_wall_time(tmp_path / "parallel") == tree_without_wall_time(serial_out)
 
 
 BIAS_TWO_SEEDS = dict(kind="metric_bias", tau_grid=(0.2,), seeds=(0, 1), n_train=300)
