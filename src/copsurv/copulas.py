@@ -11,6 +11,13 @@ Numerics: quantiles entering logs or negative powers are clamped into
 axioms before the clamp so groundedness and uniform margins hold exactly.
 Frank evaluation is arranged around ``expm1``/``logaddexp`` so that theta up
 to 500 neither overflows nor cancels.
+
+One kernel, :func:`log_partial`, gives log dC/du1 on quantiles the caller
+has already clamped and, when asked, its derivatives with respect to both
+quantiles and the dependence parameters; each family computes the pieces
+its value and derivatives share once.  ``log_partial_u1``/``_u2`` and
+``grad_log_partial_u1``/``_u2`` validate and clamp their arguments, then
+call it.
 """
 from __future__ import annotations
 
@@ -172,11 +179,6 @@ def _clayton_cdf(theta, u1, u2):
     return np.exp(-_clayton_log_s(theta, u1, u2) / theta)
 
 
-def _clayton_log_partial_u1(theta, u1, u2):
-    log_s = _clayton_log_s(theta, u1, u2)
-    return -(1.0 + theta) / theta * log_s - (theta + 1.0) * np.log(u1)
-
-
 # ---------------------------------------------------------------------------
 # Frank internals.  With A = expm1(-theta u1), B = expm1(-theta u2) and
 # D = expm1(-theta), the CDF is -log1p(A B / D) / theta.  D + A B suffers
@@ -203,10 +205,84 @@ def _frank_cdf(theta, u1, u2):
     return (_frank_log_neg_d(theta) - _frank_log_neg_dab(theta, u1, u2)) / theta
 
 
-def _frank_log_partial_u1(theta, u1, u2):
+# ---------------------------------------------------------------------------
+# The log-partial kernel: log dC/du1 and, when asked, its derivatives with
+# respect to u1, u2 and the dependence parameters, which feed the exact
+# likelihood gradient.  Each family computes the pieces the value and the
+# derivatives share once.  Inputs are clamped into the open unit square.
+
+
+def _clayton_log_partial(theta, u1, u2, want_grad):
+    log_s = _clayton_log_s(theta, u1, u2)
+    lu1 = np.log(u1)
+    value = -(1.0 + theta) / theta * log_s - (theta + 1.0) * lu1
+    if not want_grad:
+        return value, None
+    lu2 = np.log(u2)
+    r1 = np.exp(-(theta + 1.0) * lu1 - log_s)  # u1^-(theta+1) / S
+    r2 = np.exp(-(theta + 1.0) * lu2 - log_s)
+    d_u1 = (1.0 + theta) * r1 - (theta + 1.0) / u1
+    d_u2 = (1.0 + theta) * r2
+    ds_dtheta_over_s = -(np.exp(-theta * lu1 - log_s) * lu1 + np.exp(-theta * lu2 - log_s) * lu2)
+    d_theta = log_s / theta**2 - (1.0 + theta) / theta * ds_dtheta_over_s - lu1
+    return value, (d_u1, d_u2, {"theta": d_theta})
+
+
+def _frank_log_partial(theta, u1, u2, want_grad):
     # dC/du1 = exp(-theta u1) * B / (D + A B); both factors are negative.
     log_neg_b = np.log(-np.expm1(-theta * u2))
-    return -theta * u1 + log_neg_b - _frank_log_neg_dab(theta, u1, u2)
+    log_neg_n = _frank_log_neg_dab(theta, u1, u2)
+    value = -theta * u1 + log_neg_b - log_neg_n
+    if not want_grad:
+        return value, None
+    log_neg_a = np.log(-np.expm1(-theta * u1))
+    p = np.exp(value)  # dC/du1
+    q = np.exp(-theta * u2 + log_neg_a - log_neg_n)  # dC/du2
+    inv_neg_b = np.exp(-log_neg_b)  # 1 / (1 - e^{-theta u2})
+    d_u1 = theta * (p - 1.0)
+    d_u2 = theta * (q - 1.0 + inv_neg_b)
+    # dN/dtheta / N  with N = D + A B
+    dn_over_n = np.exp(-theta - log_neg_n) - u1 * p - u2 * q
+    d_theta = -u1 - u2 * (1.0 - inv_neg_b) - dn_over_n
+    return value, (d_u1, d_u2, {"theta": d_theta})
+
+
+def _mixture_log_partial(spec, u1, u2, want_grad):
+    log_pf, frank = _frank_log_partial(spec.theta_frank, u1, u2, want_grad)
+    log_pc, clayton = _clayton_log_partial(spec.theta_clayton, u1, u2, want_grad)
+    pf = np.exp(log_pf)
+    pc = np.exp(log_pc)
+    mix = spec.kappa * pf + (1.0 - spec.kappa) * pc
+    value = np.log(mix)
+    if not want_grad:
+        return value, None
+    f1, f2, f_par = frank
+    c1, c2, c_par = clayton
+    d_u1 = (spec.kappa * pf * f1 + (1.0 - spec.kappa) * pc * c1) / mix
+    d_u2 = (spec.kappa * pf * f2 + (1.0 - spec.kappa) * pc * c2) / mix
+    grads = {
+        "theta_frank": spec.kappa * pf * f_par["theta"] / mix,
+        "theta_clayton": (1.0 - spec.kappa) * pc * c_par["theta"] / mix,
+        "kappa": (pf - pc) / mix,
+    }
+    return value, (d_u1, d_u2, grads)
+
+
+def log_partial(spec: CopulaSpec, c1: np.ndarray, c2: np.ndarray, want_grad: bool = False):
+    """log dC/du1 at clamped quantiles ``(c1, c2)`` and, when ``want_grad``,
+    its derivatives ``(d/du1, d/du2, {param: d/dparam})``, else ``None``.
+
+    The quantiles are not validated: the caller clamps them into
+    ``[U_EPS, 1 - U_EPS]``, and a NaN passes through to the result.
+    """
+    fam = spec.family
+    if fam is Family.INDEPENDENCE:
+        return np.log(c2), ((np.zeros_like(c1), 1.0 / c2, {}) if want_grad else None)
+    if fam is Family.CLAYTON:
+        return _clayton_log_partial(spec.theta, c1, c2, want_grad)
+    if fam is Family.FRANK:
+        return _frank_log_partial(spec.theta, c1, c2, want_grad)
+    return _mixture_log_partial(spec, c1, c2, want_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -241,26 +317,13 @@ def copula_cdf(spec: CopulaSpec, u1: ArrayLike, u2: ArrayLike) -> ArrayLike:
     return _maybe_scalar(out, np.asarray(u1), np.asarray(u2))
 
 
-def _log_partial_u1_interior(spec: CopulaSpec, c1, c2):
-    fam = spec.family
-    if fam is Family.INDEPENDENCE:
-        return np.log(c2)
-    if fam is Family.CLAYTON:
-        return _clayton_log_partial_u1(spec.theta, c1, c2)
-    if fam is Family.FRANK:
-        return _frank_log_partial_u1(spec.theta, c1, c2)
-    pf = np.exp(_frank_log_partial_u1(spec.theta_frank, c1, c2))
-    pc = np.exp(_clayton_log_partial_u1(spec.theta_clayton, c1, c2))
-    return np.log(spec.kappa * pf + (1.0 - spec.kappa) * pc)
-
-
 def _partial_u1_impl(spec: CopulaSpec, u1, u2):
     a1 = _as_unit_array(u1, "u1")
     a2 = _as_unit_array(u2, "u2")
     if spec.family in (Family.CLAYTON, Family.MIXTURE) and np.any(a1 == 0.0):
         raise DomainError(f"{spec.family.value} partial derivative undefined at u1 = 0")
     a1, a2 = np.broadcast_arrays(a1, a2)
-    interior = np.exp(_log_partial_u1_interior(spec, _clamp(a1), _clamp(a2)))
+    interior = np.exp(log_partial(spec, _clamp(a1), _clamp(a2))[0])
     out = np.where(a2 == 1.0, 1.0, np.where(a2 == 0.0, 0.0, interior))
     return out
 
@@ -277,52 +340,20 @@ def copula_partial_u2(spec: CopulaSpec, u1: ArrayLike, u2: ArrayLike) -> ArrayLi
     return _maybe_scalar(out, np.asarray(u1), np.asarray(u2))
 
 
-def log_partial_u1(spec: CopulaSpec, u1: ArrayLike, u2: ArrayLike) -> ArrayLike:
-    """log dC/du1 on clamped interior quantiles (likelihood building block)."""
+def _clamped_pair(u1, u2):
     a1 = _clamp(_as_unit_array(u1, "u1"))
     a2 = _clamp(_as_unit_array(u2, "u2"))
-    a1, a2 = np.broadcast_arrays(a1, a2)
-    return _maybe_scalar(
-        _log_partial_u1_interior(spec, a1, a2), np.asarray(u1), np.asarray(u2)
-    )
+    return np.broadcast_arrays(a1, a2)
+
+
+def log_partial_u1(spec: CopulaSpec, u1: ArrayLike, u2: ArrayLike) -> ArrayLike:
+    """log dC/du1 on clamped interior quantiles (likelihood building block)."""
+    value, _ = log_partial(spec, *_clamped_pair(u1, u2))
+    return _maybe_scalar(value, np.asarray(u1), np.asarray(u2))
 
 
 def log_partial_u2(spec: CopulaSpec, u1: ArrayLike, u2: ArrayLike) -> ArrayLike:
     return log_partial_u1(spec, u2, u1)
-
-
-# ---------------------------------------------------------------------------
-# Derivatives of log dC/du1 with respect to u1, u2 and the dependence
-# parameters.  These feed the exact likelihood gradient.  Inputs are assumed
-# clamped into the open unit square.
-
-
-def _clayton_grad_log_partial_u1(theta, u1, u2):
-    log_s = _clayton_log_s(theta, u1, u2)
-    lu1 = np.log(u1)
-    lu2 = np.log(u2)
-    r1 = np.exp(-(theta + 1.0) * lu1 - log_s)  # u1^-(theta+1) / S
-    r2 = np.exp(-(theta + 1.0) * lu2 - log_s)
-    d_u1 = (1.0 + theta) * r1 - (theta + 1.0) / u1
-    d_u2 = (1.0 + theta) * r2
-    ds_dtheta_over_s = -(np.exp(-theta * lu1 - log_s) * lu1 + np.exp(-theta * lu2 - log_s) * lu2)
-    d_theta = log_s / theta**2 - (1.0 + theta) / theta * ds_dtheta_over_s - lu1
-    return d_u1, d_u2, d_theta
-
-
-def _frank_grad_log_partial_u1(theta, u1, u2):
-    log_neg_a = np.log(-np.expm1(-theta * u1))
-    log_neg_b = np.log(-np.expm1(-theta * u2))
-    log_neg_n = _frank_log_neg_dab(theta, u1, u2)
-    p = np.exp(-theta * u1 + log_neg_b - log_neg_n)  # dC/du1
-    q = np.exp(-theta * u2 + log_neg_a - log_neg_n)  # dC/du2
-    inv_neg_b = np.exp(-log_neg_b)  # 1 / (1 - e^{-theta u2})
-    d_u1 = theta * (p - 1.0)
-    d_u2 = theta * (q - 1.0 + inv_neg_b)
-    # dN/dtheta / N  with N = D + A B
-    dn_over_n = np.exp(-theta - log_neg_n) - u1 * p - u2 * q
-    d_theta = -u1 - u2 * (1.0 - inv_neg_b) - dn_over_n
-    return d_u1, d_u2, d_theta
 
 
 def grad_log_partial_u1(spec: CopulaSpec, u1, u2):
@@ -331,35 +362,7 @@ def grad_log_partial_u1(spec: CopulaSpec, u1, u2):
     Quantiles are clamped exactly as in :func:`log_partial_u1`, so the two
     functions are consistent for finite differencing.
     """
-    a1 = _clamp(_as_unit_array(u1, "u1"))
-    a2 = _clamp(_as_unit_array(u2, "u2"))
-    a1, a2 = np.broadcast_arrays(a1, a2)
-    fam = spec.family
-    if fam is Family.INDEPENDENCE:
-        zero = np.zeros_like(a1)
-        return zero, 1.0 / a2, {}
-    if fam is Family.CLAYTON:
-        d1, d2, dth = _clayton_grad_log_partial_u1(spec.theta, a1, a2)
-        return d1, d2, {"theta": dth}
-    if fam is Family.FRANK:
-        d1, d2, dth = _frank_grad_log_partial_u1(spec.theta, a1, a2)
-        return d1, d2, {"theta": dth}
-
-    log_pf = _frank_log_partial_u1(spec.theta_frank, a1, a2)
-    log_pc = _clayton_log_partial_u1(spec.theta_clayton, a1, a2)
-    pf = np.exp(log_pf)
-    pc = np.exp(log_pc)
-    mix = spec.kappa * pf + (1.0 - spec.kappa) * pc
-    f1, f2, fth = _frank_grad_log_partial_u1(spec.theta_frank, a1, a2)
-    c1, c2, cth = _clayton_grad_log_partial_u1(spec.theta_clayton, a1, a2)
-    d_u1 = (spec.kappa * pf * f1 + (1.0 - spec.kappa) * pc * c1) / mix
-    d_u2 = (spec.kappa * pf * f2 + (1.0 - spec.kappa) * pc * c2) / mix
-    grads = {
-        "theta_frank": spec.kappa * pf * fth / mix,
-        "theta_clayton": (1.0 - spec.kappa) * pc * cth / mix,
-        "kappa": (pf - pc) / mix,
-    }
-    return d_u1, d_u2, grads
+    return log_partial(spec, *_clamped_pair(u1, u2), want_grad=True)[1]
 
 
 def grad_log_partial_u2(spec: CopulaSpec, u1, u2):

@@ -16,12 +16,15 @@ more family of the same objective; there is no separate code path for it.
 
 One kernel serves the joint objective and one the single-marginal
 objective; each computes the log-likelihood and, when asked, its gradient.
-The public functions are thin calls into them.
+The public functions are thin calls into them.  Every supported family is
+exchangeable, log dC/du2(u1, u2) = log dC/du1(u2, u1), so the joint kernel
+orients each record with its own quantile first and calls the copula kernel
+once, on the one partial each record uses.
 
 Gradients are exact, assembled by hand through the chain rule: marginal
-derivatives with respect to (log nu, log rho, g) feed the risk-function
-backprop, and the copula's log-partial derivatives supply the dependence
-terms.  Survival quantiles entering the copula are clamped into
+derivatives with respect to (log nu, log rho, g) feed the backprop closure
+that the risk's single forward pass returns, and the copula's log-partial
+derivatives supply the dependence terms.  Survival quantiles entering the copula are clamped into
 ``[U_EPS, 1 - U_EPS]``; the clamp acts as a gradient stop where active.
 """
 from __future__ import annotations
@@ -41,7 +44,7 @@ def _marginal_pieces(model, t, x):
     nu = model.nu
     a = float(model.log_nu)
     b = float(model.log_rho)
-    g = model.risk.evaluate(x)
+    g, backprop = model.risk.forward(x)
     lt = np.log(t)
     # overflow here surfaces as a NumericalFailure from the finiteness check
     with np.errstate(over="ignore"):
@@ -57,6 +60,7 @@ def _marginal_pieces(model, t, x):
         nu=nu,
         b=b,
         g=g,
+        backprop=backprop,
         lt=lt,
         h_cum=h_cum,
         log_f=log_f,
@@ -85,7 +89,7 @@ def _clamped_quantiles(pieces):
     return u, passthrough
 
 
-def _marginal_grads(grads, prefix, risk, pieces, own, dh_weight, x, l2_lambda):
+def _marginal_grads(grads, prefix, risk, pieces, own, dh_weight, l2_lambda):
     """Adds to ``grads`` the gradient of sum(own * log f + dh_weight * H)
     minus l2_lambda * ||risk weights||^2."""
     coef_a = own * pieces.dlogf_da + dh_weight * pieces.dh_da
@@ -93,7 +97,7 @@ def _marginal_grads(grads, prefix, risk, pieces, own, dh_weight, x, l2_lambda):
     coef_g = own * pieces.dlogf_dg + dh_weight * pieces.dh_dg
     grads[f"{prefix}.log_nu"] = np.asarray(coef_a.sum())
     grads[f"{prefix}.log_rho"] = np.asarray(coef_b.sum())
-    for key, val in risk.backprop(x, coef_g).items():
+    for key, val in pieces.backprop(coef_g).items():
         grads[f"{prefix}.risk.{key}"] = val
     if l2_lambda == 0.0 or not hasattr(risk, "weight_keys"):
         return
@@ -105,32 +109,34 @@ def _marginal_grads(grads, prefix, risk, pieces, own, dh_weight, x, l2_lambda):
 def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
     """The copula objective; returns (loglik, gradient dict or None)."""
     delta = data.delta.astype(float)
+    event = data.delta == 1
     ev = _marginal_pieces(event_model, data.t_obs, data.x)
     ce = _marginal_pieces(censor_model, data.t_obs, data.x)
     u1, pass1 = _clamped_quantiles(ev)
     u2, pass2 = _clamped_quantiles(ce)
 
-    log_p1 = copulas.log_partial_u1(spec, u1, u2)
-    log_p2 = copulas.log_partial_u2(spec, u1, u2)
-    terms = delta * (ev.log_f + log_p1) + (1.0 - delta) * (ce.log_f + log_p2)
+    # every family is exchangeable, log dC/du2(u1, u2) = log dC/du1(u2, u1),
+    # so each row is oriented to put its own quantile first
+    first = np.where(event, u1, u2)
+    second = np.where(event, u2, u1)
+    log_p, grad = copulas.log_partial(spec, first, second, want_grad)
+    terms = delta * ev.log_f + (1.0 - delta) * ce.log_f + log_p
     _check_finite(terms)
     loglik = float(terms.sum())
     if not want_grad:
         return loglik, None
 
-    g1_u1, g1_u2, g1_par = copulas.grad_log_partial_u1(spec, u1, u2)
-    g2_u1, g2_u2, g2_par = copulas.grad_log_partial_u2(spec, u1, u2)
-    c_u1 = delta * g1_u1 + (1.0 - delta) * g2_u1
-    c_u2 = delta * g1_u2 + (1.0 - delta) * g2_u2
+    d_first, d_second, d_par = grad
+    c_u1 = np.where(event, d_first, d_second)
+    c_u2 = np.where(event, d_second, d_first)
 
     grads = {}
     # d u / d z = -S * dH/dz where the clamp is inactive
     _marginal_grads(grads, "event", event_model.risk, ev, delta,
-                    c_u1 * (-ev.surv * pass1), data.x, l2_lambda)
+                    c_u1 * (-ev.surv * pass1), l2_lambda)
     _marginal_grads(grads, "censor", censor_model.risk, ce, 1.0 - delta,
-                    c_u2 * (-ce.surv * pass2), data.x, l2_lambda)
-    for key in g1_par:
-        contrib = delta * g1_par[key] + (1.0 - delta) * g2_par[key]
+                    c_u2 * (-ce.surv * pass2), l2_lambda)
+    for key, contrib in d_par.items():
         grads[f"copula.{key}"] = np.asarray(contrib.sum())
     return loglik, grads
 
@@ -145,7 +151,7 @@ def _single(model, data, l2_lambda, want_grad):
     if not want_grad:
         return loglik, None
     grads = {}
-    _marginal_grads(grads, "model", model.risk, pieces, delta, -(1.0 - delta), data.x, l2_lambda)
+    _marginal_grads(grads, "model", model.risk, pieces, delta, -(1.0 - delta), l2_lambda)
     return loglik, grads
 
 

@@ -17,6 +17,11 @@ Risk functions:
   biases zero.
 * ``QuadraticRisk`` - g(x) = w . x^2, used by data-generating processes only
   (it has no training support).
+
+The trainable risks run one forward pass in ``forward(x)``, which returns
+``(g, backprop)``: ``backprop(cotangent)`` maps a per-record cotangent to the
+parameter gradient, reusing that pass's activations.  ``evaluate(x)`` is
+``forward(x)[0]`` for callers that need no gradient.
 """
 from __future__ import annotations
 
@@ -63,19 +68,24 @@ class LinearRisk:
     def dim(self) -> int:
         return self.weights.shape[0]
 
+    def forward(self, x: np.ndarray):
+        """(g(x), backprop): ``backprop(cotangent)`` is the gradient of
+        sum_i cotangent_i * g(x_i) with respect to the weights."""
+        x = _check_matrix(x, self.dim)
+
+        def backprop(cotangent):
+            return {"w": x.T @ np.asarray(cotangent, dtype=float)}
+
+        return x @ self.weights, backprop
+
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return _check_matrix(x, self.dim) @ self.weights
+        return self.forward(x)[0]
 
     def params(self) -> dict:
         return {"w": self.weights}
 
     def weight_keys(self) -> tuple:
         return ("w",)
-
-    def backprop(self, x: np.ndarray, cotangent: np.ndarray) -> dict:
-        """Gradient of sum_i cotangent_i * g(x_i) with respect to params."""
-        x = _check_matrix(x, self.dim)
-        return {"w": x.T @ np.asarray(cotangent, dtype=float)}
 
     def to_dict(self) -> dict:
         return {"kind": "linear", "weights": [float(v) for v in self.weights]}
@@ -141,19 +151,34 @@ class MLPRisk:
     def dim(self) -> int:
         return self.widths[0]
 
-    def _forward(self, x):
-        a = _check_matrix(x, self.dim)
-        pre, post = [], [a]
+    def forward(self, x: np.ndarray):
+        """(g(x), backprop) from one forward pass.
+
+        ``backprop(cotangent)`` returns the gradient of
+        sum_i cotangent_i * g(x_i) with respect to every parameter, reusing
+        this pass's activations.
+        """
+        pre, post = [], [_check_matrix(x, self.dim)]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = post[-1] @ w.T + b
             pre.append(z)
             post.append(_elu(z) if i < n_layers - 1 else z)
-        return pre, post
+
+        def backprop(cotangent):
+            grads = {}
+            delta = np.asarray(cotangent, dtype=float)[:, None]  # output layer is linear
+            for i in range(n_layers - 1, -1, -1):
+                grads[f"W{i}"] = delta.T @ post[i]
+                grads[f"b{i}"] = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ self.weights[i]) * _elu_grad(pre[i - 1])
+            return grads
+
+        return post[-1][:, 0], backprop
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        _, post = self._forward(x)
-        return post[-1][:, 0]
+        return self.forward(x)[0]
 
     def params(self) -> dict:
         out = {}
@@ -164,17 +189,6 @@ class MLPRisk:
 
     def weight_keys(self) -> tuple:
         return tuple(f"W{i}" for i in range(len(self.weights)))
-
-    def backprop(self, x: np.ndarray, cotangent: np.ndarray) -> dict:
-        pre, post = self._forward(x)
-        grads = {}
-        delta = np.asarray(cotangent, dtype=float)[:, None]  # output layer is linear
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads[f"W{i}"] = delta.T @ post[i]
-            grads[f"b{i}"] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ self.weights[i]) * _elu_grad(pre[i - 1])
-        return grads
 
     def to_dict(self) -> dict:
         return {

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from copsurv.copulas import CopulaSpec
+from copsurv import copulas
+from copsurv.copulas import U_EPS, CopulaSpec
 from copsurv.data import SurvivalDataset
 from copsurv.errors import NumericalFailure
 from copsurv.likelihood import (
     _check_finite,
+    _marginal_grads,
     _marginal_pieces,
     loglik_and_gradient,
     loglik_copula,
@@ -36,6 +38,32 @@ def loglik_independent(event_model, censor_model, data: SurvivalDataset) -> floa
     terms = delta * (ev.log_f - ce.h_cum) + (1.0 - delta) * (ce.log_f - ev.h_cum)
     _check_finite(terms)
     return float(terms.sum())
+
+
+# two-orientation oracle: both log-partials and both of their gradients on
+# every record, blended by delta, where the joint kernel orients each record
+# and evaluates only the partial that record uses
+def loglik_two_orientations(event_model, censor_model, spec, data, l2_lambda=0.0):
+    delta = data.delta.astype(float)
+    ev = _marginal_pieces(event_model, data.t_obs, data.x)
+    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
+    u1, u2 = (np.clip(p.surv, U_EPS, 1.0 - U_EPS) for p in (ev, ce))
+    pass1, pass2 = (((p.surv > U_EPS) & (p.surv < 1.0 - U_EPS)).astype(float) for p in (ev, ce))
+    log_p1 = copulas.log_partial_u1(spec, u1, u2)
+    log_p2 = copulas.log_partial_u2(spec, u1, u2)
+    terms = delta * (ev.log_f + log_p1) + (1.0 - delta) * (ce.log_f + log_p2)
+    g1_u1, g1_u2, g1_par = copulas.grad_log_partial_u1(spec, u1, u2)
+    g2_u1, g2_u2, g2_par = copulas.grad_log_partial_u2(spec, u1, u2)
+    c_u1 = delta * g1_u1 + (1.0 - delta) * g2_u1
+    c_u2 = delta * g1_u2 + (1.0 - delta) * g2_u2
+    grads = {}
+    _marginal_grads(grads, "event", event_model.risk, ev, delta,
+                    c_u1 * (-ev.surv * pass1), l2_lambda)
+    _marginal_grads(grads, "censor", censor_model.risk, ce, 1.0 - delta,
+                    c_u2 * (-ce.surv * pass2), l2_lambda)
+    for key in g1_par:
+        grads[f"copula.{key}"] = np.asarray((delta * g1_par[key] + (1.0 - delta) * g2_par[key]).sum())
+    return float(terms.sum()), grads
 
 
 def unit_exponential():
@@ -142,6 +170,43 @@ def test_nonfinite_record_raises_with_index():
     with pytest.raises(NumericalFailure) as info:
         loglik_copula(ev, ce, CopulaSpec.clayton(2.0), data)
     assert info.value.record_index == 1
+
+
+def test_nonfinite_risk_output_is_a_numerical_failure():
+    # a NaN risk weight makes every quantile NaN; the copula kernel does not
+    # validate them, so the record-indexed finiteness check reports it
+    event, censor, data = random_instance(10, seed=3)
+    event.risk.weights[0] = np.nan
+    for call in (loglik_copula, loglik_and_gradient):
+        with pytest.raises(NumericalFailure) as info:
+            call(event, censor, CopulaSpec.clayton(2.0), data)
+        assert info.value.record_index == 0
+
+
+ORIENTATION_SPECS = [
+    CopulaSpec.independence(),
+    CopulaSpec.clayton(1.5),
+    CopulaSpec.frank(3.0),
+    CopulaSpec.mixture(3.0, 1.5, 0.4),
+    CopulaSpec.clayton(40.0),
+    CopulaSpec.frank(400.0),
+]
+
+
+@pytest.mark.parametrize("l2_lambda", [0.0, 0.01])
+@pytest.mark.parametrize("risk", ["linear", "mlp"])
+@pytest.mark.parametrize(
+    "spec", ORIENTATION_SPECS, ids=lambda s: f"{s.family.value}{s.theta or ''}"
+)
+def test_oriented_kernel_equals_two_orientation_oracle(spec, risk, l2_lambda):
+    event, censor, data = random_instance(60, seed=5, risk=risk)
+    expect, expect_grads = loglik_two_orientations(event, censor, spec, data, l2_lambda)
+    got, grads = loglik_and_gradient(event, censor, spec, data, l2_lambda)
+    assert got == expect
+    assert loglik_copula(event, censor, spec, data) == expect
+    assert list(grads) == list(expect_grads)
+    for key in grads:
+        assert np.array_equal(grads[key], expect_grads[key]), key
 
 
 # ---------------------------------------------------------------------------

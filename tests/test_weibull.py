@@ -109,7 +109,7 @@ def test_linear_risk_evaluate_and_backprop():
     risk = LinearRisk(np.array([1.0, -2.0]))
     x = np.array([[3.0, 0.5], [0.0, 1.0]])
     assert np.allclose(risk.evaluate(x), [2.0, -2.0])
-    grads = risk.backprop(x, np.array([1.0, 1.0]))
+    grads = risk.forward(x)[1](np.array([1.0, 1.0]))
     assert np.allclose(grads["w"], x.sum(axis=0))
 
 
@@ -139,7 +139,7 @@ def test_mlp_backprop_matches_finite_differences():
     def objective(r):
         return float(np.dot(coef, r.evaluate(x)))
 
-    grads = risk.backprop(x, coef)
+    grads = risk.forward(x)[1](coef)
     h = 1e-6
     params = risk.params()
     for key in sorted(params):
