@@ -101,6 +101,10 @@ SUMMARIES = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     experiment_id: str
@@ -125,22 +129,25 @@ class ExperimentConfig:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         self.family = str(self.family).lower()
         self.tau_grid = tuple(float(t) for t in self.tau_grid)
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = tuple(self.seeds)
         if not self.tau_grid:
             raise ValidationError("tau_grid must not be empty")
         if any(not 0.0 <= t < 1.0 for t in self.tau_grid):
             raise ValidationError(f"tau_grid values must lie in [0, 1): {self.tau_grid}")
         if not self.seeds:
             raise ValidationError("seeds must not be empty")
-        if min(self.seeds) < 0:
-            raise ValidationError(f"seeds must be non-negative: {self.seeds}")
-        for name in ("tau_grid", "seeds"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValidationError(f"{name} has duplicate entries: {values}")
+        if not all(_is_int(s) and s >= 0 for s in self.seeds):
+            raise ValidationError(f"seeds must be non-negative integers: {self.seeds}")
+        # arm directories are named tau{tau:g}_seed{seed}
+        if len({f"{t:g}" for t in self.tau_grid}) != len(self.tau_grid):
+            raise ValidationError(
+                f"tau_grid entries must differ in 6 significant digits: {self.tau_grid}"
+            )
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValidationError(f"seeds has duplicate entries: {self.seeds}")
         for name in ("n_train", "n_val", "n_test"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.kind == "mixture_sweep":
             self.family = "mixture"

@@ -94,6 +94,8 @@ def test_config_validation():
         {"n_test": True},
         {"tau_grid": (0.2, 0.2)},
         {"seeds": (0, 1, 0)},
+        {"seeds": (1.5,)},
+        {"tau_grid": (0.2, 0.2000001)},
     ]
     for overrides in bad:
         kwargs = {"experiment_id": "x", "kind": "synthetic_sweep", "tau_grid": (0.2,)}
