@@ -248,24 +248,28 @@ def _frank_log_partial(theta, u1, u2, want_grad):
 
 
 def _mixture_log_partial(spec, u1, u2, want_grad):
+    # kappa pf + (1 - kappa) pc is blended in log space, so a component
+    # partial below exp's underflow still counts; log(0) = -inf at kappa 0 or
+    # 1 leaves the other component exactly
     log_pf, frank = _frank_log_partial(spec.theta_frank, u1, u2, want_grad)
     log_pc, clayton = _clayton_log_partial(spec.theta_clayton, u1, u2, want_grad)
-    pf = np.exp(log_pf)
-    pc = np.exp(log_pc)
-    mix = spec.kappa * pf + (1.0 - spec.kappa) * pc
-    value = np.log(mix)
+    with np.errstate(divide="ignore"):
+        log_wf = np.log(spec.kappa) + log_pf
+        log_wc = np.log1p(-spec.kappa) + log_pc
+    value = np.logaddexp(log_wf, log_wc)
     if not want_grad:
         return value, None
+    # each component's share of the blend, and d/dkappa = (pf - pc) / mix
+    share_f = np.exp(log_wf - value)
+    share_c = np.exp(log_wc - value)
     f1, f2, f_par = frank
     c1, c2, c_par = clayton
-    d_u1 = (spec.kappa * pf * f1 + (1.0 - spec.kappa) * pc * c1) / mix
-    d_u2 = (spec.kappa * pf * f2 + (1.0 - spec.kappa) * pc * c2) / mix
     grads = {
-        "theta_frank": spec.kappa * pf * f_par["theta"] / mix,
-        "theta_clayton": (1.0 - spec.kappa) * pc * c_par["theta"] / mix,
-        "kappa": (pf - pc) / mix,
+        "theta_frank": share_f * f_par["theta"],
+        "theta_clayton": share_c * c_par["theta"],
+        "kappa": np.exp(log_pf - value) - np.exp(log_pc - value),
     }
-    return value, (d_u1, d_u2, grads)
+    return value, (share_f * f1 + share_c * c1, share_f * f2 + share_c * c2, grads)
 
 
 def log_partial(spec: CopulaSpec, c1: np.ndarray, c2: np.ndarray, want_grad: bool = False):

@@ -17,6 +17,7 @@ from copsurv.copulas import (
     grad_log_partial_u1,
     grad_log_partial_u2,
     log_partial_u1,
+    log_partial_u2,
     mixture_tau_monte_carlo,
     sample_pairs,
     spec_from_tau,
@@ -259,6 +260,26 @@ def test_grad_log_partial_matches_fd():
         assert np.allclose(e_u2, s_u2, atol=1e-12)
         for key in params:
             assert np.allclose(e_par[key], s_par[key], atol=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_mixture_endpoints_equal_the_pure_family(kappa):
+    # the first pair's Clayton(40) partial dC/du2 is exp(-757), below exp's
+    # underflow, so a blend outside log space would score it -inf
+    rng = np.random.default_rng(5)
+    u1 = np.concatenate([[8.98e-11], rng.uniform(0.01, 0.99, size=40), 10 ** rng.uniform(-12, -1, 20)])
+    u2 = np.concatenate([[0.00939], rng.uniform(0.01, 0.99, size=40), 10 ** rng.uniform(-12, -1, 20)])
+    mix = CopulaSpec.mixture(400.0, 40.0, kappa)
+    pure, key = (CopulaSpec.frank(400.0), "theta_frank") if kappa else (CopulaSpec.clayton(40.0), "theta_clayton")
+    for value, grad in ((log_partial_u1, grad_log_partial_u1), (log_partial_u2, grad_log_partial_u2)):
+        assert np.array_equal(value(mix, u1, u2), value(pure, u1, u2))
+        # d/dkappa = pf / pc - 1 rightly overflows where pc underflows
+        with np.errstate(over="ignore"):
+            m_u1, m_u2, m_par = grad(mix, u1, u2)
+        p_u1, p_u2, p_par = grad(pure, u1, u2)
+        assert np.array_equal(m_u1, p_u1)
+        assert np.array_equal(m_u2, p_u2)
+        assert np.array_equal(m_par[key], p_par["theta"])
 
 
 # ---------------------------------------------------------------------------

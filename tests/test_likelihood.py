@@ -183,6 +183,19 @@ def test_nonfinite_risk_output_is_a_numerical_failure():
         assert info.value.record_index == 0
 
 
+def test_mixture_endpoint_scores_an_underflowing_partial():
+    # one censored record at u1 = 8.98e-11, u2 = 0.00939, where Clayton(40)'s
+    # dC/du2 is about exp(-757): the kappa = 0 mixture must score it as Clayton
+    def model(u):
+        return WeibullCoxModel.from_natural(1.0, 1.0, LinearRisk([math.log(-math.log(u))]))
+
+    ev, ce = model(8.98e-11), model(0.00939)
+    data = SurvivalDataset(np.array([[1.0]]), np.array([1.0]), np.array([0]))
+    clayton = loglik_copula(ev, ce, CopulaSpec.clayton(40.0), data)
+    assert clayton < -745.0
+    assert loglik_copula(ev, ce, CopulaSpec.mixture(400.0, 40.0, 0.0), data) == clayton
+
+
 ORIENTATION_SPECS = [
     CopulaSpec.independence(),
     CopulaSpec.clayton(1.5),
