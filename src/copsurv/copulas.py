@@ -12,12 +12,9 @@ axioms before the clamp so groundedness and uniform margins hold exactly.
 Frank evaluation is arranged around ``expm1``/``logaddexp`` so that theta up
 to 500 neither overflows nor cancels.
 
-One kernel, :func:`log_partial`, gives log dC/du1 on quantiles the caller
-has already clamped and, when asked, its derivatives with respect to both
-quantiles and the dependence parameters; each family computes the pieces
-its value and derivatives share once.  ``log_partial_u1``/``_u2`` and
-``grad_log_partial_u1``/``_u2`` validate and clamp their arguments, then
-call it.
+One kernel, :func:`log_partial`, gives log dC/du1 and its derivatives on
+clamped quantiles; ``log_partial_u1``/``_u2`` and ``grad_log_partial_u1``/
+``_u2`` validate and clamp their arguments, then call it.
 """
 from __future__ import annotations
 
@@ -206,10 +203,8 @@ def _frank_cdf(theta, u1, u2):
 
 
 # ---------------------------------------------------------------------------
-# The log-partial kernel: log dC/du1 and, when asked, its derivatives with
-# respect to u1, u2 and the dependence parameters, which feed the exact
-# likelihood gradient.  Each family computes the pieces the value and the
-# derivatives share once.  Inputs are clamped into the open unit square.
+# The log-partial kernel.  Each family computes the pieces its value and its
+# derivatives share once.
 
 
 def _clayton_log_partial(theta, u1, u2, want_grad):
@@ -248,9 +243,8 @@ def _frank_log_partial(theta, u1, u2, want_grad):
 
 
 def _mixture_log_partial(spec, u1, u2, want_grad):
-    # kappa pf + (1 - kappa) pc is blended in log space, so a component
-    # partial below exp's underflow still counts; log(0) = -inf at kappa 0 or
-    # 1 leaves the other component exactly
+    # blended in log space, so a partial below exp's underflow still counts;
+    # at kappa 0 or 1, log(0) = -inf leaves the other component exactly
     log_pf, frank = _frank_log_partial(spec.theta_frank, u1, u2, want_grad)
     log_pc, clayton = _clayton_log_partial(spec.theta_clayton, u1, u2, want_grad)
     with np.errstate(divide="ignore"):
@@ -273,12 +267,8 @@ def _mixture_log_partial(spec, u1, u2, want_grad):
 
 
 def log_partial(spec: CopulaSpec, c1: np.ndarray, c2: np.ndarray, want_grad: bool = False):
-    """log dC/du1 at clamped quantiles ``(c1, c2)`` and, when ``want_grad``,
-    its derivatives ``(d/du1, d/du2, {param: d/dparam})``, else ``None``.
-
-    The quantiles are not validated: the caller clamps them into
-    ``[U_EPS, 1 - U_EPS]``, and a NaN passes through to the result.
-    """
+    """(log dC/du1, (d/du1, d/du2, {param: d/dparam}) if ``want_grad`` else
+    None) at quantiles the caller has clamped; they are not validated."""
     fam = spec.family
     if fam is Family.INDEPENDENCE:
         return np.log(c2), ((np.zeros_like(c1), 1.0 / c2, {}) if want_grad else None)

@@ -101,10 +101,6 @@ SUMMARIES = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass
 class ExperimentConfig:
     experiment_id: str
@@ -136,18 +132,16 @@ class ExperimentConfig:
             raise ValidationError(f"tau_grid values must lie in [0, 1): {self.tau_grid}")
         if not self.seeds:
             raise ValidationError("seeds must not be empty")
-        if not all(_is_int(s) and s >= 0 for s in self.seeds):
+        if not all(type(s) is int and s >= 0 for s in self.seeds):
             raise ValidationError(f"seeds must be non-negative integers: {self.seeds}")
         # arm directories are named tau{tau:g}_seed{seed}
         if len({f"{t:g}" for t in self.tau_grid}) != len(self.tau_grid):
-            raise ValidationError(
-                f"tau_grid entries must differ in 6 significant digits: {self.tau_grid}"
-            )
+            raise ValidationError(f"tau_grid entries must differ in 6 significant digits: {self.tau_grid}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError(f"seeds has duplicate entries: {self.seeds}")
         for name in ("n_train", "n_val", "n_test"):
             value = getattr(self, name)
-            if not _is_int(value) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.kind == "mixture_sweep":
             self.family = "mixture"

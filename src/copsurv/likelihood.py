@@ -24,8 +24,9 @@ once, on the one partial each record uses.
 Gradients are exact, assembled by hand through the chain rule: marginal
 derivatives with respect to (log nu, log rho, g) feed the backprop closure
 that the risk's single forward pass returns, and the copula's log-partial
-derivatives supply the dependence terms.  Survival quantiles entering the copula are clamped into
-``[U_EPS, 1 - U_EPS]``; the clamp acts as a gradient stop where active.
+derivatives supply the dependence terms.  Survival quantiles entering the
+copula are clamped into ``[U_EPS, 1 - U_EPS]``; the clamp acts as a
+gradient stop where active.
 """
 from __future__ import annotations
 
@@ -40,7 +41,8 @@ from .errors import NumericalFailure
 
 
 def _marginal_pieces(model, t, x):
-    """Forward quantities plus derivatives w.r.t. a=log_nu, b=log_rho, g."""
+    """Forward quantities, the risk's backprop closure and derivatives
+    w.r.t. a=log_nu, b=log_rho, g."""
     nu = model.nu
     a = float(model.log_nu)
     b = float(model.log_rho)
@@ -50,27 +52,11 @@ def _marginal_pieces(model, t, x):
     with np.errstate(over="ignore"):
         h_cum = np.exp(nu * (lt - b) + g)
     log_f = a - nu * b + (nu - 1.0) * lt + g - h_cum
-    surv = np.exp(-h_cum)
-    dh_da = h_cum * nu * (lt - b)
-    dh_db = -h_cum * nu
-    dlogf_da = 1.0 + nu * (lt - b) * (1.0 - h_cum)
-    dlogf_db = nu * (h_cum - 1.0)
-    dlogf_dg = 1.0 - h_cum
     return SimpleNamespace(
-        nu=nu,
-        b=b,
-        g=g,
-        backprop=backprop,
-        lt=lt,
-        h_cum=h_cum,
-        log_f=log_f,
-        surv=surv,
-        dh_da=dh_da,
-        dh_db=dh_db,
-        dh_dg=h_cum,
-        dlogf_da=dlogf_da,
-        dlogf_db=dlogf_db,
-        dlogf_dg=dlogf_dg,
+        backprop=backprop, log_f=log_f, h_cum=h_cum, surv=np.exp(-h_cum),
+        dh_da=h_cum * nu * (lt - b), dh_db=-h_cum * nu, dh_dg=h_cum,
+        dlogf_da=1.0 + nu * (lt - b) * (1.0 - h_cum), dlogf_db=nu * (h_cum - 1.0),
+        dlogf_dg=1.0 - h_cum,
     )
 
 

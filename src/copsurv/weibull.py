@@ -18,10 +18,8 @@ Risk functions:
 * ``QuadraticRisk`` - g(x) = w . x^2, used by data-generating processes only
   (it has no training support).
 
-The trainable risks run one forward pass in ``forward(x)``, which returns
-``(g, backprop)``: ``backprop(cotangent)`` maps a per-record cotangent to the
-parameter gradient, reusing that pass's activations.  ``evaluate(x)`` is
-``forward(x)[0]`` for callers that need no gradient.
+Trainable risks return ``(g, backprop)`` from one ``forward(x)`` pass;
+``backprop(cotangent)`` reuses its activations.  ``evaluate(x)`` is g alone.
 """
 from __future__ import annotations
 
@@ -69,14 +67,9 @@ class LinearRisk:
         return self.weights.shape[0]
 
     def forward(self, x: np.ndarray):
-        """(g(x), backprop): ``backprop(cotangent)`` is the gradient of
-        sum_i cotangent_i * g(x_i) with respect to the weights."""
+        """(g(x), backprop), as in :meth:`MLPRisk.forward`."""
         x = _check_matrix(x, self.dim)
-
-        def backprop(cotangent):
-            return {"w": x.T @ np.asarray(cotangent, dtype=float)}
-
-        return x @ self.weights, backprop
+        return x @ self.weights, lambda cot: {"w": x.T @ np.asarray(cot, dtype=float)}
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
@@ -152,12 +145,8 @@ class MLPRisk:
         return self.widths[0]
 
     def forward(self, x: np.ndarray):
-        """(g(x), backprop) from one forward pass.
-
-        ``backprop(cotangent)`` returns the gradient of
-        sum_i cotangent_i * g(x_i) with respect to every parameter, reusing
-        this pass's activations.
-        """
+        """(g(x), backprop): ``backprop(cotangent)`` is the gradient of
+        sum_i cotangent_i * g(x_i) with respect to every parameter."""
         pre, post = [], [_check_matrix(x, self.dim)]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from copsurv import copulas
-from copsurv.copulas import U_EPS, CopulaSpec
+from copsurv.copulas import CopulaSpec
 from copsurv.data import SurvivalDataset
 from copsurv.errors import NumericalFailure
 from copsurv.likelihood import (
     _check_finite,
+    _clamped_quantiles,
     _marginal_grads,
     _marginal_pieces,
     loglik_and_gradient,
@@ -47,8 +48,8 @@ def loglik_two_orientations(event_model, censor_model, spec, data, l2_lambda=0.0
     delta = data.delta.astype(float)
     ev = _marginal_pieces(event_model, data.t_obs, data.x)
     ce = _marginal_pieces(censor_model, data.t_obs, data.x)
-    u1, u2 = (np.clip(p.surv, U_EPS, 1.0 - U_EPS) for p in (ev, ce))
-    pass1, pass2 = (((p.surv > U_EPS) & (p.surv < 1.0 - U_EPS)).astype(float) for p in (ev, ce))
+    u1, pass1 = _clamped_quantiles(ev)
+    u2, pass2 = _clamped_quantiles(ce)
     log_p1 = copulas.log_partial_u1(spec, u1, u2)
     log_p2 = copulas.log_partial_u2(spec, u1, u2)
     terms = delta * (ev.log_f + log_p1) + (1.0 - delta) * (ce.log_f + log_p2)
