@@ -1,24 +1,29 @@
 """Full-batch maximum-likelihood training.
 
 Both solvers maximize the penalized log-likelihood on its exact gradient.
-Every dependence parameter lives in a box: theta in ``[theta_min, inf)``,
-Frank theta in ``[theta_min, THETA_HI_FRANK]`` and the mixture weight kappa
-in [0, 1].  The solver follows from the risk kinds; there is no option.
+A family's dependence parameters are the non-``family`` keys of its
+``CopulaSpec.to_dict()``, held by the optimizer as ``copula.<key>``; each
+evaluation rebuilds the spec with ``CopulaSpec.from_dict``.  Each lives in a
+box: theta in ``[theta_min, inf)``, ``theta_frank`` and Frank theta in
+``[theta_min, THETA_HI_FRANK]`` and kappa in [0, 1].  ``fit`` runs one loop
+over starts that share the initial marginals.  The solver follows from the
+risk kinds (there is no option); of several starts, the one with the best
+penalized training log-likelihood wins.
 
 * A joint fit with two linear risks is a smooth low-dimensional MLE and is
-  solved by L-BFGS-B with the boxes as bounds.  Each of three starts puts
-  the dependence parameters at Kendall's tau 0.2, 0.5 and 0.8 and runs to
-  convergence (at most ``max_epochs`` iterations); the start with the best
-  penalized training log-likelihood wins.  The validation loss is recorded
-  for every iteration but does not stop the fit, and the final iterate is
-  returned.  ``alpha``, ``grad_scale``, ``clip_bound`` and ``patience`` do
-  not apply.
-* Joint fits with an MLP risk, and every single-marginal fit, run Adam.
-  Dependence parameters get a special schedule: their raw gradient is
-  multiplied by ``grad_scale`` and clamped into ``[-clip_bound,
-  clip_bound]`` before the Adam update, and afterwards each is clipped into
-  its box.  The copula's gradient signal is orders of magnitude weaker than
-  the marginals'; without the rescale theta barely moves.  Early stopping
+  solved by L-BFGS-B with the boxes as bounds, from three starts at
+  Kendall's tau 0.2, 0.5 and 0.8 (one for the independence family), each
+  run to convergence (at most ``max_epochs`` iterations).  The validation
+  loss is recorded for every iteration but does not stop the fit, and the
+  final iterate is returned.  ``alpha``, ``grad_scale``, ``clip_bound`` and
+  ``patience`` do not apply.
+* Joint fits with an MLP risk, and every single-marginal fit, run Adam from
+  one start, theta 1 and kappa 0.5.  Dependence parameters get a special
+  schedule: their raw gradient is multiplied by ``grad_scale`` and clamped
+  into ``[-clip_bound, clip_bound]`` before the Adam update, and afterwards
+  each is clipped into its box.  The copula's gradient signal is orders of
+  magnitude weaker than the marginals'; without the rescale theta barely
+  moves.  Early stopping
   watches the negated validation log-likelihood and returns the parameters
   from the best validation epoch.  With ``validation_fraction = 0`` no split
   is made, no early stopping happens, and the final epoch wins.
@@ -211,14 +216,6 @@ def tau_hat(spec: CopulaSpec, mc_seed: int = 0) -> float:
     return copulas.theta_to_tau(spec)
 
 
-def _split_validation(n: int, cfg: TrainConfig, rng: np.random.Generator):
-    n_val = int(round(cfg.validation_fraction * n))
-    perm = rng.permutation(n)
-    if n - n_val < 1:
-        raise ValidationError("validation split leaves no training records")
-    return perm[n_val:], perm[:n_val]
-
-
 def _solver(*risk_kinds) -> str:
     """L-BFGS-B for linear risks only; an MLP risk keeps Adam."""
     return LBFGSB if all(str(k).lower() == "linear" for k in risk_kinds) else ADAM
@@ -408,59 +405,33 @@ def _model_params(model: WeibullCoxModel, prefix: str) -> Dict[str, np.ndarray]:
     return out
 
 
-def _init_copula_params(family: Family, theta_min: float):
-    """Starting dependence parameters, trace column names and (lo, hi) boxes."""
-    theta_box = (theta_min, np.inf)
-    frank_box = (theta_min, copulas.THETA_HI_FRANK)
-    if family is Family.INDEPENDENCE:
-        return {}, {}, {}
-    if family is Family.MIXTURE:
-        table = {
-            "copula.theta_frank": (1.0, "theta_frank", frank_box),
-            "copula.theta_clayton": (1.0, "theta_clayton", theta_box),
-            "copula.kappa": (0.5, "kappa", (0.0, 1.0)),
-        }
-    else:
-        box = frank_box if family is Family.FRANK else theta_box
-        table = {"copula.theta": (1.0, "theta_hat", box)}
-    params = {key: np.array(start) for key, (start, _, _) in table.items()}
-    names = {key: name for key, (_, name, _) in table.items()}
-    bounds = {key: box for key, (_, _, box) in table.items()}
-    return params, names, bounds
-
-
-def _dependence_starts(family: Family):
-    """The dependence-parameter starts of an L-BFGS-B fit, one per START_TAUS."""
-    if family is Family.INDEPENDENCE:
-        return [{}]
-    starts = []
-    for tau in START_TAUS:
-        spec = spec_from_tau(family, tau)
-        if family is Family.MIXTURE:
-            starts.append({"copula.theta_frank": spec.theta_frank,
-                           "copula.theta_clayton": spec.theta_clayton,
-                           "copula.kappa": spec.kappa})
-        else:
-            starts.append({"copula.theta": spec.theta})
-    return starts
-
-
-def _spec_builder(family: Family, params):
-    if family is Family.INDEPENDENCE:
-        return lambda: CopulaSpec.independence()
-    if family is Family.MIXTURE:
-        return lambda: CopulaSpec.mixture(
-            float(params["copula.theta_frank"]),
-            float(params["copula.theta_clayton"]),
-            float(params["copula.kappa"]),
-        )
-    return lambda: CopulaSpec(family, theta=float(params["copula.theta"]))
-
-
 def _resolve_l2(cfg: TrainConfig, *risk_kinds) -> float:
     if cfg.l2_lambda is not None:
         return cfg.l2_lambda
     return 0.001 if "mlp" in risk_kinds else 0.0
+
+
+def _setup(data: SurvivalDataset, cfg: TrainConfig, mlp_widths, *risk_kinds):
+    """Splits off the validation records and initializes one model per risk.
+
+    Returns (train_ds, val_ds, models); ``val_ds`` is None without a
+    validation split.  The RNG draws the split, then each risk in order.
+    """
+    if len(data) == 0:
+        raise ValidationError("cannot fit on an empty dataset")
+    rng = np.random.default_rng(cfg.seed)
+    n_val = int(round(cfg.validation_fraction * len(data)))
+    perm = rng.permutation(len(data))
+    if len(data) - n_val < 1:
+        raise ValidationError("validation split leaves no training records")
+    train_ds = data.subset(perm[n_val:])
+    val_ds = data.subset(perm[:n_val]) if n_val else None
+    widths = mlp_widths or default_mlp_widths(data.dim)
+    models = [
+        WeibullCoxModel(0.0, np.log(train_ds.t_obs.mean()), make_risk(kind, data.dim, rng, widths))
+        for kind in risk_kinds
+    ]
+    return train_ds, val_ds, models
 
 
 def fit(
@@ -477,77 +448,75 @@ def fit(
     RNG use is fully determined by ``config.seed``: first the validation
     split, then event-risk and censor-risk initialization.  Two linear risks
     are fitted by L-BFGS-B from three dependence starts, any MLP risk by
-    Adam; see the module docstring.
+    Adam from one; see the module docstring.
     """
     cfg = config or TrainConfig()
     family = copulas._coerce_family(family)
-    if len(data) == 0:
-        raise ValidationError("cannot fit on an empty dataset")
-    if data.n_events == 0 or data.n_events == len(data):
-        raise ValidationError(
-            "joint fit requires at least one event and one censoring record"
-        )
-
-    rng = np.random.default_rng(cfg.seed)
-    train_idx, val_idx = _split_validation(len(data), cfg, rng)
-    train_ds = data.subset(train_idx)
-    val_ds = data.subset(val_idx) if len(val_idx) else None
-
-    widths = mlp_widths or default_mlp_widths(data.dim)
-    event_model = WeibullCoxModel(
-        0.0, np.log(train_ds.t_obs.mean()), make_risk(event_risk, data.dim, rng, widths)
-    )
-    censor_model = WeibullCoxModel(
-        0.0, np.log(train_ds.t_obs.mean()), make_risk(censor_risk, data.dim, rng, widths)
+    if len(data) and data.n_events in (0, len(data)):
+        raise ValidationError("joint fit requires at least one event and one censoring record")
+    train_ds, val_ds, (event_model, censor_model) = _setup(
+        data, cfg, mlp_widths, event_risk, censor_risk
     )
 
-    params = {}
-    params.update(_model_params(event_model, "event"))
-    params.update(_model_params(censor_model, "censor"))
-    copula_params, trace_names, copula_bounds = _init_copula_params(family, cfg.theta_min)
-    params.update(copula_params)
-    build_spec = _spec_builder(family, params)
+    theta_hi = copulas.THETA_HI_FRANK if family is Family.FRANK else np.inf
+    # Adam start and (lo, hi) box of every dependence parameter, by CopulaSpec key
+    table = {"theta": (1.0, (cfg.theta_min, theta_hi)),
+             "theta_frank": (1.0, (cfg.theta_min, copulas.THETA_HI_FRANK)),
+             "theta_clayton": (1.0, (cfg.theta_min, np.inf)),
+             "kappa": (0.5, (0.0, 1.0))}
+    default = CopulaSpec.from_dict({"family": family, **{n: s for n, (s, _) in table.items()}})
+    names = [name for name in default.to_dict() if name != "family"]
+    solver = _solver(event_risk, censor_risk)
+    starts = [default]
+    if solver == LBFGSB and names:
+        starts = [spec_from_tau(family, tau) for tau in START_TAUS]
+
+    params = {**_model_params(event_model, "event"), **_model_params(censor_model, "censor")}
+    params.update({f"copula.{name}": np.array(0.0) for name in names})  # set by each start
+    copula_bounds = {f"copula.{name}": table[name][1] for name in names}
     l2 = _resolve_l2(cfg, event_risk, censor_risk)
 
-    def loss_and_grad():
-        return likelihood.loglik_and_gradient(
-            event_model, censor_model, build_spec(), train_ds, l2
+    def spec():
+        return CopulaSpec.from_dict(
+            {"family": family, **{name: params[f"copula.{name}"] for name in names}}
         )
+
+    def loss_and_grad():
+        return likelihood.loglik_and_gradient(event_model, censor_model, spec(), train_ds, l2)
+
+    def penalty():
+        return likelihood.l2_penalty(l2, event_model, censor_model)
 
     val_fn = None
     if val_ds is not None:
         def val_fn():
-            return -likelihood.loglik_copula(event_model, censor_model, build_spec(), val_ds)
+            return -likelihood.loglik_copula(event_model, censor_model, spec(), val_ds)
 
-    if _solver(event_risk, censor_risk) == ADAM:
-        trace, best_epoch, best_val = _optimize(
-            params, copula_bounds, loss_and_grad, val_fn, cfg
-        )
-    else:
-        def penalty():
-            return likelihood.l2_penalty(l2, event_model, censor_model)
-
-        # every start shares the initial marginals; the best penalized
-        # training log-likelihood wins
-        initial = _snapshot(params)
-        best = None
-        for start in _dependence_starts(family):
-            _restore(params, initial)
-            for key, value in start.items():
-                params[key][...] = value
-            run = _optimize(params, copula_bounds, loss_and_grad, val_fn, cfg, LBFGSB, penalty)
-            score = likelihood.loglik_copula(
-                event_model, censor_model, build_spec(), train_ds
-            ) - penalty()
-            if best is None or score > best[0]:
-                best = (score, run, _snapshot(params))
-        _, (trace, best_epoch, best_val), state = best
-        _restore(params, state)
-    trace.copula_path = {trace_names[k]: v for k, v in trace.copula_path.items()}
+    # every start shares the initial marginals; of several starts the best
+    # penalized training log-likelihood wins
+    initial = _snapshot(params)
+    best = None
+    for start in starts:
+        _restore(params, initial)
+        values = start.to_dict()
+        for name in names:
+            params[f"copula.{name}"][...] = values[name]
+        run = _optimize(params, copula_bounds, loss_and_grad, val_fn, cfg, solver, penalty)
+        score = 0.0
+        if len(starts) > 1:
+            score = likelihood.loglik_copula(event_model, censor_model, spec(), train_ds) - penalty()
+        if best is None or score > best[0]:
+            best = (score, run, _snapshot(params))
+    _, (trace, best_epoch, best_val), state = best
+    _restore(params, state)
+    trace.copula_path = {
+        "theta_hat" if name == "theta" else name: trace.copula_path[f"copula.{name}"]
+        for name in names
+    }
     return FittedJointModel(
         event_model=event_model,
         censor_model=censor_model,
-        copula=build_spec(),
+        copula=spec(),
         trace=trace,
         best_epoch=best_epoch,
         best_val_negloglik=best_val,
@@ -568,18 +537,7 @@ def fit_marginal(
     baseline's R-squared falls below the copula fit's.  Returns (model, trace).
     """
     cfg = config or TrainConfig()
-    if len(data) == 0:
-        raise ValidationError("cannot fit on an empty dataset")
-    rng = np.random.default_rng(cfg.seed)
-    train_idx, val_idx = _split_validation(len(data), cfg, rng)
-    train_ds = data.subset(train_idx)
-    val_ds = data.subset(val_idx) if len(val_idx) else None
-
-    widths = mlp_widths or default_mlp_widths(data.dim)
-    model = WeibullCoxModel(
-        0.0, np.log(train_ds.t_obs.mean()), make_risk(risk_kind, data.dim, rng, widths)
-    )
-    params = _model_params(model, "model")
+    train_ds, val_ds, (model,) = _setup(data, cfg, mlp_widths, risk_kind)
     l2 = _resolve_l2(cfg, risk_kind)
 
     def loss_and_grad():
@@ -590,5 +548,5 @@ def fit_marginal(
         def val_fn():
             return -likelihood.marginal_loglik(model, val_ds)
 
-    trace, _, _ = _optimize(params, {}, loss_and_grad, val_fn, cfg)
+    trace, _, _ = _optimize(_model_params(model, "model"), {}, loss_and_grad, val_fn, cfg)
     return model, trace
