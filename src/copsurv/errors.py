@@ -3,10 +3,25 @@
 The CLI maps these onto process exit codes: validation problems exit 1,
 numerical failures exit 2, filesystem problems exit 3.
 """
+import math
 
 
 class ValidationError(ValueError):
     """Malformed configuration, dataset, or argument structure."""
+
+
+def check_numbers(obj, ints=(), reals=()) -> None:
+    """Raises ValidationError unless every attribute of ``obj`` named in
+    ``ints`` is an int and every one named in ``reals`` a finite int or
+    float; a bool is neither."""
+    for name in ints:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    for name in reals:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
 class DomainError(ValueError):

@@ -54,7 +54,7 @@ from . import metrics as met
 from .copulas import spec_from_tau
 from .data import SurvivalDataset, load_regression_csv
 from .datagen import PRESETS, censor_regression, generate_synthetic, sidecar_dict, synthetic_regression, zscore_fit
-from .errors import NumericalFailure, ValidationError
+from .errors import NumericalFailure, ValidationError, check_numbers
 from .metrics import SurvivalL1Config
 from .training import FittedJointModel, TrainConfig, fit, tau_hat
 
@@ -167,6 +167,7 @@ class ExperimentConfig:
                 raise ValidationError("semi_synthetic tau_grid must be positive")
         if self.event_risk not in ("linear", "mlp") or self.censor_risk not in ("linear", "mlp"):
             raise ValidationError("event_risk and censor_risk must be 'linear' or 'mlp'")
+        check_numbers(self, reals=("kappa",))
         if not 0.0 <= self.kappa <= 1.0:
             raise ValidationError(f"kappa must lie in [0, 1], got {self.kappa}")
         if isinstance(self.train, dict):

@@ -18,7 +18,7 @@ import numpy as np
 from . import copulas
 from .data import SurvivalDataset
 from .datagen import generate_synthetic, preset_metric_bias
-from .errors import DomainError, UndefinedMetricError, ValidationError
+from .errors import DomainError, UndefinedMetricError, ValidationError, check_numbers
 
 
 @dataclass
@@ -30,6 +30,7 @@ class SurvivalL1Config:
     n_steps: int = 1000
 
     def __post_init__(self):
+        check_numbers(self, ("n_steps",), ("quantile_floor",))
         if not 0.0 < self.quantile_floor < 1.0:
             raise ValidationError(
                 f"quantile_floor must lie in (0, 1), got {self.quantile_floor}"

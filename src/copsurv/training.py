@@ -41,7 +41,7 @@ from scipy.optimize import minimize
 from . import copulas, likelihood
 from .copulas import CopulaSpec, Family, spec_from_tau
 from .data import SurvivalDataset
-from .errors import NumericalFailure, ValidationError
+from .errors import NumericalFailure, ValidationError, check_numbers
 from .weibull import WeibullCoxModel, default_mlp_widths, make_risk
 
 ADAM = "adam"
@@ -80,6 +80,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        reals = ("alpha", "grad_scale", "clip_bound", "theta_min", "validation_fraction")
+        check_numbers(self, ("max_epochs", "patience", "seed"),
+                      reals + (("l2_lambda",) if self.l2_lambda is not None else ()))
         if self.alpha <= 0:
             raise ValidationError(f"alpha must be positive, got {self.alpha}")
         if self.max_epochs < 1:

@@ -96,6 +96,12 @@ def test_config_validation():
         {"seeds": (0, 1, 0)},
         {"seeds": (1.5,)},
         {"tau_grid": (0.2, 0.2000001)},
+        {"kappa": "0.5"},
+        {"kappa": True},
+        {"train": {"max_epochs": 30.5, "patience": 30}},
+        {"train": {"seed": 1.5}},
+        {"train": {"alpha": float("nan")}},
+        {"survival_l1": {"n_steps": 10.5}},
     ]
     for overrides in bad:
         kwargs = {"experiment_id": "x", "kind": "synthetic_sweep", "tau_grid": (0.2,)}

@@ -110,6 +110,9 @@ def test_survival_l1_config_validation():
         SurvivalL1Config(quantile_floor=0.0)
     with pytest.raises(ValidationError):
         SurvivalL1Config(n_steps=0)
+    for overrides in ({"n_steps": 10.5}, {"n_steps": True}, {"quantile_floor": "0.01"}):
+        with pytest.raises(ValidationError):
+            SurvivalL1Config(**overrides)
     cfg = SurvivalL1Config(quantile_floor=0.05, n_steps=500)
     assert SurvivalL1Config.from_dict(cfg.to_dict()) == cfg
 

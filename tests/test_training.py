@@ -45,6 +45,16 @@ def test_train_config_validation():
         TrainConfig(validation_fraction=1.0)
     with pytest.raises(ValidationError):
         TrainConfig.from_dict({"alpha": 0.001, "bogus": 1})
+    # integer fields take ints only, real fields finite ints or floats
+    nan, inf = float("nan"), float("inf")
+    bad_types = [
+        {"max_epochs": 30.5, "patience": 30}, {"patience": 5.5}, {"seed": 1.5}, {"seed": True},
+        {"alpha": "0.1"}, {"alpha": nan}, {"grad_scale": inf}, {"clip_bound": None},
+        {"theta_min": True}, {"l2_lambda": "0.1"}, {"validation_fraction": None},
+    ]
+    for overrides in bad_types:
+        with pytest.raises(ValidationError):
+            TrainConfig.from_dict(overrides)
 
 
 def test_train_config_roundtrip():
