@@ -102,6 +102,28 @@ def generate_synthetic(config: SyntheticGenConfig):
 # Reference data-generating processes (d = 10 throughout).
 
 
+def child_seed(*keys) -> int:
+    """A seed derived from ``keys`` (non-negative ints) by SeedSequence."""
+    return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
+
+
+def tau_key(tau: float) -> int:
+    """``tau`` as an integer seed key, to six decimal places."""
+    return int(round(tau * 1_000_000))
+
+
+def _preset(seed, n, copula, data_seed, rho_event, risk_event, risk_censor) -> SyntheticGenConfig:
+    """The presets' shared generator: event shape 4, censoring Weibull(3, 16),
+    independence unless ``copula`` is given, and draws seeded by ``seed``
+    unless ``data_seed`` is given."""
+    return SyntheticGenConfig(
+        n=n, d=10, nu_event=4.0, rho_event=rho_event, risk_event=risk_event,
+        nu_censor=3.0, rho_censor=16.0, risk_censor=risk_censor,
+        copula=copula or CopulaSpec.independence(),
+        seed=seed if data_seed is None else data_seed,
+    )
+
+
 def preset_linear_risk(
     seed: int,
     n: int = 20000,
@@ -112,18 +134,7 @@ def preset_linear_risk(
     rng = np.random.default_rng(seed)
     beta_event = rng.uniform(size=10)
     beta_censor = rng.uniform(size=10)
-    return SyntheticGenConfig(
-        n=n,
-        d=10,
-        nu_event=4.0,
-        rho_event=14.0,
-        risk_event=LinearRisk(beta_event),
-        nu_censor=3.0,
-        rho_censor=16.0,
-        risk_censor=LinearRisk(beta_censor),
-        copula=copula or CopulaSpec.independence(),
-        seed=seed if data_seed is None else data_seed,
-    )
+    return _preset(seed, n, copula, data_seed, 14.0, LinearRisk(beta_event), LinearRisk(beta_censor))
 
 
 def preset_nonlinear_risk(
@@ -133,20 +144,9 @@ def preset_nonlinear_risk(
     data_seed: Optional[int] = None,
 ) -> SyntheticGenConfig:
     """Quadratic risks: event sum(x^2)/8, censor beta . x^2 / 5."""
-    rng = np.random.default_rng(seed)
-    beta_censor = rng.uniform(size=10)
-    return SyntheticGenConfig(
-        n=n,
-        d=10,
-        nu_event=4.0,
-        rho_event=17.0,
-        risk_event=QuadraticRisk(np.full(10, 1.0 / 8.0)),
-        nu_censor=3.0,
-        rho_censor=16.0,
-        risk_censor=QuadraticRisk(beta_censor / 5.0),
-        copula=copula or CopulaSpec.independence(),
-        seed=seed if data_seed is None else data_seed,
-    )
+    beta_censor = np.random.default_rng(seed).uniform(size=10)
+    return _preset(seed, n, copula, data_seed, 17.0,
+                   QuadraticRisk(np.full(10, 1.0 / 8.0)), QuadraticRisk(beta_censor / 5.0))
 
 
 def preset_metric_bias(
@@ -157,24 +157,12 @@ def preset_metric_bias(
 ) -> SyntheticGenConfig:
     """Generator for the metric-bias study: event risk x1^2 + x2^2,
     censor risk a random quadratic in the first three covariates."""
-    rng = np.random.default_rng(seed)
-    beta_censor = rng.uniform(size=10)
+    beta_censor = np.random.default_rng(seed).uniform(size=10)
     event_w = np.zeros(10)
     event_w[:2] = 1.0
     censor_w = np.zeros(10)
     censor_w[:3] = beta_censor[:3]
-    return SyntheticGenConfig(
-        n=n,
-        d=10,
-        nu_event=4.0,
-        rho_event=17.0,
-        risk_event=QuadraticRisk(event_w),
-        nu_censor=3.0,
-        rho_censor=16.0,
-        risk_censor=QuadraticRisk(censor_w),
-        copula=copula or CopulaSpec.independence(),
-        seed=seed if data_seed is None else data_seed,
-    )
+    return _preset(seed, n, copula, data_seed, 17.0, QuadraticRisk(event_w), QuadraticRisk(censor_w))
 
 
 PRESETS = {

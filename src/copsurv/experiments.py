@@ -53,7 +53,8 @@ import numpy as np
 from . import metrics as met
 from .copulas import spec_from_tau
 from .data import SurvivalDataset, load_regression_csv
-from .datagen import PRESETS, censor_regression, generate_synthetic, sidecar_dict, synthetic_regression, zscore_fit
+from .datagen import (PRESETS, censor_regression, child_seed, generate_synthetic, sidecar_dict,
+                      synthetic_regression, tau_key, zscore_fit)
 from .errors import NumericalFailure, ValidationError, check_numbers
 from .metrics import SurvivalL1Config
 from .training import FittedJointModel, TrainConfig, fit, tau_hat
@@ -187,14 +188,6 @@ class ExperimentConfig:
         return cls(**doc)
 
 
-def _child_seed(*keys) -> int:
-    return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
-
-
-def _tau_key(tau: float) -> int:
-    return int(round(tau * 1_000_000))
-
-
 def _fmt(value) -> str:
     if value is None or value == "":
         return ""
@@ -280,13 +273,13 @@ def _sweep_arm(payload):
     n_fit = cfg.n_train + cfg.n_val
     gen_cfg = PRESETS[cfg.preset](
         seed, n=n_fit + cfg.n_test, copula=spec_from_tau(cfg.family, tau, cfg.kappa),
-        data_seed=_child_seed(seed, _tau_key(tau), 1),
+        data_seed=child_seed(seed, tau_key(tau), 1),
     )
     dataset, truth, _ = generate_synthetic(gen_cfg)
     arm_dir.mkdir(parents=True, exist_ok=True)
     _write_json(arm_dir / "truth.json", sidecar_dict(gen_cfg, tau=tau))
     return _fit_models(
-        cfg, tau, seed, _child_seed(seed, _tau_key(tau), 2),
+        cfg, tau, seed, child_seed(seed, tau_key(tau), 2),
         dataset.subset(np.arange(n_fit)),
         dataset.subset(np.arange(n_fit, n_fit + cfg.n_test)),
         truth, arm_dir,
@@ -315,15 +308,15 @@ def _semi_arm(payload):
     if cfg.data_csv is not None:
         x, y, _ = load_regression_csv(cfg.data_csv, cfg.target_column)
     else:
-        x, y = synthetic_regression(total, 10, _child_seed(seed, 0, 8))
+        x, y = synthetic_regression(total, 10, child_seed(seed, 0, 8))
     n = len(y)
     n_test = max(1, int(round(n * cfg.n_test / total)))
-    perm = np.random.default_rng(_child_seed(seed, 0, 7)).permutation(n)
+    perm = np.random.default_rng(child_seed(seed, 0, 7)).permutation(n)
     test_idx = perm[:n_test]
     tv_idx = perm[n_test:]
     x_tv, y_tv = x[tv_idx], y[tv_idx]
 
-    marginal_cfg = TrainConfig(max_epochs=5000, patience=500, seed=_child_seed(seed, 0, 10))
+    marginal_cfg = TrainConfig(max_epochs=5000, patience=500, seed=child_seed(seed, 0, 10))
     mean, std = zscore_fit(x_tv)
     x_test = (x[test_idx] - mean) / std
 
@@ -332,7 +325,7 @@ def _semi_arm(payload):
         spec = spec_from_tau(cfg.family, tau, cfg.kappa)
         start = time.perf_counter()
         cens_ds, info = censor_regression(
-            x_tv, y_tv, spec, seed=_child_seed(seed, _tau_key(tau), 9),
+            x_tv, y_tv, spec, seed=child_seed(seed, tau_key(tau), 9),
             fit_config=marginal_cfg,
         )
         prep_wall = time.perf_counter() - start
@@ -349,7 +342,7 @@ def _semi_arm(payload):
             )
             rows.append(_row(cfg, "", seed, "no_censoring", "", prep_wall, report))
         rows += _fit_models(
-            cfg, tau, seed, _child_seed(seed, _tau_key(tau), 11), cens_ds, test_ds, None,
+            cfg, tau, seed, child_seed(seed, tau_key(tau), 11), cens_ds, test_ds, None,
             arm_dir / f"tau{tau:g}", target,
         )
     return rows

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import copulas
 from .data import SurvivalDataset
-from .datagen import generate_synthetic, preset_metric_bias
+from .datagen import child_seed, generate_synthetic, preset_metric_bias, tau_key
 from .errors import DomainError, UndefinedMetricError, ValidationError, check_numbers
 
 
@@ -178,8 +178,7 @@ def metric_bias_experiment(
     rows = []
     for tau in taus:
         spec = copulas.spec_from_tau(family, float(tau))
-        tau_key = int(round(float(tau) * 1_000_000))
-        data_seed = int(np.random.SeedSequence([seed, tau_key, 101]).generate_state(1)[0])
+        data_seed = child_seed(seed, tau_key(float(tau)), 101)
         cfg = preset_metric_bias(seed, n=n, copula=spec, data_seed=data_seed)
         dataset, truth, latent = generate_synthetic(cfg)
         scores = np.asarray(truth.event_model.risk.evaluate(dataset.x), dtype=float)
