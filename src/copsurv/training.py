@@ -23,10 +23,10 @@ penalized training log-likelihood wins.
   into ``[-clip_bound, clip_bound]`` before the Adam update, and afterwards
   each is clipped into its box.  The copula's gradient signal is orders of
   magnitude weaker than the marginals'; without the rescale theta barely
-  moves.  Early stopping
-  watches the negated validation log-likelihood and returns the parameters
-  from the best validation epoch.  With ``validation_fraction = 0`` no split
-  is made, no early stopping happens, and the final epoch wins.
+  moves.  Early stopping watches the negated validation log-likelihood and
+  returns the parameters from the best validation epoch.  With
+  ``validation_fraction = 0`` no split is made, no early stopping happens,
+  and the final epoch wins.
 """
 from __future__ import annotations
 

@@ -351,6 +351,19 @@ def test_l2_penalty_touches_only_weights():
 # Single-marginal objective
 
 
+@pytest.mark.parametrize("risk", ["linear", "mlp"])
+def test_marginal_pieces_match_the_model(risk):
+    # the likelihood evaluates the Weibull marginal in its own log-space form;
+    # it must agree with the model's density, survival and cumulative hazard
+    event, censor, data = random_instance(200, seed=11, risk=risk)
+    for model in (event, censor):
+        pieces = _marginal_pieces(model, data.t_obs, data.x)
+        for got, want in ((np.exp(pieces.log_f), model.density(data.t_obs, data.x)),
+                          (pieces.surv, model.survival(data.t_obs, data.x)),
+                          (pieces.h_cum, model.cumulative_hazard(data.t_obs, data.x))):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_marginal_loglik_hand_value_and_gradient():
     model = unit_exponential()
     data = single_record(1.0, 1)

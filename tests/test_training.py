@@ -320,14 +320,17 @@ def test_joint_independence_fit_equals_marginal_fit():
     for model, data in ((joint.event_model, ds), (joint.censor_model, flipped)):
         _, grads = marginal_loglik_and_gradient(model, data)
         assert max(float(np.max(np.abs(g))) for g in grads.values()) < 1e-3, grads
+
+
 def test_fit_recovers_dependence_direction():
-    # short run: theta need not converge, but the validation loss must
-    # improve and theta must have moved up from its floor trajectory
+    # L-BFGS-B runs each of the three tau starts to convergence; the winning
+    # fit must improve the validation loss over its first iterate and find
+    # clear positive dependence (the truth, tau 0.6, is Clayton theta 3.0)
     ds = make_data(800, tau=0.6, seed=3)
     cfg = TrainConfig(max_epochs=2500, patience=2500, seed=3)
     out = fit(ds, "linear", "linear", "clayton", cfg)
     assert out.trace.val_negloglik[out.best_epoch] < out.trace.val_negloglik[0]
-    assert out.copula.theta > 1.2  # moving from init 1.0 toward 3.0
+    assert out.copula.theta > 1.2
 
 
 def test_best_epoch_is_argmin_of_validation():
