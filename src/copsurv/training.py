@@ -81,8 +81,9 @@ class TrainConfig:
 
     def __post_init__(self):
         reals = ("alpha", "grad_scale", "clip_bound", "theta_min", "validation_fraction")
-        check_numbers(self, ("max_epochs", "patience", "seed"),
-                      reals + (("l2_lambda",) if self.l2_lambda is not None else ()))
+        if self.l2_lambda is not None:
+            reals += ("l2_lambda",)
+        check_numbers(self, ("max_epochs", "patience", "seed"), reals)
         if self.alpha <= 0:
             raise ValidationError(f"alpha must be positive, got {self.alpha}")
         if self.max_epochs < 1:
@@ -467,6 +468,7 @@ def fit(
              "theta_frank": (1.0, (cfg.theta_min, copulas.THETA_HI_FRANK)),
              "theta_clayton": (1.0, (cfg.theta_min, np.inf)),
              "kappa": (0.5, (0.0, 1.0))}
+    # from_dict reads only the keys of the family's own parameters
     default = CopulaSpec.from_dict({"family": family, **{n: s for n, (s, _) in table.items()}})
     names = [name for name in default.to_dict() if name != "family"]
     solver = _solver(event_risk, censor_risk)
