@@ -14,31 +14,19 @@ numerical failure during optimization, 3 for I/O errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .copulas import spec_from_tau
-from .data import SurvivalDataset, load_regression_csv
+from .data import SurvivalDataset, load_regression_csv, read_json, write_json
 from .datagen import PRESETS, censor_regression, generate_synthetic, sidecar_dict, truth_from_sidecar
 from .errors import DomainError, NumericalFailure, UndefinedMetricError, ValidationError
-from .experiments import ExperimentConfig, run_experiment
-from .metrics import EvaluationReport, SurvivalL1Config, brier_score, concordance_index, survival_l1
+from .experiments import ExperimentConfig, _evaluate_fitted, run_experiment
+from .metrics import SurvivalL1Config, survival_l1  # noqa: F401 (perfbench's tracer test binds it here)
 from .training import FittedJointModel, TrainConfig, fit, tau_hat
 
 FAMILIES = ("independence", "clayton", "frank", "mixture")
-
-
-def _dump_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def cmd_generate(args) -> int:
@@ -49,7 +37,7 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dataset.save_csv(out / "data.csv")
     latent.save_csv(out / "latent.csv")
-    _dump_json(sidecar_dict(cfg, tau=args.tau), out / "truth.json")
+    write_json(out / "truth.json", sidecar_dict(cfg, tau=args.tau))
     frac = 1.0 - dataset.delta.mean()
     print(f"wrote {out / 'data.csv'}: {len(dataset)} records, censoring fraction {frac:.3f}")
     return 0
@@ -62,7 +50,8 @@ def cmd_censor(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset.save_csv(out / "data.csv")
-    _dump_json(
+    write_json(
+        out / "censoring.json",
         {
             "source": str(args.data),
             "target_column": args.target,
@@ -76,7 +65,6 @@ def cmd_censor(args) -> int:
             "event_model": info.event_model.to_dict(),
             "censor_model": info.censor_model.to_dict(),
         },
-        out / "censoring.json",
     )
     print(
         f"wrote {out / 'data.csv'}: {len(dataset)} records, "
@@ -87,7 +75,7 @@ def cmd_censor(args) -> int:
 
 def cmd_train(args) -> int:
     data = SurvivalDataset.load_csv(args.data)
-    cfg = TrainConfig.from_dict(_load_json(args.config)) if args.config else TrainConfig()
+    cfg = TrainConfig.from_dict(read_json(args.config)) if args.config else TrainConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     widths = tuple(args.mlp_widths) if args.mlp_widths else None
@@ -107,25 +95,14 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     fitted = FittedJointModel.load(args.checkpoint)
     data = SurvivalDataset.load_csv(args.data)
-    report = EvaluationReport(
-        c_index=concordance_index(fitted.event_model, data),
-        brier=brier_score(fitted.event_model, data, eval_time=args.eval_time),
-        tau_hat=tau_hat(fitted.copula),
-    )
-    if args.truth:
-        truth = truth_from_sidecar(_load_json(args.truth))
-        l1_cfg = SurvivalL1Config()
-        report.survival_l1_event = survival_l1(truth.event_model, fitted.event_model, data.x, l1_cfg)
-        report.survival_l1_censor = survival_l1(
-            truth.censor_model, fitted.censor_model, data.x, l1_cfg
-        )
-    report.save(args.out)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    truth = truth_from_sidecar(read_json(args.truth)) if args.truth else None
+    report = _evaluate_fitted(fitted, truth, data, SurvivalL1Config(), eval_time=args.eval_time)
+    print(report.save(args.out), end="")
     return 0
 
 
 def cmd_experiment(args) -> int:
-    cfg = ExperimentConfig.from_dict(_load_json(args.config))
+    cfg = ExperimentConfig.from_dict(read_json(args.config))
     result = run_experiment(cfg, args.out, workers=args.workers)
     print(f"wrote {len(result.rows)} rows to {result.arms_csv}")
     if result.failures:

@@ -37,8 +37,12 @@ U_EPS = 1e-12
 THETA_LO = 1e-6
 THETA_HI_FRANK = 500.0
 
+# conditional_quantile_bisect stops at this bracket width or iteration count
 _BISECT_TOL = 1e-10
 _BISECT_MAX_ITER = 200
+
+# pairs drawn by mixture_tau_monte_carlo
+_TAU_MC_PAIRS = 100_000
 
 
 class Family(str, Enum):
@@ -410,13 +414,7 @@ def _frank_conditional_quantile(theta, u1, v):
     return (lower - upper) / theta
 
 
-def conditional_quantile_bisect(
-    spec: CopulaSpec,
-    u1: ArrayLike,
-    v: ArrayLike,
-    tol: float = _BISECT_TOL,
-    max_iter: int = _BISECT_MAX_ITER,
-) -> np.ndarray:
+def conditional_quantile_bisect(spec: CopulaSpec, u1: ArrayLike, v: ArrayLike) -> np.ndarray:
     """Generic monotone bisection solver for dC/du1(u1, u2) = v.
 
     Used directly by the mixture family and as the oracle against which the
@@ -427,12 +425,12 @@ def conditional_quantile_bisect(
     a1, av = np.broadcast_arrays(a1, av)
     lo = np.zeros(a1.shape)
     hi = np.ones(a1.shape)
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         too_low = _partial_u1_impl(spec, a1, mid) < av
         lo = np.where(too_low, mid, lo)
         hi = np.where(too_low, hi, mid)
-        if np.max(hi - lo) <= tol:
+        if np.max(hi - lo) <= _BISECT_TOL:
             break
     return 0.5 * (lo + hi)
 
@@ -507,10 +505,10 @@ def tau_to_theta(family, tau: float) -> float:
     raise DomainError(f"tau_to_theta supports clayton and frank, not {fam.value}")
 
 
-def mixture_tau_monte_carlo(spec: CopulaSpec, n: int = 100_000, seed: int = 0) -> float:
+def mixture_tau_monte_carlo(spec: CopulaSpec, seed: int = 0) -> float:
     """Monte Carlo Kendall's tau estimate (defined for every family)."""
     rng = np.random.default_rng(seed)
-    pairs = sample_pairs(spec, n, rng)
+    pairs = sample_pairs(spec, _TAU_MC_PAIRS, rng)
     tau, _ = stats.kendalltau(pairs[:, 0], pairs[:, 1])
     return float(tau)
 

@@ -1,18 +1,106 @@
-"""Right-censored survival datasets and their on-disk formats.
+"""Datasets and every on-disk format of the package.
 
 A dataset is columnar: covariates ``x`` of shape (n, d), observed times
 ``t_obs`` (strictly positive), and event indicators ``delta`` (1 = event,
-0 = censored).  The CSV layout is ``x0,...,x{d-1},time,event`` with LF line
-endings and full-precision floats, so save/load round-trips bit-exactly.
+0 = censored).  Its CSV layout is ``x0,...,x{d-1},time,event``.
+
+Every file the package reads or writes goes through this module, and one
+format rule holds for all of them: UTF-8 with LF line endings.  A CSV file
+has a header row; a float cell is the ``repr`` of the float (the shortest
+text that reads back bit-exactly), an int cell its decimal digits, and a
+missing value an empty cell.  A JSON file is indented by 2 with sorted keys
+and ends in a newline.  The config dataclasses read and write plain JSON
+objects through :class:`Config`.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+def write_csv(path, header, rows) -> None:
+    """Writes ``header`` and ``rows``, sequences of cells already formatted as str."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: None and "" empty, a str as is, an int in decimal, a float by repr."""
+    if value is None or value == "":
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def column_cells(values):
+    """The CSV cells of a float or int array, as csv_cell formats them, but faster."""
+    return map(repr, np.asarray(values).tolist())
+
+
+def read_csv(path, parser):
+    """(header, parsed rows) of a CSV file; ``parser(header)`` checks the header
+    and returns the function that parses one row.  Blank lines are skipped;
+    a missing header or row, a row of the wrong width and a cell that does not
+    parse (ValueError) raise ValidationError naming the path and line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file")
+        parse = parser(header)
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValidationError(f"{path}:{lineno}: expected {len(header)} cells")
+            try:
+                rows.append(parse(row))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    return header, rows
+
+
+def write_json(path, doc) -> str:
+    """Writes ``doc`` as JSON and returns the text written."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return text
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class Config:
+    """Base of the config dataclasses, which are stored as JSON objects."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc):
+        """``cls(**doc)``; ``doc`` must be a dict whose keys are fields of ``cls``."""
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{cls.__name__} must be a JSON object, got {doc!r}")
+        extra = set(doc) - set(cls.__dataclass_fields__)
+        if extra:
+            raise ValidationError(f"unknown {cls.__name__} fields: {sorted(extra)}")
+        return cls(**doc)
 
 
 @dataclass
@@ -45,10 +133,6 @@ class SurvivalDataset:
         return self.x.shape[0]
 
     @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.x.shape[1]
 
@@ -62,22 +146,11 @@ class SurvivalDataset:
 
     def save_csv(self, path) -> None:
         header = [f"x{i}" for i in range(self.dim)] + ["time", "event"]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(self.n):
-                cells = [repr(float(v)) for v in self.x[i]]
-                cells.append(repr(float(self.t_obs[i])))
-                cells.append(str(int(self.delta[i])))
-                fh.write(",".join(cells) + "\n")
+        write_csv(path, header, zip(*map(column_cells, [*self.x.T, self.t_obs, self.delta])))
 
     @classmethod
     def load_csv(cls, path) -> "SurvivalDataset":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError(f"{path}: empty file") from None
+        def parser(header):
             if len(header) < 3 or header[-2:] != ["time", "event"]:
                 raise ValidationError(
                     f"{path}: expected header x0,...,time,event, got {header}"
@@ -85,46 +158,27 @@ class SurvivalDataset:
             d = len(header) - 2
             if header[:d] != [f"x{i}" for i in range(d)]:
                 raise ValidationError(f"{path}: covariate columns must be x0..x{d-1}")
-            xs, ts, ds = [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != d + 2:
-                    raise ValidationError(f"{path}:{lineno}: expected {d + 2} cells")
-                try:
-                    xs.append([float(v) for v in row[:d]])
-                    ts.append(float(row[d]))
-                    ds.append(int(row[d + 1]))
-                except ValueError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        if not xs:
-            raise ValidationError(f"{path}: no data rows")
-        return cls(np.array(xs), np.array(ts), np.array(ds))
+            return parse_row
+
+        def parse_row(row):
+            event = int(row[-1])
+            if event not in (0, 1):  # a larger one could overflow the float table
+                raise ValueError(f"event must be 0 or 1, got {row[-1]!r}")
+            return [*map(float, row[:-1]), event]
+
+        header, rows = read_csv(path, parser)
+        table, d = np.array(rows), len(header) - 2
+        return cls(table[:, :d].copy(), table[:, d].copy(), table[:, d + 1].astype(np.int64))
 
 
 def load_regression_csv(path, target: str):
     """Reads a numeric regression CSV; returns (X, y, feature_names)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
+
+    def parser(header):
         if target not in header:
             raise ValidationError(f"{path}: no column named {target!r} in {header}")
-        t_idx = header.index(target)
-        feature_names = [h for i, h in enumerate(header) if i != t_idx]
-        feats, targs = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{lineno}: expected {len(header)} cells")
-            try:
-                targs.append(float(row[t_idx]))
-                feats.append([float(v) for i, v in enumerate(row) if i != t_idx])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    if not feats:
-        raise ValidationError(f"{path}: no data rows")
-    return np.array(feats), np.array(targs), feature_names
+        return lambda row: [*map(float, row)]
+
+    header, rows = read_csv(path, parser)
+    table, t_idx = np.array(rows), header.index(target)
+    return np.delete(table, t_idx, axis=1), table[:, t_idx].copy(), header[:t_idx] + header[t_idx + 1:]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .copulas import CopulaSpec, U_EPS, conditional_sample, sample_pairs, theta_to_tau
 from .copulas import Family
-from .data import SurvivalDataset
+from .data import SurvivalDataset, column_cells, write_csv
 from .errors import ValidationError
 from .training import TrainConfig, fit_marginal
 from .weibull import LinearRisk, QuadraticRisk, WeibullCoxModel, risk_from_dict
@@ -72,10 +72,8 @@ class LatentOutcomes:
     t_censor: np.ndarray
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t_event,t_censor\n")
-            for te, tc in zip(self.t_event, self.t_censor):
-                fh.write(f"{float(te)!r},{float(tc)!r}\n")
+        write_csv(path, ["t_event", "t_censor"],
+                  zip(column_cells(self.t_event), column_cells(self.t_censor)))
 
 
 def generate_synthetic(config: SyntheticGenConfig):

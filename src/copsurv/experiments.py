@@ -37,7 +37,6 @@ excluded.  For the semi-synthetic ``no_censoring`` row that is the
 """
 from __future__ import annotations
 
-import json
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,7 +51,7 @@ import numpy as np
 
 from . import metrics as met
 from .copulas import spec_from_tau
-from .data import SurvivalDataset, load_regression_csv
+from .data import Config, SurvivalDataset, csv_cell, load_regression_csv, write_csv, write_json
 from .datagen import (PRESETS, censor_regression, child_seed, generate_synthetic, sidecar_dict,
                       synthetic_regression, tau_key, zscore_fit)
 from .errors import NumericalFailure, ValidationError, check_numbers
@@ -103,7 +102,7 @@ SUMMARIES = {
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Config):
     experiment_id: str
     kind: str
     family: str = "clayton"
@@ -171,52 +170,25 @@ class ExperimentConfig:
         check_numbers(self, reals=("kappa",))
         if not 0.0 <= self.kappa <= 1.0:
             raise ValidationError(f"kappa must lie in [0, 1], got {self.kappa}")
-        if isinstance(self.train, dict):
+        if not isinstance(self.train, TrainConfig):
             self.train = TrainConfig.from_dict(self.train)
-        if isinstance(self.survival_l1, dict):
+        if not isinstance(self.survival_l1, SurvivalL1Config):
             self.survival_l1 = SurvivalL1Config.from_dict(self.survival_l1)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        extra = set(doc) - known
-        if extra:
-            raise ValidationError(f"unknown ExperimentConfig fields: {sorted(extra)}")
-        return cls(**doc)
-
-
-def _fmt(value) -> str:
-    if value is None or value == "":
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
 
 
 def _write_csv(path, columns, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
+    """Writes the dict ``rows`` under ``columns``; a missing key is an empty cell."""
+    write_csv(path, columns, ([csv_cell(row.get(col)) for col in columns] for row in rows))
 
 
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _evaluate_fitted(fitted: FittedJointModel, truth, test_ds, l1_cfg, target=None):
+def _evaluate_fitted(fitted: FittedJointModel, truth, test_ds, l1_cfg, target=None,
+                     eval_time=None):
     """Score ``fitted`` on ``test_ds``; survival-L1 needs ``truth``, R-squared
-    needs the regression ``target`` of the test rows."""
+    needs the regression ``target`` of the test rows, and the Brier score is
+    taken at ``eval_time`` (default: the median observed time)."""
     report = met.EvaluationReport(
         c_index=met.concordance_index(fitted.event_model, test_ds),
-        brier=met.brier_score(fitted.event_model, test_ds),
+        brier=met.brier_score(fitted.event_model, test_ds, eval_time),
         tau_hat=tau_hat(fitted.copula),
     )
     if truth is not None:
@@ -277,7 +249,7 @@ def _sweep_arm(payload):
     )
     dataset, truth, _ = generate_synthetic(gen_cfg)
     arm_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(arm_dir / "truth.json", sidecar_dict(gen_cfg, tau=tau))
+    write_json(arm_dir / "truth.json", sidecar_dict(gen_cfg, tau=tau))
     return _fit_models(
         cfg, tau, seed, child_seed(seed, tau_key(tau), 2),
         dataset.subset(np.arange(n_fit)),
@@ -440,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: Optional[int] = None
         raise ValidationError(f"workers must be >= 1, got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", cfg.to_dict())
+    write_json(out / "config.json", cfg.to_dict())
 
     arm_fn, payloads = _arm_payloads(cfg, str(out))
     rows, failures = [], []
@@ -467,7 +439,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: Optional[int] = None
     _write_csv(out / "arms.csv", columns, rows)
     _write_csv(out / "summary.csv", *_summarize(cfg, rows))
     if failures:
-        _write_json(out / "failures.json", failures)
+        write_json(out / "failures.json", failures)
     if rows == [] and failures:
         raise NumericalFailure(
             f"all {len(failures)} experiment arms failed; see {out / 'failures.json'}"

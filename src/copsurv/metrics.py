@@ -9,20 +9,22 @@ standard metrics even for the true model.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import copulas
-from .data import SurvivalDataset
+from .data import Config, SurvivalDataset, write_json
 from .datagen import child_seed, generate_synthetic, preset_metric_bias, tau_key
 from .errors import DomainError, UndefinedMetricError, ValidationError, check_numbers
 
+# event records per block of the concordance index's pairwise comparison
+C_INDEX_CHUNK = 512
+
 
 @dataclass
-class SurvivalL1Config:
+class SurvivalL1Config(Config):
     """``quantile_floor`` is the truth-survival level defining the upper
     integration endpoint; ``n_steps`` the Riemann resolution."""
 
@@ -37,16 +39,6 @@ class SurvivalL1Config:
             )
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
-
-    def to_dict(self) -> dict:
-        return {"quantile_floor": self.quantile_floor, "n_steps": self.n_steps}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SurvivalL1Config":
-        extra = set(doc) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValidationError(f"unknown SurvivalL1Config fields: {sorted(extra)}")
-        return cls(**doc)
 
 
 def survival_l1(truth_model, estimate_model, x: np.ndarray, config: Optional[SurvivalL1Config] = None) -> float:
@@ -81,7 +73,7 @@ def _risk_scores(model_or_scores, data: SurvivalDataset) -> np.ndarray:
     return np.asarray(model_or_scores.risk.evaluate(data.x), dtype=float)
 
 
-def concordance_index(model_or_scores, data: SurvivalDataset, chunk: int = 512) -> float:
+def concordance_index(model_or_scores, data: SurvivalDataset) -> float:
     """Harrell's c-index: higher risk should mean earlier events.
 
     Pair (i, j) is comparable when t_i < t_j and record i is an event; risk
@@ -92,8 +84,8 @@ def concordance_index(model_or_scores, data: SurvivalDataset, chunk: int = 512) 
     event_idx = np.flatnonzero(data.delta == 1)
     concordant = 0.0
     comparable = 0
-    for start in range(0, len(event_idx), chunk):
-        rows = event_idx[start : start + chunk]
+    for start in range(0, len(event_idx), C_INDEX_CHUNK):
+        rows = event_idx[start : start + C_INDEX_CHUNK]
         later = t[None, :] > t[rows, None]
         comparable += int(later.sum())
         r_i = scores[rows, None]
@@ -225,7 +217,6 @@ class EvaluationReport:
                 out[key] = float(val)
         return out
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    def save(self, path) -> str:
+        """Writes the report as JSON; returns the text written."""
+        return write_json(path, self.to_dict())

@@ -30,9 +30,8 @@ penalized training log-likelihood wins.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -40,7 +39,7 @@ from scipy.optimize import minimize
 
 from . import copulas, likelihood
 from .copulas import CopulaSpec, Family, spec_from_tau
-from .data import SurvivalDataset
+from .data import Config, SurvivalDataset, column_cells, read_json, write_csv, write_json
 from .errors import NumericalFailure, ValidationError, check_numbers
 from .weibull import WeibullCoxModel, default_mlp_widths, make_risk
 
@@ -52,10 +51,14 @@ START_TAUS = (0.2, 0.5, 0.8)
 # L-BFGS-B stops when an iteration lowers the objective by less than this
 # fraction; scipy's default of 2.2e-9 leaves gradients up to 0.3 on 400 records
 FTOL = 1e-12
+# Adam's moment decay rates and the denominator's guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     """Optimization settings.
 
     ``l2_lambda = None`` resolves at fit time to 0 for linear risks and
@@ -103,49 +106,34 @@ class TrainConfig:
                 f"validation_fraction must lie in [0, 1), got {self.validation_fraction}"
             )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
-        if extra:
-            raise ValidationError(f"unknown TrainConfig fields: {sorted(extra)}")
-        return cls(**doc)
-
 
 class Adam:
     """Plain Adam ascending the objective (maximization convention)."""
 
-    def __init__(self, params: Dict[str, np.ndarray], alpha: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Dict[str, np.ndarray], alpha: float):
         self.params = params
         self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, grads: Dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - BETA1**self.t
+        b2c = 1.0 - BETA2**self.t
         for key, p in self.params.items():
             g = np.asarray(grads[key], dtype=float)
-            v = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
+            v = BETA2 * self.v[key] + (1.0 - BETA2) * g * g
             # a gradient beyond about 1e154 squares to inf, and an infinite
             # second moment would freeze the parameter; while v is finite
             # (v >= 0, so its sum is) the step is bounded and p stays finite
             if not math.isfinite(v.sum()):
                 raise NumericalFailure(f"non-finite Adam second moment of {key}")
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
+            self.m[key] = BETA1 * self.m[key] + (1.0 - BETA1) * g
             self.v[key] = v
             m_hat = self.m[key] / b1c
             v_hat = self.v[key] / b2c
-            p[...] = p + self.alpha * m_hat / (np.sqrt(v_hat) + self.eps)
+            p[...] = p + self.alpha * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @dataclass
@@ -164,15 +152,9 @@ class TrainTrace:
     copula_path: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        cols = ["epoch", "train_negloglik", "val_negloglik"] + list(self.copula_path)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(self.epoch)):
-                row = [str(int(self.epoch[i])), repr(float(self.train_negloglik[i])),
-                       repr(float(self.val_negloglik[i]))]
-                for key in self.copula_path:
-                    row.append(repr(float(self.copula_path[key][i])))
-                fh.write(",".join(row) + "\n")
+        columns = [self.epoch, self.train_negloglik, self.val_negloglik, *self.copula_path.values()]
+        write_csv(path, ["epoch", "train_negloglik", "val_negloglik", *self.copula_path],
+                  zip(*map(column_cells, columns)))
 
 
 @dataclass
@@ -192,9 +174,7 @@ class FittedJointModel:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FittedJointModel":
@@ -209,14 +189,13 @@ class FittedJointModel:
 
     @classmethod
     def load(cls, path) -> "FittedJointModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
-def tau_hat(spec: CopulaSpec, mc_seed: int = 0) -> float:
-    """Kendall's tau of a fitted copula; Monte Carlo for the mixture."""
+def tau_hat(spec: CopulaSpec) -> float:
+    """Kendall's tau of a fitted copula; Monte Carlo (seed 0) for the mixture."""
     if spec.family is Family.MIXTURE:
-        return copulas.mixture_tau_monte_carlo(spec, seed=mc_seed)
+        return copulas.mixture_tau_monte_carlo(spec)
     return copulas.theta_to_tau(spec)
 
 

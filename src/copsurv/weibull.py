@@ -23,7 +23,6 @@ Trainable risks return ``(g, backprop)`` from one ``forward(x)`` pass;
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Sequence, Union
 
@@ -317,14 +316,4 @@ class WeibullCoxModel:
         if doc.get("kind") != "weibull_cox":
             raise ValidationError(f"not a weibull_cox checkpoint: {doc.get('kind')!r}")
         return cls(doc["log_nu"], doc["log_rho"], risk_from_dict(doc["risk"]))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "WeibullCoxModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 

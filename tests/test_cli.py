@@ -226,3 +226,33 @@ def test_experiment_all_arms_failing_exits_two(tmp_path, capsys):
     }))
     assert run("experiment", "--config", cfg_path, "--out", tmp_path / "out") == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", [
+    {"kind": "synthetic_sweep", "train": 5},
+    {"kind": "metric_bias", "train": 5},
+    {"kind": "synthetic_sweep", "survival_l1": [1]},
+])
+def test_experiment_config_block_that_is_not_an_object_exits_one(tmp_path, capsys, block):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(
+        {"experiment_id": "bad_block", "tau_grid": [0.2], "seeds": [0], "n_train": 300, **block}
+    ))
+    out = tmp_path / "out"
+    assert run("experiment", "--config", cfg_path, "--out", out) == 1
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+@pytest.mark.parametrize("top", [5, [1, 2], None])
+def test_config_file_that_is_not_an_object_exits_one(tmp_path, capsys, command, top):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(top))
+    argv = ["--config", cfg_path, "--out", tmp_path / "out"]
+    if command == "train":
+        data = tmp_path / "data.csv"
+        data.write_text("x0,time,event\n0.5,1.0,1\n0.25,2.0,0\n")
+        argv += ["--data", data]
+    assert run(command, *argv) == 1
+    assert "must be a JSON object" in capsys.readouterr().err

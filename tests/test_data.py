@@ -84,6 +84,13 @@ def test_csv_header_and_row_errors(tmp_path):
     with pytest.raises(ValidationError):
         SurvivalDataset.load_csv(bad_width)
 
+    # an event of 20 digits or more would overflow the float table if not checked
+    for event in ("2", "1" * 30):
+        bad_event = tmp_path / "e.csv"
+        bad_event.write_text(f"x0,time,event\n0.1,1.0,1\n0.2,1.5,{event}\n")
+        with pytest.raises(ValidationError, match=":3: event must be 0 or 1"):
+            SurvivalDataset.load_csv(bad_event)
+
 
 def test_load_regression_csv(tmp_path):
     path = tmp_path / "reg.csv"

@@ -102,6 +102,9 @@ def test_config_validation():
         {"train": {"seed": 1.5}},
         {"train": {"alpha": float("nan")}},
         {"survival_l1": {"n_steps": 10.5}},
+        {"train": 5},
+        {"train": None},
+        {"survival_l1": [1]},
     ]
     for overrides in bad:
         kwargs = {"experiment_id": "x", "kind": "synthetic_sweep", "tau_grid": (0.2,)}

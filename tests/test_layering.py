@@ -2,7 +2,8 @@
 
 Modules import one way, from the lower layers to the higher ones, and only
 at module level: an import inside a function body hides a dependency (and
-often a cycle) until the function runs.
+often a cycle) until the function runs.  Files are read and written by
+``data`` alone, which owns every file format.
 """
 import ast
 from pathlib import Path
@@ -81,3 +82,39 @@ def test_imports_only_lower_layers(module):
               for line, name, _ in imports_of(module)
               if name not in ORDER or ORDER.index(name) >= rank]
     assert not upward
+
+
+# format modules only ``data`` may import, and file calls only it may make
+FORMAT_MODULES = ("csv", "json")
+FILE_CALLS = ("open", "read_text", "write_text", "read_bytes", "write_bytes")
+
+
+def file_io_of(module):
+    """(line, what) for each import of a format module and each file call."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"imports {alias.name}") for alias in node.names
+                      if alias.name.split(".")[0] in FORMAT_MODULES]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module.split(".")[0] in FORMAT_MODULES:
+                found.append((node.lineno, f"imports {node.module}"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in FILE_CALLS:
+                found.append((node.lineno, f"calls {name}"))
+    return found
+
+
+def test_data_is_seen_doing_file_io():
+    # the check below would pass vacuously if it could not see data's own I/O
+    seen = {what for _, what in file_io_of("data")}
+    assert {"imports csv", "imports json", "calls open"} <= seen
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "data"])
+def test_only_data_does_file_io(module):
+    found = [f"{module}.py:{line} {what}" for line, what in file_io_of(module)]
+    assert not found
