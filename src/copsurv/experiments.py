@@ -7,10 +7,11 @@ the copula model and the independence baseline on the same draw, and
 evaluates against the ground truth.  Arms run serially unless the caller asks
 for more than one worker, in which case they run in a process pool; rows are
 re-sorted before writing, so results are identical either way.  An exception
-raised inside an arm is recorded in ``failures.json`` and the arm skipped; the
-run only errors out if every arm fails.  Faults of the pool itself (an arm
-function or payload that cannot be pickled, a broken pool) are raised, never
-recorded as arm failures.
+raised inside an arm is recorded in ``failures.json`` and the arm skipped; a
+``NumericalFailure`` entry also names the failing ``model`` and the ``epoch``
+and ``record_index`` it carries.  The run only errors out if every arm fails.
+Faults of the pool itself (an arm function or payload that cannot be pickled,
+a broken pool) are raised, never recorded as arm failures.
 
 Output tree::
 
@@ -230,10 +231,14 @@ def _fit_models(cfg, tau, seed, train_seed, fit_ds, test_ds, truth, arm_dir, tar
     )
     rows = []
     for model_name, family in (("copula", cfg.family), ("independence", "independence")):
-        start = time.perf_counter()
-        fitted = fit(fit_ds, cfg.event_risk, cfg.censor_risk, family, train_cfg)
-        wall = time.perf_counter() - start
-        report = _evaluate_fitted(fitted, truth, test_ds, cfg.survival_l1, target)
+        try:
+            start = time.perf_counter()
+            fitted = fit(fit_ds, cfg.event_risk, cfg.censor_risk, family, train_cfg)
+            wall = time.perf_counter() - start
+            report = _evaluate_fitted(fitted, truth, test_ds, cfg.survival_l1, target)
+        except NumericalFailure as exc:
+            exc.model = model_name
+            raise
         _save_model_artifacts(arm_dir, model_name, fitted, report)
         rows.append(_row(cfg, tau, seed, model_name, family, wall, report))
     return rows
@@ -429,10 +434,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: Optional[int] = None
             except BrokenProcessPool:
                 raise
             except Exception as exc:  # noqa: BLE001 - isolate arm failures
-                arm_desc = "/".join(str(p) for p in payload[1:-1])
-                failures.append(
-                    {"arm": arm_desc, "error": type(exc).__name__, "message": str(exc)}
-                )
+                failure = {"arm": "/".join(str(p) for p in payload[1:-1]),
+                           "error": type(exc).__name__, "message": str(exc)}
+                if isinstance(exc, NumericalFailure):
+                    failure.update(model=exc.model, epoch=exc.epoch, record_index=exc.record_index)
+                failures.append(failure)
 
     rows.sort(key=_sort_key)
     columns = BIAS_COLUMNS if cfg.kind == "metric_bias" else SWEEP_COLUMNS

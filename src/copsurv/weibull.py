@@ -35,6 +35,11 @@ ArrayLike = Union[float, np.ndarray]
 SURVIVAL_FLOOR = 1e-300
 
 
+def floored_survival(cum_hazard: ArrayLike) -> ArrayLike:
+    """S = exp(-H), floored at ``SURVIVAL_FLOOR`` so that log S stays finite."""
+    return np.maximum(np.exp(-cum_hazard), SURVIVAL_FLOOR)
+
+
 def _elu(z):
     return np.where(z > 0.0, z, np.expm1(z))
 
@@ -275,7 +280,7 @@ class WeibullCoxModel:
         return (t / rho) ** nu * np.exp(g)
 
     def survival(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
-        return np.maximum(np.exp(-self.cumulative_hazard(t, x)), SURVIVAL_FLOOR)
+        return floored_survival(self.cumulative_hazard(t, x))
 
     def hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
         t = self._time(t, positive=True)
@@ -286,12 +291,16 @@ class WeibullCoxModel:
     def density(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
         return self.hazard(t, x) * self.survival(t, x)
 
-    def log_survival(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
+    def log_cumulative_hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
+        """log H(t | x) = nu (log t - log rho) + g(x); -inf at t = 0."""
         t = self._time(t, positive=False)
         g = self._g(x, t.ndim)
         with np.errstate(divide="ignore"):
             lt = np.log(t)
-        return -np.exp(np.where(t == 0.0, -np.inf, self.nu * (lt - self.log_rho) + g))
+        return np.where(t == 0.0, -np.inf, self.nu * (lt - self.log_rho) + g)
+
+    def log_survival(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
+        return -np.exp(self.log_cumulative_hazard(t, x))
 
     def inverse_survival(self, q: ArrayLike, x: np.ndarray) -> ArrayLike:
         """t such that S(t | x) = q, for q in (0, 1]."""

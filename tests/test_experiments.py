@@ -280,6 +280,30 @@ def test_failed_arm_is_recorded_not_fatal(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "flaky" / "failures.json").read_text()) == result.failures
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_numerical_failure_records_model_epoch_and_record(tmp_path, monkeypatch, workers):
+    real_fit = exp.fit
+    seed0_train_seed = exp.child_seed(0, exp.tau_key(0.4), 2)
+
+    def fit_failing_on_seed_0_independence(data, event_risk, censor_risk, family, config):
+        if family == "independence" and config.seed == seed0_train_seed:
+            raise NumericalFailure("epoch 7: non-finite log-likelihood term at record 3",
+                                   record_index=3, epoch=7)
+        return real_fit(data, event_risk, censor_risk, family, config)
+
+    monkeypatch.setattr(exp, "fit", fit_failing_on_seed_0_independence)
+    cfg = ExperimentConfig(experiment_id="sweep_fail", kind="synthetic_sweep", tau_grid=(0.4,),
+                           survival_l1={"n_steps": 200}, **TOY)
+    result = run_experiment(cfg, tmp_path / "fail", workers=workers)
+    assert [(r["seed"], r["model"]) for r in result.rows] == [(1, "copula"), (1, "independence")]
+    assert result.failures == [{
+        "arm": "0.4/0", "error": "NumericalFailure",
+        "message": "epoch 7: non-finite log-likelihood term at record 3",
+        "model": "independence", "epoch": 7, "record_index": 3,
+    }]
+    assert json.loads((tmp_path / "fail" / "failures.json").read_text()) == result.failures
+
+
 def test_all_arms_failing_raises(tmp_path, monkeypatch):
     def broken(payload):
         raise RuntimeError("boom")

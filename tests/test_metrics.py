@@ -1,6 +1,7 @@
 """Survival-curve distance, concordance, Brier score, R^2."""
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import copsurv
 from copsurv.data import SurvivalDataset
 from copsurv.errors import DomainError, UndefinedMetricError, ValidationError
 from copsurv.metrics import (
+    SURVIVAL_L1_CHUNK,
     EvaluationReport,
     SurvivalL1Config,
     brier_score,
@@ -18,7 +20,7 @@ from copsurv.metrics import (
     r_squared,
     survival_l1,
 )
-from copsurv.weibull import LinearRisk, WeibullCoxModel
+from copsurv.weibull import LinearRisk, MLPRisk, QuadraticRisk, WeibullCoxModel
 
 # truth S(t) = e^-t vs estimate S(t) = e^-2t on [0, ln 100]:
 # (1/T) * integral |e^-t - e^-2t| dt = ((1 - e^-T) - (1 - e^-2T)/2) / T
@@ -41,6 +43,37 @@ def all_event_data(t, scores=None, delta=None, seed=0):
 
 # ---------------------------------------------------------------------------
 # Survival-L1
+
+
+def dense_survival_l1(truth_model, estimate_model, x, config=None):
+    """Oracle: both survival curves on the whole n x n_steps grid at once."""
+    cfg = config or SurvivalL1Config()
+    with np.errstate(over="ignore"):
+        t_max = np.asarray(truth_model.inverse_survival(cfg.quantile_floor, x), dtype=float)
+    if not np.all(np.isfinite(t_max)) or np.any(t_max <= 0.0):
+        raise DomainError("truth curve not invertible at the quantile floor")
+    grid = t_max[:, None] * (np.arange(1, cfg.n_steps + 1) / cfg.n_steps)
+    with np.errstate(over="ignore"):
+        gap = np.abs(truth_model.survival(grid, x) - estimate_model.survival(grid, x))
+    return float(gap.mean())
+
+
+def boundary_sizes(n_steps):
+    """Record counts at and beside the first block boundary of ``survival_l1``."""
+    rows = max(1, SURVIVAL_L1_CHUNK // n_steps)
+    return sorted({1, max(1, rows - 1), rows, rows + 1})
+
+
+def scaled_risk(kind, x, peak, rng):
+    """A ``kind`` risk whose largest |g| over ``x`` is ``peak``."""
+    if kind == "mlp":
+        risk = MLPRisk.init((x.shape[1], 4, 4, 1), rng)
+        last = risk.weights[-1]  # the output layer is linear with zero bias
+    else:
+        risk = {"linear": LinearRisk, "quadratic": QuadraticRisk}[kind](rng.normal(size=x.shape[1]))
+        last = risk.weights
+    last *= peak / np.max(np.abs(risk.evaluate(x)))
+    return risk
 
 
 def test_survival_l1_identity_is_zero():
@@ -91,10 +124,68 @@ def test_survival_l1_averages_per_record():
     rng = np.random.default_rng(2)
     truth = WeibullCoxModel.from_natural(2.0, 3.0, LinearRisk(rng.normal(size=2)))
     est = WeibullCoxModel.from_natural(2.2, 2.8, LinearRisk(rng.normal(size=2)))
-    x = rng.uniform(size=(7, 2))
-    whole = survival_l1(truth, est, x)
-    singles = [survival_l1(truth, est, x[i : i + 1]) for i in range(7)]
-    assert whole == pytest.approx(float(np.mean(singles)), abs=1e-12)
+    # 7 records, then sizes on either side of a block boundary: a record's
+    # curve never depends on the block it falls in
+    for n_steps, n in [(1000, 7)] + [(steps, n) for steps in (1000, 5000)
+                                     for n in boundary_sizes(steps)]:
+        x = rng.uniform(size=(n, 2))
+        cfg = SurvivalL1Config(n_steps=n_steps)
+        whole = survival_l1(truth, est, x, cfg)
+        singles = [survival_l1(truth, est, x[i : i + 1], cfg) for i in range(n)]
+        assert whole == pytest.approx(float(np.mean(singles)), abs=1e-12), (n_steps, n)
+
+
+@pytest.mark.parametrize(
+    "kind, n_steps, n",
+    [(kind, steps, n) for kind in ("linear", "mlp", "quadratic")
+     for steps in (1, 7, 1000) for n in boundary_sizes(steps)],
+)
+def test_survival_l1_matches_the_dense_grid(kind, n_steps, n):
+    rng = np.random.default_rng(n_steps + n)
+    x = rng.uniform(-1.0, 1.0, size=(n, 3))
+    cfg = SurvivalL1Config(n_steps=n_steps)
+    for nu_truth, nu_est in ((0.2, 1.0), (1.0, 500.0), (500.0, 0.2), (2.0, 1.5)):
+        for peak in (1.0, 700.0):
+            truth = WeibullCoxModel.from_natural(nu_truth, 1.0, scaled_risk(kind, x, peak, rng))
+            est = WeibullCoxModel.from_natural(nu_est, 2.0, scaled_risk("linear", x, peak, rng))
+            try:
+                want = dense_survival_l1(truth, est, x, cfg)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    survival_l1(truth, est, x, cfg)
+                continue
+            got = survival_l1(truth, est, x, cfg)
+            assert abs(got - want) <= 1e-12 * abs(want), (nu_truth, nu_est, peak, got, want)
+
+
+def test_survival_l1_survives_an_overflowing_cumulative_hazard():
+    # estimate H(t_max) overflows to inf while (k / n_steps)^500 underflows
+    # to 0; their product would be nan, their log-space sum is not
+    truth = exponential_model(1.0)
+    est = WeibullCoxModel.from_natural(500.0, 1.0, LinearRisk(np.zeros(2)))
+    x = np.zeros((3, 2))
+    assert dense_survival_l1(truth, est, x) == 0.15710810628442182
+    assert survival_l1(truth, est, x) == pytest.approx(0.15710810628442182, rel=1e-12)
+
+
+def test_survival_l1_of_zero_records_is_a_validation_error():
+    model = exponential_model(1.0)
+    with pytest.raises(ValidationError, match="at least one record"):
+        survival_l1(model, model, np.zeros((0, 2)))
+
+
+def test_survival_l1_memory_is_bounded_by_the_block():
+    rng = np.random.default_rng(4)
+    truth = WeibullCoxModel.from_natural(2.0, 3.0, LinearRisk(rng.normal(size=3)))
+    est = WeibullCoxModel.from_natural(2.2, 2.8, LinearRisk(rng.normal(size=3)))
+    x = rng.uniform(size=(4000, 3))
+    tracemalloc.start()
+    try:
+        survival_l1(truth, est, x, SurvivalL1Config(n_steps=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_survival_l1_unreachable_horizon():
