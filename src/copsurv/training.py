@@ -193,7 +193,7 @@ class FittedJointModel:
 
 
 def tau_hat(spec: CopulaSpec) -> float:
-    """Kendall's tau of a fitted copula; Monte Carlo (seed 0) for the mixture."""
+    """Kendall's tau of a fitted copula; quadrature for the mixture."""
     if spec.family is Family.MIXTURE:
         return copulas.mixture_tau_monte_carlo(spec)
     return copulas.theta_to_tau(spec)

@@ -263,18 +263,16 @@ class WeibullCoxModel:
             g = g[..., None]
         return g
 
-    def _time(self, t, positive: bool):
+    def _time(self, t):
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t)):
             raise DomainError("t must be finite")
-        if positive and np.any(t <= 0.0):
-            raise DomainError("t must be positive")
-        if not positive and np.any(t < 0.0):
+        if np.any(t < 0.0):
             raise DomainError("t must be non-negative")
         return t
 
     def cumulative_hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
-        t = self._time(t, positive=False)
+        t = self._time(t)
         g = self._g(x, t.ndim)
         nu, rho = self.nu, self.rho
         return (t / rho) ** nu * np.exp(g)
@@ -282,25 +280,13 @@ class WeibullCoxModel:
     def survival(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
         return floored_survival(self.cumulative_hazard(t, x))
 
-    def hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
-        t = self._time(t, positive=True)
-        g = self._g(x, t.ndim)
-        nu, rho = self.nu, self.rho
-        return (nu / rho) * (t / rho) ** (nu - 1.0) * np.exp(g)
-
-    def density(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
-        return self.hazard(t, x) * self.survival(t, x)
-
     def log_cumulative_hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
         """log H(t | x) = nu (log t - log rho) + g(x); -inf at t = 0."""
-        t = self._time(t, positive=False)
+        t = self._time(t)
         g = self._g(x, t.ndim)
         with np.errstate(divide="ignore"):
             lt = np.log(t)
         return np.where(t == 0.0, -np.inf, self.nu * (lt - self.log_rho) + g)
-
-    def log_survival(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
-        return -np.exp(self.log_cumulative_hazard(t, x))
 
     def inverse_survival(self, q: ArrayLike, x: np.ndarray) -> ArrayLike:
         """t such that S(t | x) = q, for q in (0, 1]."""

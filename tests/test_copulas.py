@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from copsurv import copulas
 from copsurv.copulas import (
     CopulaSpec,
     Family,
@@ -379,18 +380,58 @@ def test_tau_theta_roundtrip(family, tau):
 
 
 def test_mixture_tau_endpoints():
-    # kappa = 1 is pure Frank, kappa = 0 pure Clayton; Monte Carlo estimate
-    # of the mixture tau must agree with the closed forms at the endpoints
-    frank_tau = theta_to_tau(CopulaSpec.frank(5.0))
-    clay_tau = theta_to_tau(CopulaSpec.clayton(3.0))
-    assert mixture_tau_monte_carlo(CopulaSpec.mixture(5.0, 3.0, 1.0), seed=0) == pytest.approx(
-        frank_tau, abs=0.02
-    )
-    assert mixture_tau_monte_carlo(CopulaSpec.mixture(5.0, 3.0, 0.0), seed=0) == pytest.approx(
-        clay_tau, abs=0.02
-    )
+    # kappa = 1 is pure Frank, kappa = 0 pure Clayton; the cross term's
+    # weight kappa (1 - kappa) vanishes there, leaving the closed forms
+    for tf, tc in ((5.0, 3.0), (0.01, 200.0), (500.0, 0.001)):
+        assert mixture_tau_monte_carlo(CopulaSpec.mixture(tf, tc, 1.0)) == pytest.approx(
+            theta_to_tau(CopulaSpec.frank(tf)), abs=1e-12)
+        assert mixture_tau_monte_carlo(CopulaSpec.mixture(tf, tc, 0.0)) == pytest.approx(
+            theta_to_tau(CopulaSpec.clayton(tc)), abs=1e-12)
     with pytest.raises(DomainError):
         theta_to_tau(CopulaSpec.mixture(5.0, 3.0, 0.5))
+    with pytest.raises(DomainError):
+        mixture_tau_monte_carlo(CopulaSpec.frank(5.0))
+
+
+def sampled_mixture_tau(spec, n, seed):
+    """Kendall's tau of ``n`` pairs drawn exactly from a mixture, and its
+    standard error.
+
+    Both components have uniform margins, so a mixture pair is a Frank pair
+    with probability kappa and a Clayton pair otherwise, each drawn through
+    its closed-form conditional quantile.  The standard error is Hoeffding's
+    projection for the U-statistic, 2 sd(4 C(U, V) - 2 U - 2 V + 1) / sqrt(n).
+    """
+    rng = np.random.default_rng(seed)
+    u, w = np.clip(rng.uniform(size=(2, n)), 1e-12, 1.0 - 1e-12)
+    frank = rng.uniform(size=n) < spec.kappa
+    v = np.empty(n)
+    v[frank] = conditional_quantile(CopulaSpec.frank(spec.theta_frank), u[frank], w[frank])
+    v[~frank] = conditional_quantile(CopulaSpec.clayton(spec.theta_clayton), u[~frank], w[~frank])
+    projection = 4.0 * copula_cdf(spec, u, v) - 2.0 * u - 2.0 * v + 1.0
+    return stats.kendalltau(u, v).statistic, 2.0 * projection.std() / np.sqrt(n)
+
+
+MIXTURE_TAU_GRID = [(tf, tc, kappa) for tf in (0.01, 5.0, 38.0, 500.0)
+                    for tc in (0.001, 2.0, 18.0, 200.0) for kappa in (0.3, 0.5, 0.7)]
+
+
+@pytest.mark.parametrize("seed, theta_frank, theta_clayton, kappa",
+                         [(seed, *case) for seed, case in enumerate(MIXTURE_TAU_GRID)])
+def test_mixture_tau_matches_sampled_pairs(seed, theta_frank, theta_clayton, kappa, monkeypatch):
+    spec = CopulaSpec.mixture(theta_frank, theta_clayton, kappa)
+    tau = mixture_tau_monte_carlo(spec)
+    sampled, se = sampled_mixture_tau(spec, 2_000_000, seed)
+    assert abs(tau - sampled) < 4.0 * se
+    monkeypatch.setattr(copulas, "_TAU_QUAD_NODES", 512)
+    assert tau == pytest.approx(mixture_tau_monte_carlo(spec), abs=2e-5)
+
+
+def test_mixture_tau_is_deterministic():
+    spec = CopulaSpec.mixture(5.0, 2.0, 0.5)
+    first = mixture_tau_monte_carlo(spec)
+    assert isinstance(first, float)
+    assert all(mixture_tau_monte_carlo(spec) == first for _ in range(3))
 
 
 def test_spec_from_tau():

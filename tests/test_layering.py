@@ -3,9 +3,13 @@
 Modules import one way, from the lower layers to the higher ones, and only
 at module level: an import inside a function body hides a dependency (and
 often a cycle) until the function runs.  Files are read and written by
-``data`` alone, which owns every file format.
+``data`` alone, which owns every file format.  The command line imports
+no more of scipy than the package needs.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +122,13 @@ def test_data_is_seen_doing_file_io():
 def test_only_data_does_file_io(module):
     found = [f"{module}.py:{line} {what}" for line, what in file_io_of(module)]
     assert not found
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats is the slowest part of scipy to import, and no module needs it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    code = "import sys, copsurv.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
