@@ -18,13 +18,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .copulas import spec_from_tau
+from .copulas import spec_from_tau, theta_to_tau
 from .data import SurvivalDataset, load_regression_csv, read_json, write_json
 from .datagen import PRESETS, censor_regression, generate_synthetic, sidecar_dict, truth_from_sidecar
 from .errors import DomainError, NumericalFailure, UndefinedMetricError, ValidationError
 from .experiments import ExperimentConfig, _evaluate_fitted, run_experiment
 from .metrics import SurvivalL1Config, survival_l1  # noqa: F401 (perfbench's tracer test binds it here)
-from .training import FittedJointModel, TrainConfig, fit, tau_hat
+from .training import FittedJointModel, TrainConfig, fit
 
 FAMILIES = ("independence", "clayton", "frank", "mixture")
 
@@ -87,7 +87,7 @@ def cmd_train(args) -> int:
     print(
         f"best_epoch={fitted.best_epoch} "
         f"val_negloglik={fitted.best_val_negloglik!r} "
-        f"tau_hat={tau_hat(fitted.copula)!r}"
+        f"tau_hat={theta_to_tau(fitted.copula)!r}"
     )
     return 0
 

@@ -16,12 +16,12 @@ One kernel, :func:`log_partial`, gives log dC/du1 and its derivatives on
 clamped quantiles; ``log_partial_u1``/``_u2`` and ``grad_log_partial_u1``/
 ``_u2`` validate and clamp their arguments, then call it.
 
-Kendall's tau is deterministic for every family.  Clayton and Frank have
-closed forms; the mixture's tau = 4 E[C(U, V)] - 1 splits into the two
-components' taus plus a cross expectation, a two-dimensional Gauss-Legendre
-integral over Frank's closed-form conditional quantile
-(:func:`mixture_tau_monte_carlo`, a name kept from the Monte Carlo
-estimator it replaced).
+Kendall's tau is deterministic for every family, and :func:`theta_to_tau`
+gives it for all four.  Clayton and Frank have closed forms; the mixture's
+tau = 4 E[C(U, V)] - 1 splits into the two components' taus plus a cross
+expectation, a two-dimensional Gauss-Legendre integral over Frank's
+closed-form conditional quantile (:func:`mixture_tau_monte_carlo`, a name
+kept from the Monte Carlo estimator it replaced).
 """
 from __future__ import annotations
 
@@ -476,7 +476,7 @@ def _frank_tau(theta: float) -> float:
 
 
 def theta_to_tau(spec: CopulaSpec) -> float:
-    """Kendall's tau implied by the copula parameters.
+    """Kendall's tau implied by the copula parameters, for every family.
 
     Clayton uses tau = theta / (theta + 2); Frank integrates the first Debye
     function.  The mixture has no closed form; :func:`mixture_tau_monte_carlo`
@@ -489,7 +489,7 @@ def theta_to_tau(spec: CopulaSpec) -> float:
         return spec.theta / (spec.theta + 2.0)
     if fam is Family.FRANK:
         return _frank_tau(spec.theta)
-    raise DomainError("mixture tau has no closed form; use mixture_tau_monte_carlo")
+    return mixture_tau_monte_carlo(spec)
 
 
 def tau_to_theta(family, tau: float) -> float:

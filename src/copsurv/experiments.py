@@ -51,13 +51,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import metrics as met
-from .copulas import spec_from_tau
+from .copulas import spec_from_tau, theta_to_tau
 from .data import Config, SurvivalDataset, csv_cell, load_regression_csv, write_csv, write_json
 from .datagen import (PRESETS, censor_regression, child_seed, generate_synthetic, sidecar_dict,
                       synthetic_regression, tau_key, zscore_fit)
 from .errors import NumericalFailure, ValidationError, check_numbers
 from .metrics import SurvivalL1Config
-from .training import FittedJointModel, TrainConfig, fit, tau_hat
+from .training import FittedJointModel, TrainConfig, fit
 
 KINDS = ("synthetic_sweep", "mixture_sweep", "metric_bias", "semi_synthetic")
 
@@ -190,7 +190,7 @@ def _evaluate_fitted(fitted: FittedJointModel, truth, test_ds, l1_cfg, target=No
     report = met.EvaluationReport(
         c_index=met.concordance_index(fitted.event_model, test_ds),
         brier=met.brier_score(fitted.event_model, test_ds, eval_time),
-        tau_hat=tau_hat(fitted.copula),
+        tau_hat=theta_to_tau(fitted.copula),
     )
     if truth is not None:
         report.survival_l1_event = met.survival_l1(
@@ -224,12 +224,13 @@ def _row(cfg: ExperimentConfig, tau, seed: int, model: str, family: str, wall: f
 
 
 def _fit_models(cfg, tau, seed, train_seed, fit_ds, test_ds, truth, arm_dir, target=None):
-    """Fit, time, evaluate and save the copula model and the independence
-    baseline on the same data; returns their two rows."""
+    """Fit, time and evaluate the copula model and the independence baseline
+    on the same data, then save both; returns their two rows.  A failure in
+    either fit leaves no model artifacts behind."""
     train_cfg = replace(
         cfg.train, seed=train_seed, validation_fraction=cfg.n_val / (cfg.n_train + cfg.n_val)
     )
-    rows = []
+    scored = []
     for model_name, family in (("copula", cfg.family), ("independence", "independence")):
         try:
             start = time.perf_counter()
@@ -239,6 +240,9 @@ def _fit_models(cfg, tau, seed, train_seed, fit_ds, test_ds, truth, arm_dir, tar
         except NumericalFailure as exc:
             exc.model = model_name
             raise
+        scored.append((model_name, family, wall, fitted, report))
+    rows = []
+    for model_name, family, wall, fitted, report in scored:
         _save_model_artifacts(arm_dir, model_name, fitted, report)
         rows.append(_row(cfg, tau, seed, model_name, family, wall, report))
     return rows

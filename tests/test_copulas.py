@@ -387,8 +387,9 @@ def test_mixture_tau_endpoints():
             theta_to_tau(CopulaSpec.frank(tf)), abs=1e-12)
         assert mixture_tau_monte_carlo(CopulaSpec.mixture(tf, tc, 0.0)) == pytest.approx(
             theta_to_tau(CopulaSpec.clayton(tc)), abs=1e-12)
-    with pytest.raises(DomainError):
-        theta_to_tau(CopulaSpec.mixture(5.0, 3.0, 0.5))
+    # theta_to_tau is the one entry point: the mixture goes to the quadrature
+    mix = CopulaSpec.mixture(5.0, 3.0, 0.5)
+    assert theta_to_tau(mix) == mixture_tau_monte_carlo(mix)
     with pytest.raises(DomainError):
         mixture_tau_monte_carlo(CopulaSpec.frank(5.0))
 

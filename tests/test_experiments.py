@@ -302,6 +302,8 @@ def test_numerical_failure_records_model_epoch_and_record(tmp_path, monkeypatch,
         "model": "independence", "epoch": 7, "record_index": 3,
     }]
     assert json.loads((tmp_path / "fail" / "failures.json").read_text()) == result.failures
+    # the failed arm's copula fit succeeded, but without its row it saves nothing
+    assert not (tmp_path / "fail" / "arms" / "tau0.4_seed0" / "copula").exists()
 
 
 def test_all_arms_failing_raises(tmp_path, monkeypatch):

@@ -4,21 +4,27 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import rosen, rosen_der
 
-from copsurv.copulas import THETA_HI_FRANK, CopulaSpec, Family, spec_from_tau
+from copsurv.copulas import THETA_HI_FRANK, CopulaSpec, Family, spec_from_tau, theta_to_tau
 from copsurv.data import SurvivalDataset
-from copsurv.datagen import generate_synthetic, preset_linear_risk
+from copsurv.datagen import generate_synthetic, preset_linear_risk, synthetic_regression, zscore_fit
 from copsurv.errors import NumericalFailure, ValidationError
-from copsurv.likelihood import loglik_and_gradient, marginal_loglik_and_gradient
+from copsurv.likelihood import (
+    l2_penalty,
+    loglik_and_gradient,
+    marginal_loglik,
+    marginal_loglik_and_gradient,
+)
 from copsurv.training import (
     LBFGSB,
     Adam,
     FittedJointModel,
     TrainConfig,
     _optimize,
+    _setup,
     fit,
     fit_marginal,
-    tau_hat,
 )
 
 
@@ -226,6 +232,71 @@ def test_lbfgsb_holds_the_box_and_records_every_iterate():
     assert trace.train_negloglik[0] == (1.0 - 1000.0) ** 2
 
 
+def test_lbfgsb_early_stop_restores_the_best_validation_iterate():
+    # validation is best at the third iterate; with early_stop the run ends
+    # `patience` iterates later and restores the third, whatever the optimum
+    # (Rosenbrock's function takes L-BFGS-B about 35 iterations from here)
+    p = np.array([-1.2, 1.0])
+    vals = [5.0, 4.0, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5]
+    seen = []
+
+    def loss_and_grad():
+        return -float(rosen(p)), {"p": -rosen_der(p)}
+
+    def val():
+        seen.append(p.copy())
+        return vals[len(seen) - 1]
+
+    cfg = TrainConfig(max_epochs=50, patience=3)
+    trace, best_epoch, best_val = _optimize(
+        {"p": p}, {}, loss_and_grad, val, cfg, LBFGSB, early_stop=True
+    )
+    assert (best_epoch, best_val) == (2, 3.0)
+    assert trace.val_negloglik.tolist() == vals[:2 + 3 + 1]
+    assert np.array_equal(p, seen[2]) and not np.array_equal(p, seen[-1])
+
+
+def _censor_input(seed=0):
+    """The all-event dataset ``censor_regression`` fits its marginal on."""
+    x, y = synthetic_regression(2000, 10, seed)
+    mean, std = zscore_fit(x)
+    return SurvivalDataset((x - mean) / std, y, np.ones(len(y), dtype=np.int64))
+
+
+# the fit config censor_regression uses by default
+CENSOR_FIT = TrainConfig(max_epochs=5000, patience=500, seed=0)
+
+
+def test_fit_marginal_returns_the_best_validation_iterate():
+    data = _censor_input()
+    model, trace = fit_marginal(data, "linear", CENSOR_FIT)
+    _, val_ds, _ = _setup(data, CENSOR_FIT, None, "linear")
+    vals = trace.val_negloglik
+    best = int(np.argmin(vals))
+    # validation stops improving before L-BFGS-B converges, so the final
+    # iterate is not the one returned
+    assert best < len(vals) - 1 and vals[-1] > vals[best]
+    assert -marginal_loglik(model, val_ds) == vals[best]
+
+
+def test_fit_marginal_without_validation_is_stationary():
+    # no split: L-BFGS-B runs to convergence on the penalized objective (the
+    # value passed to it must carry the penalty its gradient carries)
+    data = _censor_input().subset(np.arange(500))
+    cfg = TrainConfig(max_epochs=5000, patience=500, validation_fraction=0.0, l2_lambda=0.01)
+    model, trace = fit_marginal(data, "linear", cfg)
+    assert np.isnan(trace.val_negloglik).all()
+    assert l2_penalty(0.01, model) > 0.0
+    _, grads = marginal_loglik_and_gradient(model, data, 0.01)
+    assert max(float(np.max(np.abs(g))) for g in grads.values()) < 1e-3, grads
+
+
+def test_fit_marginal_budget_on_the_censor_input():
+    # L-BFGS-B converges in about 20 iterations here; Adam ran 2,441 to 5,000
+    _, trace = fit_marginal(_censor_input(), "linear", CENSOR_FIT)
+    assert len(trace.epoch) < 100
+
+
 # ---------------------------------------------------------------------------
 # Joint fitting
 
@@ -258,7 +329,7 @@ def test_fit_smoke_and_trace_columns():
 
     ind = fit(ds, "linear", "linear", "independence", cfg)
     assert ind.trace.copula_path == {}
-    assert tau_hat(ind.copula) == 0.0
+    assert theta_to_tau(ind.copula) == 0.0
 
 
 def test_theta_floor_reached_from_independent_data():
