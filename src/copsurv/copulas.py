@@ -2,19 +2,23 @@
 
 Implements the Independence, Clayton, and Frank families together with a
 convex Frank/Clayton mixture, restricted throughout to positive dependence
-(theta > 0).  Provided operations: the joint CDF, both first partial
-derivatives (which double as conditional CDFs), conditional inversion and
-sampling, and Kendall's tau conversions in both directions.
+(theta > 0).  Provided operations: the log of both first partial
+derivatives and its gradient (the likelihood's building block), conditional
+inversion and sampling, and Kendall's tau conversions in both directions.
 
 Numerics: quantiles entering logs or negative powers are clamped into
-``[U_EPS, 1 - U_EPS]``; exact boundary arguments are resolved by the copula
-axioms before the clamp so groundedness and uniform margins hold exactly.
-Frank evaluation is arranged around ``expm1``/``logaddexp`` so that theta up
-to 500 neither overflows nor cancels.
+``[U_EPS, 1 - U_EPS]``.  Frank evaluation is arranged around
+``expm1``/``logaddexp`` so that theta up to 500 neither overflows nor
+cancels.
 
 One kernel, :func:`log_partial`, gives log dC/du1 and its derivatives on
 clamped quantiles; ``log_partial_u1``/``_u2`` and ``grad_log_partial_u1``/
 ``_u2`` validate and clamp their arguments, then call it.
+
+Sampling inverts the conditional CDF in closed form for Independence,
+Clayton and Frank.  The mixture has no closed-form inverse; each of its
+draws first chooses a component, then inverts that component's conditional
+CDF (Nelsen, An Introduction to Copulas, 2006, §2.9).
 
 Kendall's tau is deterministic for every family, and :func:`theta_to_tau`
 gives it for all four.  Clayton and Frank have closed forms; the mixture's
@@ -43,10 +47,6 @@ U_EPS = 1e-12
 # Frank theta range supported by tau_to_theta root finding.
 THETA_LO = 1e-6
 THETA_HI_FRANK = 500.0
-
-# conditional_quantile_bisect stops at this bracket width or iteration count
-_BISECT_TOL = 1e-10
-_BISECT_MAX_ITER = 200
 
 # Gauss-Legendre nodes per axis of the mixture tau quadrature; 128 and 1,024
 # agree within 2.3e-6 in tau for theta_frank up to 500 and theta_clayton up to 200
@@ -197,10 +197,6 @@ def _clayton_cdf(theta, u1, u2):
 #                               + expm1(-theta (1-lo)))
 # with lo = min(u1, u2), hi = max(u1, u2), whose bracket has one sign.
 
-def _frank_log_neg_d(theta):
-    return np.log(-np.expm1(-theta))
-
-
 def _frank_log_neg_dab(theta, u1, u2):
     lo = np.minimum(u1, u2)
     hi = np.maximum(u1, u2)
@@ -208,10 +204,6 @@ def _frank_log_neg_dab(theta, u1, u2):
         -np.expm1(-theta * (1.0 - lo))
     )
     return -theta * lo + np.log(bracket)
-
-
-def _frank_cdf(theta, u1, u2):
-    return (_frank_log_neg_d(theta) - _frank_log_neg_dab(theta, u1, u2)) / theta
 
 
 # ---------------------------------------------------------------------------
@@ -295,57 +287,6 @@ def log_partial(spec: CopulaSpec, c1: np.ndarray, c2: np.ndarray, want_grad: boo
 # Public evaluators.
 
 
-def copula_cdf(spec: CopulaSpec, u1: ArrayLike, u2: ArrayLike) -> ArrayLike:
-    """Joint CDF C(u1, u2).
-
-    Boundary arguments are resolved exactly: C(0, u) = C(u, 0) = 0,
-    C(u, 1) = u and C(1, u) = u.
-    """
-    a1 = _as_unit_array(u1, "u1")
-    a2 = _as_unit_array(u2, "u2")
-    a1, a2 = np.broadcast_arrays(a1, a2)
-    c1, c2 = _clamp(a1), _clamp(a2)
-
-    fam = spec.family
-    if fam is Family.INDEPENDENCE:
-        interior = c1 * c2
-    elif fam is Family.CLAYTON:
-        interior = _clayton_cdf(spec.theta, c1, c2)
-    elif fam is Family.FRANK:
-        interior = _frank_cdf(spec.theta, c1, c2)
-    else:
-        interior = spec.kappa * _frank_cdf(spec.theta_frank, c1, c2) + (
-            1.0 - spec.kappa
-        ) * _clayton_cdf(spec.theta_clayton, c1, c2)
-
-    out = np.where(a1 == 1.0, a2, np.where(a2 == 1.0, a1, interior))
-    out = np.where((a1 == 0.0) | (a2 == 0.0), 0.0, out)
-    return _maybe_scalar(out, np.asarray(u1), np.asarray(u2))
-
-
-def _partial_u1_impl(spec: CopulaSpec, u1, u2):
-    a1 = _as_unit_array(u1, "u1")
-    a2 = _as_unit_array(u2, "u2")
-    if spec.family in (Family.CLAYTON, Family.MIXTURE) and np.any(a1 == 0.0):
-        raise DomainError(f"{spec.family.value} partial derivative undefined at u1 = 0")
-    a1, a2 = np.broadcast_arrays(a1, a2)
-    interior = np.exp(log_partial(spec, _clamp(a1), _clamp(a2))[0])
-    out = np.where(a2 == 1.0, 1.0, np.where(a2 == 0.0, 0.0, interior))
-    return out
-
-
-def copula_partial_u1(spec: CopulaSpec, u1: ArrayLike, u2: ArrayLike) -> ArrayLike:
-    """dC/du1, i.e. the conditional CDF of U2 given U1 = u1."""
-    out = _partial_u1_impl(spec, u1, u2)
-    return _maybe_scalar(out, np.asarray(u1), np.asarray(u2))
-
-
-def copula_partial_u2(spec: CopulaSpec, u1: ArrayLike, u2: ArrayLike) -> ArrayLike:
-    """dC/du2, by exchangeability the u1-swapped first partial."""
-    out = _partial_u1_impl(spec, u2, u1)
-    return _maybe_scalar(out, np.asarray(u1), np.asarray(u2))
-
-
 def _clamped_pair(u1, u2):
     a1 = _clamp(_as_unit_array(u1, "u1"))
     a2 = _clamp(_as_unit_array(u2, "u2"))
@@ -382,10 +323,10 @@ def grad_log_partial_u2(spec: CopulaSpec, u1, u2):
 
 
 def conditional_quantile(spec: CopulaSpec, u1: ArrayLike, v: ArrayLike) -> ArrayLike:
-    """Solves dC/du1(u1, u2) = v for u2.
+    """Solves dC/du1(u1, u2) = v for u2, in closed form.
 
-    Closed form for Independence, Clayton, and Frank; bracketed bisection for
-    the mixture.
+    Independence, Clayton and Frank only: the mixture has no closed-form
+    inverse, and :func:`conditional_sample` draws it by component selection.
     """
     a1 = np.asarray(u1, dtype=float)
     if np.any(a1 <= 0.0) or np.any(a1 >= 1.0):
@@ -400,7 +341,7 @@ def conditional_quantile(spec: CopulaSpec, u1: ArrayLike, v: ArrayLike) -> Array
     elif fam is Family.FRANK:
         out = _frank_conditional_quantile(spec.theta, a1, av)
     else:
-        out = conditional_quantile_bisect(spec, a1, av)
+        raise DomainError("the mixture has no closed-form conditional quantile")
     return _maybe_scalar(out, np.asarray(u1), np.asarray(v))
 
 
@@ -422,32 +363,24 @@ def _frank_conditional_quantile(theta, u1, v):
     return (lower - upper) / theta
 
 
-def conditional_quantile_bisect(spec: CopulaSpec, u1: ArrayLike, v: ArrayLike) -> np.ndarray:
-    """Generic monotone bisection solver for dC/du1(u1, u2) = v.
+def conditional_sample(spec: CopulaSpec, u1: ArrayLike, rng: np.random.Generator) -> ArrayLike:
+    """Draws u2 from the conditional law of U2 given U1 = u1.
 
-    Used directly by the mixture family and as the oracle against which the
-    closed-form inverses are checked.
+    Each draw takes one uniform v and returns the conditional quantile at v.
+    A mixture draw then takes one more uniform per row and is a Frank draw
+    when it falls below kappa, a Clayton draw otherwise: the mixture's
+    conditional CDF is the same convex combination of its components'.
     """
     a1 = np.asarray(u1, dtype=float)
-    av = np.asarray(v, dtype=float)
-    a1, av = np.broadcast_arrays(a1, av)
-    lo = np.zeros(a1.shape)
-    hi = np.ones(a1.shape)
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        too_low = _partial_u1_impl(spec, a1, mid) < av
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-        if np.max(hi - lo) <= _BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
-
-
-def conditional_sample(spec: CopulaSpec, u1: ArrayLike, rng: np.random.Generator) -> ArrayLike:
-    """Draws u2 from the conditional law of U2 given U1 = u1."""
-    a1 = np.asarray(u1, dtype=float)
-    v = rng.uniform(size=a1.shape if a1.ndim else None)
-    return conditional_quantile(spec, u1, np.clip(v, U_EPS, 1.0 - U_EPS))
+    v = np.clip(rng.uniform(size=a1.shape), U_EPS, 1.0 - U_EPS)
+    if spec.family is not Family.MIXTURE:
+        return conditional_quantile(spec, u1, v)
+    frank = rng.uniform(size=a1.shape) < spec.kappa
+    out = np.empty(a1.shape)
+    out[frank] = conditional_quantile(CopulaSpec.frank(spec.theta_frank), a1[frank], v[frank])
+    out[~frank] = conditional_quantile(
+        CopulaSpec.clayton(spec.theta_clayton), a1[~frank], v[~frank])
+    return _maybe_scalar(out, a1)
 
 
 def sample_pairs(spec: CopulaSpec, n: int, rng: np.random.Generator) -> np.ndarray:

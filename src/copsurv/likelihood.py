@@ -15,7 +15,8 @@ when C is the independence copula.  Independence is therefore fitted as one
 more family of the same objective; there is no separate code path for it.
 
 One kernel serves the joint objective and one the single-marginal
-objective; each computes the log-likelihood and, when asked, its gradient.
+objective; each computes the log-likelihood minus an optional L2 penalty
+on the risk weights and, when asked, the gradient of that same value.
 The public functions are thin calls into them.  Every supported family is
 exchangeable, log dC/du2(u1, u2) = log dC/du1(u2, u1), so the joint kernel
 orients each record with its own quantile first and calls the copula kernel
@@ -92,8 +93,20 @@ def _marginal_grads(grads, prefix, risk, pieces, own, dh_weight, l2_lambda):
         grads[f"{prefix}.risk.{key}"] -= 2.0 * l2_lambda * params[key]
 
 
+def _l2_penalty(l2_lambda: float, *models) -> float:
+    """l2_lambda * sum ||risk weights||^2 over ``models``."""
+    total = 0.0
+    for model in models:
+        risk = model.risk
+        if l2_lambda == 0.0 or not hasattr(risk, "weight_keys"):
+            continue
+        params = risk.params()
+        total += sum(float(np.sum(params[key] ** 2)) for key in risk.weight_keys())
+    return l2_lambda * total
+
+
 def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
-    """The copula objective; returns (loglik, gradient dict or None)."""
+    """The penalized copula objective; returns (value, gradient dict or None)."""
     delta = data.delta.astype(float)
     event = data.delta == 1
     ev = _marginal_pieces(event_model, data.t_obs, data.x)
@@ -108,9 +121,9 @@ def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
     log_p, grad = copulas.log_partial(spec, first, second, want_grad)
     terms = delta * ev.log_f + (1.0 - delta) * ce.log_f + log_p
     _check_finite(terms)
-    loglik = float(terms.sum())
+    value = float(terms.sum()) - _l2_penalty(l2_lambda, event_model, censor_model)
     if not want_grad:
-        return loglik, None
+        return value, None
 
     d_first, d_second, d_par = grad
     c_u1 = np.where(event, d_first, d_second)
@@ -124,42 +137,33 @@ def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
                     c_u2 * (-ce.surv * pass2), l2_lambda)
     for key, contrib in d_par.items():
         grads[f"copula.{key}"] = np.asarray(contrib.sum())
-    return loglik, grads
+    return value, grads
 
 
 def _single(model, data, l2_lambda, want_grad):
-    """The single-marginal objective; returns (loglik, gradient dict or None)."""
+    """The penalized single-marginal objective; returns (value, gradient dict or None)."""
     delta = data.delta.astype(float)
     pieces = _marginal_pieces(model, data.t_obs, data.x)
     terms = delta * pieces.log_f - (1.0 - delta) * pieces.h_cum
     _check_finite(terms)
-    loglik = float(terms.sum())
+    value = float(terms.sum()) - _l2_penalty(l2_lambda, model)
     if not want_grad:
-        return loglik, None
+        return value, None
     grads = {}
     _marginal_grads(grads, "model", model.risk, pieces, delta, -(1.0 - delta), l2_lambda)
-    return loglik, grads
+    return value, grads
 
 
-def l2_penalty(l2_lambda: float, *models) -> float:
-    """l2_lambda * sum ||risk weights||^2 over ``models``.
-
-    The ``*_and_gradient`` functions return the gradient of the log-likelihood
-    minus this penalty, but the value of the log-likelihood alone.
-    """
-    total = 0.0
-    for model in models:
-        risk = model.risk
-        if l2_lambda == 0.0 or not hasattr(risk, "weight_keys"):
-            continue
-        params = risk.params()
-        total += sum(float(np.sum(params[key] ** 2)) for key in risk.weight_keys())
-    return l2_lambda * total
-
-
-def loglik_copula(event_model, censor_model, spec: CopulaSpec, data: SurvivalDataset) -> float:
-    """Copula log-likelihood (sum over records)."""
-    return _joint(event_model, censor_model, spec, data, 0.0, want_grad=False)[0]
+def loglik_copula(
+    event_model,
+    censor_model,
+    spec: CopulaSpec,
+    data: SurvivalDataset,
+    l2_lambda: float = 0.0,
+) -> float:
+    """Copula log-likelihood (sum over records) minus
+    l2_lambda * sum ||risk weights||^2, the value of :func:`loglik_and_gradient`."""
+    return _joint(event_model, censor_model, spec, data, l2_lambda, want_grad=False)[0]
 
 
 def loglik_and_gradient(
@@ -169,12 +173,11 @@ def loglik_and_gradient(
     data: SurvivalDataset,
     l2_lambda: float = 0.0,
 ):
-    """Returns (loglik, gradient dict) for the penalized objective.
+    """Returns (value, gradient dict) of the penalized objective.
 
-    The returned scalar is the unpenalized copula log-likelihood; the
-    gradient is of [loglik - l2_lambda * sum ||risk weights||^2] with respect
-    to every trainable parameter, keyed ``event.log_nu``, ``event.risk.W0``,
-    ``copula.theta`` and so on.  The independence family simply contributes
+    Both are of [loglik - l2_lambda * sum ||risk weights||^2]; the gradient
+    is with respect to every trainable parameter, keyed ``event.log_nu``,
+    ``event.risk.W0``, ``copula.theta`` and so on.  The independence family simply contributes
     no ``copula.*`` keys.
     """
     return _joint(event_model, censor_model, spec, data, l2_lambda, want_grad=True)
@@ -186,7 +189,8 @@ def marginal_loglik(model, data: SurvivalDataset) -> float:
 
 
 def marginal_loglik_and_gradient(model, data: SurvivalDataset, l2_lambda: float = 0.0):
-    """Single right-censored marginal: sum delta log f + (1 - delta) log S.
+    """Single right-censored marginal: sum delta log f + (1 - delta) log S,
+    minus l2_lambda * ||risk weights||^2, with its gradient.
 
     Degenerate indicator patterns (all events, all censored) are allowed;
     this is the working objective for fitting one marginal on its own.

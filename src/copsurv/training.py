@@ -147,9 +147,12 @@ class TrainTrace:
     """Per-epoch optimization trace; for L-BFGS-B an epoch is one accepted
     iterate.
 
-    ``train_negloglik`` is evaluated at the parameters entering the epoch,
-    ``val_negloglik`` and the dependence-parameter columns at the parameters
-    leaving it (post update and clamp).
+    ``train_negloglik`` is the negated training log-likelihood plus the L2
+    penalty, the value the solver minimizes (the penalty is 0 for linear
+    risks by default), evaluated at the parameters entering the epoch.
+    ``val_negloglik`` is unpenalized.  It and the dependence-parameter
+    columns are taken at the parameters leaving the epoch (post update and
+    clamp).
     """
 
     epoch: np.ndarray
@@ -236,18 +239,16 @@ def _trace(train_hist, val_hist, copula_hist) -> TrainTrace:
 
 
 def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainConfig,
-              solver: str = ADAM, penalty=None, early_stop: bool = False):
+              solver: str = ADAM, early_stop: bool = False):
     """Runs ``solver`` from the current ``params``; returns (trace, best_epoch, best_val).
 
     ``copula_bounds`` maps each dependence-parameter key to its (lo, hi) box.
-    ``loss_and_grad`` returns the unpenalized log-likelihood with the gradient
-    of the penalized one; ``penalty`` returns the difference of the two and is
-    used by L-BFGS-B only (None means no penalty).  Given a validation
-    split, Adam always stops on it, L-BFGS-B only with ``early_stop``.
+    ``loss_and_grad`` returns the penalized log-likelihood and its gradient.
+    Given a validation split, Adam always stops on it, L-BFGS-B only with
+    ``early_stop``.
     """
     if solver == LBFGSB:
-        return _lbfgsb(params, copula_bounds, loss_and_grad, val_negloglik, cfg,
-                       penalty or (lambda: 0.0), early_stop)
+        return _lbfgsb(params, copula_bounds, loss_and_grad, val_negloglik, cfg, early_stop)
     adam = Adam(params, cfg.alpha)
     use_val = val_negloglik is not None
 
@@ -306,7 +307,7 @@ class _TrialFailed(Exception):
         self.failure = failure
 
 
-def _lbfgsb(params, copula_bounds, loss_and_grad, val_negloglik, cfg, penalty, early_stop):
+def _lbfgsb(params, copula_bounds, loss_and_grad, val_negloglik, cfg, early_stop):
     """L-BFGS-B on the penalized negative log-likelihood.
 
     Each accepted iterate is one trace row, with the columns meaning what
@@ -330,7 +331,7 @@ def _lbfgsb(params, copula_bounds, loss_and_grad, val_negloglik, cfg, penalty, e
     train_hist: List[float] = []
     val_hist: List[float] = []
     copula_hist: Dict[str, List[float]] = {k: [] for k in copula_bounds}
-    last = {}  # the most recently evaluated point and its log-likelihood
+    last = {}  # the most recently evaluated point and its penalized log-likelihood
     accepted = {"x": np.concatenate([np.ravel(params[k]) for k in keys]).astype(float),
                 "loglik": None}
     stop_on_val = early_stop and use_val
@@ -350,7 +351,7 @@ def _lbfgsb(params, copula_bounds, loss_and_grad, val_negloglik, cfg, penalty, e
         last["x"], last["loglik"] = x.copy(), loglik
         if accepted["loglik"] is None:
             accepted["loglik"] = loglik
-        return penalty() - loglik, -grad
+        return -loglik, -grad
 
     def validate():
         if not use_val:
@@ -488,9 +489,6 @@ def fit(
     def loss_and_grad():
         return likelihood.loglik_and_gradient(event_model, censor_model, spec(), train_ds, l2)
 
-    def penalty():
-        return likelihood.l2_penalty(l2, event_model, censor_model)
-
     val_fn = None
     if val_ds is not None:
         def val_fn():
@@ -505,10 +503,10 @@ def fit(
         values = start.to_dict()
         for name in names:
             params[f"copula.{name}"][...] = values[name]
-        run = _optimize(params, copula_bounds, loss_and_grad, val_fn, cfg, solver, penalty)
+        run = _optimize(params, copula_bounds, loss_and_grad, val_fn, cfg, solver)
         score = 0.0
         if len(starts) > 1:
-            score = likelihood.loglik_copula(event_model, censor_model, spec(), train_ds) - penalty()
+            score = likelihood.loglik_copula(event_model, censor_model, spec(), train_ds, l2)
         if best is None or score > best[0]:
             best = (score, run, _snapshot(params))
     _, (trace, best_epoch, best_val), state = best
@@ -548,14 +546,11 @@ def fit_marginal(
     def loss_and_grad():
         return likelihood.marginal_loglik_and_gradient(model, train_ds, l2)
 
-    def penalty():
-        return likelihood.l2_penalty(l2, model)
-
     val_fn = None
     if val_ds is not None:
         def val_fn():
             return -likelihood.marginal_loglik(model, val_ds)
 
     trace, _, _ = _optimize(_model_params(model, "model"), {}, loss_and_grad, val_fn, cfg,
-                            LBFGSB, penalty, early_stop=True)
+                            LBFGSB, early_stop=True)
     return model, trace

@@ -22,7 +22,7 @@ from copsurv.likelihood import loglik_copula
 from copsurv.metrics import SurvivalL1Config, survival_l1
 from copsurv.weibull import LinearRisk, WeibullCoxModel
 
-from test_copulas import assert_partials_match_fd, family_grid, spec_id
+from test_copulas import assert_partials_match_fd, copula_cdf, family_grid, spec_id
 from test_likelihood import fd_check, loglik_independent, random_instance, spec_cases
 
 DESK_TRAIN = {"max_epochs": 12000, "patience": 2000, "seed": 0}
@@ -50,20 +50,20 @@ def mean_over_seeds(rows, value_key, **filters):
 def test_copula_axioms_hold(spec):
     grid = np.linspace(0.0, 1.0, 101)
     zeros = np.zeros_like(grid)
-    assert np.max(np.abs(copulas.copula_cdf(spec, grid, zeros))) <= 1e-12
-    assert np.max(np.abs(copulas.copula_cdf(spec, zeros, grid))) <= 1e-12
+    assert np.max(np.abs(copula_cdf(spec, grid, zeros))) <= 1e-12
+    assert np.max(np.abs(copula_cdf(spec, zeros, grid))) <= 1e-12
     ones = np.ones_like(grid)
-    assert np.max(np.abs(copulas.copula_cdf(spec, grid, ones) - grid)) <= 1e-12
-    assert np.max(np.abs(copulas.copula_cdf(spec, ones, grid) - grid)) <= 1e-12
+    assert np.max(np.abs(copula_cdf(spec, grid, ones) - grid)) <= 1e-12
+    assert np.max(np.abs(copula_cdf(spec, ones, grid) - grid)) <= 1e-12
 
     rng = np.random.default_rng(0)
     lo = rng.uniform(size=(10_000, 2))
     hi = lo + (1.0 - lo) * rng.uniform(size=(10_000, 2))
     mass = (
-        copulas.copula_cdf(spec, hi[:, 0], hi[:, 1])
-        - copulas.copula_cdf(spec, lo[:, 0], hi[:, 1])
-        - copulas.copula_cdf(spec, hi[:, 0], lo[:, 1])
-        + copulas.copula_cdf(spec, lo[:, 0], lo[:, 1])
+        copula_cdf(spec, hi[:, 0], hi[:, 1])
+        - copula_cdf(spec, lo[:, 0], hi[:, 1])
+        - copula_cdf(spec, hi[:, 0], lo[:, 1])
+        + copula_cdf(spec, lo[:, 0], lo[:, 1])
     )
     assert float(mass.min()) >= -1e-12
 

@@ -1,4 +1,9 @@
-"""Copula layer: axioms, frozen hand values, derivative oracles, sampling."""
+"""Copula layer: axioms, frozen hand values, derivative oracles, sampling.
+
+The package needs only log dC/du1 and closed-form conditional inverses.
+The joint CDF, its first partials and a bisection inverse live here, as
+the oracles those are checked against.
+"""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +15,7 @@ from copsurv.copulas import (
     CopulaSpec,
     Family,
     conditional_quantile,
-    conditional_quantile_bisect,
     conditional_sample,
-    copula_cdf,
-    copula_partial_u1,
-    copula_partial_u2,
     grad_log_partial_u1,
     grad_log_partial_u2,
     log_partial_u1,
@@ -34,6 +35,87 @@ CLAYTON_DU1_03_07_T2 = 0.8743161176077271
 FRANK_CDF_03_07_T2 = 0.24972133337304847
 FRANK_DU1_03_07_T2 = 0.7879671882183831
 FRANK_THETA_TAU_HALF = 5.736282709128691
+
+# conditional_quantile_bisect stops at this bracket width or iteration count
+_BISECT_TOL = 1e-10
+_BISECT_MAX_ITER = 200
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def _frank_cdf(theta, u1, u2):
+    # -log1p(A B / D) / theta, with D + A B in the package's cancellation-free form
+    log_neg_d = np.log(-np.expm1(-theta))
+    return (log_neg_d - copulas._frank_log_neg_dab(theta, u1, u2)) / theta
+
+
+def copula_cdf(spec, u1, u2):
+    """Joint CDF C(u1, u2).
+
+    Boundary arguments are resolved exactly: C(0, u) = C(u, 0) = 0,
+    C(u, 1) = u and C(1, u) = u.
+    """
+    a1 = copulas._as_unit_array(u1, "u1")
+    a2 = copulas._as_unit_array(u2, "u2")
+    a1, a2 = np.broadcast_arrays(a1, a2)
+    c1, c2 = copulas._clamp(a1), copulas._clamp(a2)
+
+    fam = spec.family
+    if fam is Family.INDEPENDENCE:
+        interior = c1 * c2
+    elif fam is Family.CLAYTON:
+        interior = copulas._clayton_cdf(spec.theta, c1, c2)
+    elif fam is Family.FRANK:
+        interior = _frank_cdf(spec.theta, c1, c2)
+    else:
+        interior = spec.kappa * _frank_cdf(spec.theta_frank, c1, c2) + (
+            1.0 - spec.kappa
+        ) * copulas._clayton_cdf(spec.theta_clayton, c1, c2)
+
+    out = np.where(a1 == 1.0, a2, np.where(a2 == 1.0, a1, interior))
+    out = np.where((a1 == 0.0) | (a2 == 0.0), 0.0, out)
+    return copulas._maybe_scalar(out, np.asarray(u1), np.asarray(u2))
+
+
+def _partial_u1_impl(spec, u1, u2):
+    a1 = copulas._as_unit_array(u1, "u1")
+    a2 = copulas._as_unit_array(u2, "u2")
+    if spec.family in (Family.CLAYTON, Family.MIXTURE) and np.any(a1 == 0.0):
+        raise DomainError(f"{spec.family.value} partial derivative undefined at u1 = 0")
+    a1, a2 = np.broadcast_arrays(a1, a2)
+    interior = np.exp(copulas.log_partial(spec, copulas._clamp(a1), copulas._clamp(a2))[0])
+    return np.where(a2 == 1.0, 1.0, np.where(a2 == 0.0, 0.0, interior))
+
+
+def copula_partial_u1(spec, u1, u2):
+    """dC/du1, i.e. the conditional CDF of U2 given U1 = u1."""
+    out = _partial_u1_impl(spec, u1, u2)
+    return copulas._maybe_scalar(out, np.asarray(u1), np.asarray(u2))
+
+
+def copula_partial_u2(spec, u1, u2):
+    """dC/du2, by exchangeability the u1-swapped first partial."""
+    out = _partial_u1_impl(spec, u2, u1)
+    return copulas._maybe_scalar(out, np.asarray(u1), np.asarray(u2))
+
+
+def conditional_quantile_bisect(spec, u1, v):
+    """Generic monotone bisection solver for dC/du1(u1, u2) = v."""
+    a1 = np.asarray(u1, dtype=float)
+    av = np.asarray(v, dtype=float)
+    a1, av = np.broadcast_arrays(a1, av)
+    lo = np.zeros(a1.shape)
+    hi = np.ones(a1.shape)
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        too_low = _partial_u1_impl(spec, a1, mid) < av
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+        if np.max(hi - lo) <= _BISECT_TOL:
+            break
+    return 0.5 * (lo + hi)
 
 
 def family_grid():
@@ -281,6 +363,9 @@ def test_mixture_endpoints_equal_the_pure_family(kappa):
         assert np.array_equal(m_u1, p_u1)
         assert np.array_equal(m_u2, p_u2)
         assert np.array_equal(m_par[key], p_par["theta"])
+    # every draw picks the component of weight 1
+    assert np.array_equal(conditional_sample(mix, u1, np.random.default_rng(4)),
+                          conditional_sample(pure, u1, np.random.default_rng(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +386,12 @@ def test_conditional_quantile_inverts_partial():
     rng = np.random.default_rng(6)
     u1 = rng.uniform(0.05, 0.95, size=200)
     v = rng.uniform(0.05, 0.95, size=200)
-    for spec in (CopulaSpec.clayton(2.0), CopulaSpec.frank(5.0), CopulaSpec.mixture(3.0, 2.0, 0.5)):
+    for spec in (CopulaSpec.clayton(2.0), CopulaSpec.frank(5.0)):
         u2 = conditional_quantile(spec, u1, v)
         assert np.max(np.abs(copula_partial_u1(spec, u1, u2) - v)) < 1e-6
+    # the mixture has no closed-form inverse; conditional_sample draws it
+    with pytest.raises(DomainError):
+        conditional_quantile(CopulaSpec.mixture(3.0, 2.0, 0.5), u1, v)
 
 
 def test_conditional_quantile_boundaries_and_monotonicity():
@@ -394,23 +482,14 @@ def test_mixture_tau_endpoints():
         mixture_tau_monte_carlo(CopulaSpec.frank(5.0))
 
 
-def sampled_mixture_tau(spec, n, seed):
-    """Kendall's tau of ``n`` pairs drawn exactly from a mixture, and its
-    standard error.
+def sampled_tau_standard_error(spec, u, v):
+    """Standard error of Kendall's tau of the pairs (u, v) drawn from ``spec``.
 
-    Both components have uniform margins, so a mixture pair is a Frank pair
-    with probability kappa and a Clayton pair otherwise, each drawn through
-    its closed-form conditional quantile.  The standard error is Hoeffding's
-    projection for the U-statistic, 2 sd(4 C(U, V) - 2 U - 2 V + 1) / sqrt(n).
+    Hoeffding's projection for the U-statistic gives
+    2 sd(4 C(U, V) - 2 U - 2 V + 1) / sqrt(n).
     """
-    rng = np.random.default_rng(seed)
-    u, w = np.clip(rng.uniform(size=(2, n)), 1e-12, 1.0 - 1e-12)
-    frank = rng.uniform(size=n) < spec.kappa
-    v = np.empty(n)
-    v[frank] = conditional_quantile(CopulaSpec.frank(spec.theta_frank), u[frank], w[frank])
-    v[~frank] = conditional_quantile(CopulaSpec.clayton(spec.theta_clayton), u[~frank], w[~frank])
     projection = 4.0 * copula_cdf(spec, u, v) - 2.0 * u - 2.0 * v + 1.0
-    return stats.kendalltau(u, v).statistic, 2.0 * projection.std() / np.sqrt(n)
+    return 2.0 * projection.std() / np.sqrt(len(u))
 
 
 MIXTURE_TAU_GRID = [(tf, tc, kappa) for tf in (0.01, 5.0, 38.0, 500.0)
@@ -422,8 +501,9 @@ MIXTURE_TAU_GRID = [(tf, tc, kappa) for tf in (0.01, 5.0, 38.0, 500.0)
 def test_mixture_tau_matches_sampled_pairs(seed, theta_frank, theta_clayton, kappa, monkeypatch):
     spec = CopulaSpec.mixture(theta_frank, theta_clayton, kappa)
     tau = mixture_tau_monte_carlo(spec)
-    sampled, se = sampled_mixture_tau(spec, 2_000_000, seed)
-    assert abs(tau - sampled) < 4.0 * se
+    u, v = sample_pairs(spec, 2_000_000, np.random.default_rng(seed)).T
+    sampled = stats.kendalltau(u, v).statistic
+    assert abs(tau - sampled) < 4.0 * sampled_tau_standard_error(spec, u, v)
     monkeypatch.setattr(copulas, "_TAU_QUAD_NODES", 512)
     assert tau == pytest.approx(mixture_tau_monte_carlo(spec), abs=2e-5)
 

@@ -4,7 +4,8 @@ Modules import one way, from the lower layers to the higher ones, and only
 at module level: an import inside a function body hides a dependency (and
 often a cycle) until the function runs.  Files are read and written by
 ``data`` alone, which owns every file format.  The command line imports
-no more of scipy than the package needs.
+no more of scipy than the package needs.  Every public function and class
+has a caller outside the tests; one that only tests use belongs in them.
 """
 import ast
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "copsurv"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 # lowest layer first; a module may import only modules listed before it
 ORDER = (
@@ -132,3 +134,35 @@ def test_cli_import_leaves_out_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def referenced_names(node, strings=False):
+    """Names a tree reads as variables or attributes, and with ``strings``
+    its string constants too (the benchmark names what it wraps by string)."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        elif strings and isinstance(child, ast.Constant) and isinstance(child.value, str):
+            found.add(child.value)
+    return found
+
+
+def test_every_public_definition_has_a_caller():
+    # a caller is another top-level statement of the package, or the benchmark
+    definitions, used = [], set()
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                if not own.startswith("_"):
+                    definitions.append(f"{module}.{own}")
+            used |= referenced_names(node) - {own}
+    for path in PERFBENCH.glob("*.py"):
+        used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    uncalled = [name for name in definitions if name.split(".")[1] not in used]
+    assert not uncalled

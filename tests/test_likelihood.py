@@ -71,7 +71,11 @@ def loglik_two_orientations(event_model, censor_model, spec, data, l2_lambda=0.0
                     c_u2 * (-ce.surv * pass2), l2_lambda)
     for key in g1_par:
         grads[f"copula.{key}"] = np.asarray((delta * g1_par[key] + (1.0 - delta) * g2_par[key]).sum())
-    return float(terms.sum()), grads
+    squares = 0.0
+    for model in (event_model, censor_model):
+        params = model.risk.params()
+        squares += sum(float(np.sum(params[key] ** 2)) for key in model.risk.weight_keys())
+    return float(terms.sum()) - l2_lambda * squares, grads
 
 
 def unit_exponential():
@@ -224,7 +228,7 @@ def test_oriented_kernel_equals_two_orientation_oracle(spec, risk, l2_lambda):
     expect, expect_grads = loglik_two_orientations(event, censor, spec, data, l2_lambda)
     got, grads = loglik_and_gradient(event, censor, spec, data, l2_lambda)
     assert got == expect
-    assert loglik_copula(event, censor, spec, data) == expect
+    assert loglik_copula(event, censor, spec, data, l2_lambda) == expect
     assert list(grads) == list(expect_grads)
     for key in grads:
         assert np.array_equal(grads[key], expect_grads[key]), key
@@ -340,8 +344,11 @@ def test_l2_penalty_touches_only_weights():
     lam = 0.01
     ll0, g0 = loglik_and_gradient(event, censor, CopulaSpec.clayton(2.0), data, l2_lambda=0.0)
     ll1, g1 = loglik_and_gradient(event, censor, CopulaSpec.clayton(2.0), data, l2_lambda=lam)
-    # reported loglik stays unpenalized
-    assert ll0 == ll1
+    # the value carries the penalty its gradient carries, on the weights alone
+    squares = sum(float(np.sum(model.risk.params()[key] ** 2))
+                  for model in (event, censor) for key in model.risk.weight_keys())
+    assert ll1 == pytest.approx(ll0 - lam * squares, rel=0.0, abs=1e-12)
+    assert loglik_copula(event, censor, CopulaSpec.clayton(2.0), data, lam) == ll1
     weight_keys = {f"event.risk.{k}" for k in event.risk.weight_keys()}
     weight_keys |= {f"censor.risk.{k}" for k in censor.risk.weight_keys()}
     for key in g0:
