@@ -52,6 +52,13 @@ THETA_HI_FRANK = 500.0
 # agree within 2.3e-6 in tau for theta_frank up to 500 and theta_clayton up to 200
 _TAU_QUAD_NODES = 128
 
+# Cap on the log of each partial-to-mixture ratio in the mixture's kappa
+# gradient, so each ratio is at most 1e100; sums and squares of such terms
+# over any sample stay finite.  Inside (0, 1) the ratios are below
+# 1 / min(kappa, 1 - kappa), so the cap only binds at kappa 0 or 1 (or
+# within 1e-100 of 0), where pf / pc can pass exp's range.
+_LOG_KAPPA_RATIO_CAP = math.log(1e100)
+
 
 class Family(str, Enum):
     INDEPENDENCE = "independence"
@@ -260,12 +267,14 @@ def _mixture_log_partial(spec, u1, u2, want_grad):
     # each component's share of the blend, and d/dkappa = (pf - pc) / mix
     share_f = np.exp(log_wf - value)
     share_c = np.exp(log_wc - value)
+    ratio_f = np.exp(np.minimum(log_pf - value, _LOG_KAPPA_RATIO_CAP))
+    ratio_c = np.exp(np.minimum(log_pc - value, _LOG_KAPPA_RATIO_CAP))
     f1, f2, f_par = frank
     c1, c2, c_par = clayton
     grads = {
         "theta_frank": share_f * f_par["theta"],
         "theta_clayton": share_c * c_par["theta"],
-        "kappa": np.exp(log_pf - value) - np.exp(log_pc - value),
+        "kappa": ratio_f - ratio_c,
     }
     return value, (share_f * f1 + share_c * c1, share_f * f2 + share_c * c2, grads)
 

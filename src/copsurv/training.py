@@ -1,37 +1,31 @@
 """Full-batch maximum-likelihood training.
 
-Both solvers maximize the penalized log-likelihood on its exact gradient.
-A family's dependence parameters are the non-``family`` keys of its
-``CopulaSpec.to_dict()``, held by the optimizer as ``copula.<key>``; each
-evaluation rebuilds the spec with ``CopulaSpec.from_dict``.  Each lives in a
-box: theta in ``[theta_min, inf)``, ``theta_frank`` and Frank theta in
-``[theta_min, THETA_HI_FRANK]`` and kappa in [0, 1].  ``fit`` runs one loop
-over starts that share the initial marginals.  The solver follows from the
-risk kinds (there is no option); of several starts, the one with the best
-penalized training log-likelihood wins.
+Every fit runs one solver: L-BFGS-B on the penalized negative
+log-likelihood and its exact gradient.  A family's dependence parameters
+are the non-``family`` keys of its ``CopulaSpec.to_dict()``, held by the
+optimizer as ``copula.<key>``; each evaluation rebuilds the spec with
+``CopulaSpec.from_dict``.  Each lives in a box, which the solver takes as
+its bounds: theta in ``[theta_min, inf)``, ``theta_frank`` and Frank theta
+in ``[theta_min, THETA_HI_FRANK]`` and kappa in [0, 1].  ``fit`` runs one
+loop over starts that share the initial marginals; of several starts, the
+one with the best penalized training log-likelihood wins.  The starts and
+the stopping rule follow from the risk kinds (there is no option).
 
-* A joint fit with two linear risks is a smooth low-dimensional MLE and is
-  solved by L-BFGS-B with the boxes as bounds, from three starts at
-  Kendall's tau 0.2, 0.5 and 0.8 (one for the independence family), each
-  run to convergence (at most ``max_epochs`` iterations).  The validation
-  loss is recorded for every iteration but does not stop the fit, and the
-  final iterate is returned.  ``alpha``, ``grad_scale``, ``clip_bound`` and
-  ``patience`` do not apply.
-* A single-marginal fit (``fit_marginal``) runs the same L-BFGS-B from its
-  one start, but stopped on validation: it ends after ``patience``
-  iterations without a validation improvement, or at convergence, and
-  returns its best-validation iterate.  With ``validation_fraction = 0`` it
-  runs to convergence and returns the final iterate.  ``alpha``,
-  ``grad_scale`` and ``clip_bound`` do not apply.
-* Joint fits with an MLP risk run Adam from one start, theta 1 and kappa
-  0.5.  Dependence parameters get a special schedule: their raw gradient is
-  multiplied by ``grad_scale`` and clamped into ``[-clip_bound,
-  clip_bound]`` before the Adam update, and afterwards each is clipped into
-  its box.  The copula's gradient signal is orders of magnitude weaker than
-  the marginals'; without the rescale theta barely moves.  Early stopping
-  watches the negated validation log-likelihood and returns the parameters
-  from the best validation epoch.  With ``validation_fraction = 0`` no split
-  is made, no early stopping happens, and the final epoch wins.
+* A joint fit with two linear risks is a smooth low-dimensional MLE.  It
+  starts three times, at Kendall's tau 0.2, 0.5 and 0.8 (once for the
+  independence family), and each start runs to convergence (at most
+  ``max_epochs`` iterations).  The validation loss is recorded for every
+  iteration but does not stop the fit, and the final iterate is returned;
+  ``patience`` does not apply.
+* A joint fit with an MLP risk starts once, at theta 1 and kappa 0.5, and
+  is stopped on validation: it ends after ``patience`` iterations without a
+  validation improvement, or at convergence, and returns its
+  best-validation iterate.
+* A single-marginal fit (``fit_marginal``) is stopped on validation the
+  same way, whatever the risk kind.
+
+A fit stopped on validation with ``validation_fraction = 0`` has no split:
+it runs to convergence and returns the final iterate.
 """
 from __future__ import annotations
 
@@ -48,18 +42,12 @@ from .data import Config, SurvivalDataset, column_cells, read_json, write_csv, w
 from .errors import NumericalFailure, ValidationError, check_numbers
 from .weibull import WeibullCoxModel, default_mlp_widths, make_risk
 
-ADAM = "adam"
-LBFGSB = "lbfgsb"
 # Kendall's tau at the dependence-parameter starts of an L-BFGS-B fit; from
 # theta = 1 alone a strongly dependent Clayton fit can stop near theta = 0
 START_TAUS = (0.2, 0.5, 0.8)
 # L-BFGS-B stops when an iteration lowers the objective by less than this
 # fraction; scipy's default of 2.2e-9 leaves gradients up to 0.3 on 400 records
 FTOL = 1e-12
-# Adam's moment decay rates and the denominator's guard
-BETA1 = 0.9
-BETA2 = 0.999
-EPS = 1e-8
 
 
 @dataclass
@@ -67,21 +55,13 @@ class TrainConfig(Config):
     """Optimization settings.
 
     ``l2_lambda = None`` resolves at fit time to 0 for linear risks and
-    0.001 when either risk is an MLP.  ``patience`` counts epochs (Adam) or
-    iterations (L-BFGS-B) without validation improvement and must not
-    exceed ``max_epochs``.
-
-    Adam (MLP joint fits) uses every field.  L-BFGS-B uses ``max_epochs`` as
-    the iteration cap of each start, ``theta_min``, ``l2_lambda``,
-    ``validation_fraction`` and ``seed``, and ignores ``alpha``,
-    ``grad_scale`` and ``clip_bound``; single-marginal fits use
-    ``patience``, joint fits with two linear risks ignore it.
+    0.001 when either risk is an MLP.  ``max_epochs`` caps the L-BFGS-B
+    iterations of each start.  ``patience`` counts iterations without a
+    validation improvement, must not exceed ``max_epochs``, and stops every
+    fit except a joint fit with two linear risks, which ignores it.
     """
 
-    alpha: float = 1e-3
     max_epochs: int = 10000
-    grad_scale: float = 1000.0
-    clip_bound: float = 0.1
     theta_min: float = 1e-3
     l2_lambda: Optional[float] = None
     patience: int = 3000
@@ -89,16 +69,12 @@ class TrainConfig(Config):
     seed: int = 0
 
     def __post_init__(self):
-        reals = ("alpha", "grad_scale", "clip_bound", "theta_min", "validation_fraction")
+        reals = ("theta_min", "validation_fraction")
         if self.l2_lambda is not None:
             reals += ("l2_lambda",)
         check_numbers(self, ("max_epochs", "patience", "seed"), reals)
-        if self.alpha <= 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
         if self.max_epochs < 1:
             raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.grad_scale <= 0 or self.clip_bound <= 0:
-            raise ValidationError("grad_scale and clip_bound must be positive")
         if self.theta_min <= 0:
             raise ValidationError(f"theta_min must be positive, got {self.theta_min}")
         if self.l2_lambda is not None and self.l2_lambda < 0:
@@ -111,6 +87,14 @@ class TrainConfig(Config):
             raise ValidationError(
                 f"validation_fraction must lie in [0, 1), got {self.validation_fraction}"
             )
+
+
+# Adam's moment decay rates and the denominator's guard.  No fit runs Adam:
+# it stays only as the span perfbench/spans.py times as training.adam_step,
+# and goes with the benchmark's re-baseline, as tau_hat does
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class Adam:
@@ -144,15 +128,14 @@ class Adam:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch optimization trace; for L-BFGS-B an epoch is one accepted
+    """Per-epoch optimization trace; an epoch is one accepted L-BFGS-B
     iterate.
 
     ``train_negloglik`` is the negated training log-likelihood plus the L2
     penalty, the value the solver minimizes (the penalty is 0 for linear
     risks by default), evaluated at the parameters entering the epoch.
     ``val_negloglik`` is unpenalized.  It and the dependence-parameter
-    columns are taken at the parameters leaving the epoch (post update and
-    clamp).
+    columns are taken at the parameters leaving the epoch.
     """
 
     epoch: np.ndarray
@@ -206,11 +189,6 @@ class FittedJointModel:
 tau_hat = copulas.theta_to_tau
 
 
-def _solver(*risk_kinds) -> str:
-    """L-BFGS-B for linear risks only; an MLP risk keeps Adam."""
-    return LBFGSB if all(str(k).lower() == "linear" for k in risk_kinds) else ADAM
-
-
 def _snapshot(params):
     return {k: v.copy() for k, v in params.items()}
 
@@ -229,76 +207,6 @@ def _failure_at(epoch, failure, params):
     )
 
 
-def _trace(train_hist, val_hist, copula_hist) -> TrainTrace:
-    return TrainTrace(
-        epoch=np.arange(len(train_hist)),
-        train_negloglik=np.array(train_hist),
-        val_negloglik=np.array(val_hist),
-        copula_path={k: np.array(v) for k, v in copula_hist.items()},
-    )
-
-
-def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainConfig,
-              solver: str = ADAM, early_stop: bool = False):
-    """Runs ``solver`` from the current ``params``; returns (trace, best_epoch, best_val).
-
-    ``copula_bounds`` maps each dependence-parameter key to its (lo, hi) box.
-    ``loss_and_grad`` returns the penalized log-likelihood and its gradient.
-    Given a validation split, Adam always stops on it, L-BFGS-B only with
-    ``early_stop``.
-    """
-    if solver == LBFGSB:
-        return _lbfgsb(params, copula_bounds, loss_and_grad, val_negloglik, cfg, early_stop)
-    adam = Adam(params, cfg.alpha)
-    use_val = val_negloglik is not None
-
-    train_hist: List[float] = []
-    val_hist: List[float] = []
-    copula_hist: Dict[str, List[float]] = {k: [] for k in copula_bounds}
-
-    best_val = np.inf
-    best_epoch = -1
-    best_state = None
-    since_best = 0
-
-    for epoch in range(cfg.max_epochs):
-        try:
-            loglik, grads = loss_and_grad()
-            for key in copula_bounds:
-                grads[key] = np.clip(
-                    grads[key] * cfg.grad_scale, -cfg.clip_bound, cfg.clip_bound
-                )
-            adam.step(grads)
-            for key, (lo, hi) in copula_bounds.items():
-                params[key][...] = np.clip(params[key], lo, hi)
-            val = float(val_negloglik()) if use_val else float("nan")
-        except NumericalFailure as failure:
-            raise _failure_at(epoch, failure, params) from failure
-
-        train_hist.append(-loglik)
-        val_hist.append(val)
-        for key in copula_bounds:
-            copula_hist[key].append(float(params[key]))
-
-        if use_val:
-            if val < best_val:
-                best_val = val
-                best_epoch = epoch
-                best_state = _snapshot(params)
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    break
-
-    if best_state is not None:
-        _restore(params, best_state)
-    else:
-        best_epoch = len(train_hist) - 1
-        best_val = val_hist[-1]
-    return _trace(train_hist, val_hist, copula_hist), best_epoch, float(best_val)
-
-
 class _TrialFailed(Exception):
     """An L-BFGS-B trial point has a non-finite objective or gradient."""
 
@@ -307,26 +215,32 @@ class _TrialFailed(Exception):
         self.failure = failure
 
 
-def _lbfgsb(params, copula_bounds, loss_and_grad, val_negloglik, cfg, early_stop):
-    """L-BFGS-B on the penalized negative log-likelihood.
+def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainConfig,
+              early_stop: bool = False):
+    """L-BFGS-B from the current ``params``; returns (trace, best_epoch, best_val).
 
-    Each accepted iterate is one trace row, with the columns meaning what
-    they mean for an Adam epoch.  The run goes to convergence and keeps its
-    final iterate as the best epoch, unless ``early_stop`` is set and there
-    is a validation split: then, like Adam, it stops after ``patience``
-    iterations without a validation improvement and restores the
-    best-validation iterate.  A trial point that overflows ends the run, and
-    the solver restarts from the last accepted iterate; a run that fails
-    before it accepts an iterate raises ``NumericalFailure``.
+    ``copula_bounds`` maps each dependence-parameter key to its (lo, hi) box.
+    ``loss_and_grad`` returns the penalized log-likelihood and its gradient,
+    and the solver minimizes its negation.  Each accepted iterate is one
+    trace row.  The run goes to convergence and keeps its final iterate as
+    the best epoch, unless ``early_stop`` is set and there is a validation
+    split: then it stops after ``patience`` iterations without a validation
+    improvement and restores the best-validation iterate.  A trial point
+    that overflows ends the run, and the solver restarts from the last
+    accepted iterate; a run that fails before it accepts an iterate raises
+    ``NumericalFailure``.
     """
     keys = list(params)
     bounds = [copula_bounds.get(k, (None, None)) for k in keys for _ in range(params[k].size)]
-    splits = np.cumsum([params[k].size for k in keys])[:-1]
+    # each parameter's slice of the flat vector, fixed for the run
+    ends = np.cumsum([params[k].size for k in keys])
+    layout = [(params[k], slice(end - params[k].size, end), params[k].shape)
+              for k, end in zip(keys, ends)]
     use_val = val_negloglik is not None
 
     def unpack(x):
-        for key, chunk in zip(keys, np.split(x, splits)):
-            params[key][...] = chunk.reshape(params[key].shape)
+        for param, span, shape in layout:
+            param[...] = x[span].reshape(shape)
 
     train_hist: List[float] = []
     val_hist: List[float] = []
@@ -364,8 +278,7 @@ def _lbfgsb(params, copula_bounds, loss_and_grad, val_negloglik, cfg, early_stop
     def on_iterate(intermediate_result):
         x = intermediate_result.x
         if not np.array_equal(x, last["x"]):
-            objective(x)
-        unpack(last["x"])
+            objective(x)  # otherwise params still hold the last evaluated point
         val = validate()
         train_hist.append(-accepted["loglik"])
         val_hist.append(val)
@@ -393,7 +306,12 @@ def _lbfgsb(params, copula_bounds, loss_and_grad, val_negloglik, cfg, early_stop
             if len(train_hist) == progress:
                 raise _failure_at(len(train_hist), trial.failure, params) from trial.failure
 
-    trace = _trace(train_hist, val_hist, copula_hist)
+    trace = TrainTrace(
+        epoch=np.arange(len(train_hist)),
+        train_negloglik=np.array(train_hist),
+        val_negloglik=np.array(val_hist),
+        copula_path={k: np.array(v) for k, v in copula_hist.items()},
+    )
     if best["x"] is not None:
         unpack(best["x"])
         return trace, best["epoch"], float(best["val"])
@@ -451,8 +369,9 @@ def fit(
     The dataset must contain at least one event and one censoring record.
     RNG use is fully determined by ``config.seed``: first the validation
     split, then event-risk and censor-risk initialization.  Two linear risks
-    are fitted by L-BFGS-B from three dependence starts, any MLP risk by
-    Adam from one; see the module docstring.
+    are fitted from three dependence starts, each run to convergence; with
+    an MLP risk the fit starts once and stops on validation.  See the module
+    docstring.
     """
     cfg = config or TrainConfig()
     family = copulas._coerce_family(family)
@@ -463,7 +382,7 @@ def fit(
     )
 
     theta_hi = copulas.THETA_HI_FRANK if family is Family.FRANK else np.inf
-    # Adam start and (lo, hi) box of every dependence parameter, by CopulaSpec key
+    # single start and (lo, hi) box of every dependence parameter, by CopulaSpec key
     table = {"theta": (1.0, (cfg.theta_min, theta_hi)),
              "theta_frank": (1.0, (cfg.theta_min, copulas.THETA_HI_FRANK)),
              "theta_clayton": (1.0, (cfg.theta_min, np.inf)),
@@ -471,9 +390,9 @@ def fit(
     # from_dict reads only the keys of the family's own parameters
     default = CopulaSpec.from_dict({"family": family, **{n: s for n, (s, _) in table.items()}})
     names = [name for name in default.to_dict() if name != "family"]
-    solver = _solver(event_risk, censor_risk)
+    linear = all(str(k).lower() == "linear" for k in (event_risk, censor_risk))
     starts = [default]
-    if solver == LBFGSB and names:
+    if linear and names:
         starts = [spec_from_tau(family, tau) for tau in START_TAUS]
 
     params = {**_model_params(event_model, "event"), **_model_params(censor_model, "censor")}
@@ -503,7 +422,7 @@ def fit(
         values = start.to_dict()
         for name in names:
             params[f"copula.{name}"][...] = values[name]
-        run = _optimize(params, copula_bounds, loss_and_grad, val_fn, cfg, solver)
+        run = _optimize(params, copula_bounds, loss_and_grad, val_fn, cfg, early_stop=not linear)
         score = 0.0
         if len(starts) > 1:
             score = likelihood.loglik_copula(event_model, censor_model, spec(), train_ds, l2)
@@ -533,11 +452,11 @@ def fit_marginal(
 ):
     """Fits a single Weibull marginal on right-censored (or all-event) data.
 
-    Uses the same split and initialization as a joint fit, and L-BFGS-B
-    stopped on validation whatever the risk kind (see the module
-    docstring).  It is also the semi-synthetic no-censoring baseline, whose
-    R-squared falls below the copula fit's when the final iterate is
-    returned instead of the best-validation one.  Returns (model, trace).
+    Uses the same split and initialization as a joint fit, and is stopped
+    on validation whatever the risk kind (see the module docstring).  It is
+    also the semi-synthetic no-censoring baseline, whose R-squared falls
+    below the copula fit's when the final iterate is returned instead of
+    the best-validation one.  Returns (model, trace).
     """
     cfg = config or TrainConfig()
     train_ds, val_ds, (model,) = _setup(data, cfg, mlp_widths, risk_kind)
@@ -552,5 +471,5 @@ def fit_marginal(
             return -likelihood.marginal_loglik(model, val_ds)
 
     trace, _, _ = _optimize(_model_params(model, "model"), {}, loss_and_grad, val_fn, cfg,
-                            LBFGSB, early_stop=True)
+                            early_stop=True)
     return model, trace

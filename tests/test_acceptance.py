@@ -160,6 +160,31 @@ def test_dependence_strength_is_recovered(clayton_sweep):
     assert at_zero < 0.05
 
 
+def test_mlp_fit_learns_dependence(tmp_path):
+    # the paper's deep model: MLP risks on both marginals, each fit stopped
+    # on validation, must recover strong dependence and beat independence
+    cfg = ExperimentConfig(
+        experiment_id="accept_mlp",
+        kind="synthetic_sweep",
+        family="clayton",
+        preset="nonlinear_risk",
+        event_risk="mlp",
+        censor_risk="mlp",
+        tau_grid=(0.8,),
+        seeds=(0, 1, 2),
+        n_train=1500,
+        n_val=500,
+        n_test=2000,
+        train={"max_epochs": 500, "patience": 50, "seed": 0},
+    )
+    rows = run_experiment(cfg, tmp_path / "mlp", workers=SWEEP_WORKERS).rows
+    taus = [row["tau_hat"] for row in rows if row["model"] == "copula"]
+    assert len(taus) == 3 and all(abs(t - 0.8) < 0.1 for t in taus), taus
+    cop = mean_over_seeds(rows, "survival_l1_event", model="copula")
+    ind = mean_over_seeds(rows, "survival_l1_event", model="independence")
+    assert cop < ind, f"copula {cop} vs independence {ind}"
+
+
 def test_metric_bias_grows_with_dependence(tmp_path):
     cfg = ExperimentConfig(
         experiment_id="accept_bias",

@@ -356,9 +356,7 @@ def test_mixture_endpoints_equal_the_pure_family(kappa):
     pure, key = (CopulaSpec.frank(400.0), "theta_frank") if kappa else (CopulaSpec.clayton(40.0), "theta_clayton")
     for value, grad in ((log_partial_u1, grad_log_partial_u1), (log_partial_u2, grad_log_partial_u2)):
         assert np.array_equal(value(mix, u1, u2), value(pure, u1, u2))
-        # d/dkappa = pf / pc - 1 rightly overflows where pc underflows
-        with np.errstate(over="ignore"):
-            m_u1, m_u2, m_par = grad(mix, u1, u2)
+        m_u1, m_u2, m_par = grad(mix, u1, u2)
         p_u1, p_u2, p_par = grad(pure, u1, u2)
         assert np.array_equal(m_u1, p_u1)
         assert np.array_equal(m_u2, p_u2)
@@ -366,6 +364,19 @@ def test_mixture_endpoints_equal_the_pure_family(kappa):
     # every draw picks the component of weight 1
     assert np.array_equal(conditional_sample(mix, u1, np.random.default_rng(4)),
                           conditional_sample(pure, u1, np.random.default_rng(4)))
+
+
+def test_mixture_kappa_gradient_stays_finite_at_kappa_zero():
+    # Frank(400)'s partial dC/du2 at this record exceeds Clayton(40)'s by
+    # exp(736), so the exact d/dkappa = pf / pc - 1 at kappa 0 passes exp's
+    # range; it is capped at 1e100, with no overflow warning
+    u1, u2 = np.array([8.98e-11]), np.array([0.00939])
+    mix = CopulaSpec.mixture(400.0, 40.0, 0.0)
+    with np.errstate(over="raise", invalid="raise"):
+        _, (_, _, d_par) = copulas.log_partial(mix, u2, u1, want_grad=True)
+        _, (_, _, d_swapped) = copulas.log_partial(mix, u1, u2, want_grad=True)
+    assert d_par["kappa"][0] == pytest.approx(1e100, rel=1e-12)
+    assert np.isfinite(d_swapped["kappa"]).all() and d_swapped["kappa"][0] < 0.0
 
 
 # ---------------------------------------------------------------------------

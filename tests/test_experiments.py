@@ -100,7 +100,7 @@ def test_config_validation():
         {"kappa": True},
         {"train": {"max_epochs": 30.5, "patience": 30}},
         {"train": {"seed": 1.5}},
-        {"train": {"alpha": float("nan")}},
+        {"train": {"theta_min": float("nan")}},
         {"survival_l1": {"n_steps": 10.5}},
         {"train": 5},
         {"train": None},

@@ -6,6 +6,7 @@ often a cycle) until the function runs.  Files are read and written by
 ``data`` alone, which owns every file format.  The command line imports
 no more of scipy than the package needs.  Every public function and class
 has a caller outside the tests; one that only tests use belongs in them.
+The few that only the benchmark calls are listed, so that a new one shows.
 """
 import ast
 import os
@@ -166,3 +167,60 @@ def test_every_public_definition_has_a_caller():
         used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
     uncalled = [name for name in definitions if name.split(".")[1] not in used]
     assert not uncalled
+
+
+# public names the package keeps only because perfbench/ binds them, by
+# module; each goes once the benchmark binds what the package calls instead
+BENCHMARK_ONLY = {
+    "copulas.grad_log_partial_u1",
+    "copulas.grad_log_partial_u2",
+    "copulas.log_partial_u1",
+    "copulas.log_partial_u2",
+    "training.Adam",
+    "training.tau_hat",
+}
+
+
+def defined_names(node):
+    """The public names one top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def loaded_names(node):
+    """Names a tree reads as variables or attributes; a field or local that
+    shares a definition's name does not read it."""
+    return {child.id if isinstance(child, ast.Name) else child.attr
+            for child in ast.walk(node)
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)}
+
+
+def test_benchmark_only_definitions_are_listed():
+    # a name is benchmark-only when perfbench/ reads it and every statement
+    # of the package that reads it defines a benchmark-only name itself
+    module_of, readers = {}, {}
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            own = defined_names(node)
+            module_of.update((name, module) for name in own)
+            # a statement that defines no public name is always a live reader
+            owners = own or [f"{module}:{node.lineno}"]
+            for name in loaded_names(node) - set(own):
+                readers.setdefault(name, set()).update(owners)
+    bench = set()
+    for path in PERFBENCH.glob("*.py"):
+        bench |= referenced_names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    only = set(module_of) & bench
+    while True:
+        live = {name for name in only if readers.get(name, set()) - only}
+        if not live:
+            break
+        only -= live
+    assert {f"{module_of[name]}.{name}" for name in only} == BENCHMARK_ONLY

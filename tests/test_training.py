@@ -1,5 +1,6 @@
-"""Optimizer behavior (Adam and L-BFGS-B), early stopping, determinism, and
-the equivalence of the joint independence fit with separate marginal fits."""
+"""Optimizer behavior (L-BFGS-B, and the Adam step no fit uses), early
+stopping, determinism, and the equivalence of the joint independence fit
+with separate marginal fits."""
 import json
 
 import numpy as np
@@ -16,7 +17,6 @@ from copsurv.likelihood import (
     marginal_loglik_and_gradient,
 )
 from copsurv.training import (
-    LBFGSB,
     Adam,
     FittedJointModel,
     TrainConfig,
@@ -39,7 +39,7 @@ def make_data(n=400, tau=0.5, family="clayton", seed=0):
 
 def test_train_config_validation():
     with pytest.raises(ValidationError):
-        TrainConfig(alpha=0.0)
+        TrainConfig(theta_min=0.0)
     with pytest.raises(ValidationError):
         TrainConfig(max_epochs=0)
     with pytest.raises(ValidationError):
@@ -49,12 +49,16 @@ def test_train_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(validation_fraction=1.0)
     with pytest.raises(ValidationError):
-        TrainConfig.from_dict({"alpha": 0.001, "bogus": 1})
+        TrainConfig.from_dict({"theta_min": 0.001, "bogus": 1})
+    # the Adam-only fields are gone; a config naming one is rejected
+    for removed in ("alpha", "grad_scale", "clip_bound"):
+        with pytest.raises(ValidationError):
+            TrainConfig.from_dict({removed: 0.1})
     # integer fields take ints only, real fields finite ints or floats
     nan, inf = float("nan"), float("inf")
     bad_types = [
         {"max_epochs": 30.5, "patience": 30}, {"patience": 5.5}, {"seed": 1.5}, {"seed": True},
-        {"alpha": "0.1"}, {"alpha": nan}, {"grad_scale": inf}, {"clip_bound": None},
+        {"theta_min": "0.1"}, {"theta_min": nan}, {"l2_lambda": inf}, {"theta_min": None},
         {"theta_min": True}, {"l2_lambda": "0.1"}, {"validation_fraction": None},
     ]
     for overrides in bad_types:
@@ -63,12 +67,12 @@ def test_train_config_validation():
 
 
 def test_train_config_roundtrip():
-    cfg = TrainConfig(alpha=0.002, max_epochs=50, patience=10, seed=3, l2_lambda=0.01)
+    cfg = TrainConfig(theta_min=0.002, max_epochs=50, patience=10, seed=3, l2_lambda=0.01)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# Adam (no fit runs it; it stays as the benchmark's training.adam_step span)
 
 
 def test_adam_first_step_size():
@@ -103,64 +107,42 @@ def test_adam_multiple_steps_bounded():
 def test_adam_overflowing_second_moment_raises():
     # 1e200 squared is inf: the step would be 0 and the parameter frozen
     p = np.array(1.0)
-    cfg = TrainConfig(max_epochs=5, patience=5, validation_fraction=0.0)
-    with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure) as info:
-        _optimize({"p": p}, {}, lambda: (0.0, {"p": np.array(1e200)}), None, cfg)
-    assert info.value.epoch == 0
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure):
+        Adam({"p": p}, alpha=0.001).step({"p": np.array(1e200)})
     assert float(p) == 1.0
 
 
 # ---------------------------------------------------------------------------
-# Shared loop mechanics
+# The L-BFGS-B loop.  Its box is held by
+# test_lbfgsb_holds_the_box_and_records_every_iterate and its validation
+# stop by test_lbfgsb_early_stop_restores_the_best_validation_iterate.
 
 
 def test_optimize_failure_carries_epoch_and_state():
-    p = np.array(0.0)
+    # every evaluation after the 10th fails: the run ends at a failed trial
+    # point, the restart from the last accepted iterate fails at once, and
+    # the failure carries the accepted-iterate count and that iterate
+    p = np.array([-1.2, 1.0])
     calls = {"n": 0}
+    accepted = []
 
     def loss_and_grad():
         calls["n"] += 1
-        if calls["n"] > 3:
+        if calls["n"] > 10:
             raise NumericalFailure("boom", record_index=7)
-        return 0.0, {"p": np.array(1.0)}
-
-    cfg = TrainConfig(max_epochs=10, patience=10, validation_fraction=0.0)
-    with pytest.raises(NumericalFailure) as info:
-        _optimize({"p": p}, {}, loss_and_grad, None, cfg)
-    assert info.value.epoch == 3
-    assert info.value.record_index == 7
-    assert "p" in info.value.last_state
-
-
-def test_optimize_early_stop_and_restore():
-    # validation loss rises after epoch 4; training must stop after
-    # `patience` non-improving epochs and restore the best parameters
-    p = np.array(0.0)
-    epoch_box = {"e": 0}
-
-    def loss_and_grad():
-        return 0.0, {"p": np.array(1.0)}
+        return -float(rosen(p)), {"p": -rosen_der(p)}
 
     def val():
-        epoch_box["e"] += 1
-        e = epoch_box["e"]
-        return abs(e - 5)  # best at the 5th evaluated epoch
+        accepted.append(p.copy())
+        return 0.0
 
-    cfg = TrainConfig(max_epochs=100, patience=6, validation_fraction=0.0)
-    trace, best_epoch, best_val = _optimize({"p": p}, {}, loss_and_grad, val, cfg)
-    assert best_epoch == 4
-    assert best_val == 0.0
-    assert len(trace.epoch) == 4 + 6 + 1
-    # restored parameter value is the one entering epoch 5's evaluation
-    assert float(p) == pytest.approx(trace_epoch_param(trace, best_epoch), abs=1e-12)
-
-
-def trace_epoch_param(trace, epoch):
-    # reconstruct the Adam trajectory of a unit-gradient scalar
-    opt = Adam({"p": np.array(0.0)}, alpha=0.001)
-    for _ in range(epoch + 1):
-        opt.step({"p": np.array(1.0)})
-    return float(opt.params["p"])
+    cfg = TrainConfig(max_epochs=100, patience=100)
+    with pytest.raises(NumericalFailure) as info:
+        _optimize({"p": p}, {}, loss_and_grad, val, cfg)
+    assert info.value.epoch == len(accepted) > 0
+    assert info.value.record_index == 7
+    assert np.array_equal(info.value.last_state["p"], accepted[-1])
+    assert np.array_equal(p, accepted[-1])
 
 
 def _saturating(p, limit=None):
@@ -185,7 +167,7 @@ def test_lbfgsb_restarts_after_an_overflowing_trial_point():
 
     cfg = TrainConfig(max_epochs=500, patience=500, validation_fraction=0.0)
     try:
-        trace, best_epoch, _ = _optimize({"p": p}, {}, loss_and_grad, None, cfg, LBFGSB)
+        trace, best_epoch, _ = _optimize({"p": p}, {}, loss_and_grad, None, cfg)
     except NumericalFailure:
         return  # an honest failure is acceptable; a false convergence is not
     assert calls["failed"] > 0  # the trial points did overflow
@@ -204,7 +186,7 @@ def test_lbfgsb_without_progress_raises_with_the_iteration_count():
 
     cfg = TrainConfig(max_epochs=50, patience=50, validation_fraction=0.0)
     with pytest.raises(NumericalFailure) as info:
-        _optimize({"p": p}, {}, loss_and_grad, None, cfg, LBFGSB)
+        _optimize({"p": p}, {}, loss_and_grad, None, cfg)
     assert info.value.epoch == 0
     assert info.value.record_index == 4
     assert info.value.last_state["p"].tolist() == [0.0]
@@ -220,7 +202,7 @@ def test_lbfgsb_holds_the_box_and_records_every_iterate():
 
     cfg = TrainConfig(max_epochs=50, patience=50)
     trace, best_epoch, best_val = _optimize(
-        {"p": p}, {"p": (1e-3, THETA_HI_FRANK)}, loss_and_grad, lambda: next(vals), cfg, LBFGSB
+        {"p": p}, {"p": (1e-3, THETA_HI_FRANK)}, loss_and_grad, lambda: next(vals), cfg
     )
     assert float(p) == THETA_HI_FRANK
     assert trace.copula_path["p"].max() == THETA_HI_FRANK
@@ -248,7 +230,7 @@ def test_lbfgsb_early_stop_restores_the_best_validation_iterate():
 
     cfg = TrainConfig(max_epochs=50, patience=3)
     trace, best_epoch, best_val = _optimize(
-        {"p": p}, {}, loss_and_grad, val, cfg, LBFGSB, early_stop=True
+        {"p": p}, {}, loss_and_grad, val, cfg, early_stop=True
     )
     assert (best_epoch, best_val) == (2, 3.0)
     assert trace.val_negloglik.tolist() == vals[:2 + 3 + 1]
@@ -340,23 +322,6 @@ def test_theta_floor_reached_from_independent_data():
     assert path[-1] == pytest.approx(1e-3, abs=1e-9)
 
 
-def test_frank_theta_is_clipped_at_its_cap():
-    # a huge Adam step size drives Frank theta past the copula's cap; the loop
-    # must clip it there instead of stopping with a ParameterDomainError.  (An
-    # MLP fit at this step size overflows its marginals before theta gets
-    # there, so the Adam loop is driven directly.)
-    theta = np.array(1.0)
-    cfg = TrainConfig(alpha=100, max_epochs=20, patience=20, validation_fraction=0.0)
-    trace, _, _ = _optimize(
-        {"copula.theta": theta}, {"copula.theta": (1e-3, THETA_HI_FRANK)},
-        lambda: (0.0, {"copula.theta": np.array(1.0)}), None, cfg,
-    )
-    path = trace.copula_path["copula.theta"]
-    assert path.max() == THETA_HI_FRANK
-    assert float(theta) == THETA_HI_FRANK
-    assert CopulaSpec(Family.FRANK, theta=float(theta)).theta == THETA_HI_FRANK
-
-
 def test_linear_frank_fit_holds_the_cap():
     # data drawn at the cap itself, where the fit wants theta beyond it:
     # L-BFGS-B must end on the bound, not past it
@@ -404,7 +369,8 @@ def test_fit_recovers_dependence_direction():
 
 
 def test_best_epoch_is_argmin_of_validation():
-    # Adam (an MLP risk) stops early and restores the best validation epoch
+    # a joint fit with an MLP risk stops on validation and restores the
+    # best-validation iterate
     ds = make_data(300, tau=0.4)
     cfg = TrainConfig(max_epochs=200, patience=50, seed=0)
     out = fit(ds, "mlp", "mlp", "clayton", cfg)
