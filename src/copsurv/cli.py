@@ -78,8 +78,7 @@ def cmd_train(args) -> int:
     cfg = TrainConfig.from_dict(read_json(args.config)) if args.config else TrainConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    widths = tuple(args.mlp_widths) if args.mlp_widths else None
-    fitted = fit(data, args.event_risk, args.censor_risk, args.family, cfg, mlp_widths=widths)
+    fitted = fit(data, args.event_risk, args.censor_risk, args.family, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fitted.save(out / "checkpoint.json")
@@ -146,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--censor-risk", choices=("linear", "mlp"), default="linear")
     p.add_argument("--config", help="JSON file of training settings")
     p.add_argument("--seed", type=int, help="overrides the config seed")
-    p.add_argument("--mlp-widths", type=int, nargs="+",
-                   help="hidden widths for mlp risks, e.g. --mlp-widths 8 4 1")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 

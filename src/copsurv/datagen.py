@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .copulas import CopulaSpec, U_EPS, conditional_sample, sample_pairs, theta_to_tau
-from .copulas import Family
+from .copulas import CopulaSpec, U_EPS, conditional_sample, sample_pairs
 from .data import SurvivalDataset, column_cells, write_csv
 from .errors import ValidationError
 from .training import TrainConfig, fit_marginal
@@ -174,10 +173,8 @@ PRESETS = {
 # Sidecar serialization of the ground truth.
 
 
-def sidecar_dict(config: SyntheticGenConfig, tau: Optional[float] = None) -> dict:
-    spec = config.copula
-    if tau is None and spec.family is not Family.MIXTURE:
-        tau = theta_to_tau(spec)
+def sidecar_dict(config: SyntheticGenConfig, tau: float) -> dict:
+    """The ground-truth sidecar of a draw from ``config`` at Kendall's ``tau``."""
     return {
         "n": config.n,
         "d": config.d,
@@ -188,7 +185,7 @@ def sidecar_dict(config: SyntheticGenConfig, tau: Optional[float] = None) -> dic
         "nu_C": config.nu_censor,
         "rho_C": config.rho_censor,
         "risk_C": config.risk_censor.to_dict(),
-        "copula": spec.to_dict(),
+        "copula": config.copula.to_dict(),
         "tau": tau,
     }
 
@@ -274,7 +271,7 @@ def censor_regression(
     mean, std = zscore_fit(x)
     xs = (x - mean) / std
 
-    cfg = fit_config or TrainConfig(max_epochs=5000, patience=500, seed=seed)
+    cfg = fit_config or TrainConfig(seed=seed)
     event_model, _ = fit_marginal(
         SurvivalDataset(xs, y, np.ones(len(y), dtype=np.int64)), "linear", cfg
     )

@@ -51,7 +51,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import metrics as met
-from .copulas import spec_from_tau, theta_to_tau
+from .copulas import Family, spec_from_tau, theta_to_tau
 from .data import Config, SurvivalDataset, csv_cell, load_regression_csv, write_csv, write_json
 from .datagen import (PRESETS, censor_regression, child_seed, generate_synthetic, sidecar_dict,
                       synthetic_regression, tau_key, zscore_fit)
@@ -118,13 +118,16 @@ class ExperimentConfig(Config):
     event_risk: str = "linear"
     censor_risk: str = "linear"
     kappa: float = 0.5
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(patience=300))
+    train: TrainConfig = field(default_factory=TrainConfig)
     survival_l1: SurvivalL1Config = field(default_factory=SurvivalL1Config)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         self.family = str(self.family).lower()
+        families = [f.value for f in Family]
+        if self.family not in families:
+            raise ValidationError(f"family must be one of {families}, got {self.family!r}")
         self.tau_grid = tuple(float(t) for t in self.tau_grid)
         self.seeds = tuple(self.seeds)
         if not self.tau_grid:
@@ -272,9 +275,7 @@ def _metric_bias_arm(payload):
     rows = []
     for tau in cfg.tau_grid:
         start = time.perf_counter()
-        (bias_row,) = met.metric_bias_experiment(
-            [tau], seed=seed, n=cfg.n_train, family=cfg.family
-        )
+        bias_row = met.metric_bias_experiment(tau, seed=seed, n=cfg.n_train, family=cfg.family)
         wall = time.perf_counter() - start
         values = asdict(bias_row)
         rows.append({"experiment_id": cfg.experiment_id, "tau_star": values.pop("tau"),
@@ -297,7 +298,7 @@ def _semi_arm(payload):
     tv_idx = perm[n_test:]
     x_tv, y_tv = x[tv_idx], y[tv_idx]
 
-    marginal_cfg = TrainConfig(max_epochs=5000, patience=500, seed=child_seed(seed, 0, 10))
+    marginal_cfg = TrainConfig(seed=child_seed(seed, 0, 10))
     mean, std = zscore_fit(x_tv)
     x_test = (x[test_idx] - mean) / std
 

@@ -10,7 +10,7 @@ standard metrics even for the true model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -180,47 +180,40 @@ class MetricBiasRow:
 
 
 def metric_bias_experiment(
-    taus: Sequence[float],
+    tau: float,
     seed: int = 0,
     n: int = 10000,
     family="clayton",
-) -> list:
+) -> MetricBiasRow:
     """Evaluates the ground-truth event model on censored vs uncensored data.
 
-    For each dependence level, one dataset is drawn from the quadratic-risk
-    generator, then the c-index and Brier score of the true model are
+    One dataset is drawn from the quadratic-risk generator at dependence
+    level ``tau``, then the c-index and Brier score of the true model are
     computed twice: against the latent event times (all events) and against
     the censored observations.  Both use the same evaluation time, the
     median observed time, so any gap is attributable to censoring.
     """
-    rows = []
-    for tau in taus:
-        spec = copulas.spec_from_tau(family, float(tau))
-        data_seed = child_seed(seed, tau_key(float(tau)), 101)
-        cfg = preset_metric_bias(seed, n=n, copula=spec, data_seed=data_seed)
-        dataset, truth, latent = generate_synthetic(cfg)
-        scores = np.asarray(truth.event_model.risk.evaluate(dataset.x), dtype=float)
-        uncensored = SurvivalDataset(
-            dataset.x, latent.t_event, np.ones(len(dataset), dtype=np.int64)
-        )
-        eval_time = float(np.median(dataset.t_obs))
-        c_unc = concordance_index(scores, uncensored)
-        c_cen = concordance_index(scores, dataset)
-        b_unc = brier_score(truth.event_model, uncensored, eval_time)
-        b_cen = brier_score(truth.event_model, dataset, eval_time)
-        rows.append(
-            MetricBiasRow(
-                tau=float(tau),
-                c_index_uncensored=c_unc,
-                c_index_censored=c_cen,
-                c_index_abs_diff=abs(c_unc - c_cen),
-                brier_uncensored=b_unc,
-                brier_censored=b_cen,
-                brier_abs_diff=abs(b_unc - b_cen),
-                censoring_fraction=float(1.0 - dataset.delta.mean()),
-            )
-        )
-    return rows
+    tau = float(tau)
+    spec = copulas.spec_from_tau(family, tau)
+    cfg = preset_metric_bias(seed, n=n, copula=spec, data_seed=child_seed(seed, tau_key(tau), 101))
+    dataset, truth, latent = generate_synthetic(cfg)
+    scores = np.asarray(truth.event_model.risk.evaluate(dataset.x), dtype=float)
+    uncensored = SurvivalDataset(dataset.x, latent.t_event, np.ones(len(dataset), dtype=np.int64))
+    eval_time = float(np.median(dataset.t_obs))
+    c_unc = concordance_index(scores, uncensored)
+    c_cen = concordance_index(scores, dataset)
+    b_unc = brier_score(truth.event_model, uncensored, eval_time)
+    b_cen = brier_score(truth.event_model, dataset, eval_time)
+    return MetricBiasRow(
+        tau=tau,
+        c_index_uncensored=c_unc,
+        c_index_censored=c_cen,
+        c_index_abs_diff=abs(c_unc - c_cen),
+        brier_uncensored=b_unc,
+        brier_censored=b_cen,
+        brier_abs_diff=abs(b_unc - b_cen),
+        censoring_fraction=float(1.0 - dataset.delta.mean()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -214,14 +214,12 @@ def default_mlp_widths(dim: int) -> tuple:
     return (dim, 4, 4, 4, 2, 1)
 
 
-def make_risk(kind: str, dim: int, rng: np.random.Generator = None, widths=None):
+def make_risk(kind: str, dim: int, rng: np.random.Generator):
     kind = str(kind).lower()
     if kind == "linear":
         return LinearRisk(np.zeros(dim))
     if kind == "mlp":
-        if rng is None:
-            raise ValidationError("MLP risk initialization requires an rng")
-        return MLPRisk.init(widths or default_mlp_widths(dim), rng)
+        return MLPRisk.init(default_mlp_widths(dim), rng)
     raise ValidationError(f"unknown trainable risk kind: {kind!r}")
 
 

@@ -31,6 +31,8 @@ def test_help_and_bad_args_exit_codes(capsys):
     assert run() == 1                      # no subcommand
     assert run("generate") == 1            # missing required flags
     assert run("generate", "--family", "gumbel", "--tau", "0.5", "--out", "x") == 1
+    # the MLP architecture is fixed; there is no widths flag
+    assert run("train", "--data", "d.csv", "--mlp-widths", "8", "4", "1", "--out", "x") == 1
     capsys.readouterr()
 
 
@@ -226,6 +228,19 @@ def test_experiment_all_arms_failing_exits_two(tmp_path, capsys):
     }))
     assert run("experiment", "--config", cfg_path, "--out", tmp_path / "out") == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_experiment_unknown_family_exits_one(tmp_path, capsys):
+    # rejected as invalid input before any arm runs, not as a numerical failure
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "experiment_id": "gumbel", "kind": "synthetic_sweep", "family": "gumbel",
+        "tau_grid": [0.2], "seeds": [0], "n_train": 100, "n_val": 50, "n_test": 50,
+    }))
+    out = tmp_path / "out"
+    assert run("experiment", "--config", cfg_path, "--out", out) == 1
+    assert "family must be one of" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("block", [

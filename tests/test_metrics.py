@@ -362,7 +362,7 @@ def test_r_squared_perfect_and_undefined():
 
 
 def test_metric_bias_rows():
-    rows = metric_bias_experiment([0.01, 0.8], seed=0, n=1500)
+    rows = [metric_bias_experiment(tau, seed=0, n=1500) for tau in (0.01, 0.8)]
     assert [r.tau for r in rows] == [0.01, 0.8]
     for r in rows:
         assert r.c_index_abs_diff == pytest.approx(
@@ -374,13 +374,11 @@ def test_metric_bias_rows():
         assert 0.0 < r.censoring_fraction < 1.0
 
 
-def test_metric_bias_per_tau_calls_match_batch():
-    batch = metric_bias_experiment([0.2, 0.6], seed=1, n=800)
-    singles = metric_bias_experiment([0.2], seed=1, n=800) + metric_bias_experiment(
-        [0.6], seed=1, n=800
-    )
-    for a, b in zip(batch, singles):
-        assert a == b
+def test_metric_bias_row_is_determined_by_its_tau():
+    # a row depends on its tau, seed and size alone, whatever the tau's type
+    row = metric_bias_experiment(0.6, seed=1, n=800)
+    assert row == metric_bias_experiment(np.float64(0.6), seed=1, n=800)
+    assert row.tau == 0.6 and row != metric_bias_experiment(0.2, seed=1, n=800)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from copsurv.likelihood import (
     marginal_loglik_and_gradient,
 )
 from copsurv.training import (
+    MLP_L2_LAMBDA,
     Adam,
     FittedJointModel,
     TrainConfig,
@@ -37,9 +38,12 @@ def make_data(n=400, tau=0.5, family="clayton", seed=0):
 # Config
 
 
+def test_train_config_has_four_fields():
+    assert set(TrainConfig.__dataclass_fields__) == {
+        "max_epochs", "patience", "validation_fraction", "seed"}
+
+
 def test_train_config_validation():
-    with pytest.raises(ValidationError):
-        TrainConfig(theta_min=0.0)
     with pytest.raises(ValidationError):
         TrainConfig(max_epochs=0)
     with pytest.raises(ValidationError):
@@ -49,17 +53,18 @@ def test_train_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(validation_fraction=1.0)
     with pytest.raises(ValidationError):
-        TrainConfig.from_dict({"theta_min": 0.001, "bogus": 1})
-    # the Adam-only fields are gone; a config naming one is rejected
-    for removed in ("alpha", "grad_scale", "clip_bound"):
+        TrainConfig.from_dict({"seed": 1, "bogus": 1})
+    # removed fields (the Adam-only ones, and the theta floor and L2 weight
+    # that now follow from the code) are rejected by name
+    for removed in ("alpha", "grad_scale", "clip_bound", "theta_min", "l2_lambda"):
         with pytest.raises(ValidationError):
             TrainConfig.from_dict({removed: 0.1})
     # integer fields take ints only, real fields finite ints or floats
     nan, inf = float("nan"), float("inf")
     bad_types = [
         {"max_epochs": 30.5, "patience": 30}, {"patience": 5.5}, {"seed": 1.5}, {"seed": True},
-        {"theta_min": "0.1"}, {"theta_min": nan}, {"l2_lambda": inf}, {"theta_min": None},
-        {"theta_min": True}, {"l2_lambda": "0.1"}, {"validation_fraction": None},
+        {"validation_fraction": "0.1"}, {"validation_fraction": nan},
+        {"validation_fraction": inf}, {"validation_fraction": True}, {"validation_fraction": None},
     ]
     for overrides in bad_types:
         with pytest.raises(ValidationError):
@@ -67,7 +72,7 @@ def test_train_config_validation():
 
 
 def test_train_config_roundtrip():
-    cfg = TrainConfig(theta_min=0.002, max_epochs=50, patience=10, seed=3, l2_lambda=0.01)
+    cfg = TrainConfig(max_epochs=50, patience=10, validation_fraction=0.25, seed=3)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -209,8 +214,8 @@ def test_lbfgsb_holds_the_box_and_records_every_iterate():
     assert trace.copula_path["p"][-1] == THETA_HI_FRANK
     assert best_epoch == len(trace.epoch) - 1
     assert best_val == trace.val_negloglik[-1]
-    # train_negloglik is taken entering each iteration, the rest leaving it
-    assert trace.train_negloglik[0] == (1.0 - 1000.0) ** 2
+    # every column of a row is taken at the same accepted iterate
+    assert trace.train_negloglik.tolist() == [(p - 1000.0) ** 2 for p in trace.copula_path["p"]]
 
 
 def test_lbfgsb_early_stop_restores_the_best_validation_iterate():
@@ -245,13 +250,13 @@ def _censor_input(seed=0):
 
 
 # the fit config censor_regression uses by default
-CENSOR_FIT = TrainConfig(max_epochs=5000, patience=500, seed=0)
+CENSOR_FIT = TrainConfig(seed=0)
 
 
 def test_fit_marginal_returns_the_best_validation_iterate():
     data = _censor_input()
     model, trace = fit_marginal(data, "linear", CENSOR_FIT)
-    _, val_ds, _ = _setup(data, CENSOR_FIT, None, "linear")
+    _, val_ds, _ = _setup(data, CENSOR_FIT, "linear")
     vals = trace.val_negloglik
     best = int(np.argmin(vals))
     # validation stops improving before L-BFGS-B converges, so the final
@@ -260,14 +265,26 @@ def test_fit_marginal_returns_the_best_validation_iterate():
     assert -marginal_loglik(model, val_ds) == vals[best]
 
 
+def _grouped_data(censored, n=200, seed=0):
+    """Weibull times on two binary covariates.  An MLP risk then takes four
+    values only, so its penalized likelihood has a stationary point that
+    L-BFGS-B reaches in about 1,000 iterations."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=(n, 2)).astype(float)
+    t = rng.weibull(1.5, size=n) * np.exp(-0.5 * x.sum(1))
+    delta = (rng.uniform(size=n) < 0.6) if censored else np.ones(n)
+    return SurvivalDataset(x, t, delta.astype(np.int64))
+
+
 def test_fit_marginal_without_validation_is_stationary():
     # no split: L-BFGS-B runs to convergence on the penalized objective (the
-    # value passed to it must carry the penalty its gradient carries)
-    data = _censor_input().subset(np.arange(500))
-    cfg = TrainConfig(max_epochs=5000, patience=500, validation_fraction=0.0, l2_lambda=0.01)
-    model, trace = fit_marginal(data, "linear", cfg)
+    # value passed to it must carry the penalty its gradient carries; without
+    # it this case stops at a gradient of 0.15)
+    data = _grouped_data(censored=False)
+    cfg = TrainConfig(max_epochs=5000, validation_fraction=0.0)
+    model, trace = fit_marginal(data, "mlp", cfg)
     assert np.isnan(trace.val_negloglik).all()
-    penalized, grads = marginal_loglik_and_gradient(model, data, 0.01)
+    penalized, grads = marginal_loglik_and_gradient(model, data, MLP_L2_LAMBDA)
     assert penalized < marginal_loglik(model, data)  # the penalty is active
     assert max(float(np.max(np.abs(g))) for g in grads.values()) < 1e-3, grads
 
@@ -389,15 +406,16 @@ def test_linear_fit_keeps_the_last_iterate():
     assert out.copula.theta == out.trace.copula_path["theta_hat"][-1]
 
 
-def test_linear_fit_is_stationary_for_the_penalized_objective():
+def test_mlp_fit_is_stationary_for_the_penalized_objective():
     # the L-BFGS-B value must include the L2 penalty its gradient includes;
     # a value without it breaks the line search far from the optimum
-    ds = make_data(400, tau=0.5)
-    cfg = TrainConfig(max_epochs=2000, patience=2000, validation_fraction=0.0, l2_lambda=0.1)
-    out = fit(ds, "linear", "linear", "clayton", cfg)
-    _, grads = loglik_and_gradient(out.event_model, out.censor_model, out.copula, ds, 0.1)
-    # without the penalty in the value this case ends at a gradient of 0.35
-    assert max(float(np.max(np.abs(g))) for g in grads.values()) < 0.02, grads
+    ds = _grouped_data(censored=True)
+    cfg = TrainConfig(max_epochs=5000, validation_fraction=0.0)
+    out = fit(ds, "mlp", "mlp", "clayton", cfg)
+    _, grads = loglik_and_gradient(out.event_model, out.censor_model, out.copula, ds,
+                                   MLP_L2_LAMBDA)
+    # without the penalty in the value this case ends at a gradient of 0.0044
+    assert max(float(np.max(np.abs(g))) for g in grads.values()) < 1e-3, grads
 
 
 def test_checkpoint_roundtrip(tmp_path):
