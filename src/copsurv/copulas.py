@@ -181,18 +181,18 @@ def _maybe_scalar(value: np.ndarray, *inputs) -> ArrayLike:
 
 
 # ---------------------------------------------------------------------------
-# Clayton internals.  S = u1^-theta + u2^-theta - 1 is kept in log space so
-# small quantiles with large theta cannot overflow.
+# Clayton internals.  S = u1^-theta + u2^-theta - 1 is kept in log space, from
+# lu = log u, so small quantiles with large theta cannot overflow.
 
-def _clayton_log_s(theta, u1, u2):
-    a = -theta * np.log(u1)
-    b = -theta * np.log(u2)
+def _clayton_log_s(theta, lu1, lu2):
+    a = -theta * lu1
+    b = -theta * lu2
     m = np.maximum(a, b)
     return m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
 
 
 def _clayton_cdf(theta, u1, u2):
-    return np.exp(-_clayton_log_s(theta, u1, u2) / theta)
+    return np.exp(-_clayton_log_s(theta, np.log(u1), np.log(u2)) / theta)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +219,12 @@ def _frank_log_neg_dab(theta, u1, u2):
 
 
 def _clayton_log_partial(theta, u1, u2, want_grad):
-    log_s = _clayton_log_s(theta, u1, u2)
     lu1 = np.log(u1)
+    lu2 = np.log(u2)
+    log_s = _clayton_log_s(theta, lu1, lu2)
     value = -(1.0 + theta) / theta * log_s - (theta + 1.0) * lu1
     if not want_grad:
         return value, None
-    lu2 = np.log(u2)
     r1 = np.exp(-(theta + 1.0) * lu1 - log_s)  # u1^-(theta+1) / S
     r2 = np.exp(-(theta + 1.0) * lu2 - log_s)
     d_u1 = (1.0 + theta) * r1 - (theta + 1.0) / u1

@@ -176,6 +176,9 @@ class ExperimentConfig(Config):
             raise ValidationError(f"kappa must lie in [0, 1], got {self.kappa}")
         if not isinstance(self.train, TrainConfig):
             self.train = TrainConfig.from_dict(self.train)
+        for name in ("seed", "validation_fraction"):
+            if getattr(self.train, name) != getattr(TrainConfig, name):
+                raise ValidationError(f"train.{name} cannot be set: each arm derives it")
         if not isinstance(self.survival_l1, SurvivalL1Config):
             self.survival_l1 = SurvivalL1Config.from_dict(self.survival_l1)
 

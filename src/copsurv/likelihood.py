@@ -41,9 +41,9 @@ from .data import SurvivalDataset
 from .errors import NumericalFailure
 
 
-def _marginal_pieces(model, t, x):
-    """Forward quantities, the risk's backprop closure and derivatives
-    w.r.t. a=log_nu, b=log_rho, g."""
+def _marginal_pieces(model, t, x, want_grad):
+    """Forward quantities, the risk's backprop closure and, if ``want_grad``,
+    derivatives w.r.t. a=log_nu, b=log_rho, g."""
     nu = model.nu
     a = float(model.log_nu)
     b = float(model.log_rho)
@@ -53,12 +53,13 @@ def _marginal_pieces(model, t, x):
     with np.errstate(over="ignore"):
         h_cum = np.exp(nu * (lt - b) + g)
     log_f = a - nu * b + (nu - 1.0) * lt + g - h_cum
-    return SimpleNamespace(
-        backprop=backprop, log_f=log_f, h_cum=h_cum, surv=np.exp(-h_cum),
-        dh_da=h_cum * nu * (lt - b), dh_db=-h_cum * nu, dh_dg=h_cum,
-        dlogf_da=1.0 + nu * (lt - b) * (1.0 - h_cum), dlogf_db=nu * (h_cum - 1.0),
-        dlogf_dg=1.0 - h_cum,
-    )
+    pieces = SimpleNamespace(backprop=backprop, log_f=log_f, h_cum=h_cum, surv=np.exp(-h_cum))
+    if want_grad:
+        vars(pieces).update(
+            dh_da=h_cum * nu * (lt - b), dh_db=-h_cum * nu, dh_dg=h_cum,
+            dlogf_da=1.0 + nu * (lt - b) * (1.0 - h_cum), dlogf_db=nu * (h_cum - 1.0),
+            dlogf_dg=1.0 - h_cum)
+    return pieces
 
 
 def _check_finite(terms):
@@ -86,7 +87,7 @@ def _marginal_grads(grads, prefix, risk, pieces, own, dh_weight, l2_lambda):
     grads[f"{prefix}.log_rho"] = np.asarray(coef_b.sum())
     for key, val in pieces.backprop(coef_g).items():
         grads[f"{prefix}.risk.{key}"] = val
-    if l2_lambda == 0.0 or not hasattr(risk, "weight_keys"):
+    if l2_lambda == 0.0:
         return
     params = risk.params()
     for key in risk.weight_keys():
@@ -95,13 +96,12 @@ def _marginal_grads(grads, prefix, risk, pieces, own, dh_weight, l2_lambda):
 
 def _l2_penalty(l2_lambda: float, *models) -> float:
     """l2_lambda * sum ||risk weights||^2 over ``models``."""
+    if l2_lambda == 0.0:
+        return 0.0
     total = 0.0
     for model in models:
-        risk = model.risk
-        if l2_lambda == 0.0 or not hasattr(risk, "weight_keys"):
-            continue
-        params = risk.params()
-        total += sum(float(np.sum(params[key] ** 2)) for key in risk.weight_keys())
+        params = model.risk.params()
+        total += sum(float(np.sum(params[key] ** 2)) for key in model.risk.weight_keys())
     return l2_lambda * total
 
 
@@ -109,8 +109,8 @@ def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
     """The penalized copula objective; returns (value, gradient dict or None)."""
     delta = data.delta.astype(float)
     event = data.delta == 1
-    ev = _marginal_pieces(event_model, data.t_obs, data.x)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
+    ev = _marginal_pieces(event_model, data.t_obs, data.x, want_grad)
+    ce = _marginal_pieces(censor_model, data.t_obs, data.x, want_grad)
     u1, pass1 = _clamped_quantiles(ev)
     u2, pass2 = _clamped_quantiles(ce)
 
@@ -143,7 +143,7 @@ def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
 def _single(model, data, l2_lambda, want_grad):
     """The penalized single-marginal objective; returns (value, gradient dict or None)."""
     delta = data.delta.astype(float)
-    pieces = _marginal_pieces(model, data.t_obs, data.x)
+    pieces = _marginal_pieces(model, data.t_obs, data.x, want_grad)
     terms = delta * pieces.log_f - (1.0 - delta) * pieces.h_cum
     _check_finite(terms)
     value = float(terms.sum()) - _l2_penalty(l2_lambda, model)

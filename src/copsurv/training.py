@@ -366,6 +366,7 @@ def fit(
     starts once and stops on validation.  See the module docstring.
     """
     cfg = config or TrainConfig()
+    event_risk, censor_risk = str(event_risk).lower(), str(censor_risk).lower()
     family = copulas._coerce_family(family)
     if len(data) and data.n_events in (0, len(data)):
         raise ValidationError("joint fit requires at least one event and one censoring record")
@@ -380,7 +381,7 @@ def fit(
     # from_dict reads only the keys of the family's own parameters
     default = CopulaSpec.from_dict({"family": family, **{n: s for n, (s, _) in table.items()}})
     names = [name for name in default.to_dict() if name != "family"]
-    linear = all(str(k).lower() == "linear" for k in (event_risk, censor_risk))
+    linear = event_risk == censor_risk == "linear"
     starts = [default]
     if linear and names:
         starts = [spec_from_tau(family, tau) for tau in START_TAUS]
@@ -448,6 +449,7 @@ def fit_marginal(
     the best-validation one.  Returns (model, trace).
     """
     cfg = config or TrainConfig()
+    risk_kind = str(risk_kind).lower()
     train_ds, val_ds, (model,) = _setup(data, cfg, risk_kind)
     l2 = _l2_lambda(risk_kind)
 

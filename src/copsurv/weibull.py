@@ -14,7 +14,9 @@ Risk functions:
 * ``LinearRisk``  - g(x) = w . x, no intercept.
 * ``MLPRisk``     - fully connected net with ELU hidden activations and a
   linear output; weights initialized U[-1/sqrt(fan_in), 1/sqrt(fan_in)],
-  biases zero.
+  biases zero.  Its activations are feature-major, (width, n) from the view
+  ``x.T``, so each op runs along the n records in one contiguous pass instead
+  of broadcasting a short width vector across n rows.
 * ``QuadraticRisk`` - g(x) = w . x^2, used by data-generating processes only
   (it has no training support).
 
@@ -38,14 +40,6 @@ SURVIVAL_FLOOR = 1e-300
 def floored_survival(cum_hazard: ArrayLike) -> ArrayLike:
     """S = exp(-H), floored at ``SURVIVAL_FLOOR`` so that log S stays finite."""
     return np.maximum(np.exp(-cum_hazard), SURVIVAL_FLOOR)
-
-
-def _elu(z):
-    return np.where(z > 0.0, z, np.expm1(z))
-
-
-def _elu_grad(z):
-    return np.where(z > 0.0, 1.0, np.exp(z))
 
 
 def _check_matrix(x, dim):
@@ -151,24 +145,27 @@ class MLPRisk:
     def forward(self, x: np.ndarray):
         """(g(x), backprop): ``backprop(cotangent)`` is the gradient of
         sum_i cotangent_i * g(x_i) with respect to every parameter."""
-        pre, post = [], [_check_matrix(x, self.dim)]
+        # ELU(z) = max(z, 0) + expm1(neg) with neg = min(z, 0); its slope is exp(neg)
+        post, negs = [_check_matrix(x, self.dim).T], []
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = post[-1] @ w.T + b
-            pre.append(z)
-            post.append(_elu(z) if i < n_layers - 1 else z)
+            z = w @ post[-1] + b[:, None]
+            if i < n_layers - 1:
+                negs.append(np.minimum(z, 0.0))
+                z = np.maximum(z, 0.0) + np.expm1(negs[-1])
+            post.append(z)
 
         def backprop(cotangent):
             grads = {}
-            delta = np.asarray(cotangent, dtype=float)[:, None]  # output layer is linear
+            delta = np.asarray(cotangent, dtype=float)[None, :]  # output layer is linear
             for i in range(n_layers - 1, -1, -1):
-                grads[f"W{i}"] = delta.T @ post[i]
-                grads[f"b{i}"] = delta.sum(axis=0)
+                grads[f"W{i}"] = delta @ post[i].T
+                grads[f"b{i}"] = delta.sum(axis=1)
                 if i > 0:
-                    delta = (delta @ self.weights[i]) * _elu_grad(pre[i - 1])
+                    delta = (self.weights[i].T @ delta) * np.exp(negs[i - 1])
             return grads
 
-        return post[-1][:, 0], backprop
+        return post[-1][0], backprop
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
@@ -204,8 +201,7 @@ def risk_from_dict(doc: dict):
             np.asarray(flat, dtype=float).reshape(widths[i + 1], widths[i])
             for i, flat in enumerate(doc["weights"])
         ]
-        biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-        return MLPRisk(widths=widths, weights=weights, biases=biases)
+        return MLPRisk(widths=widths, weights=weights, biases=doc["biases"])
     raise ValidationError(f"unknown risk kind: {kind!r}")
 
 
@@ -215,7 +211,6 @@ def default_mlp_widths(dim: int) -> tuple:
 
 
 def make_risk(kind: str, dim: int, rng: np.random.Generator):
-    kind = str(kind).lower()
     if kind == "linear":
         return LinearRisk(np.zeros(dim))
     if kind == "mlp":

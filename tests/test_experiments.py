@@ -116,6 +116,14 @@ def test_config_validation():
             ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("train", [{"seed": 3}, {"validation_fraction": 0.25}])
+def test_train_fields_each_arm_derives_are_rejected(train):
+    # each arm sets its own training seed and validation fraction, so a
+    # config that sets either would run with the value silently dropped
+    with pytest.raises(ValidationError, match="derives"):
+        ExperimentConfig(experiment_id="x", kind="synthetic_sweep", train=train)
+
+
 def test_mixture_sweep_forces_mixture_family():
     cfg = ExperimentConfig(experiment_id="m", kind="mixture_sweep",
                            tau_grid=(0.4,), family="clayton")
@@ -125,13 +133,13 @@ def test_mixture_sweep_forces_mixture_family():
 def test_config_round_trip_and_unknown_field():
     cfg = ExperimentConfig(
         experiment_id="rt", kind="metric_bias", tau_grid=(0.2, 0.8), seeds=(0, 1, 2),
-        n_train=1234, train={"max_epochs": 99, "patience": 50, "validation_fraction": 0.25},
+        n_train=1234, train={"max_epochs": 99, "patience": 50},
         survival_l1={"n_steps": 321},
     )
     doc = json.loads(json.dumps(cfg.to_dict()))
     again = ExperimentConfig.from_dict(doc)
     assert again == cfg
-    assert again.train == TrainConfig(max_epochs=99, patience=50, validation_fraction=0.25)
+    assert again.train == TrainConfig(max_epochs=99, patience=50)
     doc["budget"] = 7
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict(doc)
@@ -173,8 +181,9 @@ def test_sweep_row_grid_and_order(tiny_sweep):
 
 
 def test_sweep_artifacts_on_disk(tiny_sweep):
-    _, _, out = tiny_sweep
-    assert json.loads((out / "config.json").read_text())["experiment_id"] == "sweep_tiny"
+    cfg, _, out = tiny_sweep
+    # the echo holds the train defaults that each arm overrides, so it loads again
+    assert ExperimentConfig.from_dict(json.loads((out / "config.json").read_text())) == cfg
     assert (out / "arms" / "tau0_seed0" / "truth.json").exists()
     for model in ("copula", "independence"):
         mdir = out / "arms" / "tau0.4_seed1" / model

@@ -41,8 +41,8 @@ def loglik_independent(event_model, censor_model, data: SurvivalDataset) -> floa
     if len(data) == 0:
         return 0.0
     delta = data.delta.astype(float)
-    ev = _marginal_pieces(event_model, data.t_obs, data.x)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
+    ev = _marginal_pieces(event_model, data.t_obs, data.x, want_grad=False)
+    ce = _marginal_pieces(censor_model, data.t_obs, data.x, want_grad=False)
     terms = delta * (ev.log_f - ce.h_cum) + (1.0 - delta) * (ce.log_f - ev.h_cum)
     _check_finite(terms)
     return float(terms.sum())
@@ -53,8 +53,8 @@ def loglik_independent(event_model, censor_model, data: SurvivalDataset) -> floa
 # and evaluates only the partial that record uses
 def loglik_two_orientations(event_model, censor_model, spec, data, l2_lambda=0.0):
     delta = data.delta.astype(float)
-    ev = _marginal_pieces(event_model, data.t_obs, data.x)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
+    ev = _marginal_pieces(event_model, data.t_obs, data.x, want_grad=True)
+    ce = _marginal_pieces(censor_model, data.t_obs, data.x, want_grad=True)
     u1, pass1 = _clamped_quantiles(ev)
     u2, pass2 = _clamped_quantiles(ce)
     log_p1 = copulas.log_partial_u1(spec, u1, u2)
@@ -371,7 +371,7 @@ def test_marginal_pieces_match_the_model(risk):
     # it must agree with the model's density, survival and cumulative hazard
     event, censor, data = random_instance(200, seed=11, risk=risk)
     for model in (event, censor):
-        pieces = _marginal_pieces(model, data.t_obs, data.x)
+        pieces = _marginal_pieces(model, data.t_obs, data.x, want_grad=False)
         for got, want in ((np.exp(pieces.log_f), density(model, data.t_obs, data.x)),
                           (pieces.surv, model.survival(data.t_obs, data.x)),
                           (pieces.h_cum, model.cumulative_hazard(data.t_obs, data.x))):

@@ -330,6 +330,16 @@ def test_fit_smoke_and_trace_columns():
     assert theta_to_tau(ind.copula) == 0.0
 
 
+def test_risk_kinds_are_case_insensitive():
+    # an upper-case kind builds the same nets and must carry the same L2 penalty
+    ds = make_data(200)
+    cfg = TrainConfig(max_epochs=5, patience=5)
+    upper = fit(ds, "MLP", "Linear", "clayton", cfg)
+    lower = fit(ds, "mlp", "linear", "clayton", cfg)
+    assert upper.to_dict() == lower.to_dict()
+    assert fit_marginal(ds, "MLP", cfg)[0].to_dict() == fit_marginal(ds, "mlp", cfg)[0].to_dict()
+
+
 def test_theta_floor_reached_from_independent_data():
     ds = make_data(300, tau=0.0)
     cfg = TrainConfig(max_epochs=1500, patience=1500, seed=1)

@@ -178,6 +178,55 @@ def test_mlp_backprop_matches_finite_differences():
         assert np.max(np.abs(grads[key] - fd) / denom) < 1e-6, key
 
 
+def row_major_forward(risk, x):
+    """Oracle: the MLP pass with (n, width) activations and np.where ELU,
+    as ``MLPRisk.forward`` ran before it held activations feature-major."""
+    pre, post = [], [x]
+    n_layers = len(risk.weights)
+    for i, (w, b) in enumerate(zip(risk.weights, risk.biases)):
+        z = post[-1] @ w.T + b
+        pre.append(z)
+        post.append(np.where(z > 0.0, z, np.expm1(z)) if i < n_layers - 1 else z)
+
+    def backprop(cotangent):
+        grads = {}
+        delta = np.asarray(cotangent, dtype=float)[:, None]
+        for i in range(n_layers - 1, -1, -1):
+            grads[f"W{i}"] = delta.T @ post[i]
+            grads[f"b{i}"] = delta.sum(axis=0)
+            if i > 0:
+                z = pre[i - 1]
+                delta = (delta @ risk.weights[i]) * np.where(z > 0.0, 1.0, np.exp(z))
+        return grads
+
+    return post[-1][:, 0], backprop
+
+
+@pytest.mark.parametrize("widths", [default_mlp_widths(10), (3, 4, 2, 1), (20, 8, 8, 1), (1, 3, 1)])
+@pytest.mark.parametrize("n", [0, 1, 7, 1500])
+def test_mlp_pass_matches_row_major_oracle(widths, n):
+    # the two passes sum their reductions in different orders, so they agree
+    # to rounding, relative to each array's largest entry
+    rng = RNG(6)
+    risk = MLPRisk.init(widths, rng)
+    for b in risk.biases:
+        b[...] = rng.normal(size=b.shape)  # nonzero, so the bias adds are exercised
+    x = rng.normal(size=(n, widths[0]))
+    coef = rng.normal(size=n)
+    g, backprop = risk.forward(x)
+    want_g, want_backprop = row_major_forward(risk, x)
+    assert g.shape == (n,)
+    np.testing.assert_allclose(g, want_g, rtol=0.0, atol=1e-12 * np.abs(want_g).max(initial=0.0))
+    grads, want = backprop(coef), want_backprop(coef)
+    assert set(grads) == set(want) == set(risk.params())
+    for key, val in want.items():
+        assert grads[key].shape == val.shape == risk.params()[key].shape, key
+        np.testing.assert_allclose(grads[key], val, rtol=0.0,
+                                   atol=1e-12 * np.abs(val).max(initial=0.0), err_msg=key)
+        if n == 0:
+            assert np.all(grads[key] == 0.0), key
+
+
 def test_mlp_weight_keys_exclude_biases():
     risk = MLPRisk.init((3, 4, 1), RNG(5))
     keys = set(risk.weight_keys())
