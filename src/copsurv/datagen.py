@@ -220,7 +220,6 @@ def zscore_fit(x: np.ndarray):
 class CensoredRegressionInfo:
     event_model: WeibullCoxModel
     censor_model: WeibullCoxModel
-    copula: CopulaSpec
     y: np.ndarray
     t_censor: np.ndarray
     standardize_mean: np.ndarray
@@ -291,7 +290,6 @@ def censor_regression(
     info = CensoredRegressionInfo(
         event_model=event_model,
         censor_model=censor_model,
-        copula=spec,
         y=y,
         t_censor=t_censor,
         standardize_mean=mean,

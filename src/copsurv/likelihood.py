@@ -22,9 +22,11 @@ exchangeable, log dC/du2(u1, u2) = log dC/du1(u2, u1), so the joint kernel
 orients each record with its own quantile first and calls the copula kernel
 once, on the one partial each record uses.
 
-Gradients are exact, assembled by hand through the chain rule: marginal
-derivatives with respect to (log nu, log rho, g) feed the backprop closure
-that the risk's single forward pass returns, and the copula's log-partial
+Gradients are exact, assembled by hand through the chain rule.  A
+marginal enters the objective through log nu and log H = nu (log t -
+log rho) + g alone, so its gradient flows through one cotangent per record
+on log H, and the backprop closure of the risk's single forward pass
+carries it on to the risk parameters.  The copula's log-partial
 derivatives supply the dependence terms.  Survival quantiles entering the
 copula are clamped into ``[U_EPS, 1 - U_EPS]``; the clamp acts as a
 gradient stop where active.
@@ -41,25 +43,18 @@ from .data import SurvivalDataset
 from .errors import NumericalFailure
 
 
-def _marginal_pieces(model, t, x, want_grad):
-    """Forward quantities, the risk's backprop closure and, if ``want_grad``,
-    derivatives w.r.t. a=log_nu, b=log_rho, g."""
-    nu = model.nu
-    a = float(model.log_nu)
-    b = float(model.log_rho)
+def _marginal_pieces(model, t, x):
+    """The risk's forward pass (g and its backprop closure) and, per record,
+    log H, H, S = exp(-H) and log f = log nu + log H - log t - H."""
     g, backprop = model.risk.forward(x)
-    lt = np.log(t)
+    log_t = np.log(t)
+    log_h = model.log_cumulative_hazard_at(log_t, g)
     # overflow here surfaces as a NumericalFailure from the finiteness check
     with np.errstate(over="ignore"):
-        h_cum = np.exp(nu * (lt - b) + g)
-    log_f = a - nu * b + (nu - 1.0) * lt + g - h_cum
-    pieces = SimpleNamespace(backprop=backprop, log_f=log_f, h_cum=h_cum, surv=np.exp(-h_cum))
-    if want_grad:
-        vars(pieces).update(
-            dh_da=h_cum * nu * (lt - b), dh_db=-h_cum * nu, dh_dg=h_cum,
-            dlogf_da=1.0 + nu * (lt - b) * (1.0 - h_cum), dlogf_db=nu * (h_cum - 1.0),
-            dlogf_dg=1.0 - h_cum)
-    return pieces
+        h_cum = np.exp(log_h)
+    log_f = float(model.log_nu) + log_h - log_t - h_cum
+    return SimpleNamespace(g=g, backprop=backprop, log_h=log_h, h_cum=h_cum,
+                           log_f=log_f, surv=np.exp(-h_cum))
 
 
 def _check_finite(terms):
@@ -77,20 +72,20 @@ def _clamped_quantiles(pieces):
     return u, passthrough
 
 
-def _marginal_grads(grads, prefix, risk, pieces, own, dh_weight, l2_lambda):
+def _marginal_grads(grads, prefix, model, pieces, own, dh_weight, l2_lambda):
     """Adds to ``grads`` the gradient of sum(own * log f + dh_weight * H)
-    minus l2_lambda * ||risk weights||^2."""
-    coef_a = own * pieces.dlogf_da + dh_weight * pieces.dh_da
-    coef_b = own * pieces.dlogf_db + dh_weight * pieces.dh_db
-    coef_g = own * pieces.dlogf_dg + dh_weight * pieces.dh_dg
-    grads[f"{prefix}.log_nu"] = np.asarray(coef_a.sum())
-    grads[f"{prefix}.log_rho"] = np.asarray(coef_b.sum())
-    for key, val in pieces.backprop(coef_g).items():
+    minus l2_lambda * ||risk weights||^2, through r = own (1 - H) +
+    dh_weight H, the cotangent on log H, whose derivatives in log rho,
+    log nu and g are -nu, log H - g and 1."""
+    r = own * (1.0 - pieces.h_cum) + dh_weight * pieces.h_cum
+    grads[f"{prefix}.log_nu"] = np.asarray((own + r * (pieces.log_h - pieces.g)).sum())
+    grads[f"{prefix}.log_rho"] = np.asarray(-model.nu * r.sum())
+    for key, val in pieces.backprop(r).items():
         grads[f"{prefix}.risk.{key}"] = val
     if l2_lambda == 0.0:
         return
-    params = risk.params()
-    for key in risk.weight_keys():
+    params = model.risk.params()
+    for key in model.risk.weight_keys():
         grads[f"{prefix}.risk.{key}"] -= 2.0 * l2_lambda * params[key]
 
 
@@ -109,8 +104,8 @@ def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
     """The penalized copula objective; returns (value, gradient dict or None)."""
     delta = data.delta.astype(float)
     event = data.delta == 1
-    ev = _marginal_pieces(event_model, data.t_obs, data.x, want_grad)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x, want_grad)
+    ev = _marginal_pieces(event_model, data.t_obs, data.x)
+    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
     u1, pass1 = _clamped_quantiles(ev)
     u2, pass2 = _clamped_quantiles(ce)
 
@@ -131,9 +126,9 @@ def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
 
     grads = {}
     # d u / d z = -S * dH/dz where the clamp is inactive
-    _marginal_grads(grads, "event", event_model.risk, ev, delta,
+    _marginal_grads(grads, "event", event_model, ev, delta,
                     c_u1 * (-ev.surv * pass1), l2_lambda)
-    _marginal_grads(grads, "censor", censor_model.risk, ce, 1.0 - delta,
+    _marginal_grads(grads, "censor", censor_model, ce, 1.0 - delta,
                     c_u2 * (-ce.surv * pass2), l2_lambda)
     for key, contrib in d_par.items():
         grads[f"copula.{key}"] = np.asarray(contrib.sum())
@@ -143,14 +138,14 @@ def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
 def _single(model, data, l2_lambda, want_grad):
     """The penalized single-marginal objective; returns (value, gradient dict or None)."""
     delta = data.delta.astype(float)
-    pieces = _marginal_pieces(model, data.t_obs, data.x, want_grad)
+    pieces = _marginal_pieces(model, data.t_obs, data.x)
     terms = delta * pieces.log_f - (1.0 - delta) * pieces.h_cum
     _check_finite(terms)
     value = float(terms.sum()) - _l2_penalty(l2_lambda, model)
     if not want_grad:
         return value, None
     grads = {}
-    _marginal_grads(grads, "model", model.risk, pieces, delta, -(1.0 - delta), l2_lambda)
+    _marginal_grads(grads, "model", model, pieces, delta, -(1.0 - delta), l2_lambda)
     return value, grads
 
 

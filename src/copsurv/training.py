@@ -8,7 +8,9 @@ of its ``CopulaSpec.to_dict()``, held by the optimizer as
 ``copula.<key>``; each evaluation rebuilds the spec with
 ``CopulaSpec.from_dict``.  Each lives in a box, which the solver takes as
 its bounds: theta in ``[THETA_MIN, inf)``, ``theta_frank`` and Frank theta
-in ``[THETA_MIN, THETA_HI_FRANK]`` and kappa in [0, 1].  ``fit`` runs one
+in ``[THETA_MIN, THETA_HI_FRANK]`` and kappa in [0, 1].  The solver moves
+every theta as log theta, in [log ``THETA_MIN``, log hi], and kappa on its
+own scale; traces and checkpoints hold natural theta.  ``fit`` runs one
 loop over starts that share the initial marginals; of several starts, the
 one with the best penalized training log-likelihood wins.  The starts and
 the stopping rule follow from the risk kinds (there is no option).
@@ -214,11 +216,26 @@ class _TrialFailed(Exception):
         self.failure = failure
 
 
+def _exp_in_box(z, lo, hi):
+    """exp(z) for z in [log lo, log hi]: exactly lo or hi at the ends, where
+    exp(log 500) is 499.99999999999983, and finite however large z is."""
+    if z <= np.log(lo):
+        return lo
+    if z >= np.log(hi):
+        return hi
+    with np.errstate(over="ignore"):
+        return float(np.clip(np.exp(z), lo, np.finfo(float).max))
+
+
 def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainConfig,
               early_stop: bool = False):
     """L-BFGS-B from the current ``params``; returns (trace, best_epoch, best_val).
 
     ``copula_bounds`` maps each dependence-parameter key to its (lo, hi) box.
+    A box with a positive lower end (every theta) is searched as log theta
+    in [log lo, log hi], with the gradient multiplied by theta, because the
+    likelihood is nearly flat in theta itself; ``params`` and the trace keep
+    natural theta.
     ``loss_and_grad`` returns the penalized log-likelihood and its gradient,
     and the solver minimizes its negation.  Each accepted iterate is one
     trace row.  The run goes to convergence and keeps its final iterate as
@@ -230,22 +247,28 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     ``NumericalFailure``.
     """
     keys = list(params)
-    bounds = [copula_bounds.get(k, (None, None)) for k in keys for _ in range(params[k].size)]
+    log_boxes = {k: box for k, box in copula_bounds.items() if box[0] > 0}
+    solver_boxes = {**copula_bounds, **{k: tuple(np.log(box)) for k, box in log_boxes.items()}}
+    bounds = [solver_boxes.get(k, (None, None)) for k in keys for _ in range(params[k].size)]
     # each parameter's slice of the flat vector, fixed for the run
     ends = np.cumsum([params[k].size for k in keys])
-    layout = [(params[k], slice(end - params[k].size, end), params[k].shape)
-              for k, end in zip(keys, ends)]
+    layout = [(k, params[k], slice(end - params[k].size, end)) for k, end in zip(keys, ends)]
     use_val = val_negloglik is not None
 
     def unpack(x):
-        for param, span, shape in layout:
-            param[...] = x[span].reshape(shape)
+        for key, param, span in layout:
+            if key in log_boxes:  # a copula parameter, a single value
+                param[...] = _exp_in_box(x[span][0], *log_boxes[key])
+            else:
+                param[...] = x[span].reshape(param.shape)
 
     train_hist: List[float] = []
     val_hist: List[float] = []
     copula_hist: Dict[str, List[float]] = {k: [] for k in copula_bounds}
     # the last accepted iterate, where a run restarts after a failed trial point
-    x_accepted = np.concatenate([np.ravel(params[k]) for k in keys]).astype(float)
+    x_accepted = np.concatenate(
+        [np.ravel(np.log(params[k]) if k in log_boxes else params[k]) for k in keys]
+    ).astype(float)
     stop_on_val = early_stop and use_val
     best = {"epoch": -1, "val": np.inf, "x": None}  # the best-validation iterate
 
@@ -255,7 +278,9 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
             # an overflowing trial point is expected and handled: no warning
             with np.errstate(over="ignore", invalid="ignore"):
                 loglik, grads = loss_and_grad()
-            grad = np.concatenate([np.ravel(grads[k]) for k in keys])
+            # d/d log theta = theta d/d theta
+            grad = np.concatenate(
+                [np.ravel(grads[k] * params[k] if k in log_boxes else grads[k]) for k in keys])
             if not np.isfinite(grad).all():
                 raise NumericalFailure("non-finite gradient")
         except NumericalFailure as failure:

@@ -3,8 +3,8 @@
 A model couples a Weibull baseline with shape ``nu`` and scale ``rho`` to a
 covariate risk function g(x), giving
 
-    h(t | x) = (nu / rho) (t / rho)^(nu - 1) exp(g(x))
-    H(t | x) = (t / rho)^nu exp(g(x)),   S = exp(-H),   f = h S.
+    log H(t | x) = nu (log t - log rho) + g(x),   S = exp(-H),
+    log f(t | x) = log nu + log H - log t - H.
 
 Shape and scale are stored as logs so unconstrained gradient updates keep
 them positive.
@@ -264,22 +264,22 @@ class WeibullCoxModel:
             raise DomainError("t must be non-negative")
         return t
 
-    def cumulative_hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
+    def log_cumulative_hazard_at(self, log_t: ArrayLike, g: ArrayLike) -> ArrayLike:
+        """log H = nu (log t - log rho) + g, from log t and an evaluated risk g;
+        every other quantity of the model follows from it."""
+        return self.nu * (log_t - self.log_rho) + g
+
+    def log_cumulative_hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
+        """log H(t | x); -inf at t = 0."""
         t = self._time(t)
-        g = self._g(x, t.ndim)
-        nu, rho = self.nu, self.rho
-        return (t / rho) ** nu * np.exp(g)
+        with np.errstate(divide="ignore"):
+            return self.log_cumulative_hazard_at(np.log(t), self._g(x, t.ndim))
+
+    def cumulative_hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
+        return np.exp(self.log_cumulative_hazard(t, x))
 
     def survival(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
         return floored_survival(self.cumulative_hazard(t, x))
-
-    def log_cumulative_hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
-        """log H(t | x) = nu (log t - log rho) + g(x); -inf at t = 0."""
-        t = self._time(t)
-        g = self._g(x, t.ndim)
-        with np.errstate(divide="ignore"):
-            lt = np.log(t)
-        return np.where(t == 0.0, -np.inf, self.nu * (lt - self.log_rho) + g)
 
     def inverse_survival(self, q: ArrayLike, x: np.ndarray) -> ArrayLike:
         """t such that S(t | x) = q, for q in (0, 1]."""

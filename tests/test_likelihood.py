@@ -41,8 +41,8 @@ def loglik_independent(event_model, censor_model, data: SurvivalDataset) -> floa
     if len(data) == 0:
         return 0.0
     delta = data.delta.astype(float)
-    ev = _marginal_pieces(event_model, data.t_obs, data.x, want_grad=False)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x, want_grad=False)
+    ev = _marginal_pieces(event_model, data.t_obs, data.x)
+    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
     terms = delta * (ev.log_f - ce.h_cum) + (1.0 - delta) * (ce.log_f - ev.h_cum)
     _check_finite(terms)
     return float(terms.sum())
@@ -53,8 +53,8 @@ def loglik_independent(event_model, censor_model, data: SurvivalDataset) -> floa
 # and evaluates only the partial that record uses
 def loglik_two_orientations(event_model, censor_model, spec, data, l2_lambda=0.0):
     delta = data.delta.astype(float)
-    ev = _marginal_pieces(event_model, data.t_obs, data.x, want_grad=True)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x, want_grad=True)
+    ev = _marginal_pieces(event_model, data.t_obs, data.x)
+    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
     u1, pass1 = _clamped_quantiles(ev)
     u2, pass2 = _clamped_quantiles(ce)
     log_p1 = copulas.log_partial_u1(spec, u1, u2)
@@ -65,9 +65,9 @@ def loglik_two_orientations(event_model, censor_model, spec, data, l2_lambda=0.0
     c_u1 = delta * g1_u1 + (1.0 - delta) * g2_u1
     c_u2 = delta * g1_u2 + (1.0 - delta) * g2_u2
     grads = {}
-    _marginal_grads(grads, "event", event_model.risk, ev, delta,
+    _marginal_grads(grads, "event", event_model, ev, delta,
                     c_u1 * (-ev.surv * pass1), l2_lambda)
-    _marginal_grads(grads, "censor", censor_model.risk, ce, 1.0 - delta,
+    _marginal_grads(grads, "censor", censor_model, ce, 1.0 - delta,
                     c_u2 * (-ce.surv * pass2), l2_lambda)
     for key in g1_par:
         grads[f"copula.{key}"] = np.asarray((delta * g1_par[key] + (1.0 - delta) * g2_par[key]).sum())
@@ -367,11 +367,11 @@ def test_l2_penalty_touches_only_weights():
 
 @pytest.mark.parametrize("risk", ["linear", "mlp"])
 def test_marginal_pieces_match_the_model(risk):
-    # the likelihood evaluates the Weibull marginal in its own log-space form;
-    # it must agree with the model's density, survival and cumulative hazard
+    # the likelihood's log f, S and H must agree with the density oracle and
+    # with the model's survival and cumulative hazard
     event, censor, data = random_instance(200, seed=11, risk=risk)
     for model in (event, censor):
-        pieces = _marginal_pieces(model, data.t_obs, data.x, want_grad=False)
+        pieces = _marginal_pieces(model, data.t_obs, data.x)
         for got, want in ((np.exp(pieces.log_f), density(model, data.t_obs, data.x)),
                           (pieces.surv, model.survival(data.t_obs, data.x)),
                           (pieces.h_cum, model.cumulative_hazard(data.t_obs, data.x))):

@@ -18,6 +18,7 @@ from copsurv.likelihood import (
 )
 from copsurv.training import (
     MLP_L2_LAMBDA,
+    THETA_MIN,
     Adam,
     FittedJointModel,
     TrainConfig,
@@ -351,13 +352,46 @@ def test_theta_floor_reached_from_independent_data():
 
 def test_linear_frank_fit_holds_the_cap():
     # data drawn at the cap itself, where the fit wants theta beyond it:
-    # L-BFGS-B must end on the bound, not past it
+    # L-BFGS-B must end on the bound, not past it, and reach it early (on
+    # natural theta, where the likelihood is nearly flat, it took 356)
     cfg = preset_linear_risk(0, n=1000, copula=CopulaSpec(Family.FRANK, theta=THETA_HI_FRANK))
     ds, _, _ = generate_synthetic(cfg)
     out = fit(ds, "linear", "linear", "frank", TrainConfig(max_epochs=500, patience=500))
     path = out.trace.copula_path["theta_hat"]
     assert path.max() == THETA_HI_FRANK
+    assert path[:300].max() == THETA_HI_FRANK
     assert out.copula.theta == THETA_HI_FRANK
+
+
+class _SolverCall(Exception):
+    """Ends a fit at its first solver call, carrying that call's arguments."""
+
+
+@pytest.mark.parametrize("family", ["clayton", "frank", "mixture"])
+def test_solver_gradient_matches_finite_differences_in_log_theta(family, monkeypatch):
+    # the solver moves each theta as log theta, so the gradient it receives
+    # must be the derivative in those coordinates; without the factor theta
+    # the sign is unchanged and a stationarity test would not notice
+    def capture(fun, x0, **kwargs):
+        raise _SolverCall(fun, x0, kwargs["bounds"])
+
+    monkeypatch.setattr("copsurv.training.minimize", capture)
+    ds = make_data(200, tau=0.5, family=family)
+    with pytest.raises(_SolverCall) as call:
+        fit(ds, "linear", "linear", family, TrainConfig(max_epochs=10, patience=10))
+    fun, x0, bounds = call.value.args
+    log_lo, log_cap = np.log(THETA_MIN), np.log(THETA_HI_FRANK)
+    boxes = {"clayton": [(log_lo, np.inf)], "frank": [(log_lo, log_cap)],
+             "mixture": [(log_lo, log_cap), (log_lo, np.inf), (0.0, 1.0)]}[family]
+    assert [tuple(b) for b in bounds[-len(boxes):]] == boxes
+    x = x0 + np.random.default_rng(0).uniform(-0.1, 0.1, size=x0.size)
+    _, grad = fun(x)
+    h = 1e-6
+    for i in range(x.size):
+        step = np.zeros(x.size)
+        step[i] = h
+        fd = (fun(x + step)[0] - fun(x - step)[0]) / (2 * h)
+        assert abs(grad[i] - fd) / max(abs(fd), 1.0) < 1e-4, (i, grad[i], fd)
 
 
 def test_fit_deterministic():

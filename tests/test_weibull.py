@@ -26,7 +26,8 @@ def linear_model(nu=2.0, rho=3.0, w=(0.7,)):
 
 # Oracles: the hazard and density written straight from the definitions,
 # h(t | x) = (nu / rho) (t / rho)^(nu - 1) exp(g(x)) and f = h S.  The
-# package evaluates neither; the likelihood has its own log-space form.
+# package evaluates neither: the model and the likelihood derive everything
+# from log H = nu (log t - log rho) + g.
 
 
 def hazard(model, t, x):
