@@ -18,15 +18,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .copulas import spec_from_tau, theta_to_tau
+from .copulas import Family, spec_from_tau, theta_to_tau
 from .data import SurvivalDataset, load_regression_csv, read_json, write_json
 from .datagen import PRESETS, censor_regression, generate_synthetic, sidecar_dict, truth_from_sidecar
 from .errors import DomainError, NumericalFailure, UndefinedMetricError, ValidationError
 from .experiments import ExperimentConfig, _evaluate_fitted, run_experiment
 from .metrics import SurvivalL1Config, survival_l1  # noqa: F401 (perfbench's tracer test binds it here)
 from .training import FittedJointModel, TrainConfig, fit
+from .weibull import RISK_KINDS
 
-FAMILIES = ("independence", "clayton", "frank", "mixture")
+FAMILIES = tuple(family.value for family in Family)
 
 
 def cmd_generate(args) -> int:
@@ -141,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a joint event/censoring model")
     p.add_argument("--data", required=True, help="survival CSV (x0..xk,time,event)")
     p.add_argument("--family", choices=FAMILIES, default="clayton")
-    p.add_argument("--event-risk", choices=("linear", "mlp"), default="linear")
-    p.add_argument("--censor-risk", choices=("linear", "mlp"), default="linear")
+    p.add_argument("--event-risk", choices=RISK_KINDS, default="linear")
+    p.add_argument("--censor-risk", choices=RISK_KINDS, default="linear")
     p.add_argument("--config", help="JSON file of training settings")
     p.add_argument("--seed", type=int, help="overrides the config seed")
     p.add_argument("--out", required=True, help="output directory")

@@ -6,10 +6,14 @@ convex Frank/Clayton mixture, restricted throughout to positive dependence
 derivatives and its gradient (the likelihood's building block), conditional
 inversion and sampling, and Kendall's tau conversions in both directions.
 
-Numerics: quantiles entering logs or negative powers are clamped into
-``[U_EPS, 1 - U_EPS]``.  Frank evaluation is arranged around
-``expm1``/``logaddexp`` so that theta up to 500 neither overflows nor
-cancels.
+``PARAMETERS`` lists each family's dependence parameters and their ranges;
+``CopulaSpec`` validates and serializes by it, and the optimizer's boxes
+follow from it.
+
+Numerics: every quantile drawn or evaluated is clamped into
+``[U_EPS, 1 - U_EPS]`` by :func:`clamp_quantile`.  Frank evaluation is
+arranged around ``expm1``/``logaddexp`` so that theta up to 500 neither
+overflows nor cancels.
 
 One kernel, :func:`log_partial`, gives log dC/du1 and its derivatives on
 clamped quantiles; ``log_partial_u1``/``_u2`` and ``grad_log_partial_u1``/
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from scipy import integrate
@@ -76,13 +80,48 @@ def _coerce_family(family) -> Family:
         raise ParameterDomainError(f"unknown copula family: {family!r}") from None
 
 
+class ParamRange(NamedTuple):
+    """A parameter's finite values in [lo, hi], or in (lo, hi] if ``lo_open``."""
+
+    lo: float
+    hi: float
+    lo_open: bool = False
+
+    def holds(self, val) -> bool:
+        # finiteness is checked on its own: lo <= val <= hi admits inf at hi = inf
+        return (val is not None and math.isfinite(val) and val <= self.hi
+                and (self.lo < val if self.lo_open else self.lo <= val))
+
+    def __str__(self):
+        left = "(" if self.lo_open else "["
+        right = "]" if self.hi < math.inf else ")"
+        return f"{left}{self.lo:g}, {self.hi:g}{right}"
+
+
+_THETA = ParamRange(0.0, math.inf, lo_open=True)
+_THETA_FRANK = ParamRange(0.0, THETA_HI_FRANK, lo_open=True)
+
+# Each family's dependence parameters, in checkpoint and optimizer order, and
+# the range each takes: theta > 0, Frank theta also at most THETA_HI_FRANK,
+# and the mixture's Frank weight kappa in [0, 1].
+PARAMETERS = {
+    Family.INDEPENDENCE: {},
+    Family.CLAYTON: {"theta": _THETA},
+    Family.FRANK: {"theta": _THETA_FRANK},
+    Family.MIXTURE: {"theta_frank": _THETA_FRANK, "theta_clayton": _THETA,
+                     "kappa": ParamRange(0.0, 1.0)},
+}
+# every CopulaSpec parameter field, each used by some family
+_FIELDS = tuple(dict.fromkeys(name for domains in PARAMETERS.values() for name in domains))
+
+
 @dataclass(frozen=True)
 class CopulaSpec:
     """A copula family plus its dependence parameters.
 
-    ``theta`` is used by Clayton and Frank; the mixture instead carries
-    ``theta_frank``, ``theta_clayton`` and the Frank mixing weight ``kappa``.
-    Unused fields stay ``None``.
+    ``PARAMETERS[family]`` names the fields a family takes (``theta``; or
+    ``theta_frank``, ``theta_clayton`` and the Frank weight ``kappa``) and
+    their ranges.  Every other field stays ``None``.
     """
 
     family: Family
@@ -93,32 +132,14 @@ class CopulaSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", _coerce_family(self.family))
-        fam = self.family
-        if fam in (Family.CLAYTON, Family.FRANK):
-            if self.theta is None or not math.isfinite(self.theta) or self.theta <= 0:
+        domains = PARAMETERS[self.family]
+        for name in _FIELDS:
+            val, domain = getattr(self, name), domains.get(name)
+            if domain is None and val is not None:
+                raise ParameterDomainError(f"{self.family.value} copula takes no {name}")
+            if domain is not None and not domain.holds(val):
                 raise ParameterDomainError(
-                    f"{fam.value} copula requires theta > 0, got {self.theta}"
-                )
-            if fam is Family.FRANK and self.theta > THETA_HI_FRANK:
-                raise ParameterDomainError(
-                    f"frank theta capped at {THETA_HI_FRANK}, got {self.theta}"
-                )
-        elif fam is Family.INDEPENDENCE:
-            if self.theta is not None:
-                raise ParameterDomainError("independence copula takes no theta")
-        else:
-            for name in ("theta_frank", "theta_clayton"):
-                val = getattr(self, name)
-                if val is None or not math.isfinite(val) or val <= 0:
-                    raise ParameterDomainError(f"mixture requires {name} > 0, got {val}")
-            if self.theta_frank > THETA_HI_FRANK:
-                raise ParameterDomainError(
-                    f"frank theta capped at {THETA_HI_FRANK}, got {self.theta_frank}"
-                )
-            if self.kappa is None or not (0.0 <= self.kappa <= 1.0):
-                raise ParameterDomainError(
-                    f"mixture requires kappa in [0, 1], got {self.kappa}"
-                )
+                    f"{self.family.value} copula requires a finite {name} in {domain}, got {val}")
 
     @classmethod
     def independence(cls) -> "CopulaSpec":
@@ -134,31 +155,17 @@ class CopulaSpec:
 
     @classmethod
     def mixture(cls, theta_frank: float, theta_clayton: float, kappa: float) -> "CopulaSpec":
-        return cls(
-            Family.MIXTURE,
-            theta_frank=float(theta_frank),
-            theta_clayton=float(theta_clayton),
-            kappa=float(kappa),
-        )
+        return cls(Family.MIXTURE, theta_frank=float(theta_frank),
+                   theta_clayton=float(theta_clayton), kappa=float(kappa))
 
     def to_dict(self) -> dict:
-        out = {"family": self.family.value}
-        if self.family in (Family.CLAYTON, Family.FRANK):
-            out["theta"] = float(self.theta)
-        elif self.family is Family.MIXTURE:
-            out["theta_frank"] = float(self.theta_frank)
-            out["theta_clayton"] = float(self.theta_clayton)
-            out["kappa"] = float(self.kappa)
-        return out
+        return {"family": self.family.value,
+                **{name: float(getattr(self, name)) for name in PARAMETERS[self.family]}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CopulaSpec":
         fam = _coerce_family(doc["family"])
-        if fam is Family.INDEPENDENCE:
-            return cls.independence()
-        if fam is Family.MIXTURE:
-            return cls.mixture(doc["theta_frank"], doc["theta_clayton"], doc["kappa"])
-        return cls(fam, theta=float(doc["theta"]))
+        return cls(fam, **{name: float(doc[name]) for name in PARAMETERS[fam]})
 
 
 def _as_unit_array(u, name: str) -> np.ndarray:
@@ -170,7 +177,9 @@ def _as_unit_array(u, name: str) -> np.ndarray:
     return arr
 
 
-def _clamp(u: np.ndarray) -> np.ndarray:
+def clamp_quantile(u: ArrayLike) -> np.ndarray:
+    """``u`` clipped into [U_EPS, 1 - U_EPS], the quantiles every copula
+    evaluation, sampler and likelihood uses."""
     return np.clip(u, U_EPS, 1.0 - U_EPS)
 
 
@@ -297,8 +306,8 @@ def log_partial(spec: CopulaSpec, c1: np.ndarray, c2: np.ndarray, want_grad: boo
 
 
 def _clamped_pair(u1, u2):
-    a1 = _clamp(_as_unit_array(u1, "u1"))
-    a2 = _clamp(_as_unit_array(u2, "u2"))
+    a1 = clamp_quantile(_as_unit_array(u1, "u1"))
+    a2 = clamp_quantile(_as_unit_array(u2, "u2"))
     return np.broadcast_arrays(a1, a2)
 
 
@@ -381,7 +390,7 @@ def conditional_sample(spec: CopulaSpec, u1: ArrayLike, rng: np.random.Generator
     conditional CDF is the same convex combination of its components'.
     """
     a1 = np.asarray(u1, dtype=float)
-    v = np.clip(rng.uniform(size=a1.shape), U_EPS, 1.0 - U_EPS)
+    v = clamp_quantile(rng.uniform(size=a1.shape))
     if spec.family is not Family.MIXTURE:
         return conditional_quantile(spec, u1, v)
     frank = rng.uniform(size=a1.shape) < spec.kappa
@@ -396,7 +405,7 @@ def sample_pairs(spec: CopulaSpec, n: int, rng: np.random.Generator) -> np.ndarr
     """Draws n dependent quantile pairs; returns an (n, 2) array."""
     if n <= 0:
         raise DomainError(f"sample count must be positive, got {n}")
-    u1 = np.clip(rng.uniform(size=n), U_EPS, 1.0 - U_EPS)
+    u1 = clamp_quantile(rng.uniform(size=n))
     u2 = conditional_sample(spec, u1, rng)
     return np.column_stack([u1, np.asarray(u2)])
 
@@ -475,7 +484,8 @@ def mixture_tau_monte_carlo(spec: CopulaSpec) -> float:
     x, wt = np.polynomial.legendre.leggauss(_TAU_QUAD_NODES)
     x, wt = 0.5 * (x + 1.0), 0.5 * wt  # from [-1, 1] to [0, 1]
     u, w = np.meshgrid(x, x, indexing="ij")
-    e_f_of_g = wt @ _clayton_cdf(tc, u, _clamp(_frank_conditional_quantile(tf, u, w))) @ wt
+    q_f = clamp_quantile(_frank_conditional_quantile(tf, u, w))
+    e_f_of_g = wt @ _clayton_cdf(tc, u, q_f) @ wt
     tau_f, tau_c = _frank_tau(tf), tc / (tc + 2.0)
     return float(kappa**2 * tau_f + (1.0 - kappa) ** 2 * tau_c
                  + 2.0 * kappa * (1.0 - kappa) * (4.0 * e_f_of_g - 1.0))

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .copulas import CopulaSpec, U_EPS, conditional_sample, sample_pairs
+from .copulas import CopulaSpec, clamp_quantile, conditional_sample, sample_pairs
 from .data import SurvivalDataset, column_cells, write_csv
 from .errors import ValidationError
 from .training import TrainConfig, fit_marginal
@@ -281,8 +281,8 @@ def censor_regression(
     )
 
     rng = np.random.default_rng(seed)
-    u1 = np.clip(event_model.survival(y, xs), U_EPS, 1.0 - U_EPS)
-    u2 = np.clip(np.asarray(conditional_sample(spec, u1, rng)), U_EPS, 1.0 - U_EPS)
+    u1 = clamp_quantile(event_model.survival(y, xs))
+    u2 = clamp_quantile(conditional_sample(spec, u1, rng))
     t_censor = censor_model.inverse_survival(u2, xs)
 
     delta = (y <= t_censor).astype(np.int64)
@@ -307,6 +307,6 @@ def synthetic_regression(n: int, d: int, seed: int):
     x = rng.uniform(size=(n, d))
     beta = rng.uniform(size=d)
     model = WeibullCoxModel.from_natural(4.0, 10.0, LinearRisk(beta))
-    u = np.clip(rng.uniform(size=n), U_EPS, 1.0 - U_EPS)
+    u = clamp_quantile(rng.uniform(size=n))
     y = model.inverse_survival(u, x)
     return x, y

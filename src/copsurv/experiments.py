@@ -54,10 +54,11 @@ from . import metrics as met
 from .copulas import Family, spec_from_tau, theta_to_tau
 from .data import Config, SurvivalDataset, csv_cell, load_regression_csv, write_csv, write_json
 from .datagen import (PRESETS, censor_regression, child_seed, generate_synthetic, sidecar_dict,
-                      synthetic_regression, tau_key, zscore_fit)
+                      synthetic_regression, tau_key)
 from .errors import NumericalFailure, ValidationError, check_numbers
 from .metrics import SurvivalL1Config
 from .training import FittedJointModel, TrainConfig, fit
+from .weibull import RISK_KINDS
 
 KINDS = ("synthetic_sweep", "mixture_sweep", "metric_bias", "semi_synthetic")
 
@@ -169,7 +170,7 @@ class ExperimentConfig(Config):
                 raise ValidationError("data_csv requires target_column")
             if any(t == 0.0 for t in self.tau_grid):
                 raise ValidationError("semi_synthetic tau_grid must be positive")
-        if self.event_risk not in ("linear", "mlp") or self.censor_risk not in ("linear", "mlp"):
+        if self.event_risk not in RISK_KINDS or self.censor_risk not in RISK_KINDS:
             raise ValidationError("event_risk and censor_risk must be 'linear' or 'mlp'")
         check_numbers(self, reals=("kappa",))
         if not 0.0 <= self.kappa <= 1.0:
@@ -302,9 +303,6 @@ def _semi_arm(payload):
     x_tv, y_tv = x[tv_idx], y[tv_idx]
 
     marginal_cfg = TrainConfig(seed=child_seed(seed, 0, 10))
-    mean, std = zscore_fit(x_tv)
-    x_test = (x[test_idx] - mean) / std
-
     rows = []
     for tau in cfg.tau_grid:
         spec = spec_from_tau(cfg.family, tau, cfg.kappa)
@@ -314,6 +312,8 @@ def _semi_arm(payload):
             fit_config=marginal_cfg,
         )
         prep_wall = time.perf_counter() - start
+        # the test rows take the train/validation rows' standardization
+        x_test = (x[test_idx] - info.standardize_mean) / info.standardize_std
         target = y[test_idx] + info.shift
         test_ds = SurvivalDataset(x_test, target, np.ones(len(test_idx), dtype=np.int64))
 

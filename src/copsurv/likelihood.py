@@ -67,7 +67,7 @@ def _check_finite(terms):
 
 
 def _clamped_quantiles(pieces):
-    u = np.clip(pieces.surv, U_EPS, 1.0 - U_EPS)
+    u = copulas.clamp_quantile(pieces.surv)
     passthrough = ((pieces.surv > U_EPS) & (pieces.surv < 1.0 - U_EPS)).astype(float)
     return u, passthrough
 

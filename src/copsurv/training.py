@@ -3,12 +3,12 @@
 Every fit runs one solver: L-BFGS-B on the penalized negative
 log-likelihood and its exact gradient.  The L2 penalty on the risk weights
 follows from the risk kinds: ``MLP_L2_LAMBDA`` when either risk is an MLP,
-0 otherwise.  A family's dependence parameters are the non-``family`` keys
-of its ``CopulaSpec.to_dict()``, held by the optimizer as
-``copula.<key>``; each evaluation rebuilds the spec with
-``CopulaSpec.from_dict``.  Each lives in a box, which the solver takes as
-its bounds: theta in ``[THETA_MIN, inf)``, ``theta_frank`` and Frank theta
-in ``[THETA_MIN, THETA_HI_FRANK]`` and kappa in [0, 1].  The solver moves
+0 otherwise.  A family's dependence parameters and their ranges are
+``copulas.PARAMETERS[family]``; the optimizer holds each as
+``copula.<name>`` and rebuilds the spec from them at each evaluation.  Each
+range is the solver's box for its parameter, with the open lower end of
+every theta floored at ``THETA_MIN``: theta in ``[THETA_MIN, inf)``, or
+``[THETA_MIN, 500]`` for Frank theta, and kappa in [0, 1].  The solver moves
 every theta as log theta, in [log ``THETA_MIN``, log hi], and kappa on its
 own scale; traces and checkpoints hold natural theta.  ``fit`` runs one
 loop over starts that share the initial marginals; of several starts, the
@@ -41,7 +41,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import copulas, likelihood
-from .copulas import CopulaSpec, Family, spec_from_tau
+from .copulas import CopulaSpec, spec_from_tau
 from .data import Config, SurvivalDataset, column_cells, read_json, write_csv, write_json
 from .errors import NumericalFailure, ValidationError, check_numbers
 from .weibull import WeibullCoxModel, make_risk
@@ -397,29 +397,21 @@ def fit(
         raise ValidationError("joint fit requires at least one event and one censoring record")
     train_ds, val_ds, (event_model, censor_model) = _setup(data, cfg, event_risk, censor_risk)
 
-    theta_hi = copulas.THETA_HI_FRANK if family is Family.FRANK else np.inf
-    # single start and (lo, hi) box of every dependence parameter, by CopulaSpec key
-    table = {"theta": (1.0, (THETA_MIN, theta_hi)),
-             "theta_frank": (1.0, (THETA_MIN, copulas.THETA_HI_FRANK)),
-             "theta_clayton": (1.0, (THETA_MIN, np.inf)),
-             "kappa": (0.5, (0.0, 1.0))}
-    # from_dict reads only the keys of the family's own parameters
-    default = CopulaSpec.from_dict({"family": family, **{n: s for n, (s, _) in table.items()}})
-    names = [name for name in default.to_dict() if name != "family"]
+    domains = copulas.PARAMETERS[family]
     linear = event_risk == censor_risk == "linear"
-    starts = [default]
-    if linear and names:
-        starts = [spec_from_tau(family, tau) for tau in START_TAUS]
+    # the single start: every theta at 1, kappa at 0.5
+    starts = [{name: 1.0 if domain.lo_open else 0.5 for name, domain in domains.items()}]
+    if linear and domains:
+        starts = [spec_from_tau(family, tau).to_dict() for tau in START_TAUS]
 
     params = {**_model_params(event_model, "event"), **_model_params(censor_model, "censor")}
-    params.update({f"copula.{name}": np.array(0.0) for name in names})  # set by each start
-    copula_bounds = {f"copula.{name}": table[name][1] for name in names}
+    params.update({f"copula.{name}": np.array(0.0) for name in domains})  # set by each start
+    copula_bounds = {f"copula.{name}": (THETA_MIN if domain.lo_open else domain.lo, domain.hi)
+                     for name, domain in domains.items()}
     l2 = _l2_lambda(event_risk, censor_risk)
 
     def spec():
-        return CopulaSpec.from_dict(
-            {"family": family, **{name: params[f"copula.{name}"] for name in names}}
-        )
+        return CopulaSpec(family, **{name: float(params[f"copula.{name}"]) for name in domains})
 
     def loss_and_grad():
         return likelihood.loglik_and_gradient(event_model, censor_model, spec(), train_ds, l2)
@@ -435,9 +427,8 @@ def fit(
     best = None
     for start in starts:
         _restore(params, initial)
-        values = start.to_dict()
-        for name in names:
-            params[f"copula.{name}"][...] = values[name]
+        for name in domains:
+            params[f"copula.{name}"][...] = start[name]
         run = _optimize(params, copula_bounds, loss_and_grad, val_fn, cfg, early_stop=not linear)
         score = 0.0
         if len(starts) > 1:
@@ -448,7 +439,7 @@ def fit(
     _restore(params, state)
     trace.copula_path = {
         "theta_hat" if name == "theta" else name: trace.copula_path[f"copula.{name}"]
-        for name in names
+        for name in domains
     }
     return FittedJointModel(
         event_model=event_model,

@@ -210,6 +210,10 @@ def default_mlp_widths(dim: int) -> tuple:
     return (dim, 4, 4, 4, 2, 1)
 
 
+# the risk kinds a fit can train, which make_risk builds
+RISK_KINDS = ("linear", "mlp")
+
+
 def make_risk(kind: str, dim: int, rng: np.random.Generator):
     if kind == "linear":
         return LinearRisk(np.zeros(dim))
@@ -249,13 +253,6 @@ class WeibullCoxModel:
     def rho(self) -> float:
         return float(np.exp(self.log_rho))
 
-    def _g(self, x, t_ndim):
-        g = self.risk.evaluate(x)
-        # broadcast per-record risk against per-record time grids
-        while g.ndim < t_ndim:
-            g = g[..., None]
-        return g
-
     def _time(self, t):
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t)):
@@ -273,7 +270,7 @@ class WeibullCoxModel:
         """log H(t | x); -inf at t = 0."""
         t = self._time(t)
         with np.errstate(divide="ignore"):
-            return self.log_cumulative_hazard_at(np.log(t), self._g(x, t.ndim))
+            return self.log_cumulative_hazard_at(np.log(t), self.risk.evaluate(x))
 
     def cumulative_hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
         return np.exp(self.log_cumulative_hazard(t, x))
@@ -286,10 +283,9 @@ class WeibullCoxModel:
         q = np.asarray(q, dtype=float)
         if np.any(q <= 0.0) or np.any(q > 1.0):
             raise DomainError("q must lie in (0, 1]")
-        g = self._g(x, q.ndim)
         with np.errstate(divide="ignore"):
             log_neg_log_q = np.log(-np.log(q))  # -inf at q = 1
-        return np.exp(float(self.log_rho) + (log_neg_log_q - g) / self.nu)
+        return np.exp(float(self.log_rho) + (log_neg_log_q - self.risk.evaluate(x)) / self.nu)
 
     def to_dict(self) -> dict:
         return {

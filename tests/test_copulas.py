@@ -60,7 +60,7 @@ def copula_cdf(spec, u1, u2):
     a1 = copulas._as_unit_array(u1, "u1")
     a2 = copulas._as_unit_array(u2, "u2")
     a1, a2 = np.broadcast_arrays(a1, a2)
-    c1, c2 = copulas._clamp(a1), copulas._clamp(a2)
+    c1, c2 = copulas.clamp_quantile(a1), copulas.clamp_quantile(a2)
 
     fam = spec.family
     if fam is Family.INDEPENDENCE:
@@ -85,7 +85,8 @@ def _partial_u1_impl(spec, u1, u2):
     if spec.family in (Family.CLAYTON, Family.MIXTURE) and np.any(a1 == 0.0):
         raise DomainError(f"{spec.family.value} partial derivative undefined at u1 = 0")
     a1, a2 = np.broadcast_arrays(a1, a2)
-    interior = np.exp(copulas.log_partial(spec, copulas._clamp(a1), copulas._clamp(a2))[0])
+    c1, c2 = copulas.clamp_quantile(a1), copulas.clamp_quantile(a2)
+    interior = np.exp(copulas.log_partial(spec, c1, c2)[0])
     return np.where(a2 == 1.0, 1.0, np.where(a2 == 0.0, 0.0, interior))
 
 
@@ -151,6 +152,24 @@ def test_spec_rejects_bad_parameters():
         CopulaSpec.mixture(1.0, 1.0, 1.5)
     with pytest.raises(ParameterDomainError):
         CopulaSpec.mixture(1.0, -1.0, 0.5)
+    # a field the family does not take would be dropped by to_dict, so the
+    # spec would not survive a round trip
+    for fam, fields in ((Family.INDEPENDENCE, {"theta": 1.0}),
+                        (Family.INDEPENDENCE, {"kappa": 0.5}),
+                        (Family.CLAYTON, {"theta": 1.0, "kappa": 0.3}),
+                        (Family.FRANK, {"theta": 1.0, "theta_clayton": 1.0}),
+                        (Family.MIXTURE, {"theta": 1.0, "theta_frank": 1.0,
+                                          "theta_clayton": 1.0, "kappa": 0.5})):
+        with pytest.raises(ParameterDomainError):
+            CopulaSpec(fam, **fields)
+    # every parameter must be finite, including one whose range has no upper end
+    for bad in (np.inf, -np.inf, np.nan):
+        for build in (CopulaSpec.clayton, CopulaSpec.frank,
+                      lambda v: CopulaSpec.mixture(v, 1.0, 0.5),
+                      lambda v: CopulaSpec.mixture(1.0, v, 0.5),
+                      lambda v: CopulaSpec.mixture(1.0, 1.0, v)):
+            with pytest.raises(ParameterDomainError):
+                build(bad)
 
 
 def test_spec_serialization_roundtrip():

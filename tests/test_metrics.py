@@ -20,7 +20,7 @@ from copsurv.metrics import (
     r_squared,
     survival_l1,
 )
-from copsurv.weibull import LinearRisk, MLPRisk, QuadraticRisk, WeibullCoxModel
+from copsurv.weibull import LinearRisk, MLPRisk, QuadraticRisk, WeibullCoxModel, floored_survival
 
 # truth S(t) = e^-t vs estimate S(t) = e^-2t on [0, ln 100]:
 # (1/T) * integral |e^-t - e^-2t| dt = ((1 - e^-T) - (1 - e^-2T)/2) / T
@@ -52,9 +52,14 @@ def dense_survival_l1(truth_model, estimate_model, x, config=None):
         t_max = np.asarray(truth_model.inverse_survival(cfg.quantile_floor, x), dtype=float)
     if not np.all(np.isfinite(t_max)) or np.any(t_max <= 0.0):
         raise DomainError("truth curve not invertible at the quantile floor")
-    grid = t_max[:, None] * (np.arange(1, cfg.n_steps + 1) / cfg.n_steps)
+    log_grid = np.log(t_max[:, None] * (np.arange(1, cfg.n_steps + 1) / cfg.n_steps))
+
+    def survival(model):  # each record's risk broadcast along its row of the grid
+        log_h = model.log_cumulative_hazard_at(log_grid, model.risk.evaluate(x)[:, None])
+        return floored_survival(np.exp(log_h))
+
     with np.errstate(over="ignore"):
-        gap = np.abs(truth_model.survival(grid, x) - estimate_model.survival(grid, x))
+        gap = np.abs(survival(truth_model) - survival(estimate_model))
     return float(gap.mean())
 
 

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from scipy.optimize import rosen, rosen_der
 
-from copsurv.copulas import THETA_HI_FRANK, CopulaSpec, Family, spec_from_tau, theta_to_tau
+from copsurv.copulas import (
+    PARAMETERS,
+    THETA_HI_FRANK,
+    CopulaSpec,
+    Family,
+    spec_from_tau,
+    theta_to_tau,
+)
 from copsurv.data import SurvivalDataset
 from copsurv.datagen import generate_synthetic, preset_linear_risk, synthetic_regression, zscore_fit
 from copsurv.errors import NumericalFailure, ValidationError
@@ -392,6 +399,31 @@ def test_solver_gradient_matches_finite_differences_in_log_theta(family, monkeyp
         step[i] = h
         fd = (fun(x + step)[0] - fun(x - step)[0]) / (2 * h)
         assert abs(grad[i] - fd) / max(abs(fd), 1.0) < 1e-4, (i, grad[i], fd)
+
+
+@pytest.mark.parametrize("family", [family.value for family in Family])
+def test_optimizer_boxes_lie_inside_the_spec_ranges(family, monkeypatch):
+    # the solver's boxes and the ranges CopulaSpec enforces both come from
+    # copulas.PARAMETERS; every spec the solver can reach must build, or a fit
+    # would stop on a domain error instead of its numerical exit
+    def capture(params, copula_bounds, *args, **kwargs):
+        start = {key[len("copula."):]: float(params[key]) for key in copula_bounds}
+        raise _SolverCall(start, copula_bounds)
+
+    monkeypatch.setattr("copsurv.training._optimize", capture)
+    with pytest.raises(_SolverCall) as call:  # an MLP risk: the single start
+        fit(make_data(100), "mlp", "linear", family, TrainConfig(max_epochs=5, patience=5))
+    start, boxes = call.value.args
+    domains = PARAMETERS[Family(family)]
+    assert start == {name: 0.5 if name == "kappa" else 1.0 for name in domains}
+    assert list(boxes) == [f"copula.{name}" for name in domains]
+    CopulaSpec(family, **start)
+    for name, domain in domains.items():
+        lo, hi = boxes[f"copula.{name}"]
+        assert domain.lo <= lo < hi <= domain.hi
+        assert lo == (THETA_MIN if domain.lo_open else domain.lo)
+        for end in (lo, hi) if np.isfinite(hi) else (lo,):
+            CopulaSpec(family, **{**start, name: end})
 
 
 def test_fit_deterministic():
