@@ -2,10 +2,11 @@
 
 The headline metric is an L1 distance between per-record survival curves,
 integrated on a per-record time grid that ends where the ground-truth curve
-drops to a small quantile.  Also provided: Harrell's concordance index, a
-single-time Brier score, coefficient of determination against true
-regression targets, and a study quantifying how censoring skews the
-standard metrics even for the true model.
+drops to a small quantile.  Also provided: Harrell's concordance index,
+counted exactly by merging score ranks in O(n log^2 n) time, a single-time
+Brier score, coefficient of determination against true regression targets,
+and a study quantifying how censoring skews the standard metrics even for
+the true model.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ from .datagen import child_seed, generate_synthetic, preset_metric_bias, tau_key
 from .errors import DomainError, UndefinedMetricError, ValidationError, check_numbers
 from .weibull import floored_survival
 
-# event records per block of the concordance index's pairwise comparison
-C_INDEX_CHUNK = 512
 # grid points per block of survival_l1's per-record curves
 SURVIVAL_L1_CHUNK = 2**15
 
@@ -99,27 +98,69 @@ def _risk_scores(model_or_scores, data: SurvivalDataset) -> np.ndarray:
     return np.asarray(model_or_scores.risk.evaluate(data.x), dtype=float)
 
 
+def _count_later_lower_and_equal(v: np.ndarray, span: int) -> tuple:
+    """Over the events of ``v``, whose entries are 2 * rank + event flag and
+    lie below ``span``: the number of later entries of lower rank and the
+    number of equal rank, as two ints.
+
+    Bottom-up merge counting: at width w, every event in the left block of a
+    pair of w-blocks counts the right block's lower and equal ranks, with one
+    ``searchsorted`` over keys pair * span + entry that covers every pair at
+    once; then each pair is sorted into one block of width 2w.  Any two
+    positions meet in exactly one pair, at one level.
+    """
+    n = len(v)
+    pos = np.arange(n)
+    lower = equal = 0
+    width = 1
+    while width < n:
+        pair = pos // (2 * width)
+        offset = pair * span
+        right = (pos & width) != 0
+        keys = offset[right] + v[right]  # sorted: v is sorted within each w-block
+        asks = ~right & (v % 2 == 1)
+        below_rank = offset[asks] + v[asks] - 1  # pair * span + 2 * rank
+        lo = np.searchsorted(keys, below_rank)
+        hi = np.searchsorted(keys, below_rank + 2)
+        # every earlier pair has a full right block: pair * width keys precede
+        lower += int((lo - pair[asks] * width).sum())
+        equal += int((hi - lo).sum())
+        v = np.sort(offset + v, kind="stable") - offset
+        width *= 2
+    return lower, equal
+
+
 def concordance_index(model_or_scores, data: SurvivalDataset) -> float:
     """Harrell's c-index: higher risk should mean earlier events.
 
-    Pair (i, j) is comparable when t_i < t_j and record i is an event; risk
-    ties count one half.  Raises when no pair is comparable.
+    Pair (i, j) is comparable when t_i < t_j and record i is an event; it is
+    concordant when score_i > score_j, and tied scores count one half.  A NaN
+    score is never concordant or tied, but its pairs stay comparable.  Raises
+    when no pair is comparable.
+
+    The pair counts are exact integers, found by merge counting (Knight,
+    JASA 1966) in O(n log^2 n) time and O(n) memory: records ordered by
+    time, then score, then event flag are merged bottom-up by score rank,
+    and each event counts the later records of lower and of equal score.
     """
     scores = _risk_scores(model_or_scores, data)
     t = data.t_obs
-    event_idx = np.flatnonzero(data.delta == 1)
-    concordant = 0.0
-    comparable = 0
-    for start in range(0, len(event_idx), C_INDEX_CHUNK):
-        rows = event_idx[start : start + C_INDEX_CHUNK]
-        later = t[None, :] > t[rows, None]
-        comparable += int(later.sum())
-        r_i = scores[rows, None]
-        concordant += float(((r_i > scores[None, :]) & later).sum())
-        concordant += 0.5 * float(((r_i == scores[None, :]) & later).sum())
+    event = data.delta == 1
+    later = len(t) - np.searchsorted(np.sort(t), t[event], side="right")
+    comparable = int(later.sum())
     if comparable == 0:
         raise UndefinedMetricError("no comparable pairs for the concordance index")
-    return concordant / comparable
+    scored = ~np.isnan(scores)
+    t_rank = np.unique(t[scored], return_inverse=True)[1]
+    s_values, s_rank = np.unique(scores[scored], return_inverse=True)
+    span = 2 * len(s_values)
+    # scored records in (time, score, event) order, each as 2 * score rank + event
+    key = np.sort(t_rank * span + 2 * s_rank + event[scored])
+    lower, equal = _count_later_lower_and_equal(key % span, span)
+    # a group of e events sharing time and score also met e(e-1)/2 same-time pairs
+    shared = np.unique(key[key % 2 == 1], return_counts=True)[1]
+    equal -= int((shared * (shared - 1) // 2).sum())
+    return (2 * lower + equal) / (2 * comparable)
 
 
 def brier_score(model_or_probs, data: SurvivalDataset, eval_time: Optional[float] = None) -> float:

@@ -180,6 +180,22 @@ def test_evaluate_without_truth_omits_l1(trained, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("copula", [
+    {"family": "clayton"},
+    {"family": "clayton", "theta": None},
+    {"family": "independence", "theta": 2.0},
+])
+def test_evaluate_edited_checkpoint_exits_one(trained, tmp_path, capsys, copula):
+    data_dir, _, fit_dir = trained
+    doc = json.loads((fit_dir / "checkpoint.json").read_text())
+    doc["copula"] = copula
+    edited = tmp_path / "checkpoint.json"
+    edited.write_text(json.dumps(doc))
+    assert run("evaluate", "--checkpoint", edited, "--data", data_dir / "data.csv",
+               "--out", tmp_path / "r.json") == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_files_exit_three(tmp_path, capsys):
     assert run("train", "--data", tmp_path / "nope.csv", "--out", tmp_path / "o") == 3
     assert run("evaluate", "--checkpoint", tmp_path / "nope.json",

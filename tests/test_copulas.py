@@ -26,7 +26,7 @@ from copsurv.copulas import (
     tau_to_theta,
     theta_to_tau,
 )
-from copsurv.errors import DomainError, ParameterDomainError
+from copsurv.errors import DomainError, ParameterDomainError, ValidationError
 
 # Frozen oracle values, computed from the closed-form definitions typed out
 # by hand (see the formulas in each assertion's comment).
@@ -176,6 +176,29 @@ def test_spec_serialization_roundtrip():
     for spec in family_grid():
         back = CopulaSpec.from_dict(spec.to_dict())
         assert back == spec
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"family": "clayton"}, "theta"),
+    ({"family": "mixture", "theta_frank": 1.0, "kappa": 0.5}, "theta_clayton"),
+    ({"family": "clayton", "theta": None}, "theta"),
+    ({"family": "frank", "theta": "2.0"}, "theta"),
+    ({"family": "clayton", "theta": True}, "theta"),
+    ({"family": "independence", "theta": 2.0}, "theta"),
+    ({"family": "clayton", "theta": 2.0, "kappa": 0.5}, "kappa"),
+    ({"theta": 2.0}, "family"),
+])
+def test_spec_from_dict_names_the_bad_key(doc, key):
+    with pytest.raises(ValidationError, match=key):
+        CopulaSpec.from_dict(doc)
+
+
+def test_spec_from_dict_keeps_the_range_checks():
+    with pytest.raises(ParameterDomainError):
+        CopulaSpec.from_dict({"family": "clayton", "theta": -1.0})
+    with pytest.raises(ParameterDomainError):
+        CopulaSpec.from_dict({"family": "gumbel"})
+    assert CopulaSpec.from_dict({"family": "frank", "theta": 2}) == CopulaSpec.frank(2.0)
 
 
 # ---------------------------------------------------------------------------

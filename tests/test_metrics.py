@@ -32,11 +32,8 @@ def exponential_model(rate):
     return WeibullCoxModel.from_natural(1.0, 1.0 / rate, LinearRisk(np.zeros(2)))
 
 
-def all_event_data(t, scores=None, delta=None, seed=0):
+def all_event_data(t, delta=None, seed=0):
     n = len(t)
-    x = np.random.default_rng(seed).uniform(size=(n, 2))
-    if scores is not None:
-        x = None
     d = np.ones(n, dtype=int) if delta is None else np.asarray(delta)
     return SurvivalDataset(np.random.default_rng(seed).uniform(size=(n, 2)), np.asarray(t, float), d)
 
@@ -193,6 +190,21 @@ def test_survival_l1_memory_is_bounded_by_the_block():
     assert peak < 16 * 2**20, peak
 
 
+def test_concordance_memory_is_linear_in_the_records():
+    # an events x records comparison block would take tens of MiB here
+    rng = np.random.default_rng(5)
+    n = 20000
+    data = SurvivalDataset(np.zeros((n, 1)), rng.uniform(0.5, 5.0, size=n), np.arange(n) % 2)
+    scores = rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        concordance_index(scores, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
 def test_survival_l1_unreachable_horizon():
     truth = WeibullCoxModel.from_natural(1.0, 1e308, LinearRisk(np.zeros(1)))
     est = exponential_model(1.0)
@@ -215,6 +227,60 @@ def test_survival_l1_config_validation():
 
 # ---------------------------------------------------------------------------
 # Concordance
+
+
+def blocked_concordance_index(scores, data):
+    """Oracle: each block of 512 events compared with every record at once."""
+    block = 512
+    t = data.t_obs
+    event_idx = np.flatnonzero(data.delta == 1)
+    concordant = 0.0
+    comparable = 0
+    for start in range(0, len(event_idx), block):
+        rows = event_idx[start : start + block]
+        later = t[None, :] > t[rows, None]
+        comparable += int(later.sum())
+        r_i = scores[rows, None]
+        concordant += float(((r_i > scores[None, :]) & later).sum())
+        concordant += 0.5 * float(((r_i == scores[None, :]) & later).sum())
+    if comparable == 0:
+        raise UndefinedMetricError("no comparable pairs for the concordance index")
+    return concordant / comparable
+
+
+def concordance_or_undefined(index, scores, data):
+    try:
+        return index(scores, data)
+    except UndefinedMetricError:
+        return "undefined"
+
+
+# 1 to 3 records, then sizes at and beside each power of two: the edges of
+# the merge levels
+MERGE_EDGE_SIZES = [1, 2, 3] + [n for k in range(2, 11) for n in (2**k - 1, 2**k, 2**k + 1)]
+
+
+@pytest.mark.parametrize("n", MERGE_EDGE_SIZES)
+def test_concordance_equals_the_blocked_comparison(n):
+    rng = np.random.default_rng(n)
+    for trial in range(12):
+        # few distinct values give ties in times, in scores and in both at once
+        t = rng.integers(1, 2 + trial, size=n).astype(float)
+        scores = rng.integers(0, 2 + trial % 5, size=n).astype(float)
+        if trial % 3 == 1:  # non-finite scores
+            for value in (np.nan, np.inf, -np.inf):
+                scores[rng.uniform(size=n) < 0.15] = value
+        if trial == 11:
+            scores[:] = np.nan
+        delta = (rng.uniform(size=n) < (0.2, 0.5, 0.9)[trial % 3]).astype(int)
+        # drawn events, all events, a single event, and events only at the
+        # latest time, which leave no comparable pair
+        cases = [delta, np.ones(n, dtype=int), np.eye(1, n, rng.integers(n), dtype=int)[0],
+                 (t == t.max()).astype(int)]
+        for d in cases:
+            data = SurvivalDataset(np.zeros((n, 1)), t, d)
+            want = concordance_or_undefined(blocked_concordance_index, scores, data)
+            assert concordance_or_undefined(concordance_index, scores, data) == want, (trial, d)
 
 
 def test_concordance_hand_cases():
@@ -251,7 +317,8 @@ def test_concordance_brute_force_oracle():
                     num += 1
                 elif scores[i] == scores[j]:
                     num += 0.5
-    assert concordance_index(scores, data) == pytest.approx(num / den, abs=1e-12)
+    # every sum is a half-integer, so both sides are exact
+    assert concordance_index(scores, data) == num / den
 
 
 def test_concordance_monotone_invariance_and_model_route():
