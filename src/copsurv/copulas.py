@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy import integrate
 
-from .errors import DomainError, ParameterDomainError, ValidationError
+from .errors import DomainError, ParameterDomainError, check_document
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -164,24 +164,12 @@ class CopulaSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CopulaSpec":
-        """Reads ``to_dict``'s form: the family and exactly its parameters.
-
-        A missing, extra or non-numeric key raises ``ValidationError``
-        naming it; a number out of range, ``ParameterDomainError``.
-        """
-        if not isinstance(doc, dict) or "family" not in doc:
-            raise ValidationError(f"a copula must be a JSON object with a family, got {doc!r}")
-        fam = _coerce_family(doc["family"])
-        names = PARAMETERS[fam]
-        missing = [name for name in names if name not in doc]
-        if missing:
-            raise ValidationError(f"{fam.value} copula is missing {', '.join(missing)}")
-        extra = [name for name in doc if name != "family" and name not in names]
-        if extra:
-            raise ValidationError(f"{fam.value} copula takes no {', '.join(extra)}")
-        for name in names:
-            if isinstance(doc[name], bool) or not isinstance(doc[name], (int, float)):
-                raise ValidationError(f"copula {name} must be a number, got {doc[name]!r}")
+        """Reads ``to_dict``'s form, the family and exactly its parameters, by
+        check_document's rule; a number out of range raises ``ParameterDomainError``."""
+        fam = _coerce_family(doc["family"]) if isinstance(doc, dict) and "family" in doc else None
+        names = PARAMETERS.get(fam, {})
+        check_document(doc, f"{fam.value} copula" if fam else "copula",
+                       {"family": None, **dict.fromkeys(names, float)})
         return cls(fam, **{name: float(doc[name]) for name in names})
 
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_document
 
 
 def write_csv(path, header, rows) -> None:
@@ -82,8 +82,17 @@ def write_json(path, doc) -> str:
 
 
 def read_json(path):
+    """The JSON value in ``path``; bad text raises ValidationError at ``path:line:col``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+
+
+# a config field's JSON shape by its annotation; a nested config is checked as it is read
+_FIELD_SHAPES = {"int": int, "float": float, "str": str,
+                 "Tuple[float, ...]": [float], "Tuple[int, ...]": [int]}
 
 
 class Config:
@@ -94,12 +103,10 @@ class Config:
 
     @classmethod
     def from_dict(cls, doc):
-        """``cls(**doc)``; ``doc`` must be a dict whose keys are fields of ``cls``."""
-        if not isinstance(doc, dict):
-            raise ValidationError(f"{cls.__name__} must be a JSON object, got {doc!r}")
-        extra = set(doc) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValidationError(f"unknown {cls.__name__} fields: {sorted(extra)}")
+        """``cls(**doc)`` once ``doc`` passes check_document; a field without a default is required."""
+        fields = cls.__dataclass_fields__.values()
+        check_document(doc, cls.__name__, {f.name: _FIELD_SHAPES.get(f.type) for f in fields},
+                       [f.name for f in fields if (f.default, f.default_factory) != (MISSING, MISSING)])
         return cls(**doc)
 
 

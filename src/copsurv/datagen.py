@@ -22,7 +22,7 @@ import numpy as np
 
 from .copulas import CopulaSpec, clamp_quantile, conditional_sample, sample_pairs
 from .data import SurvivalDataset, column_cells, write_csv
-from .errors import ValidationError
+from .errors import ValidationError, check_document
 from .training import TrainConfig, fit_marginal
 from .weibull import LinearRisk, QuadraticRisk, WeibullCoxModel, risk_from_dict
 
@@ -191,12 +191,12 @@ def sidecar_dict(config: SyntheticGenConfig, tau: float) -> dict:
 
 
 def truth_from_sidecar(doc: dict) -> GroundTruth:
-    event = WeibullCoxModel.from_natural(
-        doc["nu_E"], doc["rho_E"], risk_from_dict(doc["risk_E"])
-    )
-    censor = WeibullCoxModel.from_natural(
-        doc["nu_C"], doc["rho_C"], risk_from_dict(doc["risk_C"])
-    )
+    # the keys sidecar_dict writes; the four not read here may be missing
+    check_document(doc, "truth sidecar", {
+        "n": int, "d": int, "seed": int, "tau": float, "nu_E": float, "rho_E": float, "risk_E": None,
+        "nu_C": float, "rho_C": float, "risk_C": None, "copula": None}, ("n", "d", "seed", "tau"))
+    event = WeibullCoxModel.from_natural(doc["nu_E"], doc["rho_E"], risk_from_dict(doc["risk_E"]))
+    censor = WeibullCoxModel.from_natural(doc["nu_C"], doc["rho_C"], risk_from_dict(doc["risk_C"]))
     return GroundTruth(event, censor, CopulaSpec.from_dict(doc["copula"]))
 
 

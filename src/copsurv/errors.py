@@ -1,27 +1,55 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one rule every JSON
+document it reads keeps, :func:`check_document`.
 
 The CLI maps these onto process exit codes: validation problems exit 1,
 numerical failures exit 2, filesystem problems exit 3.
 """
-import math
+import sys
 
 
 class ValidationError(ValueError):
     """Malformed configuration, dataset, or argument structure."""
 
 
+# the values each scalar shape admits, never a bool, and their name in messages
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a finite number"), str: (str, "a string")}
+
+
+def _check_value(value, shape, name) -> None:
+    """Raises ValidationError naming ``name`` unless ``value`` has ``shape``:
+    ``int``, ``str`` or ``float`` (a finite int or float, at most the largest
+    float in size) a scalar of that kind, ``[shape]`` a list of values of that
+    shape, ``None`` any value."""
+    if shape is None:
+        return
+    kinds, what = (list, "a list") if isinstance(shape, list) else _SCALARS[shape]
+    if isinstance(value, bool) or not isinstance(value, kinds) or (
+            shape is float and not abs(value) <= sys.float_info.max):
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    for i, item in enumerate(value if isinstance(shape, list) else ()):
+        _check_value(item, shape[0], f"{name}[{i}]")
+
+
 def check_numbers(obj, ints=(), reals=()) -> None:
     """Raises ValidationError unless every attribute of ``obj`` named in
-    ``ints`` is an int and every one named in ``reals`` a finite int or
-    float; a bool is neither."""
-    for name in ints:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    for name in reals:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    ``ints`` has the shape ``int`` and every one named in ``reals`` ``float``."""
+    for names, shape in ((ints, int), (reals, float)):
+        for name in names:
+            _check_value(getattr(obj, name), shape, name)
+
+
+def check_document(doc, what, shapes, optional=()) -> None:
+    """The rule every JSON document the package reads keeps: ``doc`` is an object
+    with every key of ``shapes`` but those in ``optional`` and no other, each value
+    of its shape.  A violation raises ValidationError naming ``what`` and the key."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {doc!r}")
+    missing = [key for key in shapes if key not in doc and key not in optional]
+    for keys, problem in ((missing, "is missing"), (sorted(set(doc) - set(shapes)), "takes no")):
+        if keys:
+            raise ValidationError(f"{what} {problem} {', '.join(keys)}")
+    for key, value in doc.items():
+        _check_value(value, shapes[key], f"{what} {key}")
 
 
 class DomainError(ValueError):

@@ -43,7 +43,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional, Tuple
@@ -77,19 +77,9 @@ SWEEP_COLUMNS = (
     "wall_time_s",
 )
 
-BIAS_COLUMNS = (
-    "experiment_id",
-    "tau_star",
-    "seed",
-    "c_index_uncensored",
-    "c_index_censored",
-    "c_index_abs_diff",
-    "brier_uncensored",
-    "brier_censored",
-    "brier_abs_diff",
-    "censoring_fraction",
-    "wall_time_s",
-)
+# a MetricBiasRow, its tau as tau_star, after the experiment id and before the wall time
+BIAS_COLUMNS = ("experiment_id", "tau_star", "seed",
+                *[f.name for f in fields(met.MetricBiasRow)][1:], "wall_time_s")
 
 _SWEEP_SUMMARY = (("tau_star", "model", "outcome"), (("survival_l1", True), ("tau_hat", True)))
 
@@ -144,10 +134,10 @@ class ExperimentConfig(Config):
             raise ValidationError(f"tau_grid entries must differ in 6 significant digits: {self.tau_grid}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError(f"seeds has duplicate entries: {self.seeds}")
-        for name in ("n_train", "n_val", "n_test"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        check_numbers(self, ("n_train", "n_val", "n_test"), ("kappa",))
+        if min(self.n_train, self.n_val, self.n_test) < 1:
+            raise ValidationError(f"n_train, n_val and n_test must be >= 1, got "
+                                  f"{self.n_train}, {self.n_val} and {self.n_test}")
         if self.kind == "mixture_sweep":
             self.family = "mixture"
         elif self.family == "mixture" and self.kind in ("synthetic_sweep", "metric_bias"):
@@ -172,7 +162,6 @@ class ExperimentConfig(Config):
                 raise ValidationError("semi_synthetic tau_grid must be positive")
         if self.event_risk not in RISK_KINDS or self.censor_risk not in RISK_KINDS:
             raise ValidationError("event_risk and censor_risk must be 'linear' or 'mlp'")
-        check_numbers(self, reals=("kappa",))
         if not 0.0 <= self.kappa <= 1.0:
             raise ValidationError(f"kappa must lie in [0, 1], got {self.kappa}")
         if not isinstance(self.train, TrainConfig):

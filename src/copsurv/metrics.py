@@ -10,7 +10,7 @@ the true model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -270,12 +270,8 @@ class EvaluationReport:
     r_squared: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {"c_index": self.c_index, "brier": self.brier}
-        for key in ("survival_l1_event", "survival_l1_censor", "tau_hat", "r_squared"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = float(val)
-        return out
+        """Every field that is set, as a float."""
+        return {key: float(val) for key, val in asdict(self).items() if val is not None}
 
     def save(self, path) -> str:
         """Writes the report as JSON; returns the text written."""

@@ -43,7 +43,7 @@ from scipy.optimize import minimize
 from . import copulas, likelihood
 from .copulas import CopulaSpec, spec_from_tau
 from .data import Config, SurvivalDataset, column_cells, read_json, write_csv, write_json
-from .errors import NumericalFailure, ValidationError, check_numbers
+from .errors import NumericalFailure, ValidationError, check_document, check_numbers
 from .weibull import WeibullCoxModel, make_risk
 
 # Kendall's tau at the dependence-parameter starts of an L-BFGS-B fit; from
@@ -69,7 +69,10 @@ class TrainConfig(Config):
     joint fits patience 100 returned the same fits as 300 in under half the
     time, while 50 moved a strongly dependent Clayton fit.
     ``validation_fraction`` of the records is held out for validation, and
-    ``seed`` draws that split and the MLP initialization.
+    ``seed`` draws that split and the MLP initialization.  An MLP fit with
+    ``validation_fraction`` 0 has only ``max_epochs`` to stop it: on 200-500
+    rows of ``synthetic_regression`` its gradients stayed at 7-28 after
+    2,000-5,000 iterations.
     """
 
     max_epochs: int = 10000
@@ -171,6 +174,7 @@ class FittedJointModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FittedJointModel":
+        check_document(doc, "checkpoint", dict.fromkeys(("event", "censor", "copula")))
         return cls(
             event_model=WeibullCoxModel.from_dict(doc["event"]),
             censor_model=WeibullCoxModel.from_dict(doc["censor"]),

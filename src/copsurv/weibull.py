@@ -30,7 +30,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, ParameterDomainError, ValidationError
+from .errors import DomainError, ParameterDomainError, ValidationError, check_document
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -121,12 +121,10 @@ class MLPRisk:
             raise ValidationError(f"MLP widths must end at 1, got {self.widths}")
         self.weights = [np.asarray(w, dtype=float) for w in self.weights]
         self.biases = [np.asarray(b, dtype=float) for b in self.biases]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            expect = (self.widths[i + 1], self.widths[i])
-            if w.shape != expect or b.shape != (self.widths[i + 1],):
-                raise ValidationError(
-                    f"layer {i} parameter shapes {w.shape}/{b.shape} do not match widths {self.widths}"
-                )
+        shapes = list(zip(self.widths[1:], self.widths[:-1]))
+        if ([w.shape for w in self.weights] != shapes
+                or [b.shape for b in self.biases] != [shape[:1] for shape in shapes]):
+            raise ValidationError(f"MLP weights and biases do not fit widths {self.widths}")
 
     @classmethod
     def init(cls, widths: Sequence[int], rng: np.random.Generator) -> "MLPRisk":
@@ -189,20 +187,27 @@ class MLPRisk:
         }
 
 
+# each risk kind's JSON form: its keys besides ``kind`` and their shapes
+_RISK_SHAPES = {"linear": {"weights": [float]}, "quadratic": {"weights": [float]},
+               "mlp": {"widths": [int], "weights": [[float]], "biases": [[float]]}}
+
+
 def risk_from_dict(doc: dict):
-    kind = doc.get("kind")
+    """Reads ``to_dict``'s form by check_document's rule; MLP lists must fit ``widths``."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if isinstance(doc, dict) and kind not in tuple(_RISK_SHAPES):  # a dict lookup raises on a list
+        raise ValidationError(f"unknown risk kind: {kind!r}")
+    check_document(doc, f"{kind} risk" if kind else "risk", {"kind": str, **_RISK_SHAPES.get(kind, {})})
     if kind == "linear":
         return LinearRisk(np.asarray(doc["weights"], dtype=float))
     if kind == "quadratic":
         return QuadraticRisk(np.asarray(doc["weights"], dtype=float))
-    if kind == "mlp":
-        widths = tuple(doc["widths"])
-        weights = [
-            np.asarray(flat, dtype=float).reshape(widths[i + 1], widths[i])
-            for i, flat in enumerate(doc["weights"])
-        ]
-        return MLPRisk(widths=widths, weights=weights, biases=doc["biases"])
-    raise ValidationError(f"unknown risk kind: {kind!r}")
+    widths = doc["widths"]
+    shapes = list(zip(widths[1:], widths[:-1]))
+    if min(widths, default=0) < 1 or [len(w) for w in doc["weights"]] != [a * b for a, b in shapes]:
+        raise ValidationError(f"mlp risk weights do not fit widths {widths}")
+    weights = [np.reshape(flat, shape) for flat, shape in zip(doc["weights"], shapes)]
+    return MLPRisk(widths, weights, doc["biases"])
 
 
 def default_mlp_widths(dim: int) -> tuple:
@@ -297,7 +302,9 @@ class WeibullCoxModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "WeibullCoxModel":
-        if doc.get("kind") != "weibull_cox":
-            raise ValidationError(f"not a weibull_cox checkpoint: {doc.get('kind')!r}")
+        check_document(doc, "weibull_cox model",
+                       {"kind": str, "log_nu": float, "log_rho": float, "risk": None})
+        if doc["kind"] != "weibull_cox":
+            raise ValidationError(f"not a weibull_cox checkpoint: {doc['kind']!r}")
         return cls(doc["log_nu"], doc["log_rho"], risk_from_dict(doc["risk"]))
 

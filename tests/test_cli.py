@@ -1,4 +1,5 @@
 """End-to-end runs of the command line interface, in process."""
+import copy
 import json
 from pathlib import Path
 
@@ -8,10 +9,87 @@ import pytest
 import copsurv
 from copsurv.cli import main
 from copsurv.datagen import synthetic_regression
+from copsurv.experiments import ExperimentConfig
+from copsurv.training import TrainConfig
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+TRAIN_CONFIG = {"max_epochs": 60, "patience": 60, "validation_fraction": 0.25, "seed": 0}
+EXPERIMENT_CONFIG = {
+    "experiment_id": "corpus", "kind": "metric_bias", "family": "clayton", "tau_grid": [0.2, 0.6],
+    "seeds": [0, 1], "n_train": 300, "n_val": 100, "n_test": 100, "kappa": 0.5,
+    "train": {"max_epochs": 40, "patience": 40},
+    "survival_l1": {"quantile_floor": 0.01, "n_steps": 200},
+}
+# each config command's reader, a valid config and the keys it may do without
+CONFIGS = {
+    "train": (TrainConfig, TRAIN_CONFIG, set(TRAIN_CONFIG)),
+    "experiment": (ExperimentConfig, EXPERIMENT_CONFIG,
+                   set(EXPERIMENT_CONFIG) - {"experiment_id", "kind"}
+                   | set(EXPERIMENT_CONFIG["train"]) | set(EXPERIMENT_CONFIG["survival_l1"])),
+}
+# the keys of a truth sidecar that evaluate does not read
+SIDECAR_UNREAD = {"n", "d", "seed", "tau"}
+CORPUS_KINDS = ("keys", "values", "cut")
+
+
+def json_paths(doc, path=()):
+    """The path, a tuple of keys and indices, of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+DROP = object()
+
+
+def edited(doc, path, new):
+    """A copy of ``doc`` with the value at ``path`` set to ``new``, or dropped if ``new`` is DROP."""
+    doc = copy.deepcopy(doc)
+    parent = value_at(doc, path[:-1])
+    if new is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return doc
+
+
+def broken_variants(text, kind, optional=()):
+    """(label, text) of each broken variant of one kind of the JSON document
+    ``text``.  ``keys``: each key not in ``optional`` dropped, and an unknown
+    key added to each object.  ``values``: each value (scalar, list, list
+    element or object) replaced by "x" (a string by 5) and by null.  ``cut``:
+    the text cut short."""
+    if kind == "cut":
+        return [(f"first {n} characters", text[:n]) for n in (1, len(text) // 2, len(text) - 2)]
+    doc, edits = json.loads(text), []
+    for path in [(), *json_paths(doc)]:
+        value = value_at(doc, path)
+        if kind == "keys" and isinstance(value, dict):
+            edits.append((path + ("bogus",), 1))
+        if kind == "keys" and path and isinstance(path[-1], str) and path[-1] not in optional:
+            edits.append((path, DROP))
+        if kind == "values" and path:
+            edits += [(path, 5 if isinstance(value, str) else "x"), (path, None)]
+    assert edits
+    return [(f"{'dropped' if new is DROP else repr(new)} at {list(path)}",
+             json.dumps(edited(doc, path, new))) for path, new in edits]
+
+
+def corpus(kind):
+    """A case of every broken variant of one kind, each an error."""
+    return lambda text, optional: [(label, broken, "error:")
+                                   for label, broken in broken_variants(text, kind, optional)]
 
 
 def write_regression_csv(path, n=250, d=4, seed=0, negate=False):
@@ -113,9 +191,7 @@ def trained(tmp_path_factory):
     data_dir = root / "data"
     assert run("generate", "--tau", 0.5, "--n", 400, "--seed", 2, "--out", data_dir) == 0
     cfg = root / "train.json"
-    cfg.write_text(json.dumps(
-        {"max_epochs": 60, "patience": 60, "validation_fraction": 0.25, "seed": 0}
-    ))
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
     fit_dir = root / "fit"
     code = run("train", "--data", data_dir / "data.csv", "--family", "clayton",
                "--config", cfg, "--out", fit_dir)
@@ -180,20 +256,36 @@ def test_evaluate_without_truth_omits_l1(trained, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("copula", [
-    {"family": "clayton"},
-    {"family": "clayton", "theta": None},
-    {"family": "independence", "theta": 2.0},
+def with_copula(block):
+    """The case of the document with its copula block replaced by ``block``."""
+    return lambda text, optional: [
+        (f"copula {block}", json.dumps({**json.loads(text), "copula": block}), "error:")]
+
+
+@pytest.mark.parametrize("file, case", [
+    pytest.param("checkpoint", with_copula({"family": "clayton"}), id="copula0"),
+    pytest.param("checkpoint", with_copula({"family": "clayton", "theta": None}), id="copula1"),
+    pytest.param("checkpoint", with_copula({"family": "independence", "theta": 2.0}), id="copula2"),
+    *[pytest.param(file, corpus(kind), id=f"{file}-{kind}")
+      for file in ("checkpoint", "truth") for kind in CORPUS_KINDS],
 ])
-def test_evaluate_edited_checkpoint_exits_one(trained, tmp_path, capsys, copula):
+def test_evaluate_edited_checkpoint_exits_one(trained, tmp_path, capsys, file, case):
+    # a broken checkpoint or truth sidecar: dropped, unknown or mistyped keys
+    # and cut text each exit 1 with an error line rather than a traceback
     data_dir, _, fit_dir = trained
-    doc = json.loads((fit_dir / "checkpoint.json").read_text())
-    doc["copula"] = copula
-    edited = tmp_path / "checkpoint.json"
-    edited.write_text(json.dumps(doc))
-    assert run("evaluate", "--checkpoint", edited, "--data", data_dir / "data.csv",
-               "--out", tmp_path / "r.json") == 1
-    assert "error:" in capsys.readouterr().err
+    paths = {"checkpoint": fit_dir / "checkpoint.json", "truth": data_dir / "truth.json"}
+    optional = SIDECAR_UNREAD if file == "truth" else ()
+    edited = tmp_path / f"{file}.json"
+    for label, text, expected in case(paths[file].read_text(), optional):
+        edited.write_text(text)
+        files = {**paths, file: edited}
+        try:
+            code = run("evaluate", "--checkpoint", files["checkpoint"], "--data", data_dir / "data.csv",
+                       "--truth", files["truth"], "--out", tmp_path / "r.json")
+        except Exception as exc:
+            raise AssertionError(f"{file} {label} raised {exc!r}") from exc
+        assert code == 1, label
+        assert expected in capsys.readouterr().err, label
 
 
 def test_missing_files_exit_three(tmp_path, capsys):
@@ -263,6 +355,10 @@ def test_experiment_unknown_family_exits_one(tmp_path, capsys):
     {"kind": "synthetic_sweep", "train": 5},
     {"kind": "metric_bias", "train": 5},
     {"kind": "synthetic_sweep", "survival_l1": [1]},
+    {"kind": "metric_bias", "train": "x"},
+    {"kind": "metric_bias", "train": None},
+    {"kind": "synthetic_sweep", "survival_l1": "x"},
+    {"kind": "synthetic_sweep", "survival_l1": None},
 ])
 def test_experiment_config_block_that_is_not_an_object_exits_one(tmp_path, capsys, block):
     cfg_path = tmp_path / "exp.json"
@@ -275,15 +371,32 @@ def test_experiment_config_block_that_is_not_an_object_exits_one(tmp_path, capsy
     assert not out.exists()
 
 
+def whole(top):
+    """The case of a config file that holds ``top``, which is not a JSON object."""
+    return lambda text, optional: [(repr(top), json.dumps(top), "must be a JSON object")]
+
+
 @pytest.mark.parametrize("command", ["train", "experiment"])
-@pytest.mark.parametrize("top", [5, [1, 2], None])
-def test_config_file_that_is_not_an_object_exits_one(tmp_path, capsys, command, top):
+@pytest.mark.parametrize("top", [
+    pytest.param(whole(5), id="5"),
+    pytest.param(whole([1, 2]), id="top1"),
+    pytest.param(whole(None), id="None"),
+    *[pytest.param(corpus(kind), id=kind) for kind in CORPUS_KINDS],
+])
+def test_config_file_that_is_not_an_object_exits_one(trained, tmp_path, capsys, command, top):
+    # so is a config with a dropped, unknown or mistyped key, or cut short
+    reader, config, optional = CONFIGS[command]
+    reader.from_dict(copy.deepcopy(config))  # the unbroken config is valid
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(top))
     argv = ["--config", cfg_path, "--out", tmp_path / "out"]
     if command == "train":
-        data = tmp_path / "data.csv"
-        data.write_text("x0,time,event\n0.5,1.0,1\n0.25,2.0,0\n")
-        argv += ["--data", data]
-    assert run(command, *argv) == 1
-    assert "must be a JSON object" in capsys.readouterr().err
+        argv += ["--data", trained[0] / "data.csv"]
+    for label, text, expected in top(json.dumps(config), optional):
+        cfg_path.write_text(text)
+        try:
+            code = run(command, *argv)
+        except Exception as exc:
+            raise AssertionError(f"{command} config {label} raised {exc!r}") from exc
+        assert code == 1, label
+        assert expected in capsys.readouterr().err, label
+        assert not (tmp_path / "out").exists(), label

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from copsurv.data import SurvivalDataset, load_regression_csv
+from copsurv.data import SurvivalDataset, load_regression_csv, read_json
 from copsurv.errors import ValidationError
 
 
@@ -101,3 +101,12 @@ def test_load_regression_csv(tmp_path):
     assert np.array_equal(y, np.array([10.0, 20.0]))
     with pytest.raises(ValidationError):
         load_regression_csv(path, "missing")
+
+
+def test_read_json_names_the_line_and_column_of_bad_text(tmp_path):
+    path = tmp_path / "cut.json"
+    path.write_text('{\n  "max_epochs": 60,\n  "patience"')
+    with pytest.raises(ValidationError, match=r"cut\.json:3:13: Expecting ':' delimiter"):
+        read_json(path)
+    path.write_text('{"seed": 1}\n')
+    assert read_json(path) == {"seed": 1}

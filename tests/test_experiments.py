@@ -145,6 +145,31 @@ def test_config_round_trip_and_unknown_field():
         ExperimentConfig.from_dict(doc)
 
 
+def config_doc(drop=(), **edits):
+    """A metric-bias config document with ``edits`` and without the keys in ``drop``."""
+    doc = {"experiment_id": "rule", "kind": "metric_bias", **edits}
+    return {key: value for key, value in doc.items() if key not in drop}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (config_doc(drop=("experiment_id", "kind")), "ExperimentConfig is missing experiment_id, kind"),
+    (config_doc(drop=("kind",)), "ExperimentConfig is missing kind"),
+    (config_doc(tau_grid=["a"]), r"tau_grid\[0\] must be a finite number"),
+    (config_doc(tau_grid=[None]), r"tau_grid\[0\] must be a finite number"),
+    (config_doc(tau_grid=0.2), "tau_grid must be a list"),
+    (config_doc(seeds=5), "seeds must be a list"),
+    (config_doc(seeds=[0, 1.0]), r"seeds\[1\] must be an integer"),
+    (config_doc(n_train="300"), "n_train must be an integer"),
+    (config_doc(experiment_id=None), "experiment_id must be a string"),
+    (config_doc(budget=7), "ExperimentConfig takes no budget"),
+    (config_doc(train={"max_epochs": None}), "TrainConfig max_epochs must be an integer"),
+    (config_doc(survival_l1={"n_steps": 10, "bins": 3}), "SurvivalL1Config takes no bins"),
+])
+def test_config_document_names_the_bad_key(doc, message):
+    with pytest.raises(ValidationError, match=message):
+        ExperimentConfig.from_dict(doc)
+
+
 @pytest.fixture(scope="module")
 def tiny_runs(tmp_path_factory):
     """Serial run of each kind's tiny config, made on first use: (cfg, result, out)."""

@@ -5,8 +5,10 @@ at module level: an import inside a function body hides a dependency (and
 often a cycle) until the function runs.  Files are read and written by
 ``data`` alone, which owns every file format.  The command line imports
 no more of scipy than the package needs.  Training settings have one
-default each, set in ``training``.  Every public function and class
-has a caller outside the tests; one that only tests use belongs in them.
+default each, set in ``training``.  Every decoder of a JSON document
+calls the one document check, ``errors.check_document``.  Every public
+function and class has a caller outside the tests; one that only tests use
+belongs in them.
 The few that only the benchmark calls are listed, so that a new one shows.
 """
 import ast
@@ -126,6 +128,30 @@ def test_data_is_seen_doing_file_io():
 def test_only_data_does_file_io(module):
     found = [f"{module}.py:{line} {what}" for line, what in file_io_of(module)]
     assert not found
+
+
+def decoders():
+    """(module.function, whether it calls check_document) of each function
+    that decodes a JSON document: ``from_dict``, ``*_from_dict`` and ``*_from_sidecar``."""
+    found = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (
+                    node.name == "from_dict" or node.name.endswith(("_from_dict", "_from_sidecar"))):
+                calls = {getattr(call.func, "id", None) for call in ast.walk(node)
+                         if isinstance(call, ast.Call)}
+                found.append((f"{module}.{node.name}", "check_document" in calls))
+    return found
+
+
+def test_every_decoder_checks_its_document():
+    # every JSON document is read by one rule, errors.check_document, so a
+    # decoder that skips it would bring back a reader of its own
+    found = decoders()
+    assert {"data.from_dict", "copulas.from_dict", "weibull.from_dict", "weibull.risk_from_dict",
+            "training.from_dict", "datagen.truth_from_sidecar"} <= {name for name, _ in found}
+    assert not [name for name, checked in found if not checked]
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -267,6 +267,44 @@ def test_risk_dict_roundtrip_exact(kind):
     assert np.array_equal(back.evaluate(x), risk.evaluate(x))
 
 
+def mlp_doc(**edits):
+    return {**MLPRisk.init((3, 2, 1), RNG(8)).to_dict(), **edits}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (mlp_doc(weights=[[0.0] * 5, [0.0] * 2]), "do not fit widths"),  # 3 x 2 = 6 weights
+    (mlp_doc(weights=[[0.0] * 6]), "do not fit widths"),              # a layer short
+    (mlp_doc(biases=[[0.0] * 2, [0.0] * 2]), "do not fit widths"),
+    (mlp_doc(biases=[[0.0] * 2]), "do not fit widths"),              # a layer short
+    (mlp_doc(widths=[3, 0, 1], weights=[[], []], biases=[[], [0.0]]), "do not fit widths"),
+    (mlp_doc(widths=[3.0, 2, 1]), r"widths\[0\] must be an integer"),
+    (mlp_doc(weights=[[None] * 6, [0.0] * 2]), r"weights\[0\]\[0\] must be a finite number"),
+    ({"kind": "linear", "weights": [1.0, 10**400]}, r"weights\[1\] must be a finite number"),
+    ({"kind": "linear", "weights": [float("nan")]}, "must be a finite number"),
+    ({"kind": "linear", "weights": 1.0}, "weights must be a list"),
+    ({"kind": "linear"}, "linear risk is missing weights"),
+    ({"kind": "linear", "weights": [], "widths": [1]}, "linear risk takes no widths"),
+    ({"kind": ["linear"]}, "unknown risk kind"),
+    ("linear", "risk must be a JSON object"),
+])
+def test_risk_from_dict_names_the_bad_key(doc, message):
+    with pytest.raises(ValidationError, match=message):
+        risk_from_dict(doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"log_nu": "1.0"}, "log_nu must be a finite number"),
+    ({"log_nu": True}, "log_nu must be a finite number"),
+    ({"log_rho": None}, "log_rho must be a finite number"),
+    ({"kind": "weibull"}, "not a weibull_cox checkpoint"),
+    ({"shape": 1.0}, "weibull_cox model takes no shape"),
+])
+def test_model_from_dict_names_the_bad_key(edit, message):
+    doc = {**linear_model().to_dict(), **edit}
+    with pytest.raises(ValidationError, match=message):
+        WeibullCoxModel.from_dict(doc)
+
+
 def test_model_checkpoint_roundtrip_bitwise():
     rng = RNG(7)
     model = WeibullCoxModel.from_natural(2.3, 4.1, MLPRisk.init((4, 4, 2, 1), rng))
