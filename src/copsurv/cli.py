@@ -30,6 +30,13 @@ from .weibull import RISK_KINDS
 FAMILIES = tuple(family.value for family in Family)
 
 
+def non_negative_int(text) -> int:
+    """The value of every ``--seed`` flag, an integer >= 0 as numpy's generators take."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def cmd_generate(args) -> int:
     spec = spec_from_tau(args.family, args.tau, args.kappa)
     cfg = PRESETS[args.preset](args.seed, n=args.n, copula=spec)
@@ -123,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES[1:], default="clayton")
     p.add_argument("--tau", type=float, required=True, help="Kendall's tau; 0 = independence")
     p.add_argument("--kappa", type=float, default=0.5, help="mixture weight on the Frank part")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 
@@ -133,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES[1:], default="clayton")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--kappa", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--shift", action="store_true",
                    help="shift nonpositive targets instead of rejecting them")
     p.add_argument("--out", required=True, help="output directory")
@@ -145,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--event-risk", choices=RISK_KINDS, default="linear")
     p.add_argument("--censor-risk", choices=RISK_KINDS, default="linear")
     p.add_argument("--config", help="JSON file of training settings")
-    p.add_argument("--seed", type=int, help="overrides the config seed")
+    p.add_argument("--seed", type=non_negative_int, help="overrides the config seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import MISSING, asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError, check_document
+from .errors import ValidationError, check_document, check_value
 
 
 def write_csv(path, header, rows) -> None:
@@ -90,23 +90,35 @@ def read_json(path):
             raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
-# a config field's JSON shape by its annotation; a nested config is checked as it is read
-_FIELD_SHAPES = {"int": int, "float": float, "str": str,
+# a config field's shape by its annotation, as text under ``from __future__ import annotations``
+_FIELD_SHAPES = {"int": int, "float": float, "str": str, "Optional[str]": str | None,
                  "Tuple[float, ...]": [float], "Tuple[int, ...]": [int]}
 
 
 class Config:
-    """Base of the config dataclasses, which are stored as JSON objects."""
+    """Base of the config dataclasses, stored as JSON objects.  Construction checks each
+    field by its annotation: a shape of ``_FIELD_SHAPES``, a tuple field stored as a tuple
+    (of floats for ``Tuple[float, ...]``), or a config class, which decodes a dict."""
+
+    def __post_init__(self):
+        configs = {cls.__name__: cls for cls in Config.__subclasses__()}
+        for f in fields(self):
+            shape, value = _FIELD_SHAPES.get(f.type), getattr(self, f.name)
+            check_value(value, shape, f"{type(self).__name__} {f.name}")
+            if isinstance(shape, list):
+                setattr(self, f.name, tuple(map(float, value) if shape == [float] else value))
+            elif f.type in configs and not isinstance(value, configs[f.type]):
+                setattr(self, f.name, configs[f.type].from_dict(value))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc):
-        """``cls(**doc)`` once ``doc`` passes check_document; a field without a default is required."""
-        fields = cls.__dataclass_fields__.values()
-        check_document(doc, cls.__name__, {f.name: _FIELD_SHAPES.get(f.type) for f in fields},
-                       [f.name for f in fields if (f.default, f.default_factory) != (MISSING, MISSING)])
+        """``cls(**doc)`` once ``doc`` holds every field without a default and no other key."""
+        own = fields(cls)
+        check_document(doc, cls.__name__, dict.fromkeys(f.name for f in own),
+                       [f.name for f in own if (f.default, f.default_factory) != (MISSING, MISSING)])
         return cls(**doc)
 
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one rule every JSON
-document it reads keeps, :func:`check_document`.
+"""Exception types shared across the package, and the rules every JSON document
+and config field it reads keep, :func:`check_document` and :func:`check_value`.
 
 The CLI maps these onto process exit codes: validation problems exit 1,
 numerical failures exit 2, filesystem problems exit 3.
@@ -12,30 +12,23 @@ class ValidationError(ValueError):
 
 
 # the values each scalar shape admits, never a bool, and their name in messages
-_SCALARS = {int: (int, "an integer"), float: ((int, float), "a finite number"), str: (str, "a string")}
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a finite number"), str: (str, "a string"),
+            str | None: ((str, type(None)), "a string or null")}
 
 
-def _check_value(value, shape, name) -> None:
+def check_value(value, shape, name) -> None:
     """Raises ValidationError naming ``name`` unless ``value`` has ``shape``:
     ``int``, ``str`` or ``float`` (a finite int or float, at most the largest
-    float in size) a scalar of that kind, ``[shape]`` a list of values of that
-    shape, ``None`` any value."""
+    float in size) a scalar of that kind, ``str | None`` a string or None,
+    ``[shape]`` a list or tuple of values of that shape, ``None`` any value."""
     if shape is None:
         return
-    kinds, what = (list, "a list") if isinstance(shape, list) else _SCALARS[shape]
+    kinds, what = ((list, tuple), "a list") if isinstance(shape, list) else _SCALARS[shape]
     if isinstance(value, bool) or not isinstance(value, kinds) or (
             shape is float and not abs(value) <= sys.float_info.max):
         raise ValidationError(f"{name} must be {what}, got {value!r}")
     for i, item in enumerate(value if isinstance(shape, list) else ()):
-        _check_value(item, shape[0], f"{name}[{i}]")
-
-
-def check_numbers(obj, ints=(), reals=()) -> None:
-    """Raises ValidationError unless every attribute of ``obj`` named in
-    ``ints`` has the shape ``int`` and every one named in ``reals`` ``float``."""
-    for names, shape in ((ints, int), (reals, float)):
-        for name in names:
-            _check_value(getattr(obj, name), shape, name)
+        check_value(item, shape[0], f"{name}[{i}]")
 
 
 def check_document(doc, what, shapes, optional=()) -> None:
@@ -49,7 +42,7 @@ def check_document(doc, what, shapes, optional=()) -> None:
         if keys:
             raise ValidationError(f"{what} {problem} {', '.join(keys)}")
     for key, value in doc.items():
-        _check_value(value, shapes[key], f"{what} {key}")
+        check_value(value, shapes[key], f"{what} {key}")
 
 
 class DomainError(ValueError):

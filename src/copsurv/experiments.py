@@ -55,7 +55,7 @@ from .copulas import Family, spec_from_tau, theta_to_tau
 from .data import Config, SurvivalDataset, csv_cell, load_regression_csv, write_csv, write_json
 from .datagen import (PRESETS, censor_regression, child_seed, generate_synthetic, sidecar_dict,
                       synthetic_regression, tau_key)
-from .errors import NumericalFailure, ValidationError, check_numbers
+from .errors import NumericalFailure, ValidationError
 from .metrics import SurvivalL1Config
 from .training import FittedJointModel, TrainConfig, fit
 from .weibull import RISK_KINDS
@@ -113,28 +113,26 @@ class ExperimentConfig(Config):
     survival_l1: SurvivalL1Config = field(default_factory=SurvivalL1Config)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        self.family = str(self.family).lower()
+        self.family = self.family.lower()
         families = [f.value for f in Family]
         if self.family not in families:
             raise ValidationError(f"family must be one of {families}, got {self.family!r}")
-        self.tau_grid = tuple(float(t) for t in self.tau_grid)
-        self.seeds = tuple(self.seeds)
         if not self.tau_grid:
             raise ValidationError("tau_grid must not be empty")
         if any(not 0.0 <= t < 1.0 for t in self.tau_grid):
             raise ValidationError(f"tau_grid values must lie in [0, 1): {self.tau_grid}")
         if not self.seeds:
             raise ValidationError("seeds must not be empty")
-        if not all(type(s) is int and s >= 0 for s in self.seeds):
+        if any(s < 0 for s in self.seeds):
             raise ValidationError(f"seeds must be non-negative integers: {self.seeds}")
         # arm directories are named tau{tau:g}_seed{seed}
         if len({f"{t:g}" for t in self.tau_grid}) != len(self.tau_grid):
             raise ValidationError(f"tau_grid entries must differ in 6 significant digits: {self.tau_grid}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError(f"seeds has duplicate entries: {self.seeds}")
-        check_numbers(self, ("n_train", "n_val", "n_test"), ("kappa",))
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ValidationError(f"n_train, n_val and n_test must be >= 1, got "
                                   f"{self.n_train}, {self.n_val} and {self.n_test}")
@@ -164,13 +162,9 @@ class ExperimentConfig(Config):
             raise ValidationError("event_risk and censor_risk must be 'linear' or 'mlp'")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValidationError(f"kappa must lie in [0, 1], got {self.kappa}")
-        if not isinstance(self.train, TrainConfig):
-            self.train = TrainConfig.from_dict(self.train)
         for name in ("seed", "validation_fraction"):
             if getattr(self.train, name) != getattr(TrainConfig, name):
                 raise ValidationError(f"train.{name} cannot be set: each arm derives it")
-        if not isinstance(self.survival_l1, SurvivalL1Config):
-            self.survival_l1 = SurvivalL1Config.from_dict(self.survival_l1)
 
 
 def _write_csv(path, columns, rows) -> None:
@@ -376,10 +370,6 @@ class ExperimentResult:
     @property
     def arms_csv(self) -> str:
         return str(Path(self.out_dir) / "arms.csv")
-
-    @property
-    def summary_csv(self) -> str:
-        return str(Path(self.out_dir) / "summary.csv")
 
 
 def _check_picklable(arm_fn, payloads) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from . import copulas
 from .data import Config, SurvivalDataset, write_json
 from .datagen import child_seed, generate_synthetic, preset_metric_bias, tau_key
-from .errors import DomainError, UndefinedMetricError, ValidationError, check_numbers
+from .errors import DomainError, UndefinedMetricError, ValidationError
 from .weibull import floored_survival
 
 # grid points per block of survival_l1's per-record curves
@@ -34,7 +34,7 @@ class SurvivalL1Config(Config):
     n_steps: int = 1000
 
     def __post_init__(self):
-        check_numbers(self, ("n_steps",), ("quantile_floor",))
+        super().__post_init__()
         if not 0.0 < self.quantile_floor < 1.0:
             raise ValidationError(
                 f"quantile_floor must lie in (0, 1), got {self.quantile_floor}"

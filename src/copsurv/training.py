@@ -43,7 +43,7 @@ from scipy.optimize import minimize
 from . import copulas, likelihood
 from .copulas import CopulaSpec, spec_from_tau
 from .data import Config, SurvivalDataset, column_cells, read_json, write_csv, write_json
-from .errors import NumericalFailure, ValidationError, check_document, check_numbers
+from .errors import NumericalFailure, ValidationError, check_document
 from .weibull import WeibullCoxModel, make_risk
 
 # Kendall's tau at the dependence-parameter starts of an L-BFGS-B fit; from
@@ -81,7 +81,7 @@ class TrainConfig(Config):
     seed: int = 0
 
     def __post_init__(self):
-        check_numbers(self, ("max_epochs", "patience", "seed"), ("validation_fraction",))
+        super().__post_init__()
         if self.max_epochs < 1:
             raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 1 <= self.patience <= self.max_epochs:
@@ -92,6 +92,8 @@ class TrainConfig(Config):
             raise ValidationError(
                 f"validation_fraction must lie in [0, 1), got {self.validation_fraction}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 # Adam's moment decay rates and the denominator's guard.  No fit runs Adam:

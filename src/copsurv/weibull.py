@@ -254,10 +254,6 @@ class WeibullCoxModel:
     def nu(self) -> float:
         return float(np.exp(self.log_nu))
 
-    @property
-    def rho(self) -> float:
-        return float(np.exp(self.log_rho))
-
     def _time(self, t):
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t)):

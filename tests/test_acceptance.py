@@ -272,5 +272,5 @@ def test_reruns_are_byte_identical(kwargs, tmp_path):
     cfg = ExperimentConfig(**kwargs)
     first = run_experiment(cfg, tmp_path / "a")
     second = run_experiment(cfg, tmp_path / "b")
-    assert Path(first.summary_csv).read_bytes() == Path(second.summary_csv).read_bytes()
+    assert Path(first.out_dir, "summary.csv").read_bytes() == Path(second.out_dir, "summary.csv").read_bytes()
     assert _rows_excluding_wall(first.arms_csv) == _rows_excluding_wall(second.arms_csv)

@@ -288,6 +288,23 @@ def test_evaluate_edited_checkpoint_exits_one(trained, tmp_path, capsys, file, c
         assert expected in capsys.readouterr().err, label
 
 
+@pytest.mark.parametrize("command", ["generate", "censor", "train", "train-config"])
+def test_negative_seed_exits_one(trained, tmp_path, capsys, command):
+    # numpy's generators take no negative seed, by flag or by train config
+    data = trained[0] / "data.csv"
+    write_regression_csv(tmp_path / "reg.csv")
+    (tmp_path / "train.json").write_text(json.dumps({"seed": -1}))
+    argv = {
+        "generate": ("generate", "--tau", 0.5, "--n", 100, "--seed", -1),
+        "censor": ("censor", "--data", tmp_path / "reg.csv", "--target", "y", "--tau", 0.5, "--seed", -1),
+        "train": ("train", "--data", data, "--seed", -1),
+        "train-config": ("train", "--data", data, "--config", tmp_path / "train.json"),
+    }[command]
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_files_exit_three(tmp_path, capsys):
     assert run("train", "--data", tmp_path / "nope.csv", "--out", tmp_path / "o") == 3
     assert run("evaluate", "--checkpoint", tmp_path / "nope.json",

@@ -108,6 +108,10 @@ def test_config_validation():
         {"train": 5},
         {"train": None},
         {"survival_l1": [1]},
+        {"experiment_id": 5},
+        {"tau_grid": ("0.2",)},
+        {"tau_grid": "0.2"},
+        {"kind": "metric_bias", "preset": 5},
     ]
     for overrides in bad:
         kwargs = {"experiment_id": "x", "kind": "synthetic_sweep", "tau_grid": (0.2,)}
@@ -164,6 +168,10 @@ def config_doc(drop=(), **edits):
     (config_doc(budget=7), "ExperimentConfig takes no budget"),
     (config_doc(train={"max_epochs": None}), "TrainConfig max_epochs must be an integer"),
     (config_doc(survival_l1={"n_steps": 10, "bins": 3}), "SurvivalL1Config takes no bins"),
+    (config_doc(kind="semi_synthetic", data_csv=5, target_column="y"),
+     "ExperimentConfig data_csv must be a string or null, got 5"),
+    (config_doc(kind="semi_synthetic", data_csv="d.csv", target_column=7),
+     "ExperimentConfig target_column must be a string or null, got 7"),
 ])
 def test_config_document_names_the_bad_key(doc, message):
     with pytest.raises(ValidationError, match=message):
@@ -229,14 +237,14 @@ def test_sweep_arms_csv_layout(tiny_sweep):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_summary_recomputes_from_arms(tiny_runs, kind):
-    cfg, result, _ = tiny_runs(kind)
-    header = Path(result.summary_csv).read_text().splitlines()[0]
+    cfg, result, out = tiny_runs(kind)
+    header = (Path(out) / "summary.csv").read_text().splitlines()[0]
     assert header == SUMMARY_HEADERS[kind]
     columns = header.split(",")
     group = [c for c in columns[1:columns.index("n_seeds")] if not c.startswith(("mean_", "std_"))]
     arm_group = [c for c in group if c != "outcome"]
     arms = read_rows(result.arms_csv)
-    summary = read_rows(result.summary_csv)
+    summary = read_rows(Path(out) / "summary.csv")
 
     # one row per group, in the order of the group's first arms.csv row
     expected = list(dict.fromkeys(tuple(a[c] for c in arm_group) for a in arms))
@@ -292,7 +300,7 @@ def test_semi_synthetic_standin_rows(tmp_path):
     ]
     for row in result.rows:
         assert row["r_squared"] is not None
-    summary = read_rows(result.summary_csv)
+    summary = read_rows(tmp_path / "semi" / "summary.csv")
     assert [s["model"] for s in summary] == ["no_censoring", "copula", "independence"]
     assert summary[0]["tau_star"] == ""
     assert (tmp_path / "semi" / "arms" / "seed0" / "tau0.5" / "copula" / "report.json").exists()

@@ -6,18 +6,23 @@ often a cycle) until the function runs.  Files are read and written by
 ``data`` alone, which owns every file format.  The command line imports
 no more of scipy than the package needs.  Training settings have one
 default each, set in ``training``.  Every decoder of a JSON document
-calls the one document check, ``errors.check_document``.  Every public
-function and class has a caller outside the tests; one that only tests use
-belongs in them.
+calls the one document check, ``errors.check_document``, and every config
+field has an annotation ``data.Config`` knows how to check.  Every public
+function, class, method and property has a caller outside the tests; one
+that only tests use belongs in them.
 The few that only the benchmark calls are listed, so that a new one shows.
 """
 import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+import copsurv.experiments  # noqa: F401 (defines the last Config subclasses)
+from copsurv.data import _FIELD_SHAPES, Config
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "copsurv"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
@@ -154,6 +159,18 @@ def test_every_decoder_checks_its_document():
     assert not [name for name, checked in found if not checked]
 
 
+def test_every_config_field_has_a_shape():
+    # Config.__post_init__ checks a field by its annotation, a shape of
+    # _FIELD_SHAPES or the name of a Config class, and skips any other, so an
+    # annotation the table lacks, or a class where a module without ``from
+    # __future__ import annotations`` keeps no text, would go unchecked
+    configs = {cls.__name__: cls for cls in Config.__subclasses__()}
+    assert {"TrainConfig", "SurvivalL1Config", "ExperimentConfig"} <= set(configs)
+    unchecked = [f"{name}.{f.name}: {f.type!r}" for name, cls in configs.items() for f in fields(cls)
+                 if f.type not in _FIELD_SHAPES and f.type not in configs]
+    assert not unchecked
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats is the slowest part of scipy to import, and no module needs it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -199,20 +216,31 @@ def referenced_names(node, strings=False):
 
 
 def test_every_public_definition_has_a_caller():
-    # a caller is another top-level statement of the package, or the benchmark
-    definitions, used = [], set()
+    # a caller is another top-level statement of the package, or the benchmark;
+    # a public method or property of a top-level class is called when the
+    # package reads it as an attribute, or the benchmark reads or names it
+    definitions, members, used, read = [], [], set(), set()
     for module in MODULES:
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
         for node in tree.body:
             own = None
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = node.name
                 if not own.startswith("_"):
                     definitions.append(f"{module}.{own}")
+            if isinstance(node, ast.ClassDef):
+                members += [f"{module}.{own}.{child.name}" for child in node.body
+                            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not child.name.startswith("_")]
             used |= referenced_names(node) - {own}
+    bench = set()
     for path in PERFBENCH.glob("*.py"):
-        used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
-    uncalled = [name for name in definitions if name.split(".")[1] not in used]
+        bench |= referenced_names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    assert members  # the member check below would pass vacuously otherwise
+    uncalled = [name for name in definitions if name.split(".")[1] not in used | bench]
+    uncalled += [name for name in members if name.split(".")[2] not in read | bench]
     assert not uncalled
 
 

@@ -60,6 +60,8 @@ def test_train_config_validation():
         TrainConfig(max_epochs=10, patience=11)
     with pytest.raises(ValidationError):
         TrainConfig(validation_fraction=1.0)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
     with pytest.raises(ValidationError):
         TrainConfig.from_dict({"seed": 1, "bogus": 1})
     # removed fields (the Adam-only ones, and the theta floor and L2 weight

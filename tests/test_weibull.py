@@ -32,7 +32,7 @@ def linear_model(nu=2.0, rho=3.0, w=(0.7,)):
 
 def hazard(model, t, x):
     t = np.asarray(t, dtype=float)
-    nu, rho = model.nu, model.rho
+    nu, rho = model.nu, np.exp(model.log_rho)
     return (nu / rho) * (t / rho) ** (nu - 1.0) * np.exp(model.risk.evaluate(x))
 
 
