@@ -196,17 +196,16 @@ def _maybe_scalar(value: np.ndarray, *inputs) -> ArrayLike:
 
 # ---------------------------------------------------------------------------
 # Clayton internals.  S = u1^-theta + u2^-theta - 1 is kept in log space, from
-# lu = log u, so small quantiles with large theta cannot overflow.
+# a = -theta log u1 and b = -theta log u2, so small quantiles with large
+# theta cannot overflow.
 
-def _clayton_log_s(theta, lu1, lu2):
-    a = -theta * lu1
-    b = -theta * lu2
+def _clayton_log_s(a, b):
     m = np.maximum(a, b)
     return m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
 
 
 def _clayton_cdf(theta, u1, u2):
-    return np.exp(-_clayton_log_s(theta, np.log(u1), np.log(u2)) / theta)
+    return np.exp(-_clayton_log_s(-theta * np.log(u1), -theta * np.log(u2)) / theta)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +217,13 @@ def _clayton_cdf(theta, u1, u2):
 #                               + expm1(-theta (1-lo)))
 # with lo = min(u1, u2), hi = max(u1, u2), whose bracket has one sign.
 
-def _frank_log_neg_dab(theta, u1, u2):
+def _frank_log_neg_dab(theta, u1, u2, a=None, b=None):
+    """log(-(D + A B)); ``a`` and ``b`` are A and B where the caller has them,
+    and the lower quantile's expm1(-theta lo) is then picked, not recomputed."""
     lo = np.minimum(u1, u2)
     hi = np.maximum(u1, u2)
-    bracket = np.exp(-theta * (hi - lo)) * (-np.expm1(-theta * lo)) + (
+    expm1_lo = np.expm1(-theta * lo) if a is None else np.where(u1 <= u2, a, b)
+    bracket = np.exp(-theta * (hi - lo)) * (-expm1_lo) + (
         -np.expm1(-theta * (1.0 - lo))
     )
     return -theta * lo + np.log(bracket)
@@ -235,29 +237,39 @@ def _frank_log_neg_dab(theta, u1, u2):
 def _clayton_log_partial(theta, u1, u2, want_grad):
     lu1 = np.log(u1)
     lu2 = np.log(u2)
-    log_s = _clayton_log_s(theta, lu1, lu2)
-    value = -(1.0 + theta) / theta * log_s - (theta + 1.0) * lu1
+    # -theta log u1, -theta log u2 and -(theta + 1) log u1, each formed once;
+    # x + (-y) is x - y exactly, so the shared terms change no value
+    a = -theta * lu1
+    b = -theta * lu2
+    c1 = -(theta + 1.0) * lu1
+    log_s = _clayton_log_s(a, b)
+    value = -(1.0 + theta) / theta * log_s + c1
     if not want_grad:
         return value, None
-    r1 = np.exp(-(theta + 1.0) * lu1 - log_s)  # u1^-(theta+1) / S
+    r1 = np.exp(c1 - log_s)  # u1^-(theta+1) / S
     r2 = np.exp(-(theta + 1.0) * lu2 - log_s)
     d_u1 = (1.0 + theta) * r1 - (theta + 1.0) / u1
     d_u2 = (1.0 + theta) * r2
-    ds_dtheta_over_s = -(np.exp(-theta * lu1 - log_s) * lu1 + np.exp(-theta * lu2 - log_s) * lu2)
+    ds_dtheta_over_s = -(np.exp(a - log_s) * lu1 + np.exp(b - log_s) * lu2)
     d_theta = log_s / theta**2 - (1.0 + theta) / theta * ds_dtheta_over_s - lu1
     return value, (d_u1, d_u2, {"theta": d_theta})
 
 
 def _frank_log_partial(theta, u1, u2, want_grad):
     # dC/du1 = exp(-theta u1) * B / (D + A B); both factors are negative.
-    log_neg_b = np.log(-np.expm1(-theta * u2))
-    log_neg_n = _frank_log_neg_dab(theta, u1, u2)
-    value = -theta * u1 + log_neg_b - log_neg_n
+    # -theta u1, -theta u2, A and B, each formed once
+    neg_tu1 = -theta * u1
+    neg_tu2 = -theta * u2
+    expm1_a = np.expm1(neg_tu1)
+    expm1_b = np.expm1(neg_tu2)
+    log_neg_b = np.log(-expm1_b)
+    log_neg_n = _frank_log_neg_dab(theta, u1, u2, expm1_a, expm1_b)
+    value = neg_tu1 + log_neg_b - log_neg_n
     if not want_grad:
         return value, None
-    log_neg_a = np.log(-np.expm1(-theta * u1))
+    log_neg_a = np.log(-expm1_a)
     p = np.exp(value)  # dC/du1
-    q = np.exp(-theta * u2 + log_neg_a - log_neg_n)  # dC/du2
+    q = np.exp(neg_tu2 + log_neg_a - log_neg_n)  # dC/du2
     inv_neg_b = np.exp(-log_neg_b)  # 1 / (1 - e^{-theta u2})
     d_u1 = theta * (p - 1.0)
     d_u2 = theta * (q - 1.0 + inv_neg_b)

@@ -30,6 +30,16 @@ carries it on to the risk parameters.  The copula's log-partial
 derivatives supply the dependence terms.  Survival quantiles entering the
 copula are clamped into ``[U_EPS, 1 - U_EPS]``; the clamp acts as a
 gradient stop where active.
+
+Exactness rule: the evaluation path (the risk passes, the copula kernels
+and this module) works in place and shares common terms where that saves
+work, but it keeps every floating-point operation, its operands and its
+order, so each value and gradient is bit for bit that of the plain
+out-of-place formulas.  Those formulas live in ``tests/`` as oracles, and
+the tests assert exact equality with them.  A rewrite that is only equal
+in exact arithmetic (a fused matmul, ``expm1(x) + 1`` for ``exp(x)``, a
+different reduction) moves the fits: an MLP fit stopped on validation
+amplifies a rounding difference into a different returned iterate.
 """
 from __future__ import annotations
 
@@ -84,9 +94,8 @@ def _marginal_grads(grads, prefix, model, pieces, own, dh_weight, l2_lambda):
         grads[f"{prefix}.risk.{key}"] = val
     if l2_lambda == 0.0:
         return
-    params = model.risk.params()
-    for key in model.risk.weight_keys():
-        grads[f"{prefix}.risk.{key}"] -= 2.0 * l2_lambda * params[key]
+    for key, weights in zip(model.risk.weight_keys(), model.risk.weight_arrays()):
+        grads[f"{prefix}.risk.{key}"] -= 2.0 * l2_lambda * weights
 
 
 def _l2_penalty(l2_lambda: float, *models) -> float:
@@ -95,8 +104,7 @@ def _l2_penalty(l2_lambda: float, *models) -> float:
         return 0.0
     total = 0.0
     for model in models:
-        params = model.risk.params()
-        total += sum(float(np.sum(params[key] ** 2)) for key in model.risk.weight_keys())
+        total += sum(float((weights ** 2).sum()) for weights in model.risk.weight_arrays())
     return l2_lambda * total
 
 

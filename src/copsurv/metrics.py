@@ -19,7 +19,7 @@ from . import copulas
 from .data import Config, SurvivalDataset, write_json
 from .datagen import child_seed, generate_synthetic, preset_metric_bias, tau_key
 from .errors import DomainError, UndefinedMetricError, ValidationError
-from .weibull import floored_survival
+from .weibull import SURVIVAL_FLOOR
 
 # grid points per block of survival_l1's per-record curves
 SURVIVAL_L1_CHUNK = 2**15
@@ -76,14 +76,23 @@ def survival_l1(truth_model, estimate_model, x: np.ndarray, config: Optional[Sur
         for model in (truth_model, estimate_model)
     ]
     rows = max(1, SURVIVAL_L1_CHUNK // cfg.n_steps)
+    # each block's two curves are written into these: weibull.floored_survival
+    # of exp(log H), one operation at a time in place
+    buffers = [np.empty((min(rows, n), cfg.n_steps)) for _ in curves]
     total = 0.0
     with np.errstate(over="ignore"):  # H = inf is S = 0, which the floor lifts
         for start in range(0, n, rows):
-            s_truth, s_est = (
-                floored_survival(np.exp(at_horizon[start : start + rows] + per_step))
-                for at_horizon, per_step in curves
-            )
-            total += float(np.abs(s_truth - s_est).sum())
+            stop = min(start + rows, n)
+            s_truth, s_est = (buf[: stop - start] for buf in buffers)
+            for (at_horizon, per_step), s in zip(curves, (s_truth, s_est)):
+                np.add(at_horizon[start:stop], per_step, out=s)
+                np.exp(s, out=s)
+                np.negative(s, out=s)
+                np.exp(s, out=s)
+                np.maximum(s, SURVIVAL_FLOOR, out=s)
+            np.subtract(s_truth, s_est, out=s_truth)
+            np.abs(s_truth, out=s_truth)
+            total += float(s_truth.sum())
     return total / (n * cfg.n_steps)
 
 

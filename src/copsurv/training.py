@@ -222,15 +222,19 @@ class _TrialFailed(Exception):
         self.failure = failure
 
 
-def _exp_in_box(z, lo, hi):
-    """exp(z) for z in [log lo, log hi]: exactly lo or hi at the ends, where
-    exp(log 500) is 499.99999999999983, and finite however large z is."""
-    if z <= np.log(lo):
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _exp_in_box(z, lo, hi, log_lo, log_hi):
+    """exp(z) for z in [log_lo, log_hi] = [log lo, log hi]: exactly lo or hi
+    at the ends, where exp(log 500) is 499.99999999999983, and finite
+    however large z is."""
+    if z <= log_lo:
         return lo
-    if z >= np.log(hi):
+    if z >= log_hi:
         return hi
     with np.errstate(over="ignore"):
-        return float(np.clip(np.exp(z), lo, np.finfo(float).max))
+        return min(max(float(np.exp(z)), lo), _FLOAT_MAX)
 
 
 def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainConfig,
@@ -256,17 +260,29 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     log_boxes = {k: box for k, box in copula_bounds.items() if box[0] > 0}
     solver_boxes = {**copula_bounds, **{k: tuple(np.log(box)) for k, box in log_boxes.items()}}
     bounds = [solver_boxes.get(k, (None, None)) for k in keys for _ in range(params[k].size)]
-    # each parameter's slice of the flat vector, fixed for the run
+    # each parameter's slice of the flat vector, fixed for the run: the
+    # arrays the solver moves on their own scale, and the log-scale thetas
+    # (single values) with their boxes
     ends = np.cumsum([params[k].size for k in keys])
-    layout = [(k, params[k], slice(end - params[k].size, end)) for k, end in zip(keys, ends)]
+    spans = {k: slice(end - params[k].size, end) for k, end in zip(keys, ends)}
+    linear_layout = [(params[k], spans[k]) for k in keys if k not in log_boxes]
+    log_layout = [(params[k], spans[k].start, (lo, hi, np.log(lo), np.log(hi)))
+                  for k, (lo, hi) in log_boxes.items()]
+    # the gradient is written into views of one vector, each in its parameter's shape
+    grad = np.empty(ends[-1])
+    grad_views = [(k, grad[spans[k]].reshape(params[k].shape)) for k in keys]
     use_val = val_negloglik is not None
+    # the point params were last unpacked from; scipy hands the objective a
+    # copy of its x, and every other point unpacked is this function's own
+    unpacked_x = None
 
     def unpack(x):
-        for key, param, span in layout:
-            if key in log_boxes:  # a copula parameter, a single value
-                param[...] = _exp_in_box(x[span][0], *log_boxes[key])
-            else:
-                param[...] = x[span].reshape(param.shape)
+        nonlocal unpacked_x
+        for param, span in linear_layout:
+            param[...] = x[span].reshape(param.shape)
+        for param, i, box in log_layout:
+            param[...] = _exp_in_box(x[i], *box)
+        unpacked_x = x
 
     train_hist: List[float] = []
     val_hist: List[float] = []
@@ -284,9 +300,10 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
             # an overflowing trial point is expected and handled: no warning
             with np.errstate(over="ignore", invalid="ignore"):
                 loglik, grads = loss_and_grad()
-            # d/d log theta = theta d/d theta
-            grad = np.concatenate(
-                [np.ravel(grads[k] * params[k] if k in log_boxes else grads[k]) for k in keys])
+            for key, view in grad_views:
+                view[...] = grads[key]
+            for param, i, _ in log_layout:
+                grad[i] *= param  # d/d log theta = theta d/d theta
             if not np.isfinite(grad).all():
                 raise NumericalFailure("non-finite gradient")
         except NumericalFailure as failure:
@@ -304,7 +321,9 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     def on_iterate(intermediate_result):
         nonlocal x_accepted
         x_accepted = intermediate_result.x.copy()
-        unpack(x_accepted)
+        # L-BFGS-B accepts the point it evaluated last, where params already are
+        if not np.array_equal(x_accepted, unpacked_x):
+            unpack(x_accepted)
         val = validate()
         train_hist.append(float(intermediate_result.fun))
         val_hist.append(val)

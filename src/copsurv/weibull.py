@@ -16,7 +16,11 @@ Risk functions:
   linear output; weights initialized U[-1/sqrt(fan_in), 1/sqrt(fan_in)],
   biases zero.  Its activations are feature-major, (width, n) from the view
   ``x.T``, so each op runs along the n records in one contiguous pass instead
-  of broadcasting a short width vector across n rows.
+  of broadcasting a short width vector across n rows.  The bias add, the
+  ELU and backprop's slope product update each layer's fresh array in
+  place, with the same operations in the same order as the out-of-place
+  formulas (kept in the tests as oracles), so the values are bit for bit
+  the same.
 * ``QuadraticRisk`` - g(x) = w . x^2, used by data-generating processes only
   (it has no training support).
 
@@ -77,6 +81,10 @@ class LinearRisk:
 
     def weight_keys(self) -> tuple:
         return ("w",)
+
+    def weight_arrays(self) -> tuple:
+        """The arrays ``weight_keys`` names, in its order."""
+        return (self.weights,)
 
     def to_dict(self) -> dict:
         return {"kind": "linear", "weights": [float(v) for v in self.weights]}
@@ -143,24 +151,33 @@ class MLPRisk:
     def forward(self, x: np.ndarray):
         """(g(x), backprop): ``backprop(cotangent)`` is the gradient of
         sum_i cotangent_i * g(x_i) with respect to every parameter."""
-        # ELU(z) = max(z, 0) + expm1(neg) with neg = min(z, 0); its slope is exp(neg)
+        # ELU(z) = max(z, 0) + expm1(neg) with neg = min(z, 0); its slope is exp(neg).
+        # Each layer's fresh z is updated in place, with the operations of
+        # max(z, 0) + expm1(neg) in their order, so the values do not change.
         post, negs = [_check_matrix(x, self.dim).T], []
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = w @ post[-1] + b[:, None]
+            z = w @ post[-1]
+            z += b[:, None]
             if i < n_layers - 1:
-                negs.append(np.minimum(z, 0.0))
-                z = np.maximum(z, 0.0) + np.expm1(negs[-1])
+                neg = np.minimum(z, 0.0)
+                negs.append(neg)
+                np.maximum(z, 0.0, out=z)
+                z += np.expm1(neg)
             post.append(z)
 
         def backprop(cotangent):
             grads = {}
-            delta = np.asarray(cotangent, dtype=float)[None, :]  # output layer is linear
+            # output layer is linear; this first delta is a view of the
+            # caller's cotangent, so it is never written: each later delta
+            # is a fresh product, scaled in place
+            delta = np.asarray(cotangent, dtype=float)[None, :]
             for i in range(n_layers - 1, -1, -1):
                 grads[f"W{i}"] = delta @ post[i].T
                 grads[f"b{i}"] = delta.sum(axis=1)
                 if i > 0:
-                    delta = (self.weights[i].T @ delta) * np.exp(negs[i - 1])
+                    delta = self.weights[i].T @ delta
+                    delta *= np.exp(negs[i - 1])
             return grads
 
         return post[-1][0], backprop
@@ -177,6 +194,10 @@ class MLPRisk:
 
     def weight_keys(self) -> tuple:
         return tuple(f"W{i}" for i in range(len(self.weights)))
+
+    def weight_arrays(self) -> list:
+        """The arrays ``weight_keys`` names, in its order."""
+        return self.weights
 
     def to_dict(self) -> dict:
         return {

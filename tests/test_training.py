@@ -5,8 +5,9 @@ import json
 
 import numpy as np
 import pytest
-from scipy.optimize import rosen, rosen_der
+from scipy.optimize import OptimizeResult, rosen, rosen_der
 
+from copsurv import training
 from copsurv.copulas import (
     PARAMETERS,
     THETA_HI_FRANK,
@@ -188,6 +189,62 @@ def test_lbfgsb_restarts_after_an_overflowing_trial_point():
     assert calls["failed"] > 0  # the trial points did overflow
     assert np.allclose(p, 3.0, atol=1e-4)
     assert best_epoch == len(trace.epoch) - 1
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_lbfgsb_leaves_the_reported_iterate_after_failed_trial_points(early_stop):
+    # trial points overflow after iterates were accepted; whatever the solver
+    # last evaluated, the parameters left behind are the iterate reported:
+    # the final one, or with early_stop the best-validation one
+    p = np.full(2, -2.0)
+    seen, failed_after = [], []
+
+    def loss_and_grad():
+        try:
+            return _saturating(p, limit=5.0)
+        except NumericalFailure:
+            failed_after.append(len(seen))
+            raise
+
+    def val():
+        seen.append(p.copy())
+        return float(np.sum((p - 2.0) ** 2))  # best near 2, short of the optimum at 3
+
+    cfg = TrainConfig(max_epochs=500, patience=5)
+    trace, best_epoch, best_val = _optimize(
+        {"p": p}, {}, loss_and_grad, val, cfg, early_stop=early_stop
+    )
+    assert max(failed_after) > 0  # a trial point failed after an accepted iterate
+    assert np.array_equal(p, seen[best_epoch])
+    assert -_saturating(p)[0] == trace.train_negloglik[best_epoch]
+    assert best_val == val() == trace.val_negloglik[best_epoch]
+    if early_stop:
+        assert best_epoch < len(trace.epoch) - 1
+    else:
+        assert best_epoch == len(trace.epoch) - 1 and np.allclose(p, 3.0, atol=1e-4)
+
+
+def test_lbfgsb_unpacks_an_accepted_iterate_it_did_not_evaluate_last(monkeypatch):
+    # L-BFGS-B accepts the point it evaluated last, so the unpack on each
+    # accepted iterate is skipped; a solver that accepts an earlier point
+    # must still leave the parameters at it
+    p = np.zeros(2)
+    seen = []
+
+    def solver(fun, x0, callback, **kwargs):
+        fun(np.array([1.0, 2.0]))
+        fun(np.array([5.0, 6.0]))
+        callback(OptimizeResult(x=np.array([1.0, 2.0]), fun=0.0))
+        return OptimizeResult(x=np.array([1.0, 2.0]))
+
+    def val():
+        seen.append(p.tolist())
+        return 0.0
+
+    monkeypatch.setattr(training, "minimize", solver)
+    _optimize({"p": p}, {}, lambda: (0.0, {"p": np.zeros(2)}), val, TrainConfig())
+    assert seen == [[1.0, 2.0]]
+    assert p.tolist() == [1.0, 2.0]
 
 
 def test_lbfgsb_without_progress_raises_with_the_iteration_count():
