@@ -22,7 +22,7 @@ from .copulas import Family, spec_from_tau, theta_to_tau
 from .data import SurvivalDataset, load_regression_csv, read_json, write_json
 from .datagen import PRESETS, censor_regression, generate_synthetic, sidecar_dict, truth_from_sidecar
 from .errors import DomainError, NumericalFailure, UndefinedMetricError, ValidationError
-from .experiments import ExperimentConfig, _evaluate_fitted, run_experiment
+from .experiments import ExperimentConfig, evaluate_fitted, run_experiment
 from .metrics import SurvivalL1Config, survival_l1  # noqa: F401 (perfbench's tracer test binds it here)
 from .training import FittedJointModel, TrainConfig, fit
 from .weibull import RISK_KINDS
@@ -103,7 +103,7 @@ def cmd_evaluate(args) -> int:
     fitted = FittedJointModel.load(args.checkpoint)
     data = SurvivalDataset.load_csv(args.data)
     truth = truth_from_sidecar(read_json(args.truth)) if args.truth else None
-    report = _evaluate_fitted(fitted, truth, data, SurvivalL1Config(), eval_time=args.eval_time)
+    report = evaluate_fitted(fitted, truth, data, SurvivalL1Config(), eval_time=args.eval_time)
     print(report.save(args.out), end="")
     return 0
 

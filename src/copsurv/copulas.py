@@ -71,7 +71,8 @@ class Family(str, Enum):
     MIXTURE = "mixture"
 
 
-def _coerce_family(family) -> Family:
+def coerce_family(family) -> Family:
+    """The ``Family`` a member or its name (any case) names."""
     if isinstance(family, Family):
         return family
     try:
@@ -131,7 +132,7 @@ class CopulaSpec:
     kappa: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "family", _coerce_family(self.family))
+        object.__setattr__(self, "family", coerce_family(self.family))
         domains = PARAMETERS[self.family]
         for name in _FIELDS:
             val, domain = getattr(self, name), domains.get(name)
@@ -166,7 +167,7 @@ class CopulaSpec:
     def from_dict(cls, doc: dict) -> "CopulaSpec":
         """Reads ``to_dict``'s form, the family and exactly its parameters, by
         check_document's rule; a number out of range raises ``ParameterDomainError``."""
-        fam = _coerce_family(doc["family"]) if isinstance(doc, dict) and "family" in doc else None
+        fam = coerce_family(doc["family"]) if isinstance(doc, dict) and "family" in doc else None
         names = PARAMETERS.get(fam, {})
         check_document(doc, f"{fam.value} copula" if fam else "copula",
                        {"family": None, **dict.fromkeys(names, float)})
@@ -462,7 +463,7 @@ def theta_to_tau(spec: CopulaSpec) -> float:
 
 def tau_to_theta(family, tau: float) -> float:
     """Dependence parameter reproducing Kendall's tau for a single family."""
-    fam = _coerce_family(family)
+    fam = coerce_family(family)
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau}")
     if fam is Family.CLAYTON:
@@ -514,7 +515,7 @@ def spec_from_tau(family, tau: float, kappa: float = 0.5) -> CopulaSpec:
     tau = 0 maps to the Independence family.  For the mixture, both
     components are placed at ``tau`` and mixed with weight ``kappa``.
     """
-    fam = _coerce_family(family)
+    fam = coerce_family(family)
     if tau == 0.0:
         return CopulaSpec.independence()
     if fam is Family.INDEPENDENCE:

@@ -61,16 +61,16 @@ class NumericalFailure(RuntimeError):
     """A computation produced a non-finite value.
 
     ``record_index`` points at the offending record when the failure arose
-    from a per-record term; ``epoch`` and ``last_state`` are populated when
-    training fails mid-run so the caller can inspect the last finite state.
+    from a per-record term; ``epoch`` counts the accepted iterations when
+    training fails mid-run, and the optimizer leaves the parameters at the
+    last accepted iterate.
     ``model`` names the experiment arm's model (``copula`` or
     ``independence``) whose fit or evaluation failed, once the experiment
     runner has set it.
     """
 
-    def __init__(self, message, record_index=None, epoch=None, last_state=None, model=None):
+    def __init__(self, message, record_index=None, epoch=None, model=None):
         super().__init__(message)
         self.record_index = record_index
         self.epoch = epoch
-        self.last_state = last_state
         self.model = model

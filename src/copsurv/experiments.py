@@ -1,9 +1,9 @@
 """Experiment presets: dependence sweeps, metric-bias study, semi-synthetic
 regression censoring.
 
-An experiment expands into independent arms (one per dependence level and
-seed for sweeps, one per seed otherwise), each of which generates data, fits
-the copula model and the independence baseline on the same draw, and
+An experiment expands into independent arms, one per dependence level and
+seed, each of which draws or censors data, fits the copula model and the
+independence baseline on the same draw (a metric-bias arm fits nothing), and
 evaluates against the ground truth.  Arms run serially unless the caller asks
 for more than one worker, in which case they run in a process pool; rows are
 re-sorted before writing, so results are identical either way.  An exception
@@ -172,8 +172,8 @@ def _write_csv(path, columns, rows) -> None:
     write_csv(path, columns, ([csv_cell(row.get(col)) for col in columns] for row in rows))
 
 
-def _evaluate_fitted(fitted: FittedJointModel, truth, test_ds, l1_cfg, target=None,
-                     eval_time=None):
+def evaluate_fitted(fitted: FittedJointModel, truth, test_ds, l1_cfg, target=None,
+                    eval_time=None):
     """Score ``fitted`` on ``test_ds``; survival-L1 needs ``truth``, R-squared
     needs the regression ``target`` of the test rows, and the Brier score is
     taken at ``eval_time`` (default: the median observed time)."""
@@ -203,14 +203,10 @@ def _save_model_artifacts(arm_dir: Path, model_name: str, fitted: FittedJointMod
     report.save(mdir / "report.json")
 
 
-def _row(cfg: ExperimentConfig, tau, seed: int, model: str, family: str, wall: float, report) -> dict:
-    """One ``arms.csv`` row of the sweep and semi-synthetic kinds."""
-    row = dict.fromkeys(SWEEP_COLUMNS)
-    row.update(
-        asdict(report), experiment_id=cfg.experiment_id, tau_star=tau, seed=seed,
-        model=model, family=family, wall_time_s=wall,
-    )
-    return row
+def _row(cfg: ExperimentConfig, tau, seed: int, wall: float, **values) -> dict:
+    """One ``arms.csv`` row: the arm's tau and seed, ``values`` and the wall time."""
+    return {"experiment_id": cfg.experiment_id, "tau_star": tau, "seed": seed, **values,
+            "wall_time_s": wall}
 
 
 def _fit_models(cfg, tau, seed, train_seed, fit_ds, test_ds, truth, arm_dir, target=None):
@@ -226,7 +222,7 @@ def _fit_models(cfg, tau, seed, train_seed, fit_ds, test_ds, truth, arm_dir, tar
             start = time.perf_counter()
             fitted = fit(fit_ds, cfg.event_risk, cfg.censor_risk, family, train_cfg)
             wall = time.perf_counter() - start
-            report = _evaluate_fitted(fitted, truth, test_ds, cfg.survival_l1, target)
+            report = evaluate_fitted(fitted, truth, test_ds, cfg.survival_l1, target)
         except NumericalFailure as exc:
             exc.model = model_name
             raise
@@ -234,7 +230,7 @@ def _fit_models(cfg, tau, seed, train_seed, fit_ds, test_ds, truth, arm_dir, tar
     rows = []
     for model_name, family, wall, fitted, report in scored:
         _save_model_artifacts(arm_dir, model_name, fitted, report)
-        rows.append(_row(cfg, tau, seed, model_name, family, wall, report))
+        rows.append(_row(cfg, tau, seed, wall, model=model_name, family=family, **asdict(report)))
     return rows
 
 
@@ -258,21 +254,16 @@ def _sweep_arm(payload):
 
 
 def _metric_bias_arm(payload):
-    cfg, seed, out_root = payload
-    rows = []
-    for tau in cfg.tau_grid:
-        start = time.perf_counter()
-        bias_row = met.metric_bias_experiment(tau, seed=seed, n=cfg.n_train, family=cfg.family)
-        wall = time.perf_counter() - start
-        values = asdict(bias_row)
-        rows.append({"experiment_id": cfg.experiment_id, "tau_star": values.pop("tau"),
-                     "seed": seed, **values, "wall_time_s": wall})
-    return rows
+    cfg, tau, seed, _ = payload
+    start = time.perf_counter()
+    values = asdict(met.metric_bias_experiment(tau, seed=seed, n=cfg.n_train, family=cfg.family))
+    wall = time.perf_counter() - start
+    del values["tau"]  # the arm's tau, written as tau_star
+    return [_row(cfg, tau, seed, wall, **values)]
 
 
 def _semi_arm(payload):
-    cfg, seed, out_root = payload
-    arm_dir = Path(out_root) / "arms" / f"seed{seed}"
+    cfg, tau, seed, out_root = payload
     total = cfg.n_train + cfg.n_val + cfg.n_test
     if cfg.data_csv is not None:
         x, y, _ = load_regression_csv(cfg.data_csv, cfg.target_column)
@@ -281,46 +272,40 @@ def _semi_arm(payload):
     n = len(y)
     n_test = max(1, int(round(n * cfg.n_test / total)))
     perm = np.random.default_rng(child_seed(seed, 0, 7)).permutation(n)
-    test_idx = perm[:n_test]
-    tv_idx = perm[n_test:]
-    x_tv, y_tv = x[tv_idx], y[tv_idx]
+    test_idx, tv_idx = perm[:n_test], perm[n_test:]
 
-    marginal_cfg = TrainConfig(seed=child_seed(seed, 0, 10))
+    start = time.perf_counter()
+    cens_ds, info = censor_regression(
+        x[tv_idx], y[tv_idx], spec_from_tau(cfg.family, tau, cfg.kappa),
+        seed=child_seed(seed, tau_key(tau), 9), fit_config=TrainConfig(seed=child_seed(seed, 0, 10)),
+    )
+    prep_wall = time.perf_counter() - start
+    # the test rows take the train/validation rows' standardization
+    x_test = (x[test_idx] - info.standardize_mean) / info.standardize_std
+    target = y[test_idx] + info.shift
+    test_ds = SurvivalDataset(x_test, target, np.ones(len(test_idx), dtype=np.int64))
+
     rows = []
-    for tau in cfg.tau_grid:
-        spec = spec_from_tau(cfg.family, tau, cfg.kappa)
-        start = time.perf_counter()
-        cens_ds, info = censor_regression(
-            x_tv, y_tv, spec, seed=child_seed(seed, tau_key(tau), 9),
-            fit_config=marginal_cfg,
+    if tau == cfg.tau_grid[0]:
+        # the all-event marginal fit inside censor_regression is exactly the
+        # no-censoring baseline; it does not depend on tau, so one arm per seed reports it
+        report = met.EvaluationReport(
+            c_index=met.concordance_index(info.event_model, test_ds),
+            brier=met.brier_score(info.event_model, test_ds),
+            r_squared=met.r_squared(info.event_model, x_test, target),
         )
-        prep_wall = time.perf_counter() - start
-        # the test rows take the train/validation rows' standardization
-        x_test = (x[test_idx] - info.standardize_mean) / info.standardize_std
-        target = y[test_idx] + info.shift
-        test_ds = SurvivalDataset(x_test, target, np.ones(len(test_idx), dtype=np.int64))
-
-        if not rows:
-            # the all-event marginal fit inside censor_regression is exactly
-            # the no-censoring baseline; it does not depend on tau
-            report = met.EvaluationReport(
-                c_index=met.concordance_index(info.event_model, test_ds),
-                brier=met.brier_score(info.event_model, test_ds),
-                r_squared=met.r_squared(info.event_model, x_test, target),
-            )
-            rows.append(_row(cfg, "", seed, "no_censoring", "", prep_wall, report))
-        rows += _fit_models(
-            cfg, tau, seed, child_seed(seed, tau_key(tau), 11), cens_ds, test_ds, None,
-            arm_dir / f"tau{tau:g}", target,
-        )
-    return rows
+        rows.append(_row(cfg, "", seed, prep_wall, model="no_censoring", family="", **asdict(report)))
+    return rows + _fit_models(
+        cfg, tau, seed, child_seed(seed, tau_key(tau), 11), cens_ds, test_ds, None,
+        Path(out_root) / "arms" / f"seed{seed}" / f"tau{tau:g}", target,
+    )
 
 
 def _arm_payloads(cfg: ExperimentConfig, out_dir: str):
-    if cfg.kind in ("synthetic_sweep", "mixture_sweep"):
-        return _sweep_arm, [(cfg, tau, seed, out_dir) for tau in cfg.tau_grid for seed in cfg.seeds]
-    arm_fn = _metric_bias_arm if cfg.kind == "metric_bias" else _semi_arm
-    return arm_fn, [(cfg, seed, out_dir) for seed in cfg.seeds]
+    """The kind's arm function and one ``(cfg, tau, seed, out_dir)`` payload per arm."""
+    arm_fn = {"synthetic_sweep": _sweep_arm, "mixture_sweep": _sweep_arm,
+              "metric_bias": _metric_bias_arm, "semi_synthetic": _semi_arm}[cfg.kind]
+    return arm_fn, [(cfg, tau, seed, out_dir) for tau in cfg.tau_grid for seed in cfg.seeds]
 
 
 def _sort_key(row):
@@ -421,7 +406,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: Optional[int] = None
             except BrokenProcessPool:
                 raise
             except Exception as exc:  # noqa: BLE001 - isolate arm failures
-                failure = {"arm": "/".join(str(p) for p in payload[1:-1]),
+                failure = {"arm": f"{payload[1]}/{payload[2]}",
                            "error": type(exc).__name__, "message": str(exc)}
                 if isinstance(exc, NumericalFailure):
                     failure.update(model=exc.model, epoch=exc.epoch, record_index=exc.record_index)

@@ -76,10 +76,9 @@ def _check_finite(terms):
         )
 
 
-def _clamped_quantiles(pieces):
-    u = copulas.clamp_quantile(pieces.surv)
-    passthrough = ((pieces.surv > U_EPS) & (pieces.surv < 1.0 - U_EPS)).astype(float)
-    return u, passthrough
+def _passthrough(surv):
+    """1.0 where ``clamp_quantile`` leaves ``surv`` as it is, else 0.0: the clamp's derivative."""
+    return ((surv > U_EPS) & (surv < 1.0 - U_EPS)).astype(float)
 
 
 def _marginal_grads(grads, prefix, model, pieces, own, dh_weight, l2_lambda):
@@ -114,8 +113,8 @@ def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
     event = data.delta == 1
     ev = _marginal_pieces(event_model, data.t_obs, data.x)
     ce = _marginal_pieces(censor_model, data.t_obs, data.x)
-    u1, pass1 = _clamped_quantiles(ev)
-    u2, pass2 = _clamped_quantiles(ce)
+    u1 = copulas.clamp_quantile(ev.surv)
+    u2 = copulas.clamp_quantile(ce.surv)
 
     # every family is exchangeable, log dC/du2(u1, u2) = log dC/du1(u2, u1),
     # so each row is oriented to put its own quantile first
@@ -135,9 +134,9 @@ def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
     grads = {}
     # d u / d z = -S * dH/dz where the clamp is inactive
     _marginal_grads(grads, "event", event_model, ev, delta,
-                    c_u1 * (-ev.surv * pass1), l2_lambda)
+                    c_u1 * (-ev.surv * _passthrough(ev.surv)), l2_lambda)
     _marginal_grads(grads, "censor", censor_model, ce, 1.0 - delta,
-                    c_u2 * (-ce.surv * pass2), l2_lambda)
+                    c_u2 * (-ce.surv * _passthrough(ce.surv)), l2_lambda)
     for key, contrib in d_par.items():
         grads[f"copula.{key}"] = np.asarray(contrib.sum())
     return value, grads

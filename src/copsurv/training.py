@@ -205,13 +205,9 @@ def _restore(params, snap):
         v[...] = snap[k]
 
 
-def _failure_at(epoch, failure, params):
-    return NumericalFailure(
-        f"epoch {epoch}: {failure}",
-        record_index=failure.record_index,
-        epoch=epoch,
-        last_state=_snapshot(params),
-    )
+def _failure_at(epoch, failure):
+    return NumericalFailure(f"epoch {epoch}: {failure}", record_index=failure.record_index,
+                            epoch=epoch)
 
 
 class _TrialFailed(Exception):
@@ -316,7 +312,7 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
         try:
             return float(val_negloglik())
         except NumericalFailure as failure:
-            raise _failure_at(len(train_hist), failure, params) from failure
+            raise _failure_at(len(train_hist), failure) from failure
 
     def on_iterate(intermediate_result):
         nonlocal x_accepted
@@ -348,7 +344,7 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
         except _TrialFailed as trial:
             unpack(x_accepted)
             if len(train_hist) == progress:
-                raise _failure_at(len(train_hist), trial.failure, params) from trial.failure
+                raise _failure_at(len(train_hist), trial.failure) from trial.failure
 
     trace = TrainTrace(
         epoch=np.arange(len(train_hist)),
@@ -417,7 +413,7 @@ def fit(
     """
     cfg = config or TrainConfig()
     event_risk, censor_risk = str(event_risk).lower(), str(censor_risk).lower()
-    family = copulas._coerce_family(family)
+    family = copulas.coerce_family(family)
     if len(data) and data.n_events in (0, len(data)):
         raise ValidationError("joint fit requires at least one event and one censoring record")
     train_ds, val_ds, (event_model, censor_model) = _setup(data, cfg, event_risk, censor_risk)

@@ -44,7 +44,7 @@ SUMMARY_HEADERS = {
 
 # Module-level arms, so that a worker process can unpickle them.
 def arm_failing_on_seed_1(payload):
-    if payload[1] == 1:
+    if payload[2] == 1:
         raise RuntimeError("boom")
     return REAL_BIAS_ARM(payload)
 
@@ -271,13 +271,13 @@ def test_summary_recomputes_from_arms(tiny_runs, kind):
 
 def test_sweep_wall_time_covers_the_fit_only(tmp_path, monkeypatch):
     # wall_time_s is the fit's seconds in every kind; evaluation is left out
-    real_evaluate = exp._evaluate_fitted
+    real_evaluate = exp.evaluate_fitted
 
     def slow_evaluate(*args):
         time.sleep(1.0)
         return real_evaluate(*args)
 
-    monkeypatch.setattr(exp, "_evaluate_fitted", slow_evaluate)
+    monkeypatch.setattr(exp, "evaluate_fitted", slow_evaluate)
     cfg = ExperimentConfig(
         experiment_id="wall", kind="synthetic_sweep", tau_grid=(0.4,), seeds=(0,),
         n_train=200, n_val=50, n_test=50, train={"max_epochs": 5, "patience": 5, "seed": 0},
@@ -310,7 +310,7 @@ def test_failed_arm_is_recorded_not_fatal(tmp_path, monkeypatch):
     real = exp._metric_bias_arm
 
     def flaky(payload):
-        if payload[1] == 1:
+        if payload[2] == 1:
             raise RuntimeError("boom")
         return real(payload)
 
@@ -321,8 +321,51 @@ def test_failed_arm_is_recorded_not_fatal(tmp_path, monkeypatch):
     )
     result = run_experiment(cfg, tmp_path / "flaky")
     assert len(result.rows) == 1 and result.rows[0]["seed"] == 0
-    assert result.failures == [{"arm": "1", "error": "RuntimeError", "message": "boom"}]
+    assert result.failures == [{"arm": "0.2/1", "error": "RuntimeError", "message": "boom"}]
     assert json.loads((tmp_path / "flaky" / "failures.json").read_text()) == result.failures
+
+
+def test_failed_tau_costs_only_its_own_arm(tmp_path, monkeypatch):
+    # every kind runs one arm per (tau, seed), so a metric-bias failure at
+    # tau 0.8 leaves the same seed's tau 0.2 row in place
+    real = exp.met.metric_bias_experiment
+
+    def bias_failing_at_0_8(tau, **kwargs):
+        if tau == 0.8:
+            raise RuntimeError("boom")
+        return real(tau, **kwargs)
+
+    monkeypatch.setattr(exp.met, "metric_bias_experiment", bias_failing_at_0_8)
+    cfg = ExperimentConfig(experiment_id="bias_tau_fail", kind="metric_bias", tau_grid=(0.2, 0.8),
+                           seeds=(3,), n_train=300)
+    result = run_experiment(cfg, tmp_path / "bias")
+    assert [(r["tau_star"], r["seed"]) for r in result.rows] == [(0.2, 3)]
+    assert result.failures == [{"arm": "0.8/3", "error": "RuntimeError", "message": "boom"}]
+
+
+def test_failed_semi_tau_keeps_the_baseline_and_the_other_taus(tmp_path, tiny_runs, monkeypatch):
+    # the second tau's censoring fails; the seed's no-censoring row and its
+    # first tau's rows are written as a run without the failure writes them
+    _, full, _ = tiny_runs("semi_synthetic")
+    real = exp.censor_regression
+    failing_seed = exp.child_seed(0, exp.tau_key(0.6), 9)
+
+    def censor_failing_at_0_6(x, y, spec, seed, fit_config):
+        if seed == failing_seed:
+            raise RuntimeError("boom")
+        return real(x, y, spec, seed=seed, fit_config=fit_config)
+
+    monkeypatch.setattr(exp, "censor_regression", censor_failing_at_0_6)
+    cfg = ExperimentConfig(kind="semi_synthetic", **dict(TINY_CONFIGS["semi_synthetic"], seeds=(0,)))
+    result = run_experiment(cfg, tmp_path / "semi")
+
+    def strip(rows):
+        return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
+
+    assert [(r["tau_star"], r["model"]) for r in result.rows] == [
+        ("", "no_censoring"), (0.3, "copula"), (0.3, "independence")]
+    assert strip(result.rows) == strip(r for r in full.rows if r["seed"] == 0 and r["tau_star"] != 0.6)
+    assert result.failures == [{"arm": "0.6/0", "error": "RuntimeError", "message": "boom"}]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -395,7 +438,7 @@ def test_arm_failure_in_a_worker_is_recorded(tmp_path, monkeypatch):
     cfg = ExperimentConfig(experiment_id="bias_pool_flaky", **BIAS_TWO_SEEDS)
     result = run_experiment(cfg, tmp_path / "flaky", workers=2)
     assert len(result.rows) == 1 and result.rows[0]["seed"] == 0
-    assert result.failures == [{"arm": "1", "error": "RuntimeError", "message": "boom"}]
+    assert result.failures == [{"arm": "0.2/1", "error": "RuntimeError", "message": "boom"}]
 
 
 def test_unpicklable_arm_raises_instead_of_being_recorded(tmp_path, monkeypatch):

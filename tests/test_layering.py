@@ -7,9 +7,10 @@ often a cycle) until the function runs.  Files are read and written by
 no more of scipy than the package needs.  Training settings have one
 default each, set in ``training``.  Every decoder of a JSON document
 calls the one document check, ``errors.check_document``, and every config
-field has an annotation ``data.Config`` knows how to check.  Every public
-function, class, method and property has a caller outside the tests; one
-that only tests use belongs in them.
+field has an annotation ``data.Config`` knows how to check.  No module reads
+another module's private name.  Every public function, class, method and
+property has a caller outside the tests; one that only tests use belongs in
+them.
 The few that only the benchmark calls are listed, so that a new one shows.
 """
 import ast
@@ -121,6 +122,41 @@ def file_io_of(module):
             if name in FILE_CALLS:
                 found.append((node.lineno, f"calls {name}"))
     return found
+
+
+def private_reads(source):
+    """(line, module.name) for each private name of another package module
+    that ``source`` imports (``from .m import _x``) or reads (``m._x``)."""
+    tree = ast.parse(source)
+    aliases, found = {}, []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and package_imports(node)):
+            continue
+        for alias in node.names:
+            if node.module in (None, "copsurv"):  # from . import m [as n]
+                aliases[alias.asname or alias.name] = alias.name
+            elif alias.name.startswith("_"):
+                found.append((node.lineno, f"{package_imports(node)[0]}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append((node.lineno, f"{aliases[node.value.id]}.{node.attr}"))
+    return found
+
+
+def test_private_reads_are_seen():
+    # the check below would pass vacuously if it missed either form
+    source = "from .m import _x, y\nfrom . import m as n\nn._z, n.w, n.__doc__\n"
+    assert private_reads(source) == [(1, "m._x"), (3, "m._z")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_another_modules_private_name(module):
+    # a name with a leading underscore belongs to its own module; another
+    # module that needs it calls for a public name
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert not [f"{module}.py:{line} reads {name}" for line, name in private_reads(source)]
 
 
 def test_data_is_seen_doing_file_io():

@@ -16,9 +16,9 @@ from copsurv.data import SurvivalDataset
 from copsurv.errors import NumericalFailure
 from copsurv.likelihood import (
     _check_finite,
-    _clamped_quantiles,
     _marginal_grads,
     _marginal_pieces,
+    _passthrough,
     loglik_and_gradient,
     loglik_copula,
     marginal_loglik,
@@ -55,8 +55,8 @@ def loglik_two_orientations(event_model, censor_model, spec, data, l2_lambda=0.0
     delta = data.delta.astype(float)
     ev = _marginal_pieces(event_model, data.t_obs, data.x)
     ce = _marginal_pieces(censor_model, data.t_obs, data.x)
-    u1, pass1 = _clamped_quantiles(ev)
-    u2, pass2 = _clamped_quantiles(ce)
+    u1, pass1 = copulas.clamp_quantile(ev.surv), _passthrough(ev.surv)
+    u2, pass2 = copulas.clamp_quantile(ce.surv), _passthrough(ce.surv)
     log_p1 = copulas.log_partial_u1(spec, u1, u2)
     log_p2 = copulas.log_partial_u2(spec, u1, u2)
     terms = delta * (ev.log_f + log_p1) + (1.0 - delta) * (ce.log_f + log_p2)
