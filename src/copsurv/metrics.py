@@ -19,9 +19,9 @@ from . import copulas
 from .data import Config, SurvivalDataset, write_json
 from .datagen import child_seed, generate_synthetic, preset_metric_bias, tau_key
 from .errors import DomainError, UndefinedMetricError, ValidationError
-from .weibull import SURVIVAL_FLOOR
+from .weibull import SURVIVAL_FLOOR, floored_survival
 
-# grid points per block of survival_l1's per-record curves
+# grid points per block of survival_l1's per-record estimate curves
 SURVIVAL_L1_CHUNK = 2**15
 
 
@@ -52,10 +52,15 @@ def survival_l1(truth_model, estimate_model, x: np.ndarray, config: Optional[Sur
 
     A Weibull PH model has H(s t | x) = s^nu H(t | x), so on the grid
     t = T_max_i k / n_steps each model's log cumulative hazard is its value
-    at T_max_i plus nu log(k / n_steps): one risk pass per model, one log
-    per step.  Records are walked in blocks of about ``SURVIVAL_L1_CHUNK``
-    grid points, so memory does not grow with n * n_steps.  Zero records
-    raise ``ValidationError``.
+    at T_max_i plus nu log(k / n_steps).  The truth's value at T_max_i is
+    log(-log quantile_floor) for every record, so its curve is one row of
+    ``n_steps`` values shared by all records; only the estimate is
+    evaluated per grid point.  Each model's risk is evaluated once (the
+    truth's inside ``inverse_survival``).  Records are walked in blocks of
+    about ``SURVIVAL_L1_CHUNK`` grid points, so memory does not grow with
+    n * n_steps.  A model against itself scores of order 1e-17, not exactly 0:
+    the shared row is exact where the per-record estimate is rounded.  Zero
+    records raise ``ValidationError``.
     """
     cfg = config or SurvivalL1Config()
     x = np.asarray(x, dtype=float)
@@ -70,29 +75,29 @@ def survival_l1(truth_model, estimate_model, x: np.ndarray, config: Optional[Sur
             f"truth curve not invertible at the quantile floor (record {bad})"
         )
     log_steps = np.log(np.arange(1, cfg.n_steps + 1) / cfg.n_steps)
-    # (log H at T_max per record, nu log(k / n_steps) per step) of each model
-    curves = [
-        (model.log_cumulative_hazard(t_max, x)[:, None], model.nu * log_steps)
-        for model in (truth_model, estimate_model)
-    ]
+    # log H of the estimate at T_max per record, and nu log(k / n_steps) per step
+    at_horizon = estimate_model.log_cumulative_hazard(t_max, x)[:, None]
+    per_step = estimate_model.nu * log_steps
     rows = max(1, SURVIVAL_L1_CHUNK // cfg.n_steps)
-    # each block's two curves are written into these: weibull.floored_survival
+    # each block's estimate curve is written into this: weibull.floored_survival
     # of exp(log H), one operation at a time in place
-    buffers = [np.empty((min(rows, n), cfg.n_steps)) for _ in curves]
+    buffer = np.empty((min(rows, n), cfg.n_steps))
     total = 0.0
     with np.errstate(over="ignore"):  # H = inf is S = 0, which the floor lifts
+        s_truth = floored_survival(
+            np.exp(np.log(-np.log(cfg.quantile_floor)) + truth_model.nu * log_steps)
+        )
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            s_truth, s_est = (buf[: stop - start] for buf in buffers)
-            for (at_horizon, per_step), s in zip(curves, (s_truth, s_est)):
-                np.add(at_horizon[start:stop], per_step, out=s)
-                np.exp(s, out=s)
-                np.negative(s, out=s)
-                np.exp(s, out=s)
-                np.maximum(s, SURVIVAL_FLOOR, out=s)
-            np.subtract(s_truth, s_est, out=s_truth)
-            np.abs(s_truth, out=s_truth)
-            total += float(s_truth.sum())
+            s = buffer[: stop - start]
+            np.add(at_horizon[start:stop], per_step, out=s)
+            np.exp(s, out=s)
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            np.maximum(s, SURVIVAL_FLOOR, out=s)
+            np.subtract(s_truth, s, out=s)
+            np.abs(s, out=s)
+            total += float(s.sum())
     return total / (n * cfg.n_steps)
 
 

@@ -1,7 +1,8 @@
 """Exactness of the in-place evaluation path.
 
 The MLP risk pass, the Clayton and Frank log-partial kernels, the L2
-penalty and ``survival_l1`` update arrays in place and share common terms.
+penalty and ``survival_l1`` (which builds the truth curve once as a row
+shared by every record) update arrays in place and share common terms.
 Each keeps the operations, operands and order of the plain out-of-place
 formula it stands for, so each must equal that formula bit for bit.  Those
 formulas are kept here as oracles and compared with ``np.array_equal``, on
@@ -113,18 +114,16 @@ def survival_l1_blocks_oracle(truth_model, estimate_model, x, cfg):
     t_max = np.asarray(truth_model.inverse_survival(cfg.quantile_floor, x), dtype=float)
     n = len(t_max)
     log_steps = np.log(np.arange(1, cfg.n_steps + 1) / cfg.n_steps)
-    curves = [
-        (model.log_cumulative_hazard(t_max, x)[:, None], model.nu * log_steps)
-        for model in (truth_model, estimate_model)
-    ]
     rows = max(1, SURVIVAL_L1_CHUNK // cfg.n_steps)
+    at_horizon = estimate_model.log_cumulative_hazard(t_max, x)[:, None]
+    per_step = estimate_model.nu * log_steps
     total = 0.0
     with np.errstate(over="ignore"):
+        s_truth = floored_survival(
+            np.exp(np.log(-np.log(cfg.quantile_floor)) + truth_model.nu * log_steps)
+        )
         for start in range(0, n, rows):
-            s_truth, s_est = (
-                floored_survival(np.exp(at_horizon[start : start + rows] + per_step))
-                for at_horizon, per_step in curves
-            )
+            s_est = floored_survival(np.exp(at_horizon[start : start + rows] + per_step))
             total += float(np.abs(s_truth - s_est).sum())
     return total / (n * cfg.n_steps)
 

@@ -160,6 +160,48 @@ def test_survival_l1_matches_the_dense_grid(kind, n_steps, n):
             assert abs(got - want) <= 1e-12 * abs(want), (nu_truth, nu_est, peak, got, want)
 
 
+def test_survival_l1_evaluates_each_risk_once(monkeypatch):
+    # the truth curve is one shared row: its risk enters only through T_max
+    rng = np.random.default_rng(6)
+    truth = WeibullCoxModel.from_natural(2.0, 3.0, LinearRisk(rng.normal(size=3)))
+    est = WeibullCoxModel.from_natural(0.7, 2.8, MLPRisk.init((3, 4, 1), rng))
+    calls = {"truth": 0, "estimate": 0}
+    for name, model in (("truth", truth), ("estimate", est)):
+        def spy(x, name=name, evaluate=model.risk.evaluate):
+            calls[name] += 1
+            return evaluate(x)
+        monkeypatch.setattr(model.risk, "evaluate", spy)
+    survival_l1(truth, est, rng.uniform(size=(5000, 3)), SurvivalL1Config(n_steps=50))
+    assert calls == {"truth": 1, "estimate": 1}
+
+
+def test_survival_l1_at_one_step_is_the_gap_at_the_horizon():
+    # the only grid point is T_max, where the truth curve is the floor itself
+    rng = np.random.default_rng(7)
+    truth = WeibullCoxModel.from_natural(2.0, 3.0, LinearRisk(rng.normal(size=3)))
+    est = WeibullCoxModel.from_natural(0.7, 2.8, LinearRisk(rng.normal(size=3)))
+    x = rng.uniform(-1.0, 1.0, size=(40, 3))
+    t_max = truth.inverse_survival(0.05, x)
+    want = float(np.mean(np.abs(0.05 - est.survival(t_max, x))))
+    got = survival_l1(truth, est, x, SurvivalL1Config(quantile_floor=0.05, n_steps=1))
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("quantile_floor", [0.001, 0.3, 0.9])
+def test_survival_l1_matches_the_dense_grid_at_other_floors(quantile_floor):
+    # the shared truth row depends on the floor through log(-log q)
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, size=(boundary_sizes(1000)[-1], 3))
+    for nu_truth, nu_est in ((0.2, 1.0), (2.0, 1.5), (500.0, 0.2)):
+        truth = WeibullCoxModel.from_natural(nu_truth, 1.0, scaled_risk("mlp", x, 1.0, rng))
+        est = WeibullCoxModel.from_natural(nu_est, 2.0, scaled_risk("linear", x, 1.0, rng))
+        for n_steps in (1, 7, 1000):
+            cfg = SurvivalL1Config(quantile_floor=quantile_floor, n_steps=n_steps)
+            want = dense_survival_l1(truth, est, x, cfg)
+            got = survival_l1(truth, est, x, cfg)
+            assert abs(got - want) <= 1e-12 * abs(want), (nu_truth, nu_est, n_steps, got, want)
+
+
 def test_survival_l1_survives_an_overflowing_cumulative_hazard():
     # estimate H(t_max) overflows to inf while (k / n_steps)^500 underflows
     # to 0; their product would be nan, their log-space sum is not
