@@ -52,7 +52,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_censor(args) -> int:
-    x, y, _ = load_regression_csv(args.data, args.target)
+    x, y = load_regression_csv(args.data, args.target)
     spec = spec_from_tau(args.family, args.tau, args.kappa)
     dataset, info = censor_regression(x, y, spec, seed=args.seed, shift=args.shift)
     out = Path(args.out)

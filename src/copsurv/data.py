@@ -191,7 +191,7 @@ class SurvivalDataset:
 
 
 def load_regression_csv(path, target: str):
-    """Reads a numeric regression CSV; returns (X, y, feature_names)."""
+    """Reads a numeric regression CSV; returns (X, y)."""
 
     def parser(header):
         if target not in header:
@@ -200,4 +200,4 @@ def load_regression_csv(path, target: str):
 
     header, rows = read_csv(path, parser)
     table, t_idx = np.array(rows), header.index(target)
-    return np.delete(table, t_idx, axis=1), table[:, t_idx].copy(), header[:t_idx] + header[t_idx + 1:]
+    return np.delete(table, t_idx, axis=1), table[:, t_idx].copy()

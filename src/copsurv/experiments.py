@@ -2,10 +2,12 @@
 regression censoring.
 
 An experiment expands into independent arms, one per dependence level and
-seed, each of which draws or censors data, fits the copula model and the
-independence baseline on the same draw (a metric-bias arm fits nothing), and
-evaluates against the ground truth.  Arms run serially unless the caller asks
-for more than one worker, in which case they run in a process pool; rows are
+seed.  Every arm draws or censors its own data, on random streams keyed here
+by its seed and ``datagen.tau_key(tau)``, fits the copula model and the
+independence baseline on that draw (a metric-bias arm fits nothing and has
+``metrics`` score its draw), and evaluates against the ground truth.  Arms
+run serially unless the caller asks for more than one worker, in which case
+they run in a process pool; rows are
 re-sorted before writing, so results are identical either way.  An exception
 raised inside an arm is recorded in ``failures.json`` and the arm skipped; a
 ``NumericalFailure`` entry also names the failing ``model`` and the ``epoch``
@@ -53,8 +55,8 @@ import numpy as np
 from . import metrics as met
 from .copulas import Family, spec_from_tau, theta_to_tau
 from .data import Config, SurvivalDataset, csv_cell, load_regression_csv, write_csv, write_json
-from .datagen import (PRESETS, censor_regression, child_seed, generate_synthetic, sidecar_dict,
-                      synthetic_regression, tau_key)
+from .datagen import (PRESETS, censor_regression, child_seed, generate_synthetic,
+                      preset_metric_bias, sidecar_dict, synthetic_regression, tau_key)
 from .errors import NumericalFailure, ValidationError
 from .metrics import SurvivalL1Config
 from .training import FittedJointModel, TrainConfig, fit
@@ -77,9 +79,9 @@ SWEEP_COLUMNS = (
     "wall_time_s",
 )
 
-# a MetricBiasRow, its tau as tau_star, after the experiment id and before the wall time
+# a MetricBiasRow after the arm's experiment id, tau and seed, and before the wall time
 BIAS_COLUMNS = ("experiment_id", "tau_star", "seed",
-                *[f.name for f in fields(met.MetricBiasRow)][1:], "wall_time_s")
+                *[f.name for f in fields(met.MetricBiasRow)], "wall_time_s")
 
 _SWEEP_SUMMARY = (("tau_star", "model", "outcome"), (("survival_l1", True), ("tau_hat", True)))
 
@@ -128,9 +130,12 @@ class ExperimentConfig(Config):
             raise ValidationError("seeds must not be empty")
         if any(s < 0 for s in self.seeds):
             raise ValidationError(f"seeds must be non-negative integers: {self.seeds}")
-        # arm directories are named tau{tau:g}_seed{seed}
+        # arms are named tau{tau:g}_seed{seed} and key their random streams by tau_key(tau)
         if len({f"{t:g}" for t in self.tau_grid}) != len(self.tau_grid):
             raise ValidationError(f"tau_grid entries must differ in 6 significant digits: {self.tau_grid}")
+        if len(set(map(tau_key, self.tau_grid))) != len(self.tau_grid):
+            raise ValidationError(f"tau_grid entries with one tau_key would share every random stream: "
+                                  f"{self.tau_grid}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError(f"seeds has duplicate entries: {self.seeds}")
         if min(self.n_train, self.n_val, self.n_test) < 1:
@@ -198,8 +203,7 @@ def _save_model_artifacts(arm_dir: Path, model_name: str, fitted: FittedJointMod
     mdir = arm_dir / model_name
     mdir.mkdir(parents=True, exist_ok=True)
     fitted.save(mdir / "checkpoint.json")
-    if fitted.trace is not None:
-        fitted.trace.to_csv(mdir / "trace.csv")
+    fitted.trace.to_csv(mdir / "trace.csv")
     report.save(mdir / "report.json")
 
 
@@ -256,17 +260,18 @@ def _sweep_arm(payload):
 def _metric_bias_arm(payload):
     cfg, tau, seed, _ = payload
     start = time.perf_counter()
-    values = asdict(met.metric_bias_experiment(tau, seed=seed, n=cfg.n_train, family=cfg.family))
+    gen_cfg = preset_metric_bias(seed, n=cfg.n_train, copula=spec_from_tau(cfg.family, tau),
+                                 data_seed=child_seed(seed, tau_key(tau), 101))
+    row = met.metric_bias_experiment(*generate_synthetic(gen_cfg))
     wall = time.perf_counter() - start
-    del values["tau"]  # the arm's tau, written as tau_star
-    return [_row(cfg, tau, seed, wall, **values)]
+    return [_row(cfg, tau, seed, wall, **asdict(row))]
 
 
 def _semi_arm(payload):
     cfg, tau, seed, out_root = payload
     total = cfg.n_train + cfg.n_val + cfg.n_test
     if cfg.data_csv is not None:
-        x, y, _ = load_regression_csv(cfg.data_csv, cfg.target_column)
+        x, y = load_regression_csv(cfg.data_csv, cfg.target_column)
     else:
         x, y = synthetic_regression(total, 10, child_seed(seed, 0, 8))
     n = len(y)

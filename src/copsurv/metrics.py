@@ -5,8 +5,9 @@ integrated on a per-record time grid that ends where the ground-truth curve
 drops to a small quantile.  Also provided: Harrell's concordance index,
 counted exactly by merging score ranks in O(n log^2 n) time, a single-time
 Brier score, coefficient of determination against true regression targets,
-and a study quantifying how censoring skews the standard metrics even for
-the true model.
+and the metric-bias row of a given draw, which shows how censoring skews the
+standard metrics even for the true model.  Every metric takes the model it
+scores and the data, and none draws data.
 """
 from __future__ import annotations
 
@@ -15,9 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import copulas
 from .data import Config, SurvivalDataset, write_json
-from .datagen import child_seed, generate_synthetic, preset_metric_bias, tau_key
 from .errors import DomainError, UndefinedMetricError, ValidationError
 from .weibull import SURVIVAL_FLOOR, floored_survival
 
@@ -101,17 +100,6 @@ def survival_l1(truth_model, estimate_model, x: np.ndarray, config: Optional[Sur
     return total / (n * cfg.n_steps)
 
 
-def _risk_scores(model_or_scores, data: SurvivalDataset) -> np.ndarray:
-    if isinstance(model_or_scores, np.ndarray):
-        scores = np.asarray(model_or_scores, dtype=float)
-        if scores.shape != (len(data),):
-            raise ValidationError(
-                f"risk scores must have shape ({len(data)},), got {scores.shape}"
-            )
-        return scores
-    return np.asarray(model_or_scores.risk.evaluate(data.x), dtype=float)
-
-
 def _count_later_lower_and_equal(v: np.ndarray, span: int) -> tuple:
     """Over the events of ``v``, whose entries are 2 * rank + event flag and
     lie below ``span``: the number of later entries of lower rank and the
@@ -144,8 +132,9 @@ def _count_later_lower_and_equal(v: np.ndarray, span: int) -> tuple:
     return lower, equal
 
 
-def concordance_index(model_or_scores, data: SurvivalDataset) -> float:
-    """Harrell's c-index: higher risk should mean earlier events.
+def concordance_index(model, data: SurvivalDataset) -> float:
+    """Harrell's c-index of ``model``'s risk scores: higher risk should mean
+    earlier events.
 
     Pair (i, j) is comparable when t_i < t_j and record i is an event; it is
     concordant when score_i > score_j, and tied scores count one half.  A NaN
@@ -157,7 +146,7 @@ def concordance_index(model_or_scores, data: SurvivalDataset) -> float:
     time, then score, then event flag are merged bottom-up by score rank,
     and each event counts the later records of lower and of equal score.
     """
-    scores = _risk_scores(model_or_scores, data)
+    scores = np.asarray(model.risk.evaluate(data.x), dtype=float)
     t = data.t_obs
     event = data.delta == 1
     later = len(t) - np.searchsorted(np.sort(t), t[event], side="right")
@@ -177,26 +166,18 @@ def concordance_index(model_or_scores, data: SurvivalDataset) -> float:
     return (2 * lower + equal) / (2 * comparable)
 
 
-def brier_score(model_or_probs, data: SurvivalDataset, eval_time: Optional[float] = None) -> float:
-    """Single-time unweighted Brier score.
+def brier_score(model, data: SurvivalDataset, eval_time: Optional[float] = None) -> float:
+    """Single-time unweighted Brier score of ``model``'s survival probabilities.
 
     ``eval_time`` defaults to the median observed time.  Records whose
     status at ``eval_time`` is unknown (censored at or before it) are
-    excluded.  ``model_or_probs`` is either a marginal model or an array of
-    predicted survival probabilities at ``eval_time``.
+    excluded.
     """
     if eval_time is None:
         eval_time = float(np.median(data.t_obs))
     if eval_time <= 0.0:
         raise DomainError(f"eval_time must be positive, got {eval_time}")
-    if isinstance(model_or_probs, np.ndarray):
-        probs = np.asarray(model_or_probs, dtype=float)
-        if probs.shape != (len(data),):
-            raise ValidationError(
-                f"probabilities must have shape ({len(data)},), got {probs.shape}"
-            )
-    else:
-        probs = np.asarray(model_or_probs.survival(eval_time, data.x), dtype=float)
+    probs = np.asarray(model.survival(eval_time, data.x), dtype=float)
     known = (data.t_obs > eval_time) | (data.delta == 1)
     if not known.any():
         raise UndefinedMetricError("no records with known status at eval_time")
@@ -224,7 +205,6 @@ def r_squared(event_model, x: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass
 class MetricBiasRow:
-    tau: float
     c_index_uncensored: float
     c_index_censored: float
     c_index_abs_diff: float
@@ -234,33 +214,23 @@ class MetricBiasRow:
     censoring_fraction: float
 
 
-def metric_bias_experiment(
-    tau: float,
-    seed: int = 0,
-    n: int = 10000,
-    family="clayton",
-) -> MetricBiasRow:
-    """Evaluates the ground-truth event model on censored vs uncensored data.
+def metric_bias_experiment(dataset: SurvivalDataset, truth, latent) -> MetricBiasRow:
+    """Scores the ground-truth event model on censored vs uncensored data.
 
-    One dataset is drawn from the quadratic-risk generator at dependence
-    level ``tau``, then the c-index and Brier score of the true model are
-    computed twice: against the latent event times (all events) and against
-    the censored observations.  Both use the same evaluation time, the
-    median observed time, so any gap is attributable to censoring.
+    The arguments are a draw as ``datagen.generate_synthetic`` returns it.
+    The c-index and Brier score of ``truth.event_model`` are computed twice:
+    against the latent event times (all events) and against the censored
+    observations.  Both use the same evaluation time, the median observed
+    time, so any gap is attributable to censoring.
     """
-    tau = float(tau)
-    spec = copulas.spec_from_tau(family, tau)
-    cfg = preset_metric_bias(seed, n=n, copula=spec, data_seed=child_seed(seed, tau_key(tau), 101))
-    dataset, truth, latent = generate_synthetic(cfg)
-    scores = np.asarray(truth.event_model.risk.evaluate(dataset.x), dtype=float)
+    model = truth.event_model
     uncensored = SurvivalDataset(dataset.x, latent.t_event, np.ones(len(dataset), dtype=np.int64))
     eval_time = float(np.median(dataset.t_obs))
-    c_unc = concordance_index(scores, uncensored)
-    c_cen = concordance_index(scores, dataset)
-    b_unc = brier_score(truth.event_model, uncensored, eval_time)
-    b_cen = brier_score(truth.event_model, dataset, eval_time)
+    c_unc = concordance_index(model, uncensored)
+    c_cen = concordance_index(model, dataset)
+    b_unc = brier_score(model, uncensored, eval_time)
+    b_cen = brier_score(model, dataset, eval_time)
     return MetricBiasRow(
-        tau=tau,
         c_index_uncensored=c_unc,
         c_index_censored=c_cen,
         c_index_abs_diff=abs(c_unc - c_cen),

@@ -95,8 +95,7 @@ def test_csv_header_and_row_errors(tmp_path):
 def test_load_regression_csv(tmp_path):
     path = tmp_path / "reg.csv"
     path.write_text("a,y,b\n1.0,10.0,2.0\n3.0,20.0,4.0\n")
-    x, y, names = load_regression_csv(path, "y")
-    assert names == ["a", "b"]
+    x, y = load_regression_csv(path, "y")
     assert np.array_equal(x, np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert np.array_equal(y, np.array([10.0, 20.0]))
     with pytest.raises(ValidationError):

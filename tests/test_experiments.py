@@ -5,14 +5,18 @@ import os
 import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from copsurv import experiments as exp
+from copsurv.copulas import spec_from_tau
+from copsurv.datagen import generate_synthetic, preset_metric_bias
 from copsurv.errors import NumericalFailure, ValidationError
 from copsurv.experiments import KINDS, ExperimentConfig, run_experiment
+from copsurv.metrics import metric_bias_experiment
 from copsurv.training import TrainConfig
 
 FAST = {"max_epochs": 40, "patience": 40, "seed": 0}
@@ -132,6 +136,13 @@ def test_mixture_sweep_forces_mixture_family():
     cfg = ExperimentConfig(experiment_id="m", kind="mixture_sweep",
                            tau_grid=(0.4,), family="clayton")
     assert cfg.family == "mixture"
+
+
+def test_tau_grid_entries_sharing_a_random_stream_are_rejected():
+    # distinct arm directories, but both taus key their streams as 12345
+    with pytest.raises(ValidationError, match="random stream"):
+        ExperimentConfig(experiment_id="x", kind="metric_bias", tau_grid=(0.0123451, 0.0123452))
+    ExperimentConfig(experiment_id="x", kind="metric_bias", tau_grid=(0.2, 0.200001))
 
 
 def test_config_round_trip_and_unknown_field():
@@ -306,6 +317,25 @@ def test_semi_synthetic_standin_rows(tmp_path):
     assert (tmp_path / "semi" / "arms" / "seed0" / "tau0.5" / "copula" / "report.json").exists()
 
 
+def test_metric_bias_row_is_determined_by_its_tau(tmp_path, tiny_runs):
+    # a row depends on its tau, seed and size alone, whatever the tau's type:
+    # the arm scores the metric-bias preset's draw on its stream 101
+    def without_wall_time(result):
+        return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in result.rows]
+
+    cfg, result, _ = tiny_runs("metric_bias")
+    rows = without_wall_time(result)
+    for i, config in enumerate((cfg, replace(cfg, tau_grid=tuple(map(np.float64, cfg.tau_grid))))):
+        assert without_wall_time(run_experiment(config, tmp_path / str(i))) == rows
+    by_arm = {(row["tau_star"], row["seed"]): row for row in rows}
+    for seed in cfg.seeds:
+        gen_cfg = preset_metric_bias(seed, n=cfg.n_train, copula=spec_from_tau(cfg.family, 0.6),
+                                     data_seed=exp.child_seed(seed, exp.tau_key(0.6), 101))
+        want = asdict(metric_bias_experiment(*generate_synthetic(gen_cfg)))
+        assert {k: by_arm[0.6, seed][k] for k in want} == want
+        assert {k: by_arm[0.2, seed][k] for k in want} != want
+
+
 def test_failed_arm_is_recorded_not_fatal(tmp_path, monkeypatch):
     real = exp._metric_bias_arm
 
@@ -328,14 +358,14 @@ def test_failed_arm_is_recorded_not_fatal(tmp_path, monkeypatch):
 def test_failed_tau_costs_only_its_own_arm(tmp_path, monkeypatch):
     # every kind runs one arm per (tau, seed), so a metric-bias failure at
     # tau 0.8 leaves the same seed's tau 0.2 row in place
-    real = exp.met.metric_bias_experiment
+    real = exp.spec_from_tau
 
-    def bias_failing_at_0_8(tau, **kwargs):
+    def spec_failing_at_0_8(family, tau, *args):
         if tau == 0.8:
             raise RuntimeError("boom")
-        return real(tau, **kwargs)
+        return real(family, tau, *args)
 
-    monkeypatch.setattr(exp.met, "metric_bias_experiment", bias_failing_at_0_8)
+    monkeypatch.setattr(exp, "spec_from_tau", spec_failing_at_0_8)
     cfg = ExperimentConfig(experiment_id="bias_tau_fail", kind="metric_bias", tau_grid=(0.2, 0.8),
                            seeds=(3,), n_train=300)
     result = run_experiment(cfg, tmp_path / "bias")

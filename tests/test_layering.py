@@ -3,8 +3,9 @@
 Modules import one way, from the lower layers to the higher ones, and only
 at module level: an import inside a function body hides a dependency (and
 often a cycle) until the function runs.  Files are read and written by
-``data`` alone, which owns every file format.  The command line imports
-no more of scipy than the package needs.  Training settings have one
+``data`` alone, which owns every file format.  ``metrics`` scores what it
+is given and draws nothing, so it sits below ``datagen``.  The command line
+imports no more of scipy than the package needs.  Training settings have one
 default each, set in ``training``.  Every decoder of a JSON document
 calls the one document check, ``errors.check_document``, and every config
 field has an annotation ``data.Config`` knows how to check.  No module reads
@@ -37,8 +38,8 @@ ORDER = (
     "data",
     "likelihood",
     "training",
-    "datagen",
     "metrics",
+    "datagen",
     "experiments",
     "cli",
     "__main__",
