@@ -64,13 +64,9 @@ class NumericalFailure(RuntimeError):
     from a per-record term; ``epoch`` counts the accepted iterations when
     training fails mid-run, and the optimizer leaves the parameters at the
     last accepted iterate.
-    ``model`` names the experiment arm's model (``copula`` or
-    ``independence``) whose fit or evaluation failed, once the experiment
-    runner has set it.
     """
 
-    def __init__(self, message, record_index=None, epoch=None, model=None):
+    def __init__(self, message, record_index=None, epoch=None):
         super().__init__(message)
         self.record_index = record_index
         self.epoch = epoch
-        self.model = model

@@ -1,17 +1,18 @@
 """Experiment presets: dependence sweeps, metric-bias study, semi-synthetic
 regression censoring.
 
-An experiment expands into independent arms, one per dependence level and
-seed.  Every arm draws or censors its own data, on random streams keyed here
-by its seed and ``datagen.tau_key(tau)``, fits the copula model and the
-independence baseline on that draw (a metric-bias arm fits nothing and has
-``metrics`` score its draw), and evaluates against the ground truth.  Arms
-run serially unless the caller asks for more than one worker, in which case
-they run in a process pool; rows are
-re-sorted before writing, so results are identical either way.  An exception
-raised inside an arm is recorded in ``failures.json`` and the arm skipped; a
-``NumericalFailure`` entry also names the failing ``model`` and the ``epoch``
-and ``record_index`` it carries.  The run only errors out if every arm fails.
+An experiment expands into independent arms, one per ``arms.csv`` row: a
+sweep or semi-synthetic arm fits one model, ``copula`` or ``independence``,
+on its (tau, seed) draw, a metric-bias arm has ``metrics`` score its draw,
+and each semi-synthetic seed has one ``no_censoring`` arm.  Every arm draws
+or censors its own data, on random streams keyed here by its seed and
+``datagen.tau_key(tau)``, so both model arms of a (tau, seed) fit the same
+draw.  Arms run serially unless the caller asks for more than one worker,
+in which case they run in a process pool; rows are written in arm order, so
+results are identical either way.  An exception raised inside an arm costs
+its row alone and is recorded in ``failures.json``, with the arm's ``model``
+when it has one and a ``NumericalFailure``'s ``epoch`` and ``record_index``.
+The run only errors out if every arm fails.
 Faults of the pool itself (an arm function or payload that cannot be pickled,
 a broken pool) are raised, never recorded as arm failures.
 
@@ -63,6 +64,7 @@ from .training import FittedJointModel, TrainConfig, fit
 from .weibull import RISK_KINDS
 
 KINDS = ("synthetic_sweep", "mixture_sweep", "metric_bias", "semi_synthetic")
+MODELS = ("copula", "independence")
 
 SWEEP_COLUMNS = (
     "experiment_id",
@@ -213,33 +215,23 @@ def _row(cfg: ExperimentConfig, tau, seed: int, wall: float, **values) -> dict:
             "wall_time_s": wall}
 
 
-def _fit_models(cfg, tau, seed, train_seed, fit_ds, test_ds, truth, arm_dir, target=None):
-    """Fit, time and evaluate the copula model and the independence baseline
-    on the same data, then save both; returns their two rows.  A failure in
-    either fit leaves no model artifacts behind."""
+def _fit_model(cfg, tau, seed, model, train_seed, fit_ds, test_ds, truth, arm_dir, target=None):
+    """Fit and time ``model`` (the copula model on ``cfg.family`` or the
+    independence baseline) on ``fit_ds``, evaluate and save it; returns its row."""
     train_cfg = replace(
         cfg.train, seed=train_seed, validation_fraction=cfg.n_val / (cfg.n_train + cfg.n_val)
     )
-    scored = []
-    for model_name, family in (("copula", cfg.family), ("independence", "independence")):
-        try:
-            start = time.perf_counter()
-            fitted = fit(fit_ds, cfg.event_risk, cfg.censor_risk, family, train_cfg)
-            wall = time.perf_counter() - start
-            report = evaluate_fitted(fitted, truth, test_ds, cfg.survival_l1, target)
-        except NumericalFailure as exc:
-            exc.model = model_name
-            raise
-        scored.append((model_name, family, wall, fitted, report))
-    rows = []
-    for model_name, family, wall, fitted, report in scored:
-        _save_model_artifacts(arm_dir, model_name, fitted, report)
-        rows.append(_row(cfg, tau, seed, wall, model=model_name, family=family, **asdict(report)))
-    return rows
+    family = cfg.family if model == "copula" else "independence"
+    start = time.perf_counter()
+    fitted = fit(fit_ds, cfg.event_risk, cfg.censor_risk, family, train_cfg)
+    wall = time.perf_counter() - start
+    report = evaluate_fitted(fitted, truth, test_ds, cfg.survival_l1, target)
+    _save_model_artifacts(arm_dir, model, fitted, report)
+    return _row(cfg, tau, seed, wall, model=model, family=family, **asdict(report))
 
 
 def _sweep_arm(payload):
-    cfg, tau, seed, out_root = payload
+    cfg, tau, seed, model, out_root = payload
     arm_dir = Path(out_root) / "arms" / f"tau{tau:g}_seed{seed}"
     n_fit = cfg.n_train + cfg.n_val
     gen_cfg = PRESETS[cfg.preset](
@@ -249,8 +241,8 @@ def _sweep_arm(payload):
     dataset, truth, _ = generate_synthetic(gen_cfg)
     arm_dir.mkdir(parents=True, exist_ok=True)
     write_json(arm_dir / "truth.json", sidecar_dict(gen_cfg, tau=tau))
-    return _fit_models(
-        cfg, tau, seed, child_seed(seed, tau_key(tau), 2),
+    return _fit_model(
+        cfg, tau, seed, model, child_seed(seed, tau_key(tau), 2),
         dataset.subset(np.arange(n_fit)),
         dataset.subset(np.arange(n_fit, n_fit + cfg.n_test)),
         truth, arm_dir,
@@ -258,17 +250,17 @@ def _sweep_arm(payload):
 
 
 def _metric_bias_arm(payload):
-    cfg, tau, seed, _ = payload
+    cfg, tau, seed, _, _ = payload
     start = time.perf_counter()
     gen_cfg = preset_metric_bias(seed, n=cfg.n_train, copula=spec_from_tau(cfg.family, tau),
                                  data_seed=child_seed(seed, tau_key(tau), 101))
     row = met.metric_bias_experiment(*generate_synthetic(gen_cfg))
     wall = time.perf_counter() - start
-    return [_row(cfg, tau, seed, wall, **asdict(row))]
+    return _row(cfg, tau, seed, wall, **asdict(row))
 
 
 def _semi_arm(payload):
-    cfg, tau, seed, out_root = payload
+    cfg, tau, seed, model, out_root = payload
     total = cfg.n_train + cfg.n_val + cfg.n_test
     if cfg.data_csv is not None:
         x, y = load_regression_csv(cfg.data_csv, cfg.target_column)
@@ -279,10 +271,15 @@ def _semi_arm(payload):
     perm = np.random.default_rng(child_seed(seed, 0, 7)).permutation(n)
     test_idx, tv_idx = perm[:n_test], perm[n_test:]
 
+    # the all-event marginal fit inside censor_regression is exactly the
+    # no-censoring baseline; it does not depend on tau, so the seed's one
+    # baseline arm censors at the first tau of the grid
+    draw_tau = cfg.tau_grid[0] if model == "no_censoring" else tau
     start = time.perf_counter()
     cens_ds, info = censor_regression(
-        x[tv_idx], y[tv_idx], spec_from_tau(cfg.family, tau, cfg.kappa),
-        seed=child_seed(seed, tau_key(tau), 9), fit_config=TrainConfig(seed=child_seed(seed, 0, 10)),
+        x[tv_idx], y[tv_idx], spec_from_tau(cfg.family, draw_tau, cfg.kappa),
+        seed=child_seed(seed, tau_key(draw_tau), 9),
+        fit_config=TrainConfig(seed=child_seed(seed, 0, 10)),
     )
     prep_wall = time.perf_counter() - start
     # the test rows take the train/validation rows' standardization
@@ -290,33 +287,32 @@ def _semi_arm(payload):
     target = y[test_idx] + info.shift
     test_ds = SurvivalDataset(x_test, target, np.ones(len(test_idx), dtype=np.int64))
 
-    rows = []
-    if tau == cfg.tau_grid[0]:
-        # the all-event marginal fit inside censor_regression is exactly the
-        # no-censoring baseline; it does not depend on tau, so one arm per seed reports it
+    if model == "no_censoring":
         report = met.EvaluationReport(
             c_index=met.concordance_index(info.event_model, test_ds),
             brier=met.brier_score(info.event_model, test_ds),
             r_squared=met.r_squared(info.event_model, x_test, target),
         )
-        rows.append(_row(cfg, "", seed, prep_wall, model="no_censoring", family="", **asdict(report)))
-    return rows + _fit_models(
-        cfg, tau, seed, child_seed(seed, tau_key(tau), 11), cens_ds, test_ds, None,
+        return _row(cfg, tau, seed, prep_wall, model=model, family="", **asdict(report))
+    return _fit_model(
+        cfg, tau, seed, model, child_seed(seed, tau_key(tau), 11), cens_ds, test_ds, None,
         Path(out_root) / "arms" / f"seed{seed}" / f"tau{tau:g}", target,
     )
 
 
 def _arm_payloads(cfg: ExperimentConfig, out_dir: str):
-    """The kind's arm function and one ``(cfg, tau, seed, out_dir)`` payload per arm."""
+    """The kind's arm function and one ``(cfg, tau, seed, model, out_dir)``
+    payload per ``arms.csv`` row, in that file's order: by tau, seed and model,
+    after the semi-synthetic ``no_censoring`` arms (tau ``""``, one per seed).
+    ``model`` is None for metric-bias arms."""
     arm_fn = {"synthetic_sweep": _sweep_arm, "mixture_sweep": _sweep_arm,
               "metric_bias": _metric_bias_arm, "semi_synthetic": _semi_arm}[cfg.kind]
-    return arm_fn, [(cfg, tau, seed, out_dir) for tau in cfg.tau_grid for seed in cfg.seeds]
-
-
-def _sort_key(row):
-    tau = row.get("tau_star")
-    tau_sort = -1.0 if tau in (None, "") else float(tau)
-    return (tau_sort, int(row["seed"]), str(row.get("model", "")))
+    seeds = sorted(cfg.seeds)
+    models = (None,) if cfg.kind == "metric_bias" else MODELS
+    baselines = [(cfg, "", seed, "no_censoring", out_dir)
+                 for seed in seeds if cfg.kind == "semi_synthetic"]
+    return arm_fn, baselines + [(cfg, tau, seed, model, out_dir)
+                                for tau in sorted(cfg.tau_grid) for seed in seeds for model in models]
 
 
 def _mean_std(values):
@@ -407,22 +403,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: Optional[int] = None
             calls = [partial(arm_fn, payload) for payload in payloads]
         for payload, call in zip(payloads, calls):
             try:
-                rows.extend(call())
+                rows.append(call())
             except BrokenProcessPool:
                 raise
             except Exception as exc:  # noqa: BLE001 - isolate arm failures
-                failure = {"arm": f"{payload[1]}/{payload[2]}",
-                           "error": type(exc).__name__, "message": str(exc)}
+                _, tau, seed, model, _ = payload
+                failure = {"arm": f"{tau}/{seed}", "error": type(exc).__name__, "message": str(exc)}
+                if model is not None:
+                    failure["model"] = model
                 if isinstance(exc, NumericalFailure):
-                    failure.update(model=exc.model, epoch=exc.epoch, record_index=exc.record_index)
+                    failure.update(epoch=exc.epoch, record_index=exc.record_index)
                 failures.append(failure)
 
-    rows.sort(key=_sort_key)
     columns = BIAS_COLUMNS if cfg.kind == "metric_bias" else SWEEP_COLUMNS
     _write_csv(out / "arms.csv", columns, rows)
     _write_csv(out / "summary.csv", *_summarize(cfg, rows))
     if failures:
         write_json(out / "failures.json", failures)
+    else:  # a failures.json left by an earlier run into ``out`` describes that run
+        (out / "failures.json").unlink(missing_ok=True)
     if rows == [] and failures:
         raise NumericalFailure(
             f"all {len(failures)} experiment arms failed; see {out / 'failures.json'}"

@@ -24,8 +24,9 @@ REAL_BIAS_ARM = exp._metric_bias_arm
 
 TOY = dict(seeds=(0, 1), n_train=300, n_val=100, n_test=100, train=FAST)
 TINY_CONFIGS = {
-    "synthetic_sweep": dict(experiment_id="sweep_tiny", family="clayton", tau_grid=(0.0, 0.4),
-                            survival_l1={"n_steps": 200}, **TOY),
+    # taus and seeds unsorted: arms.csv comes sorted all the same
+    "synthetic_sweep": dict(experiment_id="sweep_tiny", family="clayton", tau_grid=(0.4, 0.0),
+                            survival_l1={"n_steps": 200}, **dict(TOY, seeds=(1, 0))),
     "mixture_sweep": dict(experiment_id="mixture_tiny", tau_grid=(0.4,),
                           survival_l1={"n_steps": 200}, **TOY),
     "metric_bias": dict(experiment_id="bias_tiny", tau_grid=(0.2, 0.6), seeds=(0, 1), n_train=300),
@@ -210,9 +211,13 @@ def tiny_sweep(tiny_runs):
 
 
 def test_sweep_row_grid_and_order(tiny_sweep):
+    # the config lists its taus and seeds unsorted; rows come by tau, seed and model
     cfg, result, _ = tiny_sweep
+    assert cfg.tau_grid == (0.4, 0.0) and cfg.seeds == (1, 0)
     assert len(result.rows) == 2 * 2 * 2  # taus x seeds x models
     key = [(r["tau_star"], r["seed"], r["model"]) for r in result.rows]
+    assert [(r["tau_star"], r["seed"], r["model"]) for r in read_rows(result.arms_csv)] == [
+        (str(t), str(s), m) for t, s, m in key]
     assert key == [
         (t, s, m) for t in (0.0, 0.4) for s in (0, 1) for m in ("copula", "independence")
     ]
@@ -395,7 +400,36 @@ def test_failed_semi_tau_keeps_the_baseline_and_the_other_taus(tmp_path, tiny_ru
     assert [(r["tau_star"], r["model"]) for r in result.rows] == [
         ("", "no_censoring"), (0.3, "copula"), (0.3, "independence")]
     assert strip(result.rows) == strip(r for r in full.rows if r["seed"] == 0 and r["tau_star"] != 0.6)
-    assert result.failures == [{"arm": "0.6/0", "error": "RuntimeError", "message": "boom"}]
+    # each model arm of tau 0.6 censors its own draw, so each records the failure
+    assert result.failures == [
+        {"arm": "0.6/0", "error": "RuntimeError", "message": "boom", "model": model}
+        for model in ("copula", "independence")]
+
+
+def test_failed_semi_fit_at_the_first_tau_keeps_the_baseline_and_the_copula_row(
+        tmp_path, tiny_runs, monkeypatch):
+    _, full, _ = tiny_runs("semi_synthetic")
+    real_fit = exp.fit
+    failing_seed = exp.child_seed(0, exp.tau_key(0.3), 11)
+
+    def fit_failing_on_the_first_tau_independence(data, event_risk, censor_risk, family, config):
+        if family == "independence" and config.seed == failing_seed:
+            raise RuntimeError("boom")
+        return real_fit(data, event_risk, censor_risk, family, config)
+
+    monkeypatch.setattr(exp, "fit", fit_failing_on_the_first_tau_independence)
+    cfg = ExperimentConfig(kind="semi_synthetic", **dict(TINY_CONFIGS["semi_synthetic"], seeds=(0,)))
+    result = run_experiment(cfg, tmp_path / "semi")
+
+    def strip(rows):
+        return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
+
+    assert [(r["tau_star"], r["model"]) for r in result.rows] == [
+        ("", "no_censoring"), (0.3, "copula"), (0.6, "copula"), (0.6, "independence")]
+    assert strip(result.rows) == strip(
+        r for r in full.rows if r["seed"] == 0 and (r["tau_star"], r["model"]) != (0.3, "independence"))
+    assert result.failures == [
+        {"arm": "0.3/0", "error": "RuntimeError", "message": "boom", "model": "independence"}]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -413,14 +447,37 @@ def test_numerical_failure_records_model_epoch_and_record(tmp_path, monkeypatch,
     cfg = ExperimentConfig(experiment_id="sweep_fail", kind="synthetic_sweep", tau_grid=(0.4,),
                            survival_l1={"n_steps": 200}, **TOY)
     result = run_experiment(cfg, tmp_path / "fail", workers=workers)
-    assert [(r["seed"], r["model"]) for r in result.rows] == [(1, "copula"), (1, "independence")]
+    assert [(r["seed"], r["model"]) for r in result.rows] == [
+        (0, "copula"), (1, "copula"), (1, "independence")]
     assert result.failures == [{
         "arm": "0.4/0", "error": "NumericalFailure",
         "message": "epoch 7: non-finite log-likelihood term at record 3",
         "model": "independence", "epoch": 7, "record_index": 3,
     }]
     assert json.loads((tmp_path / "fail" / "failures.json").read_text()) == result.failures
-    # the failed arm's copula fit succeeded, but without its row it saves nothing
+    # the copula fit of the same (tau, seed) is an arm of its own: its row and artifacts stay
+    arm_dir = tmp_path / "fail" / "arms" / "tau0.4_seed0"
+    for name in ("checkpoint.json", "trace.csv", "report.json"):
+        assert (arm_dir / "copula" / name).exists()
+    assert not (arm_dir / "independence").exists()
+
+
+def test_failed_copula_evaluation_names_its_model_and_keeps_the_independence_row(
+        tmp_path, monkeypatch):
+    real_evaluate = exp.evaluate_fitted
+
+    def evaluate_failing_on_the_copula_fit(fitted, *args):
+        if fitted.copula.family.value != "independence":
+            raise RuntimeError("boom")
+        return real_evaluate(fitted, *args)
+
+    monkeypatch.setattr(exp, "evaluate_fitted", evaluate_failing_on_the_copula_fit)
+    cfg = ExperimentConfig(experiment_id="sweep_eval_fail", kind="synthetic_sweep", tau_grid=(0.4,),
+                           survival_l1={"n_steps": 200}, **dict(TOY, seeds=(0,)))
+    result = run_experiment(cfg, tmp_path / "fail")
+    assert [(r["tau_star"], r["seed"], r["model"]) for r in result.rows] == [(0.4, 0, "independence")]
+    assert result.failures == [
+        {"arm": "0.4/0", "error": "RuntimeError", "message": "boom", "model": "copula"}]
     assert not (tmp_path / "fail" / "arms" / "tau0.4_seed0" / "copula").exists()
 
 
@@ -461,6 +518,19 @@ def test_workers_below_one_is_a_validation_error(tmp_path, workers):
     with pytest.raises(ValidationError, match="workers"):
         run_experiment(cfg, tmp_path / "w", workers=workers)
     assert not (tmp_path / "w").exists()
+
+
+def test_a_clean_rerun_removes_an_earlier_runs_failures_json(tmp_path):
+    out = tmp_path / "out"
+    missing = ExperimentConfig(experiment_id="semi_missing", kind="semi_synthetic",
+                               data_csv=str(tmp_path / "missing.csv"), target_column="y",
+                               tau_grid=(0.5,), seeds=(0,))
+    with pytest.raises(NumericalFailure, match="experiment arms failed"):
+        run_experiment(missing, out)
+    assert (out / "failures.json").exists()
+    result = run_experiment(ExperimentConfig(experiment_id="bias_clean", **BIAS_TWO_SEEDS), out)
+    assert result.failures == []
+    assert not (out / "failures.json").exists()
 
 
 def test_arm_failure_in_a_worker_is_recorded(tmp_path, monkeypatch):

@@ -9,7 +9,8 @@ imports no more of scipy than the package needs.  Training settings have one
 default each, set in ``training``.  Every decoder of a JSON document
 calls the one document check, ``errors.check_document``, and every config
 field has an annotation ``data.Config`` knows how to check.  No module reads
-another module's private name.  Every public function, class, method and
+another module's private name, and no handler writes onto the exception it
+caught.  Every public function, class, method and
 property has a caller outside the tests; one that only tests use belongs in
 them.
 The few that only the benchmark calls are listed, so that a new one shows.
@@ -158,6 +159,32 @@ def test_no_module_reads_another_modules_private_name(module):
     # module that needs it calls for a public name
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert not [f"{module}.py:{line} reads {name}" for line, name in private_reads(source)]
+
+
+def caught_exception_writes(source):
+    """(line, name.attribute) for each attribute that an ``except ... as name:``
+    handler in ``source`` assigns on ``name``."""
+    return [(node.lineno, f"{handler.name}.{node.attr}")
+            for handler in ast.walk(ast.parse(source))
+            if isinstance(handler, ast.ExceptHandler) and handler.name
+            for node in ast.walk(handler)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == handler.name]
+
+
+def test_caught_exception_writes_are_seen():
+    # the check below would pass vacuously if it missed a plain or an augmented assignment
+    source = ("try:\n    f()\nexcept E as exc:\n    exc.model = 1\n    exc.n += 1\n"
+              "    other.x = exc.y\n    raise\n")
+    assert caught_exception_writes(source) == [(4, "exc.model"), (5, "exc.n")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_handler_writes_onto_the_exception_it_caught(module):
+    # an exception carries what its raiser knew; a catcher that knows more
+    # (which model failed, say) records it itself instead of amending the exception
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert not [f"{module}.py:{line} sets {name}" for line, name in caught_exception_writes(source)]
 
 
 def test_data_is_seen_doing_file_io():
