@@ -11,11 +11,17 @@ text that reads back bit-exactly), an int cell its decimal digits, and a
 missing value an empty cell.  A JSON file is indented by 2 with sorted keys
 and ends in a newline.  The config dataclasses read and write plain JSON
 objects through :class:`Config`.
+
+A numeric CSV file (a dataset, a regression table) is read by numpy's C
+tokenizer, which parses a float cell through the same routine as ``float()``
+and so yields the same doubles.  A row-by-row loop re-reads a file only when
+that parse refuses it, to name the failing line (:func:`read_table`).
 """
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -47,30 +53,81 @@ def column_cells(values):
     return map(repr, np.asarray(values).tolist())
 
 
-def read_csv(path, parser):
-    """(header, parsed rows) of a CSV file; ``parser(header)`` checks the header
-    and returns the function that parses one row.  Blank lines are skipped;
-    a missing header or row, a row of the wrong width and a cell that does not
+# whitespace that numpy's C tokenizer strips from a cell and float() refuses
+_C_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def read_table(path, check_header, event_last: bool = False):
+    """(header, float table) of a numeric CSV file.
+
+    ``check_header(header)`` raises ValidationError on a header it refuses.
+    Every body cell is a float, or with ``event_last`` the last one an event
+    indicator: an int cell (``int()`` reads it, so "1.0" is refused) of 0 or 1.
+    Blank lines are skipped.  numpy's C tokenizer parses the body; it reads
+    every float cell through the same routine as ``float()``, so the doubles
+    are the same.  A body it refuses, or parses to no rows, to a width other
+    than the header's or to an event outside {0, 1}, is re-read one row at a
+    time by ``_parse_rows``, which raises ValidationError naming the path and
+    line.  The few cells that ``float()`` reads and the C tokenizer does not
+    (a quoted cell, digits grouped by "_", non-ASCII digits) parse there too.
+    """
+    table = None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file")
+        check_header(header)
+        if not _holds_c_only_space(path):
+            try:
+                with warnings.catch_warnings():  # on no data rows, which _parse_rows names
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                       converters={-1: int} if event_last else None)
+            except ValueError:  # UnicodeDecodeError too: _parse_rows raises it at its row
+                pass
+    if (table is None or not len(table) or table.shape[1] != len(header)
+            or event_last and not np.isin(table[:, -1], (0, 1)).all()):
+        table = _parse_rows(path, len(header), _event_row if event_last else _float_row)
+    return header, table
+
+
+def _holds_c_only_space(path) -> bool:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return any(space in raw for space in _C_ONLY_SPACE)
+
+
+def _float_row(row):
+    return [*map(float, row)]
+
+
+def _event_row(row):
+    event = int(row[-1])
+    if event not in (0, 1):  # a larger one could overflow the float table
+        raise ValueError(f"event must be 0 or 1, got {row[-1]!r}")
+    return [*map(float, row[:-1]), event]
+
+
+def _parse_rows(path, width, parse):
+    """The float table of a CSV file's body, parsed by ``parse(row)`` one row at
+    a time.  A missing row, a row of the wrong width and a cell that does not
     parse (ValueError) raise ValidationError naming the path and line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        parse = parser(header)
+        next(reader)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{lineno}: expected {len(header)} cells")
+            if len(row) != width:
+                raise ValidationError(f"{path}:{lineno}: expected {width} cells")
             try:
                 rows.append(parse(row))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    return header, rows
+    return np.array(rows)
 
 
 def write_json(path, doc) -> str:
@@ -169,7 +226,7 @@ class SurvivalDataset:
 
     @classmethod
     def load_csv(cls, path) -> "SurvivalDataset":
-        def parser(header):
+        def check_header(header):
             if len(header) < 3 or header[-2:] != ["time", "event"]:
                 raise ValidationError(
                     f"{path}: expected header x0,...,time,event, got {header}"
@@ -177,27 +234,19 @@ class SurvivalDataset:
             d = len(header) - 2
             if header[:d] != [f"x{i}" for i in range(d)]:
                 raise ValidationError(f"{path}: covariate columns must be x0..x{d-1}")
-            return parse_row
 
-        def parse_row(row):
-            event = int(row[-1])
-            if event not in (0, 1):  # a larger one could overflow the float table
-                raise ValueError(f"event must be 0 or 1, got {row[-1]!r}")
-            return [*map(float, row[:-1]), event]
-
-        header, rows = read_csv(path, parser)
-        table, d = np.array(rows), len(header) - 2
+        header, table = read_table(path, check_header, event_last=True)
+        d = len(header) - 2
         return cls(table[:, :d].copy(), table[:, d].copy(), table[:, d + 1].astype(np.int64))
 
 
 def load_regression_csv(path, target: str):
     """Reads a numeric regression CSV; returns (X, y)."""
 
-    def parser(header):
+    def check_header(header):
         if target not in header:
             raise ValidationError(f"{path}: no column named {target!r} in {header}")
-        return lambda row: [*map(float, row)]
 
-    header, rows = read_csv(path, parser)
-    table, t_idx = np.array(rows), header.index(target)
+    header, table = read_table(path, check_header)
+    t_idx = header.index(target)
     return np.delete(table, t_idx, axis=1), table[:, t_idx].copy()

@@ -26,6 +26,10 @@ Output tree::
       failures.json   present only if some arm failed
       arms/<arm>/<model>/{checkpoint.json, trace.csv, report.json}
 
+A run into an ``out`` that an earlier run wrote replaces that run's files:
+``arms/`` is cleared before the arms run, and a ``failures.json`` the run
+does not write is removed.
+
 ``SUMMARIES`` gives each kind's ``summary.csv``: the ``arms.csv`` rows are
 grouped by its group columns, in the order of each group's first row, and
 each summarized column gets ``mean_<column>``, ``std_<column>`` (population)
@@ -42,6 +46,7 @@ excluded.  For the semi-synthetic ``no_censoring`` row that is the
 from __future__ import annotations
 
 import pickle
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -391,6 +396,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: Optional[int] = None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", cfg.to_dict())
+    if (out / "arms").exists():  # an earlier run's arms, which config.json no longer describes
+        shutil.rmtree(out / "arms")
 
     arm_fn, payloads = _arm_payloads(cfg, str(out))
     rows, failures = [], []

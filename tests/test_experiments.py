@@ -533,6 +533,19 @@ def test_a_clean_rerun_removes_an_earlier_runs_failures_json(tmp_path):
     assert not (out / "failures.json").exists()
 
 
+def test_a_rerun_leaves_only_its_own_arm_directories(tmp_path):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(kind="synthetic_sweep",
+                           **dict(TINY_CONFIGS["synthetic_sweep"], tau_grid=(0.4,), seeds=(0,)))
+    run_experiment(cfg, out)
+    assert sorted(p.name for p in (out / "arms").iterdir()) == ["tau0.4_seed0"]
+    run_experiment(replace(cfg, seeds=(1,)), out)
+    assert sorted(p.name for p in (out / "arms").iterdir()) == ["tau0.4_seed1"]
+    # a kind that writes no arm directories leaves no arms/ behind either
+    run_experiment(ExperimentConfig(experiment_id="bias_after_sweep", **BIAS_TWO_SEEDS), out)
+    assert not (out / "arms").exists()
+
+
 def test_arm_failure_in_a_worker_is_recorded(tmp_path, monkeypatch):
     monkeypatch.setattr(exp, "_metric_bias_arm", arm_failing_on_seed_1)
     cfg = ExperimentConfig(experiment_id="bias_pool_flaky", **BIAS_TWO_SEEDS)
