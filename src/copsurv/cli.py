@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .copulas import Family, spec_from_tau, theta_to_tau
 from .data import SurvivalDataset, load_regression_csv, read_json, write_json
-from .datagen import PRESETS, censor_regression, generate_synthetic, sidecar_dict, truth_from_sidecar
+from .datagen import (PRESETS, censor_regression, fit_regression_marginal, generate_synthetic,
+                      sidecar_dict, truth_from_sidecar)
 from .errors import DomainError, NumericalFailure, UndefinedMetricError, ValidationError
 from .experiments import ExperimentConfig, evaluate_fitted, run_experiment
 from .metrics import SurvivalL1Config, survival_l1  # noqa: F401 (perfbench's tracer test binds it here)
@@ -54,7 +55,9 @@ def cmd_generate(args) -> int:
 def cmd_censor(args) -> int:
     x, y = load_regression_csv(args.data, args.target)
     spec = spec_from_tau(args.family, args.tau, args.kappa)
-    dataset, info = censor_regression(x, y, spec, seed=args.seed, shift=args.shift)
+    marginal = fit_regression_marginal(x, y, TrainConfig(seed=args.seed), shift=args.shift)
+    dataset, _ = censor_regression(marginal, spec, args.seed)
+    frac = float(1.0 - dataset.delta.mean())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset.save_csv(out / "data.csv")
@@ -66,18 +69,15 @@ def cmd_censor(args) -> int:
             "copula": spec.to_dict(),
             "tau": args.tau,
             "seed": args.seed,
-            "shift": info.shift,
-            "censoring_fraction": info.censoring_fraction,
-            "standardize_mean": [float(v) for v in info.standardize_mean],
-            "standardize_std": [float(v) for v in info.standardize_std],
-            "event_model": info.event_model.to_dict(),
-            "censor_model": info.censor_model.to_dict(),
+            "shift": marginal.shift,
+            "censoring_fraction": frac,
+            "standardize_mean": [float(v) for v in marginal.mean],
+            "standardize_std": [float(v) for v in marginal.std],
+            "event_model": marginal.event_model.to_dict(),
+            "censor_model": marginal.censor_model.to_dict(),
         },
     )
-    print(
-        f"wrote {out / 'data.csv'}: {len(dataset)} records, "
-        f"censoring fraction {info.censoring_fraction:.3f}"
-    )
+    print(f"wrote {out / 'data.csv'}: {len(dataset)} records, censoring fraction {frac:.3f}")
     return 0
 
 

@@ -7,11 +7,11 @@ marginal survival functions at u1 and u2.  The observed record is
 (x, min(T_E, T_C), 1[T_E < T_C]).
 
 Semi-synthetic censoring turns a positive-target regression dataset into a
-dependently censored survival dataset: a linear Weibull model fit on the
-targets (all treated as events) supplies the event marginal, a sharpened
-copy of it (shape divided by 0.6) acts as the censoring marginal, and
-censoring times are drawn from the copula conditionally on each record's
-event quantile.
+dependently censored survival dataset in two steps.  The tau-free
+``fit_regression_marginal`` fits a linear Weibull model on the targets (all
+treated as events) as the event marginal; a sharpened copy of it (shape
+divided by 0.6) is the censoring marginal.  ``censor_regression`` then draws
+each censoring time from the copula conditionally on the event quantile.
 """
 from __future__ import annotations
 
@@ -217,47 +217,44 @@ def zscore_fit(x: np.ndarray):
 
 
 @dataclass
-class CensoredRegressionInfo:
+class RegressionMarginal:
+    """An all-event marginal fit: the standardized covariates ``x``, shifted
+    targets ``y``, both marginals, and the standardization and shift."""
+
+    x: np.ndarray
+    y: np.ndarray
     event_model: WeibullCoxModel
     censor_model: WeibullCoxModel
-    y: np.ndarray
-    t_censor: np.ndarray
-    standardize_mean: np.ndarray
-    standardize_std: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
     shift: float
-    censoring_fraction: float
+
+    def transform(self, x: np.ndarray, y: np.ndarray):
+        """Held-out rows ``(x, y)`` under this fit's standardization and shift."""
+        return (x - self.mean) / self.std, y + self.shift
 
 
-def censor_regression(
-    x: np.ndarray,
-    y: np.ndarray,
-    spec: CopulaSpec,
-    seed: int = 0,
-    fit_config=None,
-    shift: bool = False,
-):
-    """Imposes copula-dependent censoring on a regression dataset.
+def fit_regression_marginal(x: np.ndarray, y: np.ndarray, fit_config: TrainConfig,
+                            shift: bool = False) -> RegressionMarginal:
+    """The tau-free step of semi-synthetic censoring.
 
-    Covariates are z-scored; a linear Weibull event model is fit on the
-    (shifted) targets with every record treated as an event, the censoring
-    marginal reuses its scale and risk but divides the shape by 0.6, and
-    each censoring time is drawn conditionally on the record's event
-    quantile.  Returns (dataset, info); the dataset carries the
-    standardized covariates.
-    """
+    Z-scores ``x`` and fits a linear Weibull event model on ``y`` with every
+    record an event; the censoring marginal divides its shape by 0.6.
+    Negative targets are translated only if ``shift``, and zero targets are
+    lifted by 1e-3 of the largest."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValidationError(f"need x (n, d) and y (n,), got {x.shape} and {y.shape}")
+    if len(y) == 0:
+        raise ValidationError("need at least one record to fit the event marginal")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValidationError("covariates and targets must be finite")
 
     total_shift = 0.0
     if np.any(y < 0.0):
         if not shift:
-            raise ValidationError(
-                "targets must be non-negative; pass shift=True to translate them"
-            )
+            raise ValidationError("targets must be non-negative; pass shift=True to translate them")
         total_shift += -float(y.min())
         y = y - y.min()
     if np.any(y == 0.0):
@@ -270,34 +267,28 @@ def censor_regression(
     mean, std = zscore_fit(x)
     xs = (x - mean) / std
 
-    cfg = fit_config or TrainConfig(seed=seed)
     event_model, _ = fit_marginal(
-        SurvivalDataset(xs, y, np.ones(len(y), dtype=np.int64)), "linear", cfg
+        SurvivalDataset(xs, y, np.ones(len(y), dtype=np.int64)), "linear", fit_config
     )
     censor_model = WeibullCoxModel(
         float(event_model.log_nu) - np.log(CENSOR_SHAPE_DIVISOR),
         float(event_model.log_rho),
         LinearRisk(event_model.risk.weights.copy()),
     )
+    return RegressionMarginal(xs, y, event_model, censor_model, mean, std, total_shift)
 
+
+def censor_regression(marginal: RegressionMarginal, spec: CopulaSpec, seed: int):
+    """Draws ``marginal``'s censoring times conditionally on its event
+    quantiles under ``spec``; a record is an event when its target is at or
+    below its censoring time.  Returns (dataset, latent targets and times)."""
     rng = np.random.default_rng(seed)
-    u1 = clamp_quantile(event_model.survival(y, xs))
+    u1 = clamp_quantile(marginal.event_model.survival(marginal.y, marginal.x))
     u2 = clamp_quantile(conditional_sample(spec, u1, rng))
-    t_censor = censor_model.inverse_survival(u2, xs)
-
-    delta = (y <= t_censor).astype(np.int64)
-    dataset = SurvivalDataset(xs, np.minimum(y, t_censor), delta)
-    info = CensoredRegressionInfo(
-        event_model=event_model,
-        censor_model=censor_model,
-        y=y,
-        t_censor=t_censor,
-        standardize_mean=mean,
-        standardize_std=std,
-        shift=total_shift,
-        censoring_fraction=float(1.0 - delta.mean()),
-    )
-    return dataset, info
+    t_censor = marginal.censor_model.inverse_survival(u2, marginal.x)
+    delta = (marginal.y <= t_censor).astype(np.int64)
+    return (SurvivalDataset(marginal.x, np.minimum(marginal.y, t_censor), delta),
+            LatentOutcomes(marginal.y, t_censor))
 
 
 def synthetic_regression(n: int, d: int, seed: int):

@@ -4,12 +4,14 @@ regression censoring.
 An experiment expands into independent arms, one per ``arms.csv`` row: a
 sweep or semi-synthetic arm fits one model, ``copula`` or ``independence``,
 on its (tau, seed) draw, a metric-bias arm has ``metrics`` score its draw,
-and each semi-synthetic seed has one ``no_censoring`` arm.  Every arm draws
-or censors its own data, on random streams keyed here by its seed and
-``datagen.tau_key(tau)``, so both model arms of a (tau, seed) fit the same
-draw.  Arms run serially unless the caller asks for more than one worker,
-in which case they run in a process pool; rows are written in arm order, so
-results are identical either way.  An exception raised inside an arm costs
+and each semi-synthetic seed has one ``no_censoring`` arm, which scores the
+all-event marginal fit that every semi-synthetic arm of the seed makes
+before its censoring draw.  Every arm draws or censors its own data, on
+random streams keyed here by its seed and ``datagen.tau_key(tau)``, so both
+model arms of a (tau, seed) fit the same draw.  Arms run serially unless
+the caller asks for more than one worker, in which case they run in a
+process pool; rows are written in arm order, so results are identical
+either way.  An exception raised inside an arm costs
 its row alone and is recorded in ``failures.json``, with the arm's ``model``
 when it has one and a ``NumericalFailure``'s ``epoch`` and ``record_index``.
 The run only errors out if every arm fails.
@@ -39,9 +41,10 @@ survival-L1; ``semi_synthetic`` groups per (tau, model) and ``metric_bias``
 per tau, with means only.
 
 ``wall_time_s`` is the seconds spent fitting the row's model, evaluation
-excluded.  For the semi-synthetic ``no_censoring`` row that is the
-``censor_regression`` call, whose all-event marginal fit is that model; a
-``metric_bias`` row fits nothing and times its whole computation.
+excluded.  For the semi-synthetic ``no_censoring`` row that is the all-event
+marginal fit alone (``datagen.fit_regression_marginal``), which makes no
+censoring draw; a ``metric_bias`` row fits nothing and times its whole
+computation.
 """
 from __future__ import annotations
 
@@ -61,8 +64,9 @@ import numpy as np
 from . import metrics as met
 from .copulas import Family, spec_from_tau, theta_to_tau
 from .data import Config, SurvivalDataset, csv_cell, load_regression_csv, write_csv, write_json
-from .datagen import (PRESETS, censor_regression, child_seed, generate_synthetic,
-                      preset_metric_bias, sidecar_dict, synthetic_regression, tau_key)
+from .datagen import (PRESETS, censor_regression, child_seed, fit_regression_marginal,
+                      generate_synthetic, preset_metric_bias, sidecar_dict,
+                      synthetic_regression, tau_key)
 from .errors import NumericalFailure, ValidationError
 from .metrics import SurvivalL1Config
 from .training import FittedJointModel, TrainConfig, fit
@@ -276,29 +280,23 @@ def _semi_arm(payload):
     perm = np.random.default_rng(child_seed(seed, 0, 7)).permutation(n)
     test_idx, tv_idx = perm[:n_test], perm[n_test:]
 
-    # the all-event marginal fit inside censor_regression is exactly the
-    # no-censoring baseline; it does not depend on tau, so the seed's one
-    # baseline arm censors at the first tau of the grid
-    draw_tau = cfg.tau_grid[0] if model == "no_censoring" else tau
+    # the all-event marginal fit is the no-censoring baseline and, for the
+    # model arms, the source of the censoring draw at the arm's tau
     start = time.perf_counter()
-    cens_ds, info = censor_regression(
-        x[tv_idx], y[tv_idx], spec_from_tau(cfg.family, draw_tau, cfg.kappa),
-        seed=child_seed(seed, tau_key(draw_tau), 9),
-        fit_config=TrainConfig(seed=child_seed(seed, 0, 10)),
-    )
-    prep_wall = time.perf_counter() - start
-    # the test rows take the train/validation rows' standardization
-    x_test = (x[test_idx] - info.standardize_mean) / info.standardize_std
-    target = y[test_idx] + info.shift
+    marginal = fit_regression_marginal(x[tv_idx], y[tv_idx], TrainConfig(seed=child_seed(seed, 0, 10)))
+    wall = time.perf_counter() - start
+    x_test, target = marginal.transform(x[test_idx], y[test_idx])
     test_ds = SurvivalDataset(x_test, target, np.ones(len(test_idx), dtype=np.int64))
 
     if model == "no_censoring":
         report = met.EvaluationReport(
-            c_index=met.concordance_index(info.event_model, test_ds),
-            brier=met.brier_score(info.event_model, test_ds),
-            r_squared=met.r_squared(info.event_model, x_test, target),
+            c_index=met.concordance_index(marginal.event_model, test_ds),
+            brier=met.brier_score(marginal.event_model, test_ds),
+            r_squared=met.r_squared(marginal.event_model, x_test, target),
         )
-        return _row(cfg, tau, seed, prep_wall, model=model, family="", **asdict(report))
+        return _row(cfg, tau, seed, wall, model=model, family="", **asdict(report))
+    cens_ds, _ = censor_regression(marginal, spec_from_tau(cfg.family, tau, cfg.kappa),
+                                   child_seed(seed, tau_key(tau), 9))
     return _fit_model(
         cfg, tau, seed, model, child_seed(seed, tau_key(tau), 11), cens_ds, test_ds, None,
         Path(out_root) / "arms" / f"seed{seed}" / f"tau{tau:g}", target,

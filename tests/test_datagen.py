@@ -1,5 +1,7 @@
 """Synthetic generators: preset parameters, the censoring mechanism, and
 dependence of the latent draws."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,6 +10,7 @@ from copsurv.copulas import CopulaSpec, spec_from_tau
 from copsurv.datagen import (
     SyntheticGenConfig,
     censor_regression,
+    fit_regression_marginal,
     generate_synthetic,
     preset_linear_risk,
     preset_metric_bias,
@@ -160,75 +163,98 @@ def test_synthetic_regression_properties():
 
 def test_censor_regression_basics():
     x, y = regression_data(800)
-    spec = spec_from_tau("clayton", 0.8)
-    dataset, info = censor_regression(x, y, spec, seed=0, fit_config=short_cfg())
+    marginal = fit_regression_marginal(x, y, short_cfg())
+    dataset, latent = censor_regression(marginal, spec_from_tau("clayton", 0.8), 0)
     assert len(dataset) == 800
-    assert 0.0 < info.censoring_fraction < 1.0
+    assert 0.0 < dataset.delta.mean() < 1.0
     # covariates in the emitted dataset are standardized
     assert np.allclose(dataset.x.mean(axis=0), 0.0, atol=1e-10)
     assert np.allclose(dataset.x.std(axis=0), 1.0, atol=1e-10)
+    # positive targets are the latent event times, unshifted
+    assert marginal.shift == 0.0 and np.array_equal(latent.t_event, y)
     # indicator rule: event iff the target is at or below its censor draw
-    assert np.array_equal(dataset.delta, (info.y <= info.t_censor).astype(int))
-    assert np.array_equal(dataset.t_obs, np.minimum(info.y, info.t_censor))
+    assert np.array_equal(dataset.delta, (latent.t_event <= latent.t_censor).astype(int))
+    assert np.array_equal(dataset.t_obs, np.minimum(latent.t_event, latent.t_censor))
     # censoring marginal: shape divided by 0.6, scale and weights shared
-    assert info.censor_model.nu == pytest.approx(info.event_model.nu / 0.6, rel=1e-12)
-    assert float(info.censor_model.log_rho) == float(info.event_model.log_rho)
-    assert np.array_equal(info.censor_model.risk.weights, info.event_model.risk.weights)
+    assert marginal.censor_model.nu == pytest.approx(marginal.event_model.nu / 0.6, rel=1e-12)
+    assert float(marginal.censor_model.log_rho) == float(marginal.event_model.log_rho)
+    assert np.array_equal(marginal.censor_model.risk.weights, marginal.event_model.risk.weights)
 
 
 def test_censor_regression_independence_stable_and_uncorrelated():
     x, y = regression_data(4000)
-    dataset, info = censor_regression(
-        x, y, CopulaSpec.independence(), seed=1, fit_config=short_cfg(1)
-    )
+    marginal = fit_regression_marginal(x, y, short_cfg(1))
+    dataset, latent = censor_regression(marginal, CopulaSpec.independence(), 1)
     # the latent quantile pair shows no dependence
-    u1 = info.event_model.survival(info.y, dataset.x)
-    u2 = info.censor_model.survival(info.t_censor, dataset.x)
+    u1 = marginal.event_model.survival(latent.t_event, dataset.x)
+    u2 = marginal.censor_model.survival(latent.t_censor, dataset.x)
     assert abs(stats.kendalltau(u1, u2).statistic) < 0.05
     # and the censoring rate is stable across fresh draw seeds
-    other, _ = censor_regression(x, y, CopulaSpec.independence(), seed=9, fit_config=short_cfg(1))
+    other, _ = censor_regression(marginal, CopulaSpec.independence(), 9)
     assert abs(dataset.delta.mean() - other.delta.mean()) < 0.05
 
 
 def test_censor_regression_dependence_recovered():
     # the nominal tau is achieved through the fitted event quantiles, so the
-    # internal marginal fit needs enough epochs to calibrate them
+    # marginal fit needs enough epochs to calibrate them
     x, y = regression_data(3000)
     tau = 0.7
     from copsurv.training import TrainConfig
 
     cfg = TrainConfig(max_epochs=4000, patience=1000, seed=2)
-    dataset, info = censor_regression(x, y, spec_from_tau("clayton", tau), seed=2, fit_config=cfg)
-    u1 = info.event_model.survival(info.y, dataset.x)
-    u2 = info.censor_model.survival(info.t_censor, dataset.x)
+    marginal = fit_regression_marginal(x, y, cfg)
+    dataset, latent = censor_regression(marginal, spec_from_tau("clayton", tau), 2)
+    u1 = marginal.event_model.survival(latent.t_event, dataset.x)
+    u2 = marginal.censor_model.survival(latent.t_censor, dataset.x)
     assert stats.kendalltau(u1, u2).statistic == pytest.approx(tau, abs=0.05)
 
 
 def test_censor_regression_shift_handling():
     x, y = regression_data(300)
-    spec = spec_from_tau("clayton", 0.5)
 
     y_neg = y - 2.0 * y.max()
     with pytest.raises(ValidationError):
-        censor_regression(x, y_neg, spec, fit_config=short_cfg())
-    _, info = censor_regression(x, y_neg, spec, shift=True, fit_config=short_cfg())
-    assert info.shift > 0.0
-    assert np.all(info.y > 0.0)
+        fit_regression_marginal(x, y_neg, short_cfg())
+    marginal = fit_regression_marginal(x, y_neg, short_cfg(), shift=True)
+    assert marginal.shift > 0.0
+    assert np.all(marginal.y > 0.0)
+    # held-out rows get the fit rows' standardization and shift
+    x_held, y_held = marginal.transform(x, y_neg)
+    assert np.array_equal(x_held, marginal.x)
+    assert np.allclose(y_held, marginal.y, rtol=1e-12)
 
     y_zero = y.copy()
     y_zero[0] = 0.0
-    _, info0 = censor_regression(x, y_zero, spec, fit_config=short_cfg())
-    assert info0.shift == pytest.approx(1e-3 * y_zero.max())
-    assert np.all(info0.y > 0.0)
+    marginal0 = fit_regression_marginal(x, y_zero, short_cfg())
+    assert marginal0.shift == pytest.approx(1e-3 * y_zero.max())
+    assert np.all(marginal0.y > 0.0)
+    # the draw censors the shifted targets
+    _, latent = censor_regression(marginal0, spec_from_tau("clayton", 0.5), 0)
+    assert np.array_equal(latent.t_event, marginal0.y)
+
+
+def test_fit_regression_marginal_rejects_an_empty_table():
+    # the check comes before the z-score, whose mean and std of no rows warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="at least one record"):
+            fit_regression_marginal(np.empty((0, 3)), np.empty(0), short_cfg())
 
 
 def test_censor_regression_deterministic():
     x, y = regression_data(400)
     spec = spec_from_tau("frank", 0.6)
-    a, _ = censor_regression(x, y, spec, seed=3, fit_config=short_cfg(3))
-    b, _ = censor_regression(x, y, spec, seed=3, fit_config=short_cfg(3))
+    a, _ = censor_regression(fit_regression_marginal(x, y, short_cfg(3)), spec, 3)
+    marginal = fit_regression_marginal(x, y, short_cfg(3))
+    b, _ = censor_regression(marginal, spec, 3)
     assert np.array_equal(a.t_obs, b.t_obs)
     assert np.array_equal(a.delta, b.delta)
+    # the draw depends on its seed, and leaves the fit as it found it
+    y_fit = marginal.y.copy()
+    c, _ = censor_regression(marginal, spec, 4)
+    assert not np.array_equal(c.t_obs, b.t_obs)
+    assert np.array_equal(marginal.y, y_fit)
+    assert np.array_equal(censor_regression(marginal, spec, 3)[0].t_obs, b.t_obs)
 
 
 def test_zscore_fit_zero_spread():

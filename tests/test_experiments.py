@@ -385,10 +385,10 @@ def test_failed_semi_tau_keeps_the_baseline_and_the_other_taus(tmp_path, tiny_ru
     real = exp.censor_regression
     failing_seed = exp.child_seed(0, exp.tau_key(0.6), 9)
 
-    def censor_failing_at_0_6(x, y, spec, seed, fit_config):
+    def censor_failing_at_0_6(marginal, spec, seed):
         if seed == failing_seed:
             raise RuntimeError("boom")
-        return real(x, y, spec, seed=seed, fit_config=fit_config)
+        return real(marginal, spec, seed)
 
     monkeypatch.setattr(exp, "censor_regression", censor_failing_at_0_6)
     cfg = ExperimentConfig(kind="semi_synthetic", **dict(TINY_CONFIGS["semi_synthetic"], seeds=(0,)))
@@ -404,6 +404,63 @@ def test_failed_semi_tau_keeps_the_baseline_and_the_other_taus(tmp_path, tiny_ru
     assert result.failures == [
         {"arm": "0.6/0", "error": "RuntimeError", "message": "boom", "model": model}
         for model in ("copula", "independence")]
+
+
+def test_failed_semi_draw_at_the_first_tau_keeps_the_baseline(tmp_path, tiny_runs, monkeypatch):
+    # the censoring draw at the grid's first tau fails: its two model rows
+    # go, and the seed's no-censoring row, which makes no draw, stays
+    _, full, _ = tiny_runs("semi_synthetic")
+    real = exp.censor_regression
+    failing_seed = exp.child_seed(0, exp.tau_key(0.3), 9)
+
+    def censor_failing_at_0_3(marginal, spec, seed):
+        if seed == failing_seed:
+            raise RuntimeError("boom")
+        return real(marginal, spec, seed)
+
+    monkeypatch.setattr(exp, "censor_regression", censor_failing_at_0_3)
+    cfg = ExperimentConfig(kind="semi_synthetic", **dict(TINY_CONFIGS["semi_synthetic"], seeds=(0,)))
+    result = run_experiment(cfg, tmp_path / "semi")
+
+    def strip(rows):
+        return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
+
+    assert [(r["tau_star"], r["model"]) for r in result.rows] == [
+        ("", "no_censoring"), (0.6, "copula"), (0.6, "independence")]
+    assert strip(result.rows) == strip(r for r in full.rows if r["seed"] == 0 and r["tau_star"] != 0.3)
+    assert result.failures == [
+        {"arm": "0.3/0", "error": "RuntimeError", "message": "boom", "model": model}
+        for model in ("copula", "independence")]
+
+
+def test_no_censoring_arm_makes_no_censoring_draw(tmp_path, tiny_runs, monkeypatch):
+    _, full, _ = tiny_runs("semi_synthetic")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the no-censoring arm drew censoring times")
+
+    monkeypatch.setattr(exp, "censor_regression", no_draw)
+    cfg = ExperimentConfig(kind="semi_synthetic", **TINY_CONFIGS["semi_synthetic"])
+    for seed in cfg.seeds:
+        row = exp._semi_arm((cfg, "", seed, "no_censoring", str(tmp_path)))
+        want = next(r for r in full.rows if r["seed"] == seed and r["model"] == "no_censoring")
+        assert {**row, "wall_time_s": None} == {**want, "wall_time_s": None}
+
+
+@pytest.mark.filterwarnings("error")
+def test_semi_arm_of_a_one_row_table_is_a_validation_error(tmp_path):
+    # the test split takes the one row, and the marginal fit rejects the
+    # empty rest before the z-score of no rows can warn
+    src = tmp_path / "one_row.csv"
+    src.write_text("x0,x1,y\n0.5,1.5,2.0\n")
+    cfg = ExperimentConfig(experiment_id="semi_one_row", kind="semi_synthetic", data_csv=str(src),
+                           target_column="y", tau_grid=(0.5,), seeds=(0,))
+    with pytest.raises(NumericalFailure, match="all 3 experiment arms failed"):
+        run_experiment(cfg, tmp_path / "semi")
+    failures = json.loads((tmp_path / "semi" / "failures.json").read_text())
+    assert [(f["model"], f["error"]) for f in failures] == [
+        (model, "ValidationError") for model in ("no_censoring", "copula", "independence")]
+    assert all("at least one record" in f["message"] for f in failures)
 
 
 def test_failed_semi_fit_at_the_first_tau_keeps_the_baseline_and_the_copula_row(

@@ -309,13 +309,13 @@ def test_lbfgsb_early_stop_restores_the_best_validation_iterate():
 
 
 def _censor_input(seed=0):
-    """The all-event dataset ``censor_regression`` fits its marginal on."""
+    """The all-event dataset ``fit_regression_marginal`` fits on."""
     x, y = synthetic_regression(2000, 10, seed)
     mean, std = zscore_fit(x)
     return SurvivalDataset((x - mean) / std, y, np.ones(len(y), dtype=np.int64))
 
 
-# the fit config censor_regression uses by default
+# the fit config of ``copsurv censor`` at its default seed
 CENSOR_FIT = TrainConfig(seed=0)
 
 
