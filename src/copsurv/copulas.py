@@ -308,7 +308,11 @@ def _mixture_log_partial(spec, u1, u2, want_grad):
 
 def log_partial(spec: CopulaSpec, c1: np.ndarray, c2: np.ndarray, want_grad: bool = False):
     """(log dC/du1, (d/du1, d/du2, {param: d/dparam}) if ``want_grad`` else
-    None) at quantiles the caller has clamped; they are not validated."""
+    None) at quantiles the caller has clamped; they are not validated.
+
+    ``spec`` may also be any object with a ``family`` and that family's
+    parameters as (k, 1) columns: with (k, n) quantiles the value is then
+    that of k parameter points, each row bit for bit its point's own."""
     fam = spec.family
     if fam is Family.INDEPENDENCE:
         return np.log(c2), ((np.zeros_like(c1), 1.0 / c2, {}) if want_grad else None)

@@ -61,12 +61,16 @@ class NumericalFailure(RuntimeError):
     """A computation produced a non-finite value.
 
     ``record_index`` points at the offending record when the failure arose
-    from a per-record term; ``epoch`` counts the accepted iterations when
-    training fails mid-run, and the optimizer leaves the parameters at the
-    last accepted iterate.
+    from a per-record term, and ``point_index`` at the parameter point when
+    it arose in an evaluation at several points at once.  ``epoch`` counts
+    the accepted iterations when training fails mid-run.  The optimizer
+    leaves the parameters at the last accepted iterate, or, when the
+    validation loss of an iterate fails, at that iterate: ``epoch`` is then
+    its index.
     """
 
-    def __init__(self, message, record_index=None, epoch=None):
+    def __init__(self, message, record_index=None, epoch=None, point_index=None):
         super().__init__(message)
         self.record_index = record_index
         self.epoch = epoch
+        self.point_index = point_index

@@ -14,13 +14,19 @@ which collapses to the familiar independent-censoring likelihood
 when C is the independence copula.  Independence is therefore fitted as one
 more family of the same objective; there is no separate code path for it.
 
-One kernel serves the joint objective and one the single-marginal
-objective; each computes the log-likelihood minus an optional L2 penalty
-on the risk weights and, when asked, the gradient of that same value.
-The public functions are thin calls into them.  Every supported family is
-exchangeable, log dC/du2(u1, u2) = log dC/du1(u2, u1), so the joint kernel
-orients each record with its own quantile first and calls the copula kernel
-once, on the one partial each record uses.
+One function gives the joint objective's per-record terms and one the
+single marginal's, and two paths share them.  The gradient path
+(``loglik_and_gradient``, ``marginal_loglik_and_gradient``) evaluates them
+at the models' own parameters and subtracts an optional L2 penalty on the
+risk weights.  The value path (``loglik_copula_points``,
+``marginal_loglik_points``) evaluates them at k parameter points in one
+pass, which is how validation scores a block of iterates: log nu, log rho
+and the copula parameters become (k, 1) columns, the risks give a (k, n)
+stack (``values_at``), and the same formulas broadcast over it.
+``loglik_copula`` and ``marginal_loglik`` are that pass at one point.
+Every supported family is exchangeable, log dC/du2(u1, u2) = log dC/du1(u2,
+u1), so the joint terms orient each record with its own quantile first and
+call the copula kernel once, on the one partial each record uses.
 
 Gradients are exact, assembled by hand through the chain rule.  A
 marginal enters the objective through log nu and log H = nu (log t -
@@ -36,8 +42,11 @@ and this module) works in place and shares common terms where that saves
 work, but it keeps every floating-point operation, its operands and its
 order, so each value and gradient is bit for bit that of the plain
 out-of-place formulas.  Those formulas live in ``tests/`` as oracles, and
-the tests assert exact equality with them.  A rewrite that is only equal
-in exact arithmetic (a fused matmul, ``expm1(x) + 1`` for ``exp(x)``, a
+the tests assert exact equality with them.  The same holds across points:
+each row of a k-point value is bit for bit the value at that point alone,
+so a point's parameters enter as a broadcast column and each product keeps
+its layout (``W @ x.T`` for ``x @ w`` changes the rounding).  A rewrite
+that is only equal in exact arithmetic (a fused matmul, ``expm1(x) + 1`` for ``exp(x)``, a
 different reduction) moves the fits: an MLP fit stopped on validation
 amplifies a rounding difference into a different returned iterate.
 """
@@ -47,32 +56,60 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import copulas
+from . import copulas, weibull
 from .copulas import CopulaSpec, U_EPS
 from .data import SurvivalDataset
 from .errors import NumericalFailure
 
 
-def _marginal_pieces(model, t, x):
-    """The risk's forward pass (g and its backprop closure) and, per record,
-    log H, H, S = exp(-H) and log f = log nu + log H - log t - H."""
-    g, backprop = model.risk.forward(x)
+def parameters(model, prefix: str) -> dict:
+    """The trainable arrays of ``model``, keyed as the gradient keys them:
+    ``{prefix}.log_nu``, ``{prefix}.log_rho``, ``{prefix}.risk.<key>``."""
+    out = {f"{prefix}.log_nu": model.log_nu, f"{prefix}.log_rho": model.log_rho}
+    for key, val in model.risk.params().items():
+        out[f"{prefix}.risk.{key}"] = val
+    return out
+
+
+def _hazard_pieces(log_nu, log_rho, g, t):
+    """Per record, log H, H, S = exp(-H) and log f = log nu + log H - log t - H
+    from the risk's output g; with (k, 1) columns of log nu and log rho and a
+    (k, n) g, per point and record."""
     log_t = np.log(t)
-    log_h = model.log_cumulative_hazard_at(log_t, g)
+    log_h = weibull.log_cumulative_hazard_from(log_nu, log_rho, log_t, g)
     # overflow here surfaces as a NumericalFailure from the finiteness check
     with np.errstate(over="ignore"):
         h_cum = np.exp(log_h)
-    log_f = float(model.log_nu) + log_h - log_t - h_cum
-    return SimpleNamespace(g=g, backprop=backprop, log_h=log_h, h_cum=h_cum,
-                           log_f=log_f, surv=np.exp(-h_cum))
+    log_f = log_nu + log_h - log_t - h_cum
+    return SimpleNamespace(g=g, log_h=log_h, h_cum=h_cum, log_f=log_f, surv=np.exp(-h_cum))
+
+
+def _marginal_pieces(model, t, x):
+    """The risk's forward pass (g and its backprop closure) and the hazard
+    pieces at ``model``'s own parameters."""
+    g, backprop = model.risk.forward(x)
+    pieces = _hazard_pieces(model.log_nu, model.log_rho, g, t)
+    pieces.backprop = backprop
+    return pieces
+
+
+def _point_pieces(model, prefix, points, data):
+    """The hazard pieces at the k points ``points`` stacks under ``prefix``."""
+    risk_points = {key: points[f"{prefix}.risk.{key}"] for key in model.risk.params()}
+    g = model.risk.values_at(data.x, risk_points)
+    return _hazard_pieces(points[f"{prefix}.log_nu"][:, None],
+                          points[f"{prefix}.log_rho"][:, None], g, data.t_obs)
 
 
 def _check_finite(terms):
+    """Raises on the first non-finite term: of the first point with one, for
+    a (k, n) stack of terms."""
     finite = np.isfinite(terms)
     if not finite.all():
-        idx = int(np.argmin(finite))
+        *point, idx = (int(i) for i in np.unravel_index(np.argmin(finite), terms.shape))
         raise NumericalFailure(
-            f"non-finite log-likelihood term at record {idx}", record_index=idx
+            f"non-finite log-likelihood term at record {idx}", record_index=idx,
+            point_index=point[0] if point else None,
         )
 
 
@@ -107,15 +144,14 @@ def _l2_penalty(l2_lambda: float, *models) -> float:
     return l2_lambda * total
 
 
-def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
-    """The penalized copula objective; returns (value, gradient dict or None)."""
+def _joint_terms(spec, ev, ce, data, want_grad):
+    """The copula objective's checked per-record terms (per point and record
+    for stacked pieces) and, if ``want_grad``, the copula kernel's gradient
+    in each record's own orientation."""
     delta = data.delta.astype(float)
     event = data.delta == 1
-    ev = _marginal_pieces(event_model, data.t_obs, data.x)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
     u1 = copulas.clamp_quantile(ev.surv)
     u2 = copulas.clamp_quantile(ce.surv)
-
     # every family is exchangeable, log dC/du2(u1, u2) = log dC/du1(u2, u1),
     # so each row is oriented to put its own quantile first
     first = np.where(event, u1, u2)
@@ -123,37 +159,38 @@ def _joint(event_model, censor_model, spec, data, l2_lambda, want_grad):
     log_p, grad = copulas.log_partial(spec, first, second, want_grad)
     terms = delta * ev.log_f + (1.0 - delta) * ce.log_f + log_p
     _check_finite(terms)
-    value = float(terms.sum()) - _l2_penalty(l2_lambda, event_model, censor_model)
-    if not want_grad:
-        return value, None
-
-    d_first, d_second, d_par = grad
-    c_u1 = np.where(event, d_first, d_second)
-    c_u2 = np.where(event, d_second, d_first)
-
-    grads = {}
-    # d u / d z = -S * dH/dz where the clamp is inactive
-    _marginal_grads(grads, "event", event_model, ev, delta,
-                    c_u1 * (-ev.surv * _passthrough(ev.surv)), l2_lambda)
-    _marginal_grads(grads, "censor", censor_model, ce, 1.0 - delta,
-                    c_u2 * (-ce.surv * _passthrough(ce.surv)), l2_lambda)
-    for key, contrib in d_par.items():
-        grads[f"copula.{key}"] = np.asarray(contrib.sum())
-    return value, grads
+    return terms, grad
 
 
-def _single(model, data, l2_lambda, want_grad):
-    """The penalized single-marginal objective; returns (value, gradient dict or None)."""
+def _single_terms(pieces, data):
+    """The single-marginal objective's checked per-record terms."""
     delta = data.delta.astype(float)
-    pieces = _marginal_pieces(model, data.t_obs, data.x)
     terms = delta * pieces.log_f - (1.0 - delta) * pieces.h_cum
     _check_finite(terms)
-    value = float(terms.sum()) - _l2_penalty(l2_lambda, model)
-    if not want_grad:
-        return value, None
-    grads = {}
-    _marginal_grads(grads, "model", model, pieces, delta, -(1.0 - delta), l2_lambda)
-    return value, grads
+    return terms
+
+
+def _one_point(point) -> dict:
+    """A point's parameters as a stack of one."""
+    return {key: np.asarray(val, dtype=float)[None] for key, val in point.items()}
+
+
+def loglik_copula_points(event_model, censor_model, family, points, data: SurvivalDataset):
+    """The unpenalized copula log-likelihood at k parameter points, shape (k,).
+
+    ``points`` maps every key of :func:`loglik_and_gradient`'s gradient
+    (``event.log_nu``, ``event.risk.W0``, ``copula.theta`` and so on) to a
+    stack of k values of that parameter's shape.  The models give only
+    their risks' structure; their own parameters are not read.  Row i is
+    bit for bit :func:`loglik_copula` at point i.  A non-finite term raises
+    ``NumericalFailure`` with the first failing point's ``point_index`` and
+    its first failing ``record_index``.
+    """
+    spec = SimpleNamespace(family=family, **{
+        name: points[f"copula.{name}"][:, None] for name in copulas.PARAMETERS[family]})
+    ev = _point_pieces(event_model, "event", points, data)
+    ce = _point_pieces(censor_model, "censor", points, data)
+    return _joint_terms(spec, ev, ce, data, want_grad=False)[0].sum(axis=1)
 
 
 def loglik_copula(
@@ -165,7 +202,10 @@ def loglik_copula(
 ) -> float:
     """Copula log-likelihood (sum over records) minus
     l2_lambda * sum ||risk weights||^2, the value of :func:`loglik_and_gradient`."""
-    return _joint(event_model, censor_model, spec, data, l2_lambda, want_grad=False)[0]
+    point = {**parameters(event_model, "event"), **parameters(censor_model, "censor"),
+             **{f"copula.{name}": getattr(spec, name) for name in copulas.PARAMETERS[spec.family]}}
+    value = loglik_copula_points(event_model, censor_model, spec.family, _one_point(point), data)
+    return float(value[0]) - _l2_penalty(l2_lambda, event_model, censor_model)
 
 
 def loglik_and_gradient(
@@ -182,12 +222,37 @@ def loglik_and_gradient(
     ``event.risk.W0``, ``copula.theta`` and so on.  The independence family simply contributes
     no ``copula.*`` keys.
     """
-    return _joint(event_model, censor_model, spec, data, l2_lambda, want_grad=True)
+    ev = _marginal_pieces(event_model, data.t_obs, data.x)
+    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
+    terms, (d_first, d_second, d_par) = _joint_terms(spec, ev, ce, data, want_grad=True)
+    value = float(terms.sum()) - _l2_penalty(l2_lambda, event_model, censor_model)
+
+    delta = data.delta.astype(float)
+    event = data.delta == 1
+    c_u1 = np.where(event, d_first, d_second)
+    c_u2 = np.where(event, d_second, d_first)
+    grads = {}
+    # d u / d z = -S * dH/dz where the clamp is inactive
+    _marginal_grads(grads, "event", event_model, ev, delta,
+                    c_u1 * (-ev.surv * _passthrough(ev.surv)), l2_lambda)
+    _marginal_grads(grads, "censor", censor_model, ce, 1.0 - delta,
+                    c_u2 * (-ce.surv * _passthrough(ce.surv)), l2_lambda)
+    for key, contrib in d_par.items():
+        grads[f"copula.{key}"] = np.asarray(contrib.sum())
+    return value, grads
+
+
+def marginal_loglik_points(model, points, data: SurvivalDataset):
+    """The single-marginal log-likelihood at k parameter points, shape (k,);
+    ``points`` stacks them under the ``model.*`` keys of
+    :func:`marginal_loglik_and_gradient`'s gradient, as in
+    :func:`loglik_copula_points`."""
+    return _single_terms(_point_pieces(model, "model", points, data), data).sum(axis=1)
 
 
 def marginal_loglik(model, data: SurvivalDataset) -> float:
     """Right-censored single-marginal log-likelihood (sum over records)."""
-    return _single(model, data, 0.0, want_grad=False)[0]
+    return float(marginal_loglik_points(model, _one_point(parameters(model, "model")), data)[0])
 
 
 def marginal_loglik_and_gradient(model, data: SurvivalDataset, l2_lambda: float = 0.0):
@@ -197,4 +262,9 @@ def marginal_loglik_and_gradient(model, data: SurvivalDataset, l2_lambda: float 
     Degenerate indicator patterns (all events, all censored) are allowed;
     this is the working objective for fitting one marginal on its own.
     """
-    return _single(model, data, l2_lambda, want_grad=True)
+    pieces = _marginal_pieces(model, data.t_obs, data.x)
+    delta = data.delta.astype(float)
+    value = float(_single_terms(pieces, data).sum()) - _l2_penalty(l2_lambda, model)
+    grads = {}
+    _marginal_grads(grads, "model", model, pieces, delta, -(1.0 - delta), l2_lambda)
+    return value, grads

@@ -30,6 +30,11 @@ the stopping rule follow from the risk kinds (there is no option).
 
 A fit stopped on validation with ``validation_fraction = 0`` has no split:
 it runs to convergence and returns the final iterate.
+
+The validation loss never steers the solver, so it is scored in blocks of
+queued iterates, one likelihood pass per block (``VALIDATION_BLOCK``),
+flushed whenever the patience rule could fire; the stop, the returned
+iterate and the trace are those of scoring every iterate as it comes.
 """
 from __future__ import annotations
 
@@ -56,6 +61,13 @@ FTOL = 1e-12
 THETA_MIN = 1e-3
 # L2 weight on the risk weights of a fit with an MLP risk; linear fits have none
 MLP_L2_LAMBDA = 1e-3
+# values per validation call, iterates x validation records (see _optimize).
+# On the benchmark's MLP mixture arm (600 validation records, three seeds)
+# 2**12, 6 iterates a call, left peak RSS as it was; 2**13 (13 iterates)
+# added 1.1 MB and 2**14 3.8 MB, for a few percent more speed.  At 2**12 a
+# stacked (k, 4, n) hidden activation stays within 128 KiB, the size above
+# which malloc maps each array on its own.
+VALIDATION_BLOCK = 2**12
 
 
 @dataclass
@@ -234,7 +246,7 @@ def _exp_in_box(z, lo, hi, log_lo, log_hi):
 
 
 def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainConfig,
-              early_stop: bool = False):
+              early_stop: bool = False, val_rows: int = 1):
     """L-BFGS-B from the current ``params``; returns (trace, best_epoch, best_val).
 
     ``copula_bounds`` maps each dependence-parameter key to its (lo, hi) box.
@@ -251,6 +263,20 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     that overflows ends the run, and the solver restarts from the last
     accepted iterate; a run that fails before it accepts an iterate raises
     ``NumericalFailure``.
+
+    ``val_negloglik(points)`` scores k iterates at once: ``points`` maps each
+    key of ``params`` to a stack of k values, and it returns their k
+    validation losses.  A validation loss never steers the solver, so the
+    accepted iterates wait in a queue and are scored together when the
+    queue is full, when the patience rule can fire (``patience`` epochs
+    after the best one scored so far), when the run ends and before a
+    failure is raised.  A full queue holds ``VALIDATION_BLOCK`` values, an
+    iterate counting as its ``val_rows`` validation records or, if there are
+    more, its solver parameters.  The rule is then applied to the block in
+    epoch order, so the stop, the best epoch and the trace are those of
+    scoring every iterate as it is accepted.  A validation loss that fails
+    raises ``NumericalFailure`` with that iterate's epoch and leaves the
+    parameters at it.
     """
     keys = list(params)
     log_boxes = {k: box for k, box in copula_bounds.items() if box[0] > 0}
@@ -268,17 +294,23 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     grad = np.empty(ends[-1])
     grad_views = [(k, grad[spans[k]].reshape(params[k].shape)) for k in keys]
     use_val = val_negloglik is not None
-    # the point params were last unpacked from; scipy hands the objective a
-    # copy of its x, and every other point unpacked is this function's own
-    unpacked_x = None
+    # iterates per validation call; without validation each is recorded at once
+    block = max(1, VALIDATION_BLOCK // max(val_rows, grad.size)) if use_val else 1
 
     def unpack(x):
-        nonlocal unpacked_x
         for param, span in linear_layout:
             param[...] = x[span].reshape(param.shape)
         for param, i, box in log_layout:
             param[...] = _exp_in_box(x[i], *box)
-        unpacked_x = x
+
+    def stack(xs):
+        """The parameters at each solver vector of ``xs``, stacked per key."""
+        flat = np.array(xs)
+        points = {k: flat[:, spans[k]].reshape(len(xs), *params[k].shape)
+                  for k in keys if k not in log_boxes}
+        for k, (_, i, box) in zip(log_boxes, log_layout):
+            points[k] = np.array([_exp_in_box(z, *box) for z in flat[:, i]])
+        return points
 
     train_hist: List[float] = []
     val_hist: List[float] = []
@@ -287,6 +319,8 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     x_accepted = np.concatenate(
         [np.ravel(np.log(params[k]) if k in log_boxes else params[k]) for k in keys]
     ).astype(float)
+    # accepted iterates not yet scored, from epoch len(val_hist) on
+    queue: List[np.ndarray] = []
     stop_on_val = early_stop and use_val
     best = {"epoch": -1, "val": np.inf, "x": None}  # the best-validation iterate
 
@@ -306,30 +340,45 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
             raise _TrialFailed(failure) from failure
         return -loglik, -grad
 
-    def validate():
+    def validate(xs):
+        """The validation losses of the iterates ``xs``, whose first is epoch
+        len(val_hist), and their stacked parameters."""
+        points = stack(xs)
         if not use_val:
-            return float("nan")
+            return np.full(len(xs), np.nan), points
         try:
-            return float(val_negloglik())
+            return val_negloglik(points), points
         except NumericalFailure as failure:
-            raise _failure_at(len(train_hist), failure) from failure
+            # a failure not tied to one point is charged to the first
+            point = failure.point_index or 0
+            unpack(xs[point])
+            raise _failure_at(len(val_hist) + point, failure) from failure
+
+    def flush():
+        """Scores the queue and applies the patience rule to it in epoch
+        order; True when the rule stops the run."""
+        if not queue:
+            return False
+        vals, points = validate(queue)
+        for key in copula_bounds:
+            copula_hist[key].extend(map(float, points[key]))
+        for x, val in zip(queue, map(float, vals)):
+            if stop_on_val and val < best["val"]:
+                best.update(epoch=len(val_hist), val=val, x=x)
+            val_hist.append(val)
+        queue.clear()
+        # the queue is scored as soon as the rule could fire, so only its
+        # newest iterate can stop the run
+        return stop_on_val and len(val_hist) - 1 - best["epoch"] >= cfg.patience
 
     def on_iterate(intermediate_result):
         nonlocal x_accepted
         x_accepted = intermediate_result.x.copy()
-        # L-BFGS-B accepts the point it evaluated last, where params already are
-        if not np.array_equal(x_accepted, unpacked_x):
-            unpack(x_accepted)
-        val = validate()
         train_hist.append(float(intermediate_result.fun))
-        val_hist.append(val)
-        for key in copula_bounds:
-            copula_hist[key].append(float(params[key]))
-        if stop_on_val:
-            epoch = len(val_hist) - 1
-            if val < best["val"]:
-                best.update(epoch=epoch, val=val, x=x_accepted)
-            elif epoch - best["epoch"] >= cfg.patience:
+        queue.append(x_accepted)
+        epoch = len(train_hist) - 1
+        if len(queue) >= block or (stop_on_val and epoch - best["epoch"] >= cfg.patience):
+            if flush():
                 raise StopIteration  # scipy ends the run and returns normally
 
     while True:
@@ -344,7 +393,9 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
         except _TrialFailed as trial:
             unpack(x_accepted)
             if len(train_hist) == progress:
+                flush()  # a failed validation of an earlier iterate comes first
                 raise _failure_at(len(train_hist), trial.failure) from trial.failure
+    flush()
 
     trace = TrainTrace(
         epoch=np.arange(len(train_hist)),
@@ -356,15 +407,8 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
         unpack(best["x"])
         return trace, best["epoch"], float(best["val"])
     unpack(result.x)
-    best_val = val_hist[-1] if val_hist else validate()
+    best_val = val_hist[-1] if val_hist else validate([result.x])[0][0]
     return trace, len(train_hist) - 1, float(best_val)
-
-
-def _model_params(model: WeibullCoxModel, prefix: str) -> Dict[str, np.ndarray]:
-    out = {f"{prefix}.log_nu": model.log_nu, f"{prefix}.log_rho": model.log_rho}
-    for key, val in model.risk.params().items():
-        out[f"{prefix}.risk.{key}"] = val
-    return out
 
 
 def _l2_lambda(*risk_kinds) -> float:
@@ -425,7 +469,8 @@ def fit(
     if linear and domains:
         starts = [spec_from_tau(family, tau).to_dict() for tau in START_TAUS]
 
-    params = {**_model_params(event_model, "event"), **_model_params(censor_model, "censor")}
+    params = {**likelihood.parameters(event_model, "event"),
+              **likelihood.parameters(censor_model, "censor")}
     params.update({f"copula.{name}": np.array(0.0) for name in domains})  # set by each start
     copula_bounds = {f"copula.{name}": (THETA_MIN if domain.lo_open else domain.lo, domain.hi)
                      for name, domain in domains.items()}
@@ -439,8 +484,9 @@ def fit(
 
     val_fn = None
     if val_ds is not None:
-        def val_fn():
-            return -likelihood.loglik_copula(event_model, censor_model, spec(), val_ds)
+        def val_fn(points):
+            return -likelihood.loglik_copula_points(event_model, censor_model, family, points,
+                                                    val_ds)
 
     # every start shares the initial marginals; of several starts the best
     # penalized training log-likelihood wins
@@ -450,7 +496,8 @@ def fit(
         _restore(params, initial)
         for name in domains:
             params[f"copula.{name}"][...] = start[name]
-        run = _optimize(params, copula_bounds, loss_and_grad, val_fn, cfg, early_stop=not linear)
+        run = _optimize(params, copula_bounds, loss_and_grad, val_fn, cfg, early_stop=not linear,
+                        val_rows=len(val_ds) if val_ds else 0)
         score = 0.0
         if len(starts) > 1:
             score = likelihood.loglik_copula(event_model, censor_model, spec(), train_ds, l2)
@@ -495,9 +542,9 @@ def fit_marginal(
 
     val_fn = None
     if val_ds is not None:
-        def val_fn():
-            return -likelihood.marginal_loglik(model, val_ds)
+        def val_fn(points):
+            return -likelihood.marginal_loglik_points(model, points, val_ds)
 
-    trace, _, _ = _optimize(_model_params(model, "model"), {}, loss_and_grad, val_fn, cfg,
-                            early_stop=True)
+    trace, _, _ = _optimize(likelihood.parameters(model, "model"), {}, loss_and_grad, val_fn,
+                            cfg, early_stop=True, val_rows=len(val_ds) if val_ds else 0)
     return model, trace

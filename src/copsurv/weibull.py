@@ -26,6 +26,11 @@ Risk functions:
 
 Trainable risks return ``(g, backprop)`` from one ``forward(x)`` pass;
 ``backprop(cotangent)`` reuses its activations.  ``evaluate(x)`` is g alone.
+``values_at(x, points)`` is g at k parameter points at once, a (k, n) array:
+``points`` maps each key of ``params()`` to a stack of k arrays of its
+shape.  Each row is bit for bit ``evaluate`` at that point: a linear risk
+keeps ``evaluate``'s matrix-vector layout as a stack of (d, 1) columns,
+and the MLP runs the same layer code as ``forward`` over stacked weights.
 """
 from __future__ import annotations
 
@@ -76,6 +81,10 @@ class LinearRisk:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
+    def values_at(self, x: np.ndarray, points: dict) -> np.ndarray:
+        """g(x) at k stacked weight vectors, shape (k, n)."""
+        return np.matmul(_check_matrix(x, self.dim), points["w"][..., None])[..., 0]
+
     def params(self) -> dict:
         return {"w": self.weights}
 
@@ -108,6 +117,27 @@ class QuadraticRisk:
 
     def to_dict(self) -> dict:
         return {"kind": "quadratic", "weights": [float(v) for v in self.weights]}
+
+
+def _mlp_layers(weights, biases, xt):
+    """Each layer's post-activation, from the feature-major input ``xt`` on,
+    and each hidden layer's ELU negative part.  Weights and biases may carry
+    a leading axis of k parameter points; the activations then do too."""
+    # ELU(z) = max(z, 0) + expm1(neg) with neg = min(z, 0); its slope is exp(neg).
+    # Each layer's fresh z is updated in place, with the operations of
+    # max(z, 0) + expm1(neg) in their order, so the values do not change.
+    post, negs = [xt], []
+    n_layers = len(weights)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = w @ post[-1]
+        z += b[..., None]
+        if i < n_layers - 1:
+            neg = np.minimum(z, 0.0)
+            negs.append(neg)
+            np.maximum(z, 0.0, out=z)
+            z += np.expm1(neg)
+        post.append(z)
+    return post, negs
 
 
 @dataclass
@@ -151,20 +181,8 @@ class MLPRisk:
     def forward(self, x: np.ndarray):
         """(g(x), backprop): ``backprop(cotangent)`` is the gradient of
         sum_i cotangent_i * g(x_i) with respect to every parameter."""
-        # ELU(z) = max(z, 0) + expm1(neg) with neg = min(z, 0); its slope is exp(neg).
-        # Each layer's fresh z is updated in place, with the operations of
-        # max(z, 0) + expm1(neg) in their order, so the values do not change.
-        post, negs = [_check_matrix(x, self.dim).T], []
+        post, negs = _mlp_layers(self.weights, self.biases, _check_matrix(x, self.dim).T)
         n_layers = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = w @ post[-1]
-            z += b[:, None]
-            if i < n_layers - 1:
-                neg = np.minimum(z, 0.0)
-                negs.append(neg)
-                np.maximum(z, 0.0, out=z)
-                z += np.expm1(neg)
-            post.append(z)
 
         def backprop(cotangent):
             grads = {}
@@ -184,6 +202,14 @@ class MLPRisk:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
+
+    def values_at(self, x: np.ndarray, points: dict) -> np.ndarray:
+        """g(x) at k stacked parameter points, shape (k, n)."""
+        n_layers = len(self.weights)
+        post, _ = _mlp_layers([points[f"W{i}"] for i in range(n_layers)],
+                              [points[f"b{i}"] for i in range(n_layers)],
+                              _check_matrix(x, self.dim).T)
+        return post[-1][..., 0, :]
 
     def params(self) -> dict:
         out = {}
@@ -251,6 +277,12 @@ def make_risk(kind: str, dim: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
+def log_cumulative_hazard_from(log_nu, log_rho, log_t, g):
+    """log H = nu (log t - log rho) + g with nu = exp(log nu).  It broadcasts:
+    (k, 1) columns of log nu and log rho with a (k, n) g give k points' rows."""
+    return np.exp(log_nu) * (log_t - log_rho) + g
+
+
 @dataclass
 class WeibullCoxModel:
     """Weibull proportional-hazards model with log-stored shape and scale."""
@@ -286,7 +318,7 @@ class WeibullCoxModel:
     def log_cumulative_hazard_at(self, log_t: ArrayLike, g: ArrayLike) -> ArrayLike:
         """log H = nu (log t - log rho) + g, from log t and an evaluated risk g;
         every other quantity of the model follows from it."""
-        return self.nu * (log_t - self.log_rho) + g
+        return log_cumulative_hazard_from(self.log_nu, self.log_rho, log_t, g)
 
     def log_cumulative_hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
         """log H(t | x); -inf at t = 0."""

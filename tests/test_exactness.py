@@ -10,6 +10,10 @@ the value and on every gradient, including the edges: one record, tied
 quantiles, the clamp ends, theta at the solver's floor and at the Frank
 cap, mixture weights 0 and 1, and MLP layers that are all negative or all
 positive before the ELU.
+
+The value at k stacked parameter points, which validation scores a block
+of iterates with, must equal the value at each point alone bit for bit,
+for every family and risk pair and at the same edges.
 """
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ import pytest
 from copsurv import copulas, likelihood, weibull
 from copsurv.copulas import U_EPS, CopulaSpec
 from copsurv.data import SurvivalDataset
+from copsurv.errors import NumericalFailure
 from copsurv.metrics import SURVIVAL_L1_CHUNK, SurvivalL1Config, survival_l1
 from copsurv.training import THETA_MIN
 from copsurv.weibull import LinearRisk, MLPRisk, WeibullCoxModel, floored_survival
@@ -305,3 +310,117 @@ def test_survival_l1_in_place_blocks_equal_the_oracle(n, n_steps):
         est = WeibullCoxModel.from_natural(0.7, 2.8, mlp(3, seed=seed))
         x = rng.normal(size=(n, 3))
         assert survival_l1(truth, est, x, cfg) == survival_l1_blocks_oracle(truth, est, x, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Values at k parameter points in one pass, as validation scores a block of
+# iterates: each row must be bit for bit the value at that point alone, by
+# the point's own call and by the value the gradient path returns
+
+BLOCK_SPECS = {
+    "independence": [CopulaSpec.independence()],
+    "clayton": [CopulaSpec.clayton(theta) for theta in THETAS],
+    "frank": [CopulaSpec.frank(theta) for theta in THETAS],
+    "mixture": [CopulaSpec.mixture(500.0, THETA_MIN, 0.0), CopulaSpec.mixture(THETA_MIN, 500.0, 1.0),
+                CopulaSpec.mixture(4.0, 0.8, 0.3), CopulaSpec.mixture(THETA_MIN, THETA_MIN, 0.5),
+                CopulaSpec.mixture(500.0, 500.0, 0.9)],
+}
+RISK_PAIRS = [("linear", "linear"), ("mlp", "mlp"), ("mlp", "linear")]
+
+
+def block_data(n, seed, dim=4):
+    """Records with interior quantiles and, from three records on, times
+    small and large enough that every marginal's quantile hits a clamp end."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.1, 3.0, size=n)
+    if n >= 3:
+        t[:3] = (1e-13, 1e-9, 60.0)
+    return SurvivalDataset(rng.normal(size=(n, dim)), t, (np.arange(n) % 3 != 1).astype(int))
+
+
+def perturbed(kind, seed, dim=4):
+    """A model of the given risk kind with parameters drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    risk = LinearRisk(rng.normal(scale=0.4, size=dim)) if kind == "linear" else mlp(dim, seed)
+    return WeibullCoxModel(rng.normal(scale=0.3), rng.normal(scale=0.3), risk)
+
+
+def stacked(points):
+    """One dict of (k, ...) stacks from k dicts of parameter values."""
+    return {key: np.stack([np.asarray(point[key], dtype=float) for point in points])
+            for key in points[0]}
+
+
+def joint_point(event, censor, spec):
+    names = copulas.PARAMETERS[spec.family]
+    return {**likelihood.parameters(event, "event"), **likelihood.parameters(censor, "censor"),
+            **{f"copula.{name}": getattr(spec, name) for name in names}}
+
+
+def assert_rows_in_any_blocks(call, points, want):
+    """``call`` on the whole stack, on each point alone, and on blocks of 3
+    (a count the stack is not a multiple of) gives ``want``."""
+    k = len(want)
+    assert np.array_equal(call(points), want)
+    for size in (1, 3):
+        got = np.concatenate([call({key: val[start:start + size] for key, val in points.items()})
+                              for start in range(0, k, size)])
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 300])
+@pytest.mark.parametrize("risks", RISK_PAIRS, ids="/".join)
+@pytest.mark.parametrize("family", list(BLOCK_SPECS))
+def test_copula_values_at_stacked_points_equal_each_point_alone(family, risks, n):
+    data = block_data(n, seed=n)
+    specs = BLOCK_SPECS[family]
+    k = max(len(specs), 2) + 1
+    models = [(perturbed(risks[0], 10 + i), perturbed(risks[1], 30 + i)) for i in range(k)]
+    specs = [specs[i % len(specs)] for i in range(k)]
+    with np.errstate(all="ignore"):
+        want = np.array([likelihood.loglik_copula(ev, ce, spec, data)
+                         for (ev, ce), spec in zip(models, specs)])
+        from_gradient_path = np.array([likelihood.loglik_and_gradient(ev, ce, spec, data)[0]
+                                       for (ev, ce), spec in zip(models, specs)])
+        points = stacked([joint_point(ev, ce, spec) for (ev, ce), spec in zip(models, specs)])
+        template = models[0]
+        assert np.array_equal(want, from_gradient_path)
+        assert_rows_in_any_blocks(
+            lambda pts: likelihood.loglik_copula_points(*template, specs[0].family, pts, data),
+            points, want)
+
+
+@pytest.mark.parametrize("n", [1, 300])
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_marginal_values_at_stacked_points_equal_each_point_alone(kind, n):
+    data = block_data(n, seed=n + 1)
+    models = [perturbed(kind, 50 + i) for i in range(5)]
+    with np.errstate(all="ignore"):
+        want = np.array([likelihood.marginal_loglik(model, data) for model in models])
+        from_gradient_path = np.array([likelihood.marginal_loglik_and_gradient(model, data)[0]
+                                       for model in models])
+        points = stacked([likelihood.parameters(model, "model") for model in models])
+        assert np.array_equal(want, from_gradient_path)
+        assert_rows_in_any_blocks(
+            lambda pts: likelihood.marginal_loglik_points(models[0], pts, data), points, want)
+
+
+def test_the_first_non_finite_term_names_its_point_and_record():
+    # point 2 overflows at record 3 (the one time off rho, with a huge nu),
+    # point 3 at every record (a NaN weight): the failure is point 2's, at
+    # record 3, though point 3 fails at an earlier record
+    data = SurvivalDataset(np.zeros((5, 1)), np.array([1.0, 1.0, 1.0, 2.0, 1.0]),
+                           np.array([1, 0, 1, 1, 0]))
+    fine = WeibullCoxModel(0.1, 0.0, LinearRisk([0.2]))
+    models = [fine, fine, WeibullCoxModel(np.log(5e173), 0.0, LinearRisk([0.2])),
+              WeibullCoxModel(0.1, 0.0, LinearRisk([np.nan]))]
+    joint = stacked([joint_point(model, fine, CopulaSpec.clayton(2.0)) for model in models])
+    single = stacked([likelihood.parameters(model, "model") for model in models])
+    calls = [lambda: likelihood.loglik_copula_points(fine, fine, copulas.Family.CLAYTON, joint,
+                                                     data),
+             lambda: likelihood.marginal_loglik_points(fine, single, data)]
+    for call in calls:
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure) as info:
+            call()
+        assert (info.value.point_index, info.value.record_index) == (2, 3)
+        assert str(info.value) == "non-finite log-likelihood term at record 3"

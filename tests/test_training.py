@@ -132,12 +132,32 @@ def test_adam_overflowing_second_moment_raises():
 # The L-BFGS-B loop.  Its box is held by
 # test_lbfgsb_holds_the_box_and_records_every_iterate and its validation
 # stop by test_lbfgsb_early_stop_restores_the_best_validation_iterate.
+# Validation scores a block of iterates per call: each callback here takes
+# the stacked points and returns one loss per point.
+
+
+def accepted_iterates(monkeypatch):
+    """The iterates the solver accepts, recorded as it accepts them (the
+    validation callback sees them only when their block is scored)."""
+    accepted = []
+    solve = training.minimize
+
+    def solver(fun, x0, callback, **kwargs):
+        def record(intermediate_result):
+            accepted.append(intermediate_result.x.copy())
+            callback(intermediate_result)
+
+        return solve(fun, x0, callback=record, **kwargs)
+
+    monkeypatch.setattr(training, "minimize", solver)
+    return accepted
 
 
 def test_optimize_failure_carries_epoch_and_state():
     # every evaluation after the 10th fails: the run ends at a failed trial
     # point, the restart from the last accepted iterate fails at once, the
-    # failure carries the accepted-iterate count, and p holds that iterate
+    # failure carries the accepted-iterate count, and p holds that iterate;
+    # every accepted iterate was scored before the failure was raised
     p = np.array([-1.2, 1.0])
     calls = {"n": 0}
     accepted = []
@@ -148,9 +168,9 @@ def test_optimize_failure_carries_epoch_and_state():
             raise NumericalFailure("boom", record_index=7)
         return -float(rosen(p)), {"p": -rosen_der(p)}
 
-    def val():
-        accepted.append(p.copy())
-        return 0.0
+    def val(points):
+        accepted.extend(points["p"].copy())
+        return np.zeros(len(points["p"]))
 
     cfg = TrainConfig(max_epochs=100, patience=100)
     with pytest.raises(NumericalFailure) as info:
@@ -191,23 +211,25 @@ def test_lbfgsb_restarts_after_an_overflowing_trial_point():
 
 
 @pytest.mark.parametrize("early_stop", [False, True])
-def test_lbfgsb_leaves_the_reported_iterate_after_failed_trial_points(early_stop):
+def test_lbfgsb_leaves_the_reported_iterate_after_failed_trial_points(early_stop, monkeypatch):
     # trial points overflow after iterates were accepted; whatever the solver
     # last evaluated, the parameters left behind are the iterate reported:
     # the final one, or with early_stop the best-validation one
     p = np.full(2, -2.0)
     seen, failed_after = [], []
+    accepted = accepted_iterates(monkeypatch)
 
     def loss_and_grad():
         try:
             return _saturating(p, limit=5.0)
         except NumericalFailure:
-            failed_after.append(len(seen))
+            failed_after.append(len(accepted))
             raise
 
-    def val():
-        seen.append(p.copy())
-        return float(np.sum((p - 2.0) ** 2))  # best near 2, short of the optimum at 3
+    def val(points):
+        seen.extend(points["p"].copy())
+        # best near 2, short of the optimum at 3
+        return np.array([float(np.sum((q - 2.0) ** 2)) for q in points["p"]])
 
     cfg = TrainConfig(max_epochs=500, patience=5)
     trace, best_epoch, best_val = _optimize(
@@ -216,7 +238,7 @@ def test_lbfgsb_leaves_the_reported_iterate_after_failed_trial_points(early_stop
     assert max(failed_after) > 0  # a trial point failed after an accepted iterate
     assert np.array_equal(p, seen[best_epoch])
     assert -_saturating(p)[0] == trace.train_negloglik[best_epoch]
-    assert best_val == val() == trace.val_negloglik[best_epoch]
+    assert best_val == val({"p": p[None]})[0] == trace.val_negloglik[best_epoch]
     if early_stop:
         assert best_epoch < len(trace.epoch) - 1
     else:
@@ -236,9 +258,9 @@ def test_lbfgsb_unpacks_an_accepted_iterate_it_did_not_evaluate_last(monkeypatch
         callback(OptimizeResult(x=np.array([1.0, 2.0]), fun=0.0))
         return OptimizeResult(x=np.array([1.0, 2.0]))
 
-    def val():
-        seen.append(p.tolist())
-        return 0.0
+    def val(points):
+        seen.extend(points["p"].tolist())
+        return np.zeros(len(points["p"]))
 
     monkeypatch.setattr(training, "minimize", solver)
     _optimize({"p": p}, {}, lambda: (0.0, {"p": np.zeros(2)}), val, TrainConfig())
@@ -273,7 +295,8 @@ def test_lbfgsb_holds_the_box_and_records_every_iterate():
 
     cfg = TrainConfig(max_epochs=50, patience=50)
     trace, best_epoch, best_val = _optimize(
-        {"p": p}, {"p": (1e-3, THETA_HI_FRANK)}, loss_and_grad, lambda: next(vals), cfg
+        {"p": p}, {"p": (1e-3, THETA_HI_FRANK)}, loss_and_grad,
+        lambda points: np.array([next(vals) for _ in points["p"]]), cfg
     )
     assert float(p) == THETA_HI_FRANK
     assert trace.copula_path["p"].max() == THETA_HI_FRANK
@@ -295,9 +318,9 @@ def test_lbfgsb_early_stop_restores_the_best_validation_iterate():
     def loss_and_grad():
         return -float(rosen(p)), {"p": -rosen_der(p)}
 
-    def val():
-        seen.append(p.copy())
-        return vals[len(seen) - 1]
+    def val(points):
+        seen.extend(points["p"].copy())
+        return np.array(vals[len(seen) - len(points["p"]):len(seen)])
 
     cfg = TrainConfig(max_epochs=50, patience=3)
     trace, best_epoch, best_val = _optimize(
@@ -306,6 +329,90 @@ def test_lbfgsb_early_stop_restores_the_best_validation_iterate():
     assert (best_epoch, best_val) == (2, 3.0)
     assert trace.val_negloglik.tolist() == vals[:2 + 3 + 1]
     assert np.array_equal(p, seen[2]) and not np.array_equal(p, seen[-1])
+
+
+@pytest.mark.parametrize("fail_epoch", [0, 2])
+@pytest.mark.parametrize("case", ["later_trial_failure", "early_stop_trial_failure", "patience"])
+def test_a_failed_validation_names_its_epoch_and_leaves_its_iterate(case, fail_epoch,
+                                                                     monkeypatch):
+    # the validation of iterate fail_epoch fails, but its block is scored
+    # later: at the patience flush, or, in the trial-failure cases, only when
+    # a later trial point has failed and the run is about to raise that; the
+    # validation failure must still be the one raised, with its own epoch
+    # and record, and p must be left at the iterate it scored
+    p = np.array([-1.2, 1.0])
+    accepted = accepted_iterates(monkeypatch)
+    calls = {"n": 0}
+    scored = []
+    trial_limit = np.inf if case == "patience" else 12
+
+    def loss_and_grad():
+        calls["n"] += 1
+        if calls["n"] > trial_limit:
+            raise NumericalFailure("boom", record_index=7)
+        return -float(rosen(p)), {"p": -rosen_der(p)}
+
+    def val(points):
+        first = len(scored)
+        if first <= fail_epoch < first + len(points["p"]):
+            raise NumericalFailure("non-finite", record_index=5, point_index=fail_epoch - first)
+        scored.extend(points["p"].copy())
+        return np.zeros(len(points["p"]))
+
+    patience = 3 if case == "patience" else 100
+    cfg = TrainConfig(max_epochs=100, patience=patience)
+    with pytest.raises(NumericalFailure) as info:
+        _optimize({"p": p}, {}, loss_and_grad, val, cfg, early_stop=case != "later_trial_failure")
+    assert (info.value.epoch, info.value.record_index) == (fail_epoch, 5)
+    assert str(info.value) == f"epoch {fail_epoch}: non-finite"
+    assert len(accepted) >= 3  # the block held other iterates
+    assert np.array_equal(p, accepted[fail_epoch])
+
+
+def _fit_outcome(fit_kind, risks, cfg):
+    data = make_data(200, tau=0.5, family="mixture", seed=1)
+    if fit_kind == "marginal":
+        model, trace = fit_marginal(data, risks[0], cfg)
+        return model.to_dict(), trace, None, float("nan")
+    family = "mixture" if "mlp" in risks else "frank"
+    out = fit(data, *risks, family, cfg)
+    return out.to_dict(), out.trace, out.best_epoch, out.best_val_negloglik
+
+
+@pytest.mark.parametrize("fit_kind, risks, cfg", [
+    # three starts, each to convergence or 60 iterations; patience does not apply
+    ("joint", ("linear", "linear"), TrainConfig(max_epochs=60, patience=3)),
+    # stopped on validation after 3 iterations without improvement, mid-block
+    ("joint", ("mlp", "mlp"), TrainConfig(max_epochs=60, patience=3)),
+    ("joint", ("mlp", "linear"), TrainConfig(max_epochs=60, patience=3)),
+    # a patience the run never reaches
+    ("joint", ("mlp", "mlp"), TrainConfig(max_epochs=40, patience=40)),
+    ("joint", ("mlp", "mlp"), TrainConfig(max_epochs=40, patience=40, validation_fraction=0.0)),
+    ("marginal", ("linear",), TrainConfig(max_epochs=60, patience=3)),
+    ("marginal", ("mlp",), TrainConfig(max_epochs=60, patience=3)),
+], ids=["linear", "mlp-patience3", "mixed-patience3", "mlp-patience40", "mlp-no-split",
+        "marginal-linear", "marginal-mlp"])
+def test_validation_blocks_leave_every_fit_as_iterate_by_iterate_scoring(fit_kind, risks, cfg,
+                                                                          monkeypatch):
+    # a block of one value scores each iterate as it is accepted; a block of
+    # 1,000 values holds 4 (two MLPs) to 25 (linear) iterates here, and the
+    # default 20 to 102: each must give the same model, trace and best epoch
+    default = training.VALIDATION_BLOCK
+    outcomes = []
+    for block in (1, 1000, default):
+        monkeypatch.setattr(training, "VALIDATION_BLOCK", block)
+        outcomes.append(_fit_outcome(fit_kind, risks, cfg))
+    (model, trace, best_epoch, best_val), *others = outcomes
+    for other_model, other_trace, other_best_epoch, other_best_val in others:
+        assert json.dumps(other_model, sort_keys=True) == json.dumps(model, sort_keys=True)
+        for column in ("epoch", "train_negloglik", "val_negloglik"):
+            assert np.array_equal(getattr(other_trace, column), getattr(trace, column),
+                                  equal_nan=column == "val_negloglik"), column
+        assert other_trace.copula_path.keys() == trace.copula_path.keys()
+        for key in trace.copula_path:
+            assert np.array_equal(other_trace.copula_path[key], trace.copula_path[key]), key
+        assert other_best_epoch == best_epoch
+        assert np.array_equal(other_best_val, best_val, equal_nan=True)
 
 
 def _censor_input(seed=0):
