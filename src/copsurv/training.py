@@ -10,17 +10,18 @@ range is the solver's box for its parameter, with the open lower end of
 every theta floored at ``THETA_MIN``: theta in ``[THETA_MIN, inf)``, or
 ``[THETA_MIN, 500]`` for Frank theta, and kappa in [0, 1].  The solver moves
 every theta as log theta, in [log ``THETA_MIN``, log hi], and kappa on its
-own scale; traces and checkpoints hold natural theta.  ``fit`` runs one
-loop over starts that share the initial marginals; of several starts, the
-one with the best penalized training log-likelihood wins.  The starts and
-the stopping rule follow from the risk kinds (there is no option).
+own scale; traces and checkpoints hold natural theta.  ``fit`` runs each
+start as a fit of its own, from the same initial marginals.  The starts
+and the stopping rule follow from the risk kinds (there is no option).
 
 * A joint fit with two linear risks is a smooth low-dimensional MLE.  It
   starts three times, at Kendall's tau 0.2, 0.5 and 0.8 (once for the
   independence family), and each start runs to convergence (at most
   ``max_epochs`` iterations).  The validation loss is recorded for every
-  iteration but does not stop the fit, and the final iterate is returned;
-  ``patience`` does not apply.
+  iteration but does not stop the fit; ``patience`` does not apply.  Each
+  start ends at its final iterate, and the start whose trace records the
+  highest penalized training log-likelihood there is returned: the earlier
+  of a tie, and a start with no accepted iterate ranks last.
 * A joint fit with an MLP risk starts once, at theta 1 and kappa 0.5, and
   is stopped on validation: it ends after ``patience`` iterations without a
   validation improvement, or at convergence, and returns its
@@ -38,6 +39,7 @@ iterate and the trace are those of scoring every iterate as it comes.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -64,9 +66,8 @@ MLP_L2_LAMBDA = 1e-3
 # values per validation call, iterates x validation records (see _optimize).
 # On the benchmark's MLP mixture arm (600 validation records, three seeds)
 # 2**12, 6 iterates a call, left peak RSS as it was; 2**13 (13 iterates)
-# added 1.1 MB and 2**14 3.8 MB, for a few percent more speed.  At 2**12 a
-# stacked (k, 4, n) hidden activation stays within 128 KiB, the size above
-# which malloc maps each array on its own.
+# added 1.1 MB and 2**14 3.8 MB, for a few percent more speed: a block's
+# stacked temporaries come from the heap, which grows with the block.
 VALIDATION_BLOCK = 2**12
 
 
@@ -206,15 +207,6 @@ class FittedJointModel:
 # the name perfbench/spans.py times Kendall's tau under; callers use
 # copulas.theta_to_tau, and the alias goes with the benchmark's re-baseline
 tau_hat = copulas.theta_to_tau
-
-
-def _snapshot(params):
-    return {k: v.copy() for k, v in params.items()}
-
-
-def _restore(params, snap):
-    for k, v in params.items():
-        v[...] = snap[k]
 
 
 def _failure_at(epoch, failure):
@@ -452,15 +444,17 @@ def fit(
     the ``MLP_L2_LAMBDA`` penalty.  RNG use is fully determined by
     ``config.seed``: first the validation split, then event-risk and
     censor-risk initialization.  Two linear risks are fitted from three
-    dependence starts, each run to convergence; with an MLP risk the fit
-    starts once and stops on validation.  See the module docstring.
+    dependence starts, each run to convergence, and the start with the
+    highest penalized training log-likelihood its trace records is returned
+    (the earlier of a tie; one with no accepted iterate ranks last).  An MLP
+    risk starts once and stops on validation (see the module docstring).
     """
     cfg = config or TrainConfig()
     event_risk, censor_risk = str(event_risk).lower(), str(censor_risk).lower()
     family = copulas.coerce_family(family)
     if len(data) and data.n_events in (0, len(data)):
         raise ValidationError("joint fit requires at least one event and one censoring record")
-    train_ds, val_ds, (event_model, censor_model) = _setup(data, cfg, event_risk, censor_risk)
+    train_ds, val_ds, models = _setup(data, cfg, event_risk, censor_risk)
 
     domains = copulas.PARAMETERS[family]
     linear = event_risk == censor_risk == "linear"
@@ -468,55 +462,41 @@ def fit(
     starts = [{name: 1.0 if domain.lo_open else 0.5 for name, domain in domains.items()}]
     if linear and domains:
         starts = [spec_from_tau(family, tau).to_dict() for tau in START_TAUS]
-
-    params = {**likelihood.parameters(event_model, "event"),
-              **likelihood.parameters(censor_model, "censor")}
-    params.update({f"copula.{name}": np.array(0.0) for name in domains})  # set by each start
     copula_bounds = {f"copula.{name}": (THETA_MIN if domain.lo_open else domain.lo, domain.hi)
                      for name, domain in domains.items()}
     l2 = _l2_lambda(event_risk, censor_risk)
 
-    def spec():
-        return CopulaSpec(family, **{name: float(params[f"copula.{name}"]) for name in domains})
+    def fit_from(start):
+        """One start, fitted from its own copy of the initial marginals."""
+        event_model, censor_model = copy.deepcopy(models)
+        params = {**likelihood.parameters(event_model, "event"),
+                  **likelihood.parameters(censor_model, "censor"),
+                  **{f"copula.{name}": np.array(float(start[name])) for name in domains}}
 
-    def loss_and_grad():
-        return likelihood.loglik_and_gradient(event_model, censor_model, spec(), train_ds, l2)
+        def spec():
+            return CopulaSpec(family, **{name: float(params[f"copula.{name}"]) for name in domains})
 
-    val_fn = None
-    if val_ds is not None:
+        def loss_and_grad():
+            return likelihood.loglik_and_gradient(event_model, censor_model, spec(), train_ds, l2)
+
         def val_fn(points):
             return -likelihood.loglik_copula_points(event_model, censor_model, family, points,
                                                     val_ds)
 
-    # every start shares the initial marginals; of several starts the best
-    # penalized training log-likelihood wins
-    initial = _snapshot(params)
-    best = None
-    for start in starts:
-        _restore(params, initial)
-        for name in domains:
-            params[f"copula.{name}"][...] = start[name]
-        run = _optimize(params, copula_bounds, loss_and_grad, val_fn, cfg, early_stop=not linear,
-                        val_rows=len(val_ds) if val_ds else 0)
-        score = 0.0
-        if len(starts) > 1:
-            score = likelihood.loglik_copula(event_model, censor_model, spec(), train_ds, l2)
-        if best is None or score > best[0]:
-            best = (score, run, _snapshot(params))
-    _, (trace, best_epoch, best_val), state = best
-    _restore(params, state)
-    trace.copula_path = {
-        "theta_hat" if name == "theta" else name: trace.copula_path[f"copula.{name}"]
-        for name in domains
-    }
-    return FittedJointModel(
-        event_model=event_model,
-        censor_model=censor_model,
-        copula=spec(),
-        trace=trace,
-        best_epoch=best_epoch,
-        best_val_negloglik=best_val,
-    )
+        trace, best_epoch, best_val = _optimize(params, copula_bounds, loss_and_grad,
+                                                val_fn if val_ds else None, cfg,
+                                                early_stop=not linear,
+                                                val_rows=len(val_ds) if val_ds else 0)
+        trace.copula_path = {
+            "theta_hat" if name == "theta" else name: trace.copula_path[f"copula.{name}"]
+            for name in domains
+        }
+        return FittedJointModel(event_model, censor_model, spec(), trace, best_epoch, best_val)
+
+    # a start with no accepted iterate (best epoch -1) ranks last; max keeps
+    # the first of tied starts
+    return max(map(fit_from, starts), key=lambda fitted: -np.inf if fitted.best_epoch < 0
+               else -fitted.trace.train_negloglik[fitted.best_epoch])
 
 
 def fit_marginal(
@@ -540,11 +520,10 @@ def fit_marginal(
     def loss_and_grad():
         return likelihood.marginal_loglik_and_gradient(model, train_ds, l2)
 
-    val_fn = None
-    if val_ds is not None:
-        def val_fn(points):
-            return -likelihood.marginal_loglik_points(model, points, val_ds)
+    def val_fn(points):
+        return -likelihood.marginal_loglik_points(model, points, val_ds)
 
-    trace, _, _ = _optimize(likelihood.parameters(model, "model"), {}, loss_and_grad, val_fn,
-                            cfg, early_stop=True, val_rows=len(val_ds) if val_ds else 0)
+    trace, _, _ = _optimize(likelihood.parameters(model, "model"), {}, loss_and_grad,
+                            val_fn if val_ds else None, cfg, early_stop=True,
+                            val_rows=len(val_ds) if val_ds else 0)
     return model, trace

@@ -315,6 +315,7 @@ BENCHMARK_ONLY = {
     "copulas.grad_log_partial_u2",
     "copulas.log_partial_u1",
     "copulas.log_partial_u2",
+    "likelihood.loglik_copula",
     "likelihood.marginal_loglik",
     "training.Adam",
     "training.tau_hat",

@@ -21,6 +21,7 @@ from copsurv.datagen import generate_synthetic, preset_linear_risk, synthetic_re
 from copsurv.errors import NumericalFailure, ValidationError
 from copsurv.likelihood import (
     loglik_and_gradient,
+    loglik_copula,
     marginal_loglik,
     marginal_loglik_and_gradient,
 )
@@ -645,6 +646,76 @@ def test_linear_fit_keeps_the_last_iterate():
     assert out.best_epoch == len(out.trace.epoch) - 1
     assert out.best_val_negloglik == out.trace.val_negloglik[-1]
     assert out.copula.theta == out.trace.copula_path["theta_hat"][-1]
+
+
+@pytest.mark.parametrize("family, risks", [
+    ("clayton", ("linear", "linear")),
+    ("frank", ("linear", "linear")),
+    ("mixture", ("linear", "linear")),
+    ("mixture", ("mlp", "linear")),
+])
+def test_the_trace_records_the_returned_penalized_loglik(family, risks):
+    # fit ranks its starts by this recorded value, so it must be the
+    # penalized training log-likelihood of the returned models, bit for bit
+    ds = make_data(300, tau=0.5, family=family, seed=1)
+    cfg = TrainConfig(max_epochs=300, patience=20, seed=1)
+    fitted = fit(ds, *risks, family, cfg)
+    train_ds, _, _ = _setup(ds, cfg, *risks)
+    l2 = MLP_L2_LAMBDA if "mlp" in risks else 0.0
+    if "mlp" in risks:  # the returned iterate is an earlier one, not the last
+        assert fitted.best_epoch < len(fitted.trace.epoch) - 1
+    assert -fitted.trace.train_negloglik[fitted.best_epoch] == loglik_copula(
+        fitted.event_model, fitted.censor_model, fitted.copula, train_ds, l2)
+
+
+def test_fit_returns_the_start_its_trace_ranks_best(monkeypatch):
+    # each start's solver run is scripted: start i shifts the event log nu
+    # by shifts[i] and records the training losses losses[i], the last at
+    # the iterate it returns
+    drawn, true_loglik = [], []
+    setup = training._setup
+
+    def recording_setup(*args):
+        out = setup(*args)
+        drawn.append(out[2])
+        return out
+
+    def scripted(params, copula_bounds, loss_and_grad, *args, **kwargs):
+        i = len(true_loglik)
+        params["event.log_nu"][...] += shifts[i]
+        true_loglik.append(loss_and_grad()[0])
+        n = len(losses[i])
+        path = {key: np.full(n, float(params[key])) for key in copula_bounds}
+        trace = training.TrainTrace(np.arange(n), np.array(losses[i], dtype=float),
+                                    np.full(n, np.nan), path)
+        return trace, n - 1, float("nan")
+
+    monkeypatch.setattr(training, "_setup", recording_setup)
+    monkeypatch.setattr(training, "_optimize", scripted)
+    ds = make_data(200)
+    cfg = TrainConfig(max_epochs=10, patience=10)
+    thetas = [spec_from_tau("clayton", tau).theta for tau in training.START_TAUS]
+    cases = [
+        # the best recorded value wins, although it ends far off the optimum
+        ([[9.0, 1.0], [3.0], [5.0]], [2.0, 0.0, 0.5], 0),
+        # a tie goes to the earlier start
+        ([[4.0], [2.0, 1.0], [1.0]], [0.1, 0.2, 0.3], 1),
+        # a start with no accepted iterate ranks last, below any recorded value
+        ([[], [1e300], [2e300]], [0.1, 0.2, 0.3], 1),
+    ]
+    for losses, shifts, winner in cases:
+        true_loglik.clear()
+        out = fit(ds, "linear", "linear", "clayton", cfg)
+        if winner == 0:
+            assert true_loglik[0] < true_loglik[1]
+        assert out.copula.theta == thetas[winner]
+        assert np.array_equal(out.trace.train_negloglik, losses[winner])
+        assert out.best_epoch == len(losses[winner]) - 1
+        # the returned models are the winner's own, and _setup's are untouched
+        _, _, initial = setup(ds, cfg, "linear", "linear")
+        assert float(out.event_model.log_nu) == float(initial[0].log_nu) + shifts[winner]
+        assert out.event_model is not drawn[-1][0] and out.censor_model is not drawn[-1][1]
+        assert [m.to_dict() for m in drawn[-1]] == [m.to_dict() for m in initial]
 
 
 def test_mlp_fit_is_stationary_for_the_penalized_objective():
