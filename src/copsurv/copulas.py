@@ -218,12 +218,12 @@ def _clayton_cdf(theta, u1, u2):
 #                               + expm1(-theta (1-lo)))
 # with lo = min(u1, u2), hi = max(u1, u2), whose bracket has one sign.
 
-def _frank_log_neg_dab(theta, u1, u2, a=None, b=None):
-    """log(-(D + A B)); ``a`` and ``b`` are A and B where the caller has them,
-    and the lower quantile's expm1(-theta lo) is then picked, not recomputed."""
+def _frank_log_neg_dab(theta, u1, u2, a, b):
+    """log(-(D + A B)) from ``a`` = A and ``b`` = B; the lower quantile's
+    expm1(-theta lo) is picked from them, not recomputed."""
     lo = np.minimum(u1, u2)
     hi = np.maximum(u1, u2)
-    expm1_lo = np.expm1(-theta * lo) if a is None else np.where(u1 <= u2, a, b)
+    expm1_lo = np.where(u1 <= u2, a, b)
     bracket = np.exp(-theta * (hi - lo)) * (-expm1_lo) + (
         -np.expm1(-theta * (1.0 - lo))
     )

@@ -67,7 +67,7 @@ from .data import Config, SurvivalDataset, csv_cell, load_regression_csv, write_
 from .datagen import (PRESETS, censor_regression, child_seed, fit_regression_marginal,
                       generate_synthetic, preset_metric_bias, sidecar_dict,
                       synthetic_regression, tau_key)
-from .errors import NumericalFailure, ValidationError
+from .errors import DomainError, NumericalFailure, ValidationError
 from .metrics import SurvivalL1Config
 from .training import FittedJointModel, TrainConfig, fit
 from .weibull import RISK_KINDS
@@ -178,6 +178,12 @@ class ExperimentConfig(Config):
             raise ValidationError("event_risk and censor_risk must be 'linear' or 'mlp'")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValidationError(f"kappa must lie in [0, 1], got {self.kappa}")
+        # a tau beyond the family's range (Frank's ends at theta 500) fails here, not per arm
+        for tau in self.tau_grid:
+            try:
+                spec_from_tau(self.family, tau, self.kappa)
+            except DomainError as exc:
+                raise ValidationError(f"tau_grid entry {tau}: {exc}") from exc
         for name in ("seed", "validation_fraction"):
             if getattr(self.train, name) != getattr(TrainConfig, name):
                 raise ValidationError(f"train.{name} cannot be set: each arm derives it")
@@ -384,13 +390,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: Optional[int] = None
     at most ``workers`` processes when it is larger; the rows are the same
     either way.  ``workers < 1`` raises ``ValidationError``.  An exception
     raised by an arm is recorded in ``failures.json``; ``NumericalFailure`` is
-    raised only if every arm fails.  On the pool path an arm function or
-    payload that cannot be pickled raises ``pickle.PicklingError`` and a dead
-    worker raises ``BrokenProcessPool``; neither is recorded as an arm failure.
+    raised only if every arm fails.  A semi-synthetic ``data_csv`` is read
+    first: ``OSError`` if it cannot be, ``ValidationError`` for a bad table
+    or a negative target.  On the pool path an arm function or payload that
+    cannot be pickled raises ``pickle.PicklingError`` and a dead worker
+    raises ``BrokenProcessPool``; neither is recorded as an arm failure.
     """
     workers = 1 if workers is None else workers
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+    if cfg.kind == "semi_synthetic" and cfg.data_csv is not None:
+        # every arm reads this table; an unreadable or negative one fails the run here
+        _, y = load_regression_csv(cfg.data_csv, cfg.target_column)
+        if np.any(y < 0.0):
+            raise ValidationError(f"{cfg.data_csv}: {cfg.target_column!r} must be non-negative "
+                                  f"(record {int(np.argmax(y < 0.0))})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", cfg.to_dict())

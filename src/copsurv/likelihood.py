@@ -130,8 +130,9 @@ def _marginal_grads(grads, prefix, model, pieces, own, dh_weight, l2_lambda):
         grads[f"{prefix}.risk.{key}"] = val
     if l2_lambda == 0.0:
         return
-    for key, weights in zip(model.risk.weight_keys(), model.risk.weight_arrays()):
-        grads[f"{prefix}.risk.{key}"] -= 2.0 * l2_lambda * weights
+    weights = model.risk.params()
+    for key in model.risk.weight_keys():
+        grads[f"{prefix}.risk.{key}"] -= 2.0 * l2_lambda * weights[key]
 
 
 def _l2_penalty(l2_lambda: float, *models) -> float:
@@ -140,7 +141,8 @@ def _l2_penalty(l2_lambda: float, *models) -> float:
         return 0.0
     total = 0.0
     for model in models:
-        total += sum(float((weights ** 2).sum()) for weights in model.risk.weight_arrays())
+        weights = model.risk.params()
+        total += sum(float((weights[key] ** 2).sum()) for key in model.risk.weight_keys())
     return l2_lambda * total
 
 

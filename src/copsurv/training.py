@@ -35,7 +35,8 @@ it runs to convergence and returns the final iterate.
 The validation loss never steers the solver, so it is scored in blocks of
 queued iterates, one likelihood pass per block (``VALIDATION_BLOCK``),
 flushed whenever the patience rule could fire; the stop, the returned
-iterate and the trace are those of scoring every iterate as it comes.
+iterate and the trace are those of scoring every iterate as it comes.  A
+fit without a split queues its iterates the same way, each scoring NaN.
 """
 from __future__ import annotations
 
@@ -248,27 +249,28 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     natural theta.
     ``loss_and_grad`` returns the penalized log-likelihood and its gradient,
     and the solver minimizes its negation.  Each accepted iterate is one
-    trace row.  The run goes to convergence and keeps its final iterate as
-    the best epoch, unless ``early_stop`` is set and there is a validation
-    split: then it stops after ``patience`` iterations without a validation
-    improvement and restores the best-validation iterate.  A trial point
-    that overflows ends the run, and the solver restarts from the last
-    accepted iterate; a run that fails before it accepts an iterate raises
+    trace row.  ``params`` end at the returned iterate, one record (epoch,
+    solver vector) from the start (epoch -1, scored only then) on: each
+    scored iterate moves it, unless ``early_stop`` is set and there is a
+    validation split, where only a strict validation improvement does and
+    the run stops after ``patience`` iterations without one.  An overflowing
+    trial point ends the run and the solver restarts from the last accepted
+    iterate; a run that fails before it accepts one raises
     ``NumericalFailure``.
 
     ``val_negloglik(points)`` scores k iterates at once: ``points`` maps each
     key of ``params`` to a stack of k values, and it returns their k
-    validation losses.  A validation loss never steers the solver, so the
-    accepted iterates wait in a queue and are scored together when the
-    queue is full, when the patience rule can fire (``patience`` epochs
-    after the best one scored so far), when the run ends and before a
-    failure is raised.  A full queue holds ``VALIDATION_BLOCK`` values, an
-    iterate counting as its ``val_rows`` validation records or, if there are
-    more, its solver parameters.  The rule is then applied to the block in
-    epoch order, so the stop, the best epoch and the trace are those of
-    scoring every iterate as it is accepted.  A validation loss that fails
-    raises ``NumericalFailure`` with that iterate's epoch and leaves the
-    parameters at it.
+    validation losses (None: no split, every loss NaN).  A validation loss
+    never steers the solver, so the accepted iterates wait in a queue and
+    are scored together when the queue is full, when the patience rule can
+    fire (``patience`` epochs after the best one scored so far), when the
+    run ends and before a failure is raised.  A full queue holds
+    ``VALIDATION_BLOCK`` values, an iterate counting as its ``val_rows``
+    validation records or, if there are more, its solver parameters.  The
+    block is then applied to the record in epoch order, so the stop, the
+    best epoch and the trace are those of scoring every iterate as it is
+    accepted.  A validation loss that fails raises ``NumericalFailure`` with
+    that iterate's epoch and leaves the parameters at it.
     """
     keys = list(params)
     log_boxes = {k: box for k, box in copula_bounds.items() if box[0] > 0}
@@ -285,9 +287,8 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     # the gradient is written into views of one vector, each in its parameter's shape
     grad = np.empty(ends[-1])
     grad_views = [(k, grad[spans[k]].reshape(params[k].shape)) for k in keys]
-    use_val = val_negloglik is not None
-    # iterates per validation call; without validation each is recorded at once
-    block = max(1, VALIDATION_BLOCK // max(val_rows, grad.size)) if use_val else 1
+    # iterates per validation call; a run without a split counts its solver parameters
+    block = max(1, VALIDATION_BLOCK // max(val_rows, grad.size))
 
     def unpack(x):
         for param, span in linear_layout:
@@ -295,14 +296,23 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
         for param, i, box in log_layout:
             param[...] = _exp_in_box(x[i], *box)
 
-    def stack(xs):
-        """The parameters at each solver vector of ``xs``, stacked per key."""
+    def score(xs, first):
+        """The validation losses of the solver vectors ``xs``, the first of
+        them epoch ``first`` (NaN without a split), and their parameters
+        stacked per key."""
         flat = np.array(xs)
         points = {k: flat[:, spans[k]].reshape(len(xs), *params[k].shape)
                   for k in keys if k not in log_boxes}
         for k, (_, i, box) in zip(log_boxes, log_layout):
             points[k] = np.array([_exp_in_box(z, *box) for z in flat[:, i]])
-        return points
+        try:
+            vals = np.full(len(xs), np.nan) if val_negloglik is None else val_negloglik(points)
+        except NumericalFailure as failure:
+            # a failure not tied to one point is charged to the first
+            point = failure.point_index or 0
+            unpack(xs[point])
+            raise _failure_at(first + point, failure) from failure
+        return vals, points
 
     train_hist: List[float] = []
     val_hist: List[float] = []
@@ -313,8 +323,9 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     ).astype(float)
     # accepted iterates not yet scored, from epoch len(val_hist) on
     queue: List[np.ndarray] = []
-    stop_on_val = early_stop and use_val
-    best = {"epoch": -1, "val": np.inf, "x": None}  # the best-validation iterate
+    stop_on_val = early_stop and val_negloglik is not None
+    # the iterate the run returns, (epoch, solver vector); epoch -1 is the start
+    best = (-1, x_accepted)
 
     def objective(x):
         unpack(x)
@@ -332,36 +343,23 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
             raise _TrialFailed(failure) from failure
         return -loglik, -grad
 
-    def validate(xs):
-        """The validation losses of the iterates ``xs``, whose first is epoch
-        len(val_hist), and their stacked parameters."""
-        points = stack(xs)
-        if not use_val:
-            return np.full(len(xs), np.nan), points
-        try:
-            return val_negloglik(points), points
-        except NumericalFailure as failure:
-            # a failure not tied to one point is charged to the first
-            point = failure.point_index or 0
-            unpack(xs[point])
-            raise _failure_at(len(val_hist) + point, failure) from failure
-
     def flush():
-        """Scores the queue and applies the patience rule to it in epoch
-        order; True when the rule stops the run."""
+        """Scores the queue and applies it to the returned-iterate record in
+        epoch order; True when the patience rule stops the run."""
+        nonlocal best
         if not queue:
             return False
-        vals, points = validate(queue)
+        vals, points = score(queue, len(val_hist))
         for key in copula_bounds:
             copula_hist[key].extend(map(float, points[key]))
         for x, val in zip(queue, map(float, vals)):
-            if stop_on_val and val < best["val"]:
-                best.update(epoch=len(val_hist), val=val, x=x)
+            if not stop_on_val or val < (val_hist[best[0]] if best[0] >= 0 else np.inf):
+                best = (len(val_hist), x)
             val_hist.append(val)
         queue.clear()
         # the queue is scored as soon as the rule could fire, so only its
         # newest iterate can stop the run
-        return stop_on_val and len(val_hist) - 1 - best["epoch"] >= cfg.patience
+        return stop_on_val and len(val_hist) - 1 - best[0] >= cfg.patience
 
     def on_iterate(intermediate_result):
         nonlocal x_accepted
@@ -369,14 +367,14 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
         train_hist.append(float(intermediate_result.fun))
         queue.append(x_accepted)
         epoch = len(train_hist) - 1
-        if len(queue) >= block or (stop_on_val and epoch - best["epoch"] >= cfg.patience):
+        if len(queue) >= block or (stop_on_val and epoch - best[0] >= cfg.patience):
             if flush():
                 raise StopIteration  # scipy ends the run and returns normally
 
     while True:
         progress = len(train_hist)
         try:
-            result = minimize(
+            minimize(
                 objective, x_accepted, jac=True, method="L-BFGS-B",
                 bounds=bounds, callback=on_iterate,
                 options={"maxiter": cfg.max_epochs - len(train_hist), "ftol": FTOL},
@@ -389,18 +387,15 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
                 raise _failure_at(len(train_hist), trial.failure) from trial.failure
     flush()
 
-    trace = TrainTrace(
+    best_epoch, x = best
+    unpack(x)
+    best_val = val_hist[best_epoch] if best_epoch >= 0 else score([x], 0)[0][0]
+    return TrainTrace(
         epoch=np.arange(len(train_hist)),
         train_negloglik=np.array(train_hist),
         val_negloglik=np.array(val_hist),
         copula_path={k: np.array(v) for k, v in copula_hist.items()},
-    )
-    if best["x"] is not None:
-        unpack(best["x"])
-        return trace, best["epoch"], float(best["val"])
-    unpack(result.x)
-    best_val = val_hist[-1] if val_hist else validate([result.x])[0][0]
-    return trace, len(train_hist) - 1, float(best_val)
+    ), best_epoch, float(best_val)
 
 
 def _l2_lambda(*risk_kinds) -> float:

@@ -91,10 +91,6 @@ class LinearRisk:
     def weight_keys(self) -> tuple:
         return ("w",)
 
-    def weight_arrays(self) -> tuple:
-        """The arrays ``weight_keys`` names, in its order."""
-        return (self.weights,)
-
     def to_dict(self) -> dict:
         return {"kind": "linear", "weights": [float(v) for v in self.weights]}
 
@@ -221,10 +217,6 @@ class MLPRisk:
     def weight_keys(self) -> tuple:
         return tuple(f"W{i}" for i in range(len(self.weights)))
 
-    def weight_arrays(self) -> list:
-        """The arrays ``weight_keys`` names, in its order."""
-        return self.weights
-
     def to_dict(self) -> dict:
         return {
             "kind": "mlp",
@@ -315,16 +307,12 @@ class WeibullCoxModel:
             raise DomainError("t must be non-negative")
         return t
 
-    def log_cumulative_hazard_at(self, log_t: ArrayLike, g: ArrayLike) -> ArrayLike:
-        """log H = nu (log t - log rho) + g, from log t and an evaluated risk g;
-        every other quantity of the model follows from it."""
-        return log_cumulative_hazard_from(self.log_nu, self.log_rho, log_t, g)
-
     def log_cumulative_hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
-        """log H(t | x); -inf at t = 0."""
+        """log H(t | x); -inf at t = 0.  Every other quantity of the model follows from it."""
         t = self._time(t)
         with np.errstate(divide="ignore"):
-            return self.log_cumulative_hazard_at(np.log(t), self.risk.evaluate(x))
+            return log_cumulative_hazard_from(self.log_nu, self.log_rho, np.log(t),
+                                              self.risk.evaluate(x))
 
     def cumulative_hazard(self, t: ArrayLike, x: np.ndarray) -> ArrayLike:
         return np.exp(self.log_cumulative_hazard(t, x))

@@ -342,17 +342,54 @@ def test_experiment_tiny_run(tmp_path, capsys):
 
 
 def test_experiment_all_arms_failing_exits_two(tmp_path, capsys):
+    # one row: the test split takes it, and every arm's marginal fit fails
+    src = tmp_path / "one_row.csv"
+    src.write_text("x0,x1,y\n0.5,1.5,2.0\n")
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({
         "experiment_id": "semi_broken",
         "kind": "semi_synthetic",
         "tau_grid": [0.5],
         "seeds": [0],
-        "data_csv": str(tmp_path / "does_not_exist.csv"),
+        "data_csv": str(src),
         "target_column": "y",
     }))
     assert run("experiment", "--config", cfg_path, "--out", tmp_path / "out") == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table, code, message", [
+    (None, 3, "io error:"),
+    ("x0,y\n0.5,2.0\n1.5,-1.0\n", 1, "'y' must be non-negative (record 1)"),
+])
+def test_experiment_bad_data_csv_exits_before_any_arm(tmp_path, capsys, table, code, message):
+    # a missing table is an I/O error and a negative target invalid input,
+    # not one failure per arm
+    src = tmp_path / "table.csv"
+    if table is not None:
+        src.write_text(table)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "experiment_id": "semi_bad", "kind": "semi_synthetic", "tau_grid": [0.5], "seeds": [0],
+        "data_csv": str(src), "target_column": "y",
+    }))
+    out = tmp_path / "out"
+    assert run("experiment", "--config", cfg_path, "--out", out) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, family", [("synthetic_sweep", "frank"), ("mixture_sweep", "mixture")])
+def test_experiment_tau_beyond_the_family_range_exits_one(tmp_path, capsys, kind, family):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "experiment_id": "high_tau", "kind": kind, "family": family,
+        "tau_grid": [0.995], "seeds": [0], "n_train": 100, "n_val": 50, "n_test": 50,
+    }))
+    out = tmp_path / "out"
+    assert run("experiment", "--config", cfg_path, "--out", out) == 1
+    assert "tau_grid entry 0.995" in capsys.readouterr().err
+    assert not (out / "arms.csv").exists()
 
 
 def test_experiment_unknown_family_exits_one(tmp_path, capsys):

@@ -48,7 +48,8 @@ _BISECT_MAX_ITER = 200
 def _frank_cdf(theta, u1, u2):
     # -log1p(A B / D) / theta, with D + A B in the package's cancellation-free form
     log_neg_d = np.log(-np.expm1(-theta))
-    return (log_neg_d - copulas._frank_log_neg_dab(theta, u1, u2)) / theta
+    a, b = np.expm1(-theta * u1), np.expm1(-theta * u2)
+    return (log_neg_d - copulas._frank_log_neg_dab(theta, u1, u2, a, b)) / theta
 
 
 def copula_cdf(spec, u1, u2):

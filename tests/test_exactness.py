@@ -241,7 +241,6 @@ def test_frank_log_neg_dab_from_shared_terms_equals_the_oracle():
         a, b = np.expm1(-theta * u1), np.expm1(-theta * u2)
         want = frank_log_neg_dab_oracle(theta, u1, u2)
         assert np.array_equal(copulas._frank_log_neg_dab(theta, u1, u2, a, b), want)
-        assert np.array_equal(copulas._frank_log_neg_dab(theta, u1, u2), want)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0])

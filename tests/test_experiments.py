@@ -146,6 +146,18 @@ def test_tau_grid_entries_sharing_a_random_stream_are_rejected():
     ExperimentConfig(experiment_id="x", kind="metric_bias", tau_grid=(0.2, 0.200001))
 
 
+@pytest.mark.parametrize("kind, family", [("synthetic_sweep", "frank"), ("mixture_sweep", "mixture"),
+                                          ("semi_synthetic", "frank")])
+def test_a_tau_beyond_the_family_range_is_a_config_error(kind, family):
+    # Frank's tau ends at 0.99203 (theta 500), and the mixture shares that
+    # bound through its Frank part: the grid fails as a whole, before any arm
+    with pytest.raises(ValidationError, match="tau_grid entry 0.995: .*Frank range"):
+        ExperimentConfig(experiment_id="x", kind=kind, family=family, preset="standin"
+                         if kind == "semi_synthetic" else "linear_risk", tau_grid=(0.5, 0.995))
+    ExperimentConfig(experiment_id="x", kind=kind, family=family, tau_grid=(0.99,),
+                     preset="standin" if kind == "semi_synthetic" else "linear_risk")
+
+
 def test_config_round_trip_and_unknown_field():
     cfg = ExperimentConfig(
         experiment_id="rt", kind="metric_bias", tau_grid=(0.2, 0.8), seeds=(0, 1, 2),
@@ -370,9 +382,10 @@ def test_failed_tau_costs_only_its_own_arm(tmp_path, monkeypatch):
             raise RuntimeError("boom")
         return real(family, tau, *args)
 
-    monkeypatch.setattr(exp, "spec_from_tau", spec_failing_at_0_8)
+    # the config resolves its taus when built, so it is built before the patch
     cfg = ExperimentConfig(experiment_id="bias_tau_fail", kind="metric_bias", tau_grid=(0.2, 0.8),
                            seeds=(3,), n_train=300)
+    monkeypatch.setattr(exp, "spec_from_tau", spec_failing_at_0_8)
     result = run_experiment(cfg, tmp_path / "bias")
     assert [(r["tau_star"], r["seed"]) for r in result.rows] == [(0.2, 3)]
     assert result.failures == [{"arm": "0.8/3", "error": "RuntimeError", "message": "boom"}]
@@ -461,6 +474,36 @@ def test_semi_arm_of_a_one_row_table_is_a_validation_error(tmp_path):
     assert [(f["model"], f["error"]) for f in failures] == [
         (model, "ValidationError") for model in ("no_censoring", "copula", "independence")]
     assert all("at least one record" in f["message"] for f in failures)
+
+
+def regression_csv(path, targets):
+    """A regression table of two covariates and the target column ``y``."""
+    x = np.random.default_rng(0).normal(size=(len(targets), 2))
+    rows = np.column_stack([x, targets]).tolist()
+    path.write_text("x0,x1,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("case, error, match", [
+    ("missing", FileNotFoundError, "missing.csv"),
+    ("no_target", ValidationError, "no column named 'target'"),
+    ("negative_first", ValidationError, r"'y' must be non-negative \(record 0\)"),
+    ("negative_last", ValidationError, r"'y' must be non-negative \(record 39\)"),
+])
+def test_a_semi_data_csv_is_checked_before_anything_is_written(tmp_path, case, error, match):
+    # every arm reads the table, so a missing or negative one would fail
+    # each arm alike; it fails the run instead, before any output
+    targets = np.linspace(1.0, 5.0, 40)
+    if case.startswith("negative"):
+        targets[0 if case == "negative_first" else -1] = -0.5
+    src = regression_csv(tmp_path / "table.csv", targets)
+    cfg = ExperimentConfig(experiment_id="semi_bad", kind="semi_synthetic",
+                           data_csv=str(tmp_path / "missing.csv") if case == "missing" else src,
+                           target_column="target" if case == "no_target" else "y",
+                           tau_grid=(0.5,), seeds=(0,))
+    with pytest.raises(error, match=match):
+        run_experiment(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_semi_fit_at_the_first_tau_keeps_the_baseline_and_the_copula_row(
@@ -579,11 +622,12 @@ def test_workers_below_one_is_a_validation_error(tmp_path, workers):
 
 def test_a_clean_rerun_removes_an_earlier_runs_failures_json(tmp_path):
     out = tmp_path / "out"
-    missing = ExperimentConfig(experiment_id="semi_missing", kind="semi_synthetic",
-                               data_csv=str(tmp_path / "missing.csv"), target_column="y",
-                               tau_grid=(0.5,), seeds=(0,))
+    src = tmp_path / "one_row.csv"
+    src.write_text("x0,x1,y\n0.5,1.5,2.0\n")
+    failing = ExperimentConfig(experiment_id="semi_one_row", kind="semi_synthetic",
+                               data_csv=str(src), target_column="y", tau_grid=(0.5,), seeds=(0,))
     with pytest.raises(NumericalFailure, match="experiment arms failed"):
-        run_experiment(missing, out)
+        run_experiment(failing, out)
     assert (out / "failures.json").exists()
     result = run_experiment(ExperimentConfig(experiment_id="bias_clean", **BIAS_TWO_SEEDS), out)
     assert result.failures == []

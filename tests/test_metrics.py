@@ -23,7 +23,8 @@ from copsurv.metrics import (
     r_squared,
     survival_l1,
 )
-from copsurv.weibull import LinearRisk, MLPRisk, QuadraticRisk, WeibullCoxModel, floored_survival
+from copsurv.weibull import (LinearRisk, MLPRisk, QuadraticRisk, WeibullCoxModel, floored_survival,
+                             log_cumulative_hazard_from)
 
 # truth S(t) = e^-t vs estimate S(t) = e^-2t on [0, ln 100]:
 # (1/T) * integral |e^-t - e^-2t| dt = ((1 - e^-T) - (1 - e^-2T)/2) / T
@@ -65,7 +66,8 @@ def dense_survival_l1(truth_model, estimate_model, x, config=None):
     log_grid = np.log(t_max[:, None] * (np.arange(1, cfg.n_steps + 1) / cfg.n_steps))
 
     def survival(model):  # each record's risk broadcast along its row of the grid
-        log_h = model.log_cumulative_hazard_at(log_grid, model.risk.evaluate(x)[:, None])
+        log_h = log_cumulative_hazard_from(model.log_nu, model.log_rho, log_grid,
+                                           model.risk.evaluate(x)[:, None])
         return floored_survival(np.exp(log_h))
 
     with np.errstate(over="ignore"):

@@ -286,6 +286,31 @@ def test_lbfgsb_without_progress_raises_with_the_iteration_count():
     assert p.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("early_stop", [False, True])
+@pytest.mark.parametrize("split", [True, False], ids=["split", "no-split"])
+def test_lbfgsb_started_at_the_optimum_returns_the_start(early_stop, split):
+    # the gradient is 0 at the start, so L-BFGS-B accepts no iterate: the
+    # run returns epoch -1 at the start, scored there (NaN without a split)
+    p = np.array([3.0, -1.0])
+    seen = []
+
+    def loss_and_grad():
+        return -float(np.sum((p - [3.0, -1.0]) ** 2)), {"p": -2.0 * (p - [3.0, -1.0])}
+
+    def val(points):
+        seen.extend(points["p"].tolist())
+        return np.full(len(points["p"]), 7.5)
+
+    trace, best_epoch, best_val = _optimize({"p": p}, {}, loss_and_grad, val if split else None,
+                                            TrainConfig(max_epochs=50, patience=5),
+                                            early_stop=early_stop)
+    assert best_epoch == -1
+    assert p.tolist() == [3.0, -1.0]
+    assert best_val == 7.5 if split else np.isnan(best_val)
+    assert seen == ([[3.0, -1.0]] if split else [])
+    assert len(trace.epoch) == len(trace.train_negloglik) == len(trace.val_negloglik) == 0
+
+
 def test_lbfgsb_holds_the_box_and_records_every_iterate():
     # the unconstrained maximum lies at 1000, beyond the Frank cap
     p = np.array(1.0)
@@ -311,25 +336,26 @@ def test_lbfgsb_holds_the_box_and_records_every_iterate():
 def test_lbfgsb_early_stop_restores_the_best_validation_iterate():
     # validation is best at the third iterate; with early_stop the run ends
     # `patience` iterates later and restores the third, whatever the optimum
-    # (Rosenbrock's function takes L-BFGS-B about 35 iterations from here)
-    p = np.array([-1.2, 1.0])
-    vals = [5.0, 4.0, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5]
-    seen = []
+    # (Rosenbrock's function takes L-BFGS-B about 35 iterations from here);
+    # in the second run the fourth ties with it, which is no improvement
+    for vals in ([5.0, 4.0, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5], [5.0, 4.0, 3.0, 3.0, 4.0, 4.5, 5.0, 5.5]):
+        p = np.array([-1.2, 1.0])
+        seen = []
 
-    def loss_and_grad():
-        return -float(rosen(p)), {"p": -rosen_der(p)}
+        def loss_and_grad():
+            return -float(rosen(p)), {"p": -rosen_der(p)}
 
-    def val(points):
-        seen.extend(points["p"].copy())
-        return np.array(vals[len(seen) - len(points["p"]):len(seen)])
+        def val(points):
+            seen.extend(points["p"].copy())
+            return np.array(vals[len(seen) - len(points["p"]):len(seen)])
 
-    cfg = TrainConfig(max_epochs=50, patience=3)
-    trace, best_epoch, best_val = _optimize(
-        {"p": p}, {}, loss_and_grad, val, cfg, early_stop=True
-    )
-    assert (best_epoch, best_val) == (2, 3.0)
-    assert trace.val_negloglik.tolist() == vals[:2 + 3 + 1]
-    assert np.array_equal(p, seen[2]) and not np.array_equal(p, seen[-1])
+        cfg = TrainConfig(max_epochs=50, patience=3)
+        trace, best_epoch, best_val = _optimize(
+            {"p": p}, {}, loss_and_grad, val, cfg, early_stop=True
+        )
+        assert (best_epoch, best_val) == (2, 3.0)
+        assert trace.val_negloglik.tolist() == vals[:2 + 3 + 1]
+        assert np.array_equal(p, seen[2]) and not np.array_equal(p, seen[-1])
 
 
 @pytest.mark.parametrize("fail_epoch", [0, 2])
