@@ -234,6 +234,17 @@ class RegressionMarginal:
         return (x - self.mean) / self.std, y + self.shift
 
 
+def lift_zero_targets(y: np.ndarray):
+    """(targets, lift): when any non-negative target ``y`` is 0, every one is
+    lifted by ``ZERO_SHIFT_FACTOR`` of the largest; otherwise they are kept."""
+    if not np.any(y == 0.0):
+        return y, 0.0
+    lift = ZERO_SHIFT_FACTOR * float(y.max())
+    if lift <= 0.0:
+        raise ValidationError("targets are identically zero")
+    return y + lift, lift
+
+
 def fit_regression_marginal(x: np.ndarray, y: np.ndarray, fit_config: TrainConfig,
                             shift: bool = False) -> RegressionMarginal:
     """The tau-free step of semi-synthetic censoring.
@@ -241,7 +252,7 @@ def fit_regression_marginal(x: np.ndarray, y: np.ndarray, fit_config: TrainConfi
     Z-scores ``x`` and fits a linear Weibull event model on ``y`` with every
     record an event; the censoring marginal divides its shape by 0.6.
     Negative targets are translated only if ``shift``, and zero targets are
-    lifted by 1e-3 of the largest."""
+    lifted by 1e-3 of the largest (``lift_zero_targets``)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -257,12 +268,8 @@ def fit_regression_marginal(x: np.ndarray, y: np.ndarray, fit_config: TrainConfi
             raise ValidationError("targets must be non-negative; pass shift=True to translate them")
         total_shift += -float(y.min())
         y = y - y.min()
-    if np.any(y == 0.0):
-        eps = ZERO_SHIFT_FACTOR * float(y.max())
-        if eps <= 0.0:
-            raise ValidationError("targets are identically zero")
-        total_shift += eps
-        y = y + eps
+    y, lift = lift_zero_targets(y)
+    total_shift += lift
 
     mean, std = zscore_fit(x)
     xs = (x - mean) / std

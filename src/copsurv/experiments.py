@@ -65,7 +65,7 @@ from . import metrics as met
 from .copulas import Family, spec_from_tau, theta_to_tau
 from .data import Config, SurvivalDataset, csv_cell, load_regression_csv, write_csv, write_json
 from .datagen import (PRESETS, censor_regression, child_seed, fit_regression_marginal,
-                      generate_synthetic, preset_metric_bias, sidecar_dict,
+                      generate_synthetic, lift_zero_targets, preset_metric_bias, sidecar_dict,
                       synthetic_regression, tau_key)
 from .errors import DomainError, NumericalFailure, ValidationError
 from .metrics import SurvivalL1Config
@@ -278,7 +278,10 @@ def _semi_arm(payload):
     cfg, tau, seed, model, out_root = payload
     total = cfg.n_train + cfg.n_val + cfg.n_test
     if cfg.data_csv is not None:
+        # a zero target anywhere lifts the whole table, so a held-out zero is
+        # lifted like a fitted one and the marginal fit sees none
         x, y = load_regression_csv(cfg.data_csv, cfg.target_column)
+        y = lift_zero_targets(y)[0]
     else:
         x, y = synthetic_regression(total, 10, child_seed(seed, 0, 8))
     n = len(y)

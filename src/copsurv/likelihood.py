@@ -14,16 +14,23 @@ which collapses to the familiar independent-censoring likelihood
 when C is the independence copula.  Independence is therefore fitted as one
 more family of the same objective; there is no separate code path for it.
 
-One function gives the joint objective's per-record terms and one the
-single marginal's, and two paths share them.  The gradient path
-(``loglik_and_gradient``, ``marginal_loglik_and_gradient``) evaluates them
-at the models' own parameters and subtracts an optional L2 penalty on the
-risk weights.  The value path (``loglik_copula_points``,
-``marginal_loglik_points``) evaluates them at k parameter points in one
-pass, which is how validation scores a block of iterates: log nu, log rho
-and the copula parameters become (k, 1) columns, the risks give a (k, n)
-stack (``values_at``), and the same formulas broadcast over it.
-``loglik_copula`` and ``marginal_loglik`` are that pass at one point.
+Both objectives are functions of a parameter point: a dict keyed as the
+gradient is keyed (``event.log_nu``, ``event.risk.W0``, ``copula.theta``
+and so on), whose copula parameters are Python floats, as ``CopulaSpec``
+holds them.  The models supply only their risks' structure; their own
+parameters are not read, so a point can be evaluated without writing it
+into a model.  One function gives a marginal's hazard pieces from one risk
+pass (``forward``), and two paths share it.  The gradient path
+(``loglik_and_gradient``, ``marginal_loglik_and_gradient``) evaluates one
+point, subtracts an optional L2 penalty on its risk weights, and carries
+the gradient back through the pass's backprop closure.  The value path
+(``loglik_copula_points``, ``marginal_loglik_points``) evaluates k points
+stacked on a leading axis in one pass, which is how validation scores a
+block of iterates: log nu, log rho and the copula parameters become (k, 1)
+columns, the risk pass gives a (k, n) stack, and the same formulas
+broadcast over it.  ``loglik_copula`` and ``marginal_loglik`` are the
+value at the models' own parameters.
+
 Every supported family is exchangeable, log dC/du2(u1, u2) = log dC/du1(u2,
 u1), so the joint terms orient each record with its own quantile first and
 call the copula kernel once, on the one partial each record uses.
@@ -71,34 +78,30 @@ def parameters(model, prefix: str) -> dict:
     return out
 
 
-def _hazard_pieces(log_nu, log_rho, g, t):
-    """Per record, log H, H, S = exp(-H) and log f = log nu + log H - log t - H
-    from the risk's output g; with (k, 1) columns of log nu and log rho and a
-    (k, n) g, per point and record."""
-    log_t = np.log(t)
+def _hazard_pieces(model, prefix, point, data):
+    """The risk pass and, per record, log H, H, S = exp(-H) and log f = log
+    nu + log H - log t - H of the marginal whose parameters ``point`` holds
+    under ``prefix``; ``model`` gives only its risk's structure.  At one
+    point the pieces keep the pass's backprop closure and the risk's L2
+    weights; at k stacked points they are per point and record, (k, n), with
+    log nu and log rho entering as (k, 1) columns, and have no closure."""
+    risk = model.risk
+    params = {key: point[f"{prefix}.risk.{key}"] for key in risk.params()}
+    g, backprop = risk.forward(data.x, params)
+    log_nu, log_rho = point[f"{prefix}.log_nu"], point[f"{prefix}.log_rho"]
+    if g.ndim == 2:
+        # k points are scored, not differentiated: dropping the closure
+        # frees the pass's activations before the copula terms are built
+        log_nu, log_rho, backprop = log_nu[:, None], log_rho[:, None], None
+    log_t = np.log(data.t_obs)
     log_h = weibull.log_cumulative_hazard_from(log_nu, log_rho, log_t, g)
     # overflow here surfaces as a NumericalFailure from the finiteness check
     with np.errstate(over="ignore"):
         h_cum = np.exp(log_h)
     log_f = log_nu + log_h - log_t - h_cum
-    return SimpleNamespace(g=g, log_h=log_h, h_cum=h_cum, log_f=log_f, surv=np.exp(-h_cum))
-
-
-def _marginal_pieces(model, t, x):
-    """The risk's forward pass (g and its backprop closure) and the hazard
-    pieces at ``model``'s own parameters."""
-    g, backprop = model.risk.forward(x)
-    pieces = _hazard_pieces(model.log_nu, model.log_rho, g, t)
-    pieces.backprop = backprop
-    return pieces
-
-
-def _point_pieces(model, prefix, points, data):
-    """The hazard pieces at the k points ``points`` stacks under ``prefix``."""
-    risk_points = {key: points[f"{prefix}.risk.{key}"] for key in model.risk.params()}
-    g = model.risk.values_at(data.x, risk_points)
-    return _hazard_pieces(points[f"{prefix}.log_nu"][:, None],
-                          points[f"{prefix}.log_rho"][:, None], g, data.t_obs)
+    weights = {key: params[key] for key in risk.weight_keys()}
+    return SimpleNamespace(g=g, log_h=log_h, h_cum=h_cum, log_f=log_f, surv=np.exp(-h_cum),
+                           backprop=backprop, weights=weights)
 
 
 def _check_finite(terms):
@@ -118,38 +121,44 @@ def _passthrough(surv):
     return ((surv > U_EPS) & (surv < 1.0 - U_EPS)).astype(float)
 
 
-def _marginal_grads(grads, prefix, model, pieces, own, dh_weight, l2_lambda):
-    """Adds to ``grads`` the gradient of sum(own * log f + dh_weight * H)
-    minus l2_lambda * ||risk weights||^2, through r = own (1 - H) +
-    dh_weight H, the cotangent on log H, whose derivatives in log rho,
+def _marginal_grads(grads, prefix, point, pieces, own, dh_weight, l2_lambda):
+    """Adds to ``grads`` the gradient at ``point`` of sum(own * log f +
+    dh_weight * H) minus l2_lambda * ||risk weights||^2, through r = own (1 -
+    H) + dh_weight H, the cotangent on log H, whose derivatives in log rho,
     log nu and g are -nu, log H - g and 1."""
     r = own * (1.0 - pieces.h_cum) + dh_weight * pieces.h_cum
     grads[f"{prefix}.log_nu"] = np.asarray((own + r * (pieces.log_h - pieces.g)).sum())
-    grads[f"{prefix}.log_rho"] = np.asarray(-model.nu * r.sum())
+    nu = float(np.exp(point[f"{prefix}.log_nu"]))
+    grads[f"{prefix}.log_rho"] = np.asarray(-nu * r.sum())
     for key, val in pieces.backprop(r).items():
         grads[f"{prefix}.risk.{key}"] = val
     if l2_lambda == 0.0:
         return
-    weights = model.risk.params()
-    for key in model.risk.weight_keys():
-        grads[f"{prefix}.risk.{key}"] -= 2.0 * l2_lambda * weights[key]
+    for key, weight in pieces.weights.items():
+        grads[f"{prefix}.risk.{key}"] -= 2.0 * l2_lambda * weight
 
 
-def _l2_penalty(l2_lambda: float, *models) -> float:
-    """l2_lambda * sum ||risk weights||^2 over ``models``."""
+def _l2_penalty(l2_lambda: float, *weights) -> float:
+    """l2_lambda * sum ||w||^2 over the weight dicts ``weights``, one per marginal."""
     if l2_lambda == 0.0:
         return 0.0
     total = 0.0
-    for model in models:
-        weights = model.risk.params()
-        total += sum(float((weights[key] ** 2).sum()) for key in model.risk.weight_keys())
+    for group in weights:
+        total += sum(float((weight ** 2).sum()) for weight in group.values())
     return l2_lambda * total
 
 
-def _joint_terms(spec, ev, ce, data, want_grad):
-    """The copula objective's checked per-record terms (per point and record
-    for stacked pieces) and, if ``want_grad``, the copula kernel's gradient
-    in each record's own orientation."""
+def _joint_terms(event_model, censor_model, family, point, data, want_grad):
+    """The copula objective at ``point`` (one, or k stacked): its checked
+    per-record terms (per point and record for k points), the copula
+    kernel's gradient in each record's own orientation if ``want_grad``,
+    and both marginals' hazard pieces."""
+    ev = _hazard_pieces(event_model, "event", point, data)
+    ce = _hazard_pieces(censor_model, "censor", point, data)
+    # k points: (k, 1) columns; one point: Python floats, as CopulaSpec holds them
+    column = (lambda val: val[:, None]) if ev.g.ndim == 2 else float
+    spec = SimpleNamespace(family=family, **{
+        name: column(point[f"copula.{name}"]) for name in copulas.PARAMETERS[family]})
     delta = data.delta.astype(float)
     event = data.delta == 1
     u1 = copulas.clamp_quantile(ev.surv)
@@ -161,7 +170,7 @@ def _joint_terms(spec, ev, ce, data, want_grad):
     log_p, grad = copulas.log_partial(spec, first, second, want_grad)
     terms = delta * ev.log_f + (1.0 - delta) * ce.log_f + log_p
     _check_finite(terms)
-    return terms, grad
+    return terms, grad, ev, ce
 
 
 def _single_terms(pieces, data):
@@ -172,27 +181,16 @@ def _single_terms(pieces, data):
     return terms
 
 
-def _one_point(point) -> dict:
-    """A point's parameters as a stack of one."""
-    return {key: np.asarray(val, dtype=float)[None] for key, val in point.items()}
-
-
 def loglik_copula_points(event_model, censor_model, family, points, data: SurvivalDataset):
     """The unpenalized copula log-likelihood at k parameter points, shape (k,).
 
-    ``points`` maps every key of :func:`loglik_and_gradient`'s gradient
-    (``event.log_nu``, ``event.risk.W0``, ``copula.theta`` and so on) to a
-    stack of k values of that parameter's shape.  The models give only
-    their risks' structure; their own parameters are not read.  Row i is
-    bit for bit :func:`loglik_copula` at point i.  A non-finite term raises
-    ``NumericalFailure`` with the first failing point's ``point_index`` and
-    its first failing ``record_index``.
+    ``points`` maps every key of :func:`loglik_and_gradient`'s point to a
+    stack of k values of that parameter's shape.  Row i is bit for bit the
+    value at point i alone.  A non-finite term raises ``NumericalFailure``
+    with the first failing point's ``point_index`` and its first failing
+    ``record_index``.
     """
-    spec = SimpleNamespace(family=family, **{
-        name: points[f"copula.{name}"][:, None] for name in copulas.PARAMETERS[family]})
-    ev = _point_pieces(event_model, "event", points, data)
-    ce = _point_pieces(censor_model, "censor", points, data)
-    return _joint_terms(spec, ev, ce, data, want_grad=False)[0].sum(axis=1)
+    return _joint_terms(event_model, censor_model, family, points, data, False)[0].sum(axis=1)
 
 
 def loglik_copula(
@@ -202,32 +200,28 @@ def loglik_copula(
     data: SurvivalDataset,
     l2_lambda: float = 0.0,
 ) -> float:
-    """Copula log-likelihood (sum over records) minus
-    l2_lambda * sum ||risk weights||^2, the value of :func:`loglik_and_gradient`."""
+    """Copula log-likelihood (sum over records) minus l2_lambda * sum ||risk
+    weights||^2 at the models' own parameters and ``spec``: the value of
+    :func:`loglik_and_gradient` there."""
     point = {**parameters(event_model, "event"), **parameters(censor_model, "censor"),
              **{f"copula.{name}": getattr(spec, name) for name in copulas.PARAMETERS[spec.family]}}
-    value = loglik_copula_points(event_model, censor_model, spec.family, _one_point(point), data)
-    return float(value[0]) - _l2_penalty(l2_lambda, event_model, censor_model)
+    terms, _, ev, ce = _joint_terms(event_model, censor_model, spec.family, point, data, False)
+    return float(terms.sum()) - _l2_penalty(l2_lambda, ev.weights, ce.weights)
 
 
-def loglik_and_gradient(
-    event_model,
-    censor_model,
-    spec: CopulaSpec,
-    data: SurvivalDataset,
-    l2_lambda: float = 0.0,
-):
-    """Returns (value, gradient dict) of the penalized objective.
+def loglik_and_gradient(event_model, censor_model, family, point, data: SurvivalDataset,
+                        l2_lambda: float = 0.0):
+    """Returns (value, gradient dict) of the penalized objective at ``point``.
 
-    Both are of [loglik - l2_lambda * sum ||risk weights||^2]; the gradient
-    is with respect to every trainable parameter, keyed ``event.log_nu``,
-    ``event.risk.W0``, ``copula.theta`` and so on.  The independence family simply contributes
-    no ``copula.*`` keys.
+    Both are of [loglik - l2_lambda * sum ||risk weights||^2].  ``point``
+    maps every trainable parameter to its value, keyed ``event.log_nu``,
+    ``event.risk.W0``, ``copula.theta`` and so on, and the gradient is keyed
+    the same way; the independence family has no ``copula.*`` keys.  The
+    models give only their risks' structure.
     """
-    ev = _marginal_pieces(event_model, data.t_obs, data.x)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
-    terms, (d_first, d_second, d_par) = _joint_terms(spec, ev, ce, data, want_grad=True)
-    value = float(terms.sum()) - _l2_penalty(l2_lambda, event_model, censor_model)
+    terms, (d_first, d_second, d_par), ev, ce = _joint_terms(
+        event_model, censor_model, family, point, data, want_grad=True)
+    value = float(terms.sum()) - _l2_penalty(l2_lambda, ev.weights, ce.weights)
 
     delta = data.delta.astype(float)
     event = data.delta == 1
@@ -235,9 +229,9 @@ def loglik_and_gradient(
     c_u2 = np.where(event, d_second, d_first)
     grads = {}
     # d u / d z = -S * dH/dz where the clamp is inactive
-    _marginal_grads(grads, "event", event_model, ev, delta,
+    _marginal_grads(grads, "event", point, ev, delta,
                     c_u1 * (-ev.surv * _passthrough(ev.surv)), l2_lambda)
-    _marginal_grads(grads, "censor", censor_model, ce, 1.0 - delta,
+    _marginal_grads(grads, "censor", point, ce, 1.0 - delta,
                     c_u2 * (-ce.surv * _passthrough(ce.surv)), l2_lambda)
     for key, contrib in d_par.items():
         grads[f"copula.{key}"] = np.asarray(contrib.sum())
@@ -247,26 +241,30 @@ def loglik_and_gradient(
 def marginal_loglik_points(model, points, data: SurvivalDataset):
     """The single-marginal log-likelihood at k parameter points, shape (k,);
     ``points`` stacks them under the ``model.*`` keys of
-    :func:`marginal_loglik_and_gradient`'s gradient, as in
+    :func:`marginal_loglik_and_gradient`'s point, as in
     :func:`loglik_copula_points`."""
-    return _single_terms(_point_pieces(model, "model", points, data), data).sum(axis=1)
+    return _single_terms(_hazard_pieces(model, "model", points, data), data).sum(axis=1)
 
 
 def marginal_loglik(model, data: SurvivalDataset) -> float:
-    """Right-censored single-marginal log-likelihood (sum over records)."""
-    return float(marginal_loglik_points(model, _one_point(parameters(model, "model")), data)[0])
+    """Right-censored single-marginal log-likelihood (sum over records) at
+    the model's own parameters."""
+    pieces = _hazard_pieces(model, "model", parameters(model, "model"), data)
+    return float(_single_terms(pieces, data).sum())
 
 
-def marginal_loglik_and_gradient(model, data: SurvivalDataset, l2_lambda: float = 0.0):
-    """Single right-censored marginal: sum delta log f + (1 - delta) log S,
-    minus l2_lambda * ||risk weights||^2, with its gradient.
+def marginal_loglik_and_gradient(model, point, data: SurvivalDataset, l2_lambda: float = 0.0):
+    """Single right-censored marginal at ``point``: sum delta log f + (1 -
+    delta) log S, minus l2_lambda * ||risk weights||^2, with its gradient.
+    ``point`` and the gradient are keyed ``model.log_nu``, ``model.risk.w``
+    and so on; ``model`` gives only its risk's structure.
 
     Degenerate indicator patterns (all events, all censored) are allowed;
     this is the working objective for fitting one marginal on its own.
     """
-    pieces = _marginal_pieces(model, data.t_obs, data.x)
+    pieces = _hazard_pieces(model, "model", point, data)
     delta = data.delta.astype(float)
-    value = float(_single_terms(pieces, data).sum()) - _l2_penalty(l2_lambda, model)
+    value = float(_single_terms(pieces, data).sum()) - _l2_penalty(l2_lambda, pieces.weights)
     grads = {}
-    _marginal_grads(grads, "model", model, pieces, delta, -(1.0 - delta), l2_lambda)
+    _marginal_grads(grads, "model", point, pieces, delta, -(1.0 - delta), l2_lambda)
     return value, grads

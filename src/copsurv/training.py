@@ -5,12 +5,16 @@ log-likelihood and its exact gradient.  The L2 penalty on the risk weights
 follows from the risk kinds: ``MLP_L2_LAMBDA`` when either risk is an MLP,
 0 otherwise.  A family's dependence parameters and their ranges are
 ``copulas.PARAMETERS[family]``; the optimizer holds each as
-``copula.<name>`` and rebuilds the spec from them at each evaluation.  Each
-range is the solver's box for its parameter, with the open lower end of
-every theta floored at ``THETA_MIN``: theta in ``[THETA_MIN, inf)``, or
-``[THETA_MIN, 500]`` for Frank theta, and kappa in [0, 1].  The solver moves
-every theta as log theta, in [log ``THETA_MIN``, log hi], and kappa on its
-own scale; traces and checkpoints hold natural theta.  ``fit`` runs each
+``copula.<name>``.  Each range is the solver's box for its parameter,
+with the open lower end of every theta floored at ``THETA_MIN``: theta in
+``[THETA_MIN, inf)``, or ``[THETA_MIN, 500]`` for Frank theta, and kappa in
+[0, 1].  The solver moves every theta as log theta, in [log ``THETA_MIN``,
+log hi], and kappa on its own scale; traces and checkpoints hold natural
+theta.  Each evaluation passes the likelihood the parameter point of the
+solver's vector, so no model is written while the solver runs: the models
+take the returned iterate when a start ends, and one ``CopulaSpec`` is
+built from it.  A failing record is named by its row of the dataset the
+fit was given, as a training or a validation term.  ``fit`` runs each
 start as a fit of its own, from the same initial marginals.  The starts
 and the stopping rule follow from the risk kinds (there is no option).
 
@@ -247,16 +251,18 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     in [log lo, log hi], with the gradient multiplied by theta, because the
     likelihood is nearly flat in theta itself; ``params`` and the trace keep
     natural theta.
-    ``loss_and_grad`` returns the penalized log-likelihood and its gradient,
-    and the solver minimizes its negation.  Each accepted iterate is one
-    trace row.  ``params`` end at the returned iterate, one record (epoch,
-    solver vector) from the start (epoch -1, scored only then) on: each
-    scored iterate moves it, unless ``early_stop`` is set and there is a
-    validation split, where only a strict validation improvement does and
-    the run stops after ``patience`` iterations without one.  An overflowing
-    trial point ends the run and the solver restarts from the last accepted
-    iterate; a run that fails before it accepts one raises
-    ``NumericalFailure``.
+    ``loss_and_grad(point)`` returns the penalized log-likelihood and its
+    gradient at ``point``, which maps each key of ``params`` to its value at
+    a solver vector (natural theta), and the solver minimizes its negation.
+    ``params`` are read for the start and written only when the run returns
+    or raises.  Each accepted iterate is one trace row.  ``params`` end at
+    the returned iterate, one record (epoch, solver vector) from the start
+    (epoch -1, scored only then) on: each scored iterate moves it, unless
+    ``early_stop`` is set and there is a validation split, where only a
+    strict validation improvement does and the run stops after ``patience``
+    iterations without one.  An overflowing trial point ends the run and the
+    solver restarts from the last accepted iterate; a run that fails before
+    it accepts one raises ``NumericalFailure``, leaving ``params`` there.
 
     ``val_negloglik(points)`` scores k iterates at once: ``points`` maps each
     key of ``params`` to a stack of k values, and it returns their k
@@ -273,44 +279,48 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     that iterate's epoch and leaves the parameters at it.
     """
     keys = list(params)
-    log_boxes = {k: box for k, box in copula_bounds.items() if box[0] > 0}
-    solver_boxes = {**copula_bounds, **{k: tuple(np.log(box)) for k, box in log_boxes.items()}}
+    # the thetas the solver moves as log theta (single values): (lo, hi, log lo, log hi)
+    log_boxes = {k: (lo, hi, np.log(lo), np.log(hi))
+                 for k, (lo, hi) in copula_bounds.items() if lo > 0}
+    solver_boxes = {**copula_bounds, **{k: box[2:] for k, box in log_boxes.items()}}
     bounds = [solver_boxes.get(k, (None, None)) for k in keys for _ in range(params[k].size)]
-    # each parameter's slice of the flat vector, fixed for the run: the
-    # arrays the solver moves on their own scale, and the log-scale thetas
-    # (single values) with their boxes
+    # each parameter's slice of the flat vector, fixed for the run, and the
+    # shapes of the arrays the solver moves on their own scale
     ends = np.cumsum([params[k].size for k in keys])
     spans = {k: slice(end - params[k].size, end) for k, end in zip(keys, ends)}
-    linear_layout = [(params[k], spans[k]) for k in keys if k not in log_boxes]
-    log_layout = [(params[k], spans[k].start, (lo, hi, np.log(lo), np.log(hi)))
-                  for k, (lo, hi) in log_boxes.items()]
+    layout = [(k, spans[k], params[k].shape) for k in keys if k not in log_boxes]
     # the gradient is written into views of one vector, each in its parameter's shape
     grad = np.empty(ends[-1])
     grad_views = [(k, grad[spans[k]].reshape(params[k].shape)) for k in keys]
     # iterates per validation call; a run without a split counts its solver parameters
     block = max(1, VALIDATION_BLOCK // max(val_rows, grad.size))
 
-    def unpack(x):
-        for param, span in linear_layout:
-            param[...] = x[span].reshape(param.shape)
-        for param, i, box in log_layout:
-            param[...] = _exp_in_box(x[i], *box)
+    def point_of(flat):
+        """The parameter point of the solver vector ``flat``, each theta a
+        Python float, or for a (k, size) stack of vectors their k points,
+        stacked per key."""
+        lead = flat.shape[:-1]
+        point = {k: flat[..., span].reshape(lead + shape) for k, span, shape in layout}
+        for k, box in log_boxes.items():
+            z = flat[..., spans[k].start]
+            point[k] = np.array([_exp_in_box(v, *box) for v in z]) if lead else _exp_in_box(z, *box)
+        return point
+
+    def write(x):
+        """Leaves ``params`` at the solver vector ``x``; only a return or a raise calls it."""
+        for k, val in point_of(x).items():
+            params[k][...] = val
 
     def score(xs, first):
         """The validation losses of the solver vectors ``xs``, the first of
-        them epoch ``first`` (NaN without a split), and their parameters
-        stacked per key."""
-        flat = np.array(xs)
-        points = {k: flat[:, spans[k]].reshape(len(xs), *params[k].shape)
-                  for k in keys if k not in log_boxes}
-        for k, (_, i, box) in zip(log_boxes, log_layout):
-            points[k] = np.array([_exp_in_box(z, *box) for z in flat[:, i]])
+        them epoch ``first`` (NaN without a split), and their points."""
+        points = point_of(np.array(xs))
         try:
             vals = np.full(len(xs), np.nan) if val_negloglik is None else val_negloglik(points)
         except NumericalFailure as failure:
             # a failure not tied to one point is charged to the first
             point = failure.point_index or 0
-            unpack(xs[point])
+            write(xs[point])
             raise _failure_at(first + point, failure) from failure
         return vals, points
 
@@ -328,15 +338,15 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     best = (-1, x_accepted)
 
     def objective(x):
-        unpack(x)
+        point = point_of(x)
         try:
             # an overflowing trial point is expected and handled: no warning
             with np.errstate(over="ignore", invalid="ignore"):
-                loglik, grads = loss_and_grad()
+                loglik, grads = loss_and_grad(point)
             for key, view in grad_views:
                 view[...] = grads[key]
-            for param, i, _ in log_layout:
-                grad[i] *= param  # d/d log theta = theta d/d theta
+            for k in log_boxes:
+                grad[spans[k].start] *= point[k]  # d/d log theta = theta d/d theta
             if not np.isfinite(grad).all():
                 raise NumericalFailure("non-finite gradient")
         except NumericalFailure as failure:
@@ -381,14 +391,14 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
             )
             break
         except _TrialFailed as trial:
-            unpack(x_accepted)
             if len(train_hist) == progress:
                 flush()  # a failed validation of an earlier iterate comes first
+                write(x_accepted)
                 raise _failure_at(len(train_hist), trial.failure) from trial.failure
     flush()
 
     best_epoch, x = best
-    unpack(x)
+    write(x)
     best_val = val_hist[best_epoch] if best_epoch >= 0 else score([x], 0)[0][0]
     return TrainTrace(
         epoch=np.arange(len(train_hist)),
@@ -405,8 +415,10 @@ def _l2_lambda(*risk_kinds) -> float:
 def _setup(data: SurvivalDataset, cfg: TrainConfig, *risk_kinds):
     """Splits off the validation records and initializes one model per risk.
 
-    Returns (train_ds, val_ds, models); ``val_ds`` is None without a
-    validation split.  The RNG draws the split, then each risk in order.
+    Returns (train_ds, val_ds, models, rows); ``val_ds`` is None without a
+    validation split, and ``rows`` holds the rows of ``data`` that the
+    training and the validation records are.  The RNG draws the split, then
+    each risk in order.
     """
     if len(data) == 0:
         raise ValidationError("cannot fit on an empty dataset")
@@ -421,7 +433,23 @@ def _setup(data: SurvivalDataset, cfg: TrainConfig, *risk_kinds):
         WeibullCoxModel(0.0, np.log(train_ds.t_obs.mean()), make_risk(kind, data.dim, rng))
         for kind in risk_kinds
     ]
-    return train_ds, val_ds, models
+    return train_ds, val_ds, models, (perm[n_val:], perm[:n_val])
+
+
+def _on_rows(evaluate, rows, term):
+    """``evaluate`` on the records at ``rows`` of the dataset a fit was
+    given: a failing record it names is renamed to its row of that dataset,
+    as a ``term`` ("training" or "validation") log-likelihood term."""
+    def call(arg):
+        try:
+            return evaluate(arg)
+        except NumericalFailure as failure:
+            if failure.record_index is None:
+                raise
+            row = int(rows[failure.record_index])
+            raise NumericalFailure(f"non-finite {term} log-likelihood term at record {row}",
+                                   record_index=row, point_index=failure.point_index) from failure
+    return call
 
 
 def fit(
@@ -449,7 +477,7 @@ def fit(
     family = copulas.coerce_family(family)
     if len(data) and data.n_events in (0, len(data)):
         raise ValidationError("joint fit requires at least one event and one censoring record")
-    train_ds, val_ds, models = _setup(data, cfg, event_risk, censor_risk)
+    train_ds, val_ds, models, (train_rows, val_rows) = _setup(data, cfg, event_risk, censor_risk)
 
     domains = copulas.PARAMETERS[family]
     linear = event_risk == censor_risk == "linear"
@@ -468,25 +496,24 @@ def fit(
                   **likelihood.parameters(censor_model, "censor"),
                   **{f"copula.{name}": np.array(float(start[name])) for name in domains}}
 
-        def spec():
-            return CopulaSpec(family, **{name: float(params[f"copula.{name}"]) for name in domains})
-
-        def loss_and_grad():
-            return likelihood.loglik_and_gradient(event_model, censor_model, spec(), train_ds, l2)
+        def loss_and_grad(point):
+            return likelihood.loglik_and_gradient(event_model, censor_model, family, point,
+                                                  train_ds, l2)
 
         def val_fn(points):
             return -likelihood.loglik_copula_points(event_model, censor_model, family, points,
                                                     val_ds)
 
-        trace, best_epoch, best_val = _optimize(params, copula_bounds, loss_and_grad,
-                                                val_fn if val_ds else None, cfg,
-                                                early_stop=not linear,
-                                                val_rows=len(val_ds) if val_ds else 0)
+        trace, best_epoch, best_val = _optimize(
+            params, copula_bounds, _on_rows(loss_and_grad, train_rows, "training"),
+            _on_rows(val_fn, val_rows, "validation") if val_ds else None, cfg,
+            early_stop=not linear, val_rows=len(val_rows))
         trace.copula_path = {
             "theta_hat" if name == "theta" else name: trace.copula_path[f"copula.{name}"]
             for name in domains
         }
-        return FittedJointModel(event_model, censor_model, spec(), trace, best_epoch, best_val)
+        copula = CopulaSpec(family, **{name: float(params[f"copula.{name}"]) for name in domains})
+        return FittedJointModel(event_model, censor_model, copula, trace, best_epoch, best_val)
 
     # a start with no accepted iterate (best epoch -1) ranks last; max keeps
     # the first of tied starts
@@ -509,16 +536,17 @@ def fit_marginal(
     """
     cfg = config or TrainConfig()
     risk_kind = str(risk_kind).lower()
-    train_ds, val_ds, (model,) = _setup(data, cfg, risk_kind)
+    train_ds, val_ds, (model,), (train_rows, val_rows) = _setup(data, cfg, risk_kind)
     l2 = _l2_lambda(risk_kind)
 
-    def loss_and_grad():
-        return likelihood.marginal_loglik_and_gradient(model, train_ds, l2)
+    def loss_and_grad(point):
+        return likelihood.marginal_loglik_and_gradient(model, point, train_ds, l2)
 
     def val_fn(points):
         return -likelihood.marginal_loglik_points(model, points, val_ds)
 
-    trace, _, _ = _optimize(likelihood.parameters(model, "model"), {}, loss_and_grad,
-                            val_fn if val_ds else None, cfg, early_stop=True,
-                            val_rows=len(val_ds) if val_ds else 0)
+    trace, _, _ = _optimize(likelihood.parameters(model, "model"), {},
+                            _on_rows(loss_and_grad, train_rows, "training"),
+                            _on_rows(val_fn, val_rows, "validation") if val_ds else None, cfg,
+                            early_stop=True, val_rows=len(val_rows))
     return model, trace

@@ -24,13 +24,16 @@ Risk functions:
 * ``QuadraticRisk`` - g(x) = w . x^2, used by data-generating processes only
   (it has no training support).
 
-Trainable risks return ``(g, backprop)`` from one ``forward(x)`` pass;
-``backprop(cotangent)`` reuses its activations.  ``evaluate(x)`` is g alone.
-``values_at(x, points)`` is g at k parameter points at once, a (k, n) array:
-``points`` maps each key of ``params()`` to a stack of k arrays of its
-shape.  Each row is bit for bit ``evaluate`` at that point: a linear risk
-keeps ``evaluate``'s matrix-vector layout as a stack of (d, 1) columns,
-and the MLP runs the same layer code as ``forward`` over stacked weights.
+Trainable risks have one pass, ``forward(x, params)``, at the parameter
+point ``params`` (a dict keyed as ``params()``).  At one point it returns
+``(g, backprop)``, where ``backprop(cotangent)`` reuses the pass's
+activations.  At k points stacked on a leading axis of every array it
+returns g as a (k, n) array, each row bit for bit the pass at that point
+alone: a linear risk multiplies x by its weights as a (d, 1) column, or a
+stack of k of them, and the MLP runs one layer code over either.  One
+pass therefore serves training (one point, with its gradient) and
+validation (a block of iterates).  ``evaluate(x)`` is g at the risk's own
+parameters.
 """
 from __future__ import annotations
 
@@ -73,17 +76,14 @@ class LinearRisk:
     def dim(self) -> int:
         return self.weights.shape[0]
 
-    def forward(self, x: np.ndarray):
-        """(g(x), backprop), as in :meth:`MLPRisk.forward`."""
+    def forward(self, x: np.ndarray, params: dict):
+        """(g(x), backprop) at ``params``, as in :meth:`MLPRisk.forward`."""
         x = _check_matrix(x, self.dim)
-        return x @ self.weights, lambda cot: {"w": x.T @ np.asarray(cot, dtype=float)}
+        g = np.matmul(x, params["w"][..., None])[..., 0]
+        return g, lambda cot: {"w": x.T @ np.asarray(cot, dtype=float)}
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
-
-    def values_at(self, x: np.ndarray, points: dict) -> np.ndarray:
-        """g(x) at k stacked weight vectors, shape (k, n)."""
-        return np.matmul(_check_matrix(x, self.dim), points["w"][..., None])[..., 0]
+        return self.forward(x, self.params())[0]
 
     def params(self) -> dict:
         return {"w": self.weights}
@@ -113,27 +113,6 @@ class QuadraticRisk:
 
     def to_dict(self) -> dict:
         return {"kind": "quadratic", "weights": [float(v) for v in self.weights]}
-
-
-def _mlp_layers(weights, biases, xt):
-    """Each layer's post-activation, from the feature-major input ``xt`` on,
-    and each hidden layer's ELU negative part.  Weights and biases may carry
-    a leading axis of k parameter points; the activations then do too."""
-    # ELU(z) = max(z, 0) + expm1(neg) with neg = min(z, 0); its slope is exp(neg).
-    # Each layer's fresh z is updated in place, with the operations of
-    # max(z, 0) + expm1(neg) in their order, so the values do not change.
-    post, negs = [xt], []
-    n_layers = len(weights)
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = w @ post[-1]
-        z += b[..., None]
-        if i < n_layers - 1:
-            neg = np.minimum(z, 0.0)
-            negs.append(neg)
-            np.maximum(z, 0.0, out=z)
-            z += np.expm1(neg)
-        post.append(z)
-    return post, negs
 
 
 @dataclass
@@ -174,11 +153,28 @@ class MLPRisk:
     def dim(self) -> int:
         return self.widths[0]
 
-    def forward(self, x: np.ndarray):
-        """(g(x), backprop): ``backprop(cotangent)`` is the gradient of
-        sum_i cotangent_i * g(x_i) with respect to every parameter."""
-        post, negs = _mlp_layers(self.weights, self.biases, _check_matrix(x, self.dim).T)
+    def forward(self, x: np.ndarray, params: dict):
+        """(g(x), backprop) at ``params``: ``backprop(cotangent)`` is the
+        gradient of sum_i cotangent_i * g(x_i) with respect to every
+        parameter.  With k points stacked in ``params`` g is (k, n)."""
         n_layers = len(self.weights)
+        weights = [params[f"W{i}"] for i in range(n_layers)]
+        # activations, feature-major from the view x.T on, and each hidden
+        # layer's ELU negative part; with stacked points they carry the k axis.
+        # ELU(z) = max(z, 0) + expm1(neg) with neg = min(z, 0); its slope is
+        # exp(neg).  Each layer's fresh z is updated in place, with the
+        # operations of max(z, 0) + expm1(neg) in their order, so the values
+        # do not change.
+        post, negs = [_check_matrix(x, self.dim).T], []
+        for i, w in enumerate(weights):
+            z = w @ post[-1]
+            z += params[f"b{i}"][..., None]
+            if i < n_layers - 1:
+                neg = np.minimum(z, 0.0)
+                negs.append(neg)
+                np.maximum(z, 0.0, out=z)
+                z += np.expm1(neg)
+            post.append(z)
 
         def backprop(cotangent):
             grads = {}
@@ -190,22 +186,14 @@ class MLPRisk:
                 grads[f"W{i}"] = delta @ post[i].T
                 grads[f"b{i}"] = delta.sum(axis=1)
                 if i > 0:
-                    delta = self.weights[i].T @ delta
+                    delta = weights[i].T @ delta
                     delta *= np.exp(negs[i - 1])
             return grads
 
-        return post[-1][0], backprop
+        return post[-1][..., 0, :], backprop
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
-
-    def values_at(self, x: np.ndarray, points: dict) -> np.ndarray:
-        """g(x) at k stacked parameter points, shape (k, n)."""
-        n_layers = len(self.weights)
-        post, _ = _mlp_layers([points[f"W{i}"] for i in range(n_layers)],
-                              [points[f"b{i}"] for i in range(n_layers)],
-                              _check_matrix(x, self.dim).T)
-        return post[-1][..., 0, :]
+        return self.forward(x, self.params())[0]
 
     def params(self) -> dict:
         out = {}

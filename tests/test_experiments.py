@@ -506,6 +506,22 @@ def test_a_semi_data_csv_is_checked_before_anything_is_written(tmp_path, case, e
     assert not (tmp_path / "out").exists()
 
 
+def test_a_zero_target_on_a_held_out_row_is_lifted_like_a_fitted_one(tmp_path):
+    # the seed-0 split holds the zero out of the marginal fit, which then
+    # sees no zero to lift; the held-out row must not keep t = 0, which
+    # failed every arm of the seed
+    targets = np.linspace(1.0, 5.0, 60)
+    first_held_out = np.random.default_rng(exp.child_seed(0, 0, 7)).permutation(60)[0]
+    targets[first_held_out] = 0.0
+    cfg = ExperimentConfig(experiment_id="semi_zero", kind="semi_synthetic",
+                           data_csv=regression_csv(tmp_path / "table.csv", targets),
+                           target_column="y", tau_grid=(0.5,), seeds=(0,))
+    result = run_experiment(cfg, tmp_path / "out")
+    assert result.failures == []
+    assert sorted(row["model"] for row in result.rows) == ["copula", "independence",
+                                                           "no_censoring"]
+
+
 def test_failed_semi_fit_at_the_first_tau_keeps_the_baseline_and_the_copula_row(
         tmp_path, tiny_runs, monkeypatch):
     _, full, _ = tiny_runs("semi_synthetic")

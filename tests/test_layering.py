@@ -365,3 +365,40 @@ def test_benchmark_only_definitions_are_listed():
             break
         only -= live
     assert {f"{module_of[name]}.{name}" for name in only} == BENCHMARK_ONLY
+
+
+# the likelihood functions that may read a model's Weibull parameters:
+# ``parameters`` keys them into a point, and the two benchmark-only scalar
+# wrappers evaluate the models at their own point through it; every other
+# function evaluates the point it is given
+MODEL_PARAMETER_READERS = {"parameters", "loglik_copula", "marginal_loglik"}
+
+
+def model_parameter_reads(source):
+    """(function, line, attribute) for each ``.log_nu``, ``.log_rho`` or
+    ``.nu`` read inside a top-level function of ``source``."""
+    return [(node.name, child.lineno, child.attr)
+            for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            for child in ast.walk(node)
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+            and child.attr in ("log_nu", "log_rho", "nu")]
+
+
+def test_model_parameter_reads_are_seen():
+    # the check below would pass vacuously if it missed a read in a nested
+    # function or in ``parameters`` itself
+    source = "def f(m):\n    def g():\n        return m.nu\n    m.log_nu = m.log_rho\n"
+    assert sorted(model_parameter_reads(source)) == [("f", 3, "nu"), ("f", 4, "log_rho")]
+    likelihood = (PACKAGE / "likelihood.py").read_text(encoding="utf-8")
+    assert {attr for name, _, attr in model_parameter_reads(likelihood)
+            if name == "parameters"} == {"log_nu", "log_rho"}
+
+
+def test_the_likelihood_evaluates_points_not_models():
+    # a function that read a model's own parameters would evaluate the model,
+    # not the point it is given, and a solver would have to write each point
+    # into the model first
+    source = (PACKAGE / "likelihood.py").read_text(encoding="utf-8")
+    assert not [f"likelihood.py:{line} {name} reads .{attr}"
+                for name, line, attr in model_parameter_reads(source)
+                if name not in MODEL_PARAMETER_READERS]

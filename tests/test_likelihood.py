@@ -16,22 +16,40 @@ from copsurv.data import SurvivalDataset
 from copsurv.errors import NumericalFailure
 from copsurv.likelihood import (
     _check_finite,
+    _hazard_pieces,
     _marginal_grads,
-    _marginal_pieces,
     _passthrough,
     loglik_and_gradient,
     loglik_copula,
     marginal_loglik,
     marginal_loglik_and_gradient,
+    parameters,
 )
 from copsurv.weibull import LinearRisk, MLPRisk, WeibullCoxModel
 
+from test_exactness import joint_point
 from test_weibull import density
 
 # single record under unit-exponential marginals (nu = rho = 1, g = 0):
 # log f(t) = -t and log S(t) = -t, so independence gives -2t; frozen Frank
 # value computed from the partial-derivative formula typed out by hand
 FRANK_T2_SINGLE_RECORD = -1.8661013092206318
+
+
+def own_pieces(model, data):
+    """A marginal's hazard pieces at its own parameters."""
+    return _hazard_pieces(model, "model", parameters(model, "model"), data)
+
+
+def joint_gradient(event, censor, spec, data, l2_lambda=0.0):
+    """``loglik_and_gradient`` at the models' own parameters and ``spec``."""
+    return loglik_and_gradient(event, censor, spec.family, joint_point(event, censor, spec), data,
+                               l2_lambda)
+
+
+def marginal_gradient(model, data, l2_lambda=0.0):
+    """``marginal_loglik_and_gradient`` at the model's own parameters."""
+    return marginal_loglik_and_gradient(model, parameters(model, "model"), data, l2_lambda)
 
 
 # independence oracle: the direct independent-censoring form, computed apart
@@ -41,8 +59,8 @@ def loglik_independent(event_model, censor_model, data: SurvivalDataset) -> floa
     if len(data) == 0:
         return 0.0
     delta = data.delta.astype(float)
-    ev = _marginal_pieces(event_model, data.t_obs, data.x)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
+    ev = own_pieces(event_model, data)
+    ce = own_pieces(censor_model, data)
     terms = delta * (ev.log_f - ce.h_cum) + (1.0 - delta) * (ce.log_f - ev.h_cum)
     _check_finite(terms)
     return float(terms.sum())
@@ -53,8 +71,8 @@ def loglik_independent(event_model, censor_model, data: SurvivalDataset) -> floa
 # and evaluates only the partial that record uses
 def loglik_two_orientations(event_model, censor_model, spec, data, l2_lambda=0.0):
     delta = data.delta.astype(float)
-    ev = _marginal_pieces(event_model, data.t_obs, data.x)
-    ce = _marginal_pieces(censor_model, data.t_obs, data.x)
+    ev = own_pieces(event_model, data)
+    ce = own_pieces(censor_model, data)
     u1, pass1 = copulas.clamp_quantile(ev.surv), _passthrough(ev.surv)
     u2, pass2 = copulas.clamp_quantile(ce.surv), _passthrough(ce.surv)
     log_p1 = copulas.log_partial_u1(spec, u1, u2)
@@ -65,9 +83,10 @@ def loglik_two_orientations(event_model, censor_model, spec, data, l2_lambda=0.0
     c_u1 = delta * g1_u1 + (1.0 - delta) * g2_u1
     c_u2 = delta * g1_u2 + (1.0 - delta) * g2_u2
     grads = {}
-    _marginal_grads(grads, "event", event_model, ev, delta,
+    point = joint_point(event_model, censor_model, spec)
+    _marginal_grads(grads, "event", point, ev, delta,
                     c_u1 * (-ev.surv * pass1), l2_lambda)
-    _marginal_grads(grads, "censor", censor_model, ce, 1.0 - delta,
+    _marginal_grads(grads, "censor", point, ce, 1.0 - delta,
                     c_u2 * (-ce.surv * pass2), l2_lambda)
     for key in g1_par:
         grads[f"copula.{key}"] = np.asarray((delta * g1_par[key] + (1.0 - delta) * g2_par[key]).sum())
@@ -189,7 +208,7 @@ def test_nonfinite_risk_output_is_a_numerical_failure():
     # validate them, so the record-indexed finiteness check reports it
     event, censor, data = random_instance(10, seed=3)
     event.risk.weights[0] = np.nan
-    for call in (loglik_copula, loglik_and_gradient):
+    for call in (loglik_copula, joint_gradient):
         with pytest.raises(NumericalFailure) as info:
             call(event, censor, CopulaSpec.clayton(2.0), data)
         assert info.value.record_index == 0
@@ -226,7 +245,7 @@ ORIENTATION_SPECS = [
 def test_oriented_kernel_equals_two_orientation_oracle(spec, risk, l2_lambda):
     event, censor, data = random_instance(60, seed=5, risk=risk)
     expect, expect_grads = loglik_two_orientations(event, censor, spec, data, l2_lambda)
-    got, grads = loglik_and_gradient(event, censor, spec, data, l2_lambda)
+    got, grads = joint_gradient(event, censor, spec, data, l2_lambda)
     assert got == expect
     assert loglik_copula(event, censor, spec, data, l2_lambda) == expect
     assert list(grads) == list(expect_grads)
@@ -266,7 +285,7 @@ def spec_values(spec):
 
 
 def fd_check(event, censor, spec, data, tol=1e-4, h=1e-6):
-    _, grads = loglik_and_gradient(event, censor, spec, data)
+    _, grads = joint_gradient(event, censor, spec, data)
 
     def value(s):
         return loglik_copula(event, censor, s, data)
@@ -319,22 +338,48 @@ def test_gradients_match_finite_differences(risk, spec):
     fd_check(event, censor, spec, data)
 
 
+@pytest.mark.parametrize("l2_lambda", [0.0, 0.01])
+@pytest.mark.parametrize("risk", ["linear", "mlp"])
+@pytest.mark.parametrize("spec", spec_cases(), ids=lambda s: s.family.value)
+def test_the_objectives_read_the_point_not_the_models(risk, spec, l2_lambda):
+    # the models give only their risks' structure: a second pair of the same
+    # structure, with other parameters of its own, gives the same value and
+    # gradient at a point, and neither pair is written
+    event, censor, data = random_instance(20, seed=11, risk=risk)
+    other_event, other_censor, _ = random_instance(20, seed=12, risk=risk)
+    point = {key: np.array(val, copy=True) for key, val in joint_point(event, censor, spec).items()}
+    before = [model.to_dict() for model in (event, censor, other_event, other_censor)]
+    assert before[0] != before[2] and before[1] != before[3]
+    marginal_point = {key.replace("event.", "model.", 1): val for key, val in point.items()
+                      if key.startswith("event.")}
+    for got, want in (
+            (loglik_and_gradient(other_event, other_censor, spec.family, point, data, l2_lambda),
+             loglik_and_gradient(event, censor, spec.family, point, data, l2_lambda)),
+            (marginal_loglik_and_gradient(other_event, marginal_point, data, l2_lambda),
+             marginal_loglik_and_gradient(event, marginal_point, data, l2_lambda))):
+        assert got[0] == want[0]
+        assert got[1].keys() == want[1].keys()
+        for key in want[1]:
+            assert np.array_equal(got[1][key], want[1][key]), key
+    assert [model.to_dict() for model in (event, censor, other_event, other_censor)] == before
+
+
 @pytest.mark.parametrize("risk", ["linear", "mlp"])
 @pytest.mark.parametrize("spec", spec_cases(), ids=lambda s: s.family.value)
 def test_value_only_path_equals_gradient_path(risk, spec):
     event, censor, data = random_instance(20, seed=11, risk=risk)
-    assert loglik_copula(event, censor, spec, data) == loglik_and_gradient(
+    assert loglik_copula(event, censor, spec, data) == joint_gradient(
         event, censor, spec, data
     )[0]
     for model in (event, censor):
-        assert marginal_loglik(model, data) == marginal_loglik_and_gradient(model, data)[0]
+        assert marginal_loglik(model, data) == marginal_gradient(model, data)[0]
 
 
 def test_gradient_keys_and_independence_has_no_copula_keys():
     event, censor, data = random_instance(10, seed=1)
-    _, g_ind = loglik_and_gradient(event, censor, CopulaSpec.independence(), data)
+    _, g_ind = joint_gradient(event, censor, CopulaSpec.independence(), data)
     assert not any(k.startswith("copula.") for k in g_ind)
-    _, g_mix = loglik_and_gradient(event, censor, CopulaSpec.mixture(2.0, 2.0, 0.5), data)
+    _, g_mix = joint_gradient(event, censor, CopulaSpec.mixture(2.0, 2.0, 0.5), data)
     assert {"copula.theta_frank", "copula.theta_clayton", "copula.kappa"} <= set(g_mix)
     assert {"event.log_nu", "event.log_rho", "event.risk.w", "censor.risk.w"} <= set(g_mix)
 
@@ -342,8 +387,8 @@ def test_gradient_keys_and_independence_has_no_copula_keys():
 def test_l2_penalty_touches_only_weights():
     event, censor, data = random_instance(15, seed=7, risk="mlp")
     lam = 0.01
-    ll0, g0 = loglik_and_gradient(event, censor, CopulaSpec.clayton(2.0), data, l2_lambda=0.0)
-    ll1, g1 = loglik_and_gradient(event, censor, CopulaSpec.clayton(2.0), data, l2_lambda=lam)
+    ll0, g0 = joint_gradient(event, censor, CopulaSpec.clayton(2.0), data, l2_lambda=0.0)
+    ll1, g1 = joint_gradient(event, censor, CopulaSpec.clayton(2.0), data, l2_lambda=lam)
     # the value carries the penalty its gradient carries, on the weights alone
     squares = sum(float(np.sum(model.risk.params()[key] ** 2))
                   for model in (event, censor) for key in model.risk.weight_keys())
@@ -371,7 +416,7 @@ def test_marginal_pieces_match_the_model(risk):
     # with the model's survival and cumulative hazard
     event, censor, data = random_instance(200, seed=11, risk=risk)
     for model in (event, censor):
-        pieces = _marginal_pieces(model, data.t_obs, data.x)
+        pieces = own_pieces(model, data)
         for got, want in ((np.exp(pieces.log_f), density(model, data.t_obs, data.x)),
                           (pieces.surv, model.survival(data.t_obs, data.x)),
                           (pieces.h_cum, model.cumulative_hazard(data.t_obs, data.x))):
@@ -383,7 +428,7 @@ def test_marginal_loglik_hand_value_and_gradient():
     data = single_record(1.0, 1)
     # all-event unit exponential: loglik = log f(1) = -1
     assert marginal_loglik(model, data) == pytest.approx(-1.0, abs=1e-12)
-    ll, grads = marginal_loglik_and_gradient(model, data)
+    ll, grads = marginal_gradient(model, data)
     assert ll == pytest.approx(-1.0, abs=1e-12)
     assert {"model.log_nu", "model.log_rho", "model.risk.w"} == set(grads)
 
@@ -395,7 +440,7 @@ def test_marginal_loglik_hand_value_and_gradient():
         (rng.uniform(size=30) < 0.7).astype(int),
     )
     m = WeibullCoxModel.from_natural(1.4, 2.2, LinearRisk(rng.normal(size=2)))
-    _, grads = marginal_loglik_and_gradient(m, big)
+    _, grads = marginal_gradient(m, big)
     h = 1e-6
     for key, arr in (
         ("model.log_nu", m.log_nu),
@@ -429,7 +474,7 @@ import resource
 import numpy as np
 from copsurv.copulas import CopulaSpec
 from copsurv.data import SurvivalDataset
-from copsurv.likelihood import loglik_and_gradient
+from copsurv.likelihood import loglik_and_gradient, parameters
 from copsurv.weibull import MLPRisk, WeibullCoxModel, default_mlp_widths
 
 rng = np.random.default_rng(0)
@@ -439,11 +484,13 @@ data = SurvivalDataset(rng.uniform(size=(n, 10)), rng.uniform(0.2, 4.0, size=n),
 event, censor = (WeibullCoxModel.from_natural(1.5, 2.0, MLPRisk.init(default_mlp_widths(10), rng))
                  for _ in range(2))
 spec = CopulaSpec.mixture(5.0, 2.0, 0.5)
+point = {**parameters(event, "event"), **parameters(censor, "censor"),
+         "copula.theta_frank": 5.0, "copula.theta_clayton": 2.0, "copula.kappa": 0.5}
 for _ in range(5):
-    loglik_and_gradient(event, censor, spec, data)
+    loglik_and_gradient(event, censor, spec.family, point, data)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(50):
-    loglik_and_gradient(event, censor, spec, data)
+    loglik_and_gradient(event, censor, spec.family, point, data)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
 """
 

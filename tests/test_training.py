@@ -2,6 +2,7 @@
 stopping, determinism, and the equivalence of the joint independence fit
 with separate marginal fits."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,12 +20,7 @@ from copsurv.copulas import (
 from copsurv.data import SurvivalDataset
 from copsurv.datagen import generate_synthetic, preset_linear_risk, synthetic_regression, zscore_fit
 from copsurv.errors import NumericalFailure, ValidationError
-from copsurv.likelihood import (
-    loglik_and_gradient,
-    loglik_copula,
-    marginal_loglik,
-    marginal_loglik_and_gradient,
-)
+from copsurv.likelihood import loglik_copula, marginal_loglik
 from copsurv.training import (
     MLP_L2_LAMBDA,
     THETA_MIN,
@@ -36,6 +32,8 @@ from copsurv.training import (
     fit,
     fit_marginal,
 )
+
+from test_likelihood import joint_gradient, marginal_gradient
 
 
 def make_data(n=400, tau=0.5, family="clayton", seed=0):
@@ -163,11 +161,11 @@ def test_optimize_failure_carries_epoch_and_state():
     calls = {"n": 0}
     accepted = []
 
-    def loss_and_grad():
+    def loss_and_grad(point):
         calls["n"] += 1
         if calls["n"] > 10:
             raise NumericalFailure("boom", record_index=7)
-        return -float(rosen(p)), {"p": -rosen_der(p)}
+        return -float(rosen(point["p"])), {"p": -rosen_der(point["p"])}
 
     def val(points):
         accepted.extend(points["p"].copy())
@@ -194,9 +192,9 @@ def test_lbfgsb_restarts_after_an_overflowing_trial_point():
     p = np.full(2, -20.0)
     calls = {"failed": 0}
 
-    def loss_and_grad():
+    def loss_and_grad(point):
         try:
-            return _saturating(p, limit=5.0)
+            return _saturating(point["p"], limit=5.0)
         except NumericalFailure:
             calls["failed"] += 1
             raise
@@ -220,9 +218,9 @@ def test_lbfgsb_leaves_the_reported_iterate_after_failed_trial_points(early_stop
     seen, failed_after = [], []
     accepted = accepted_iterates(monkeypatch)
 
-    def loss_and_grad():
+    def loss_and_grad(point):
         try:
-            return _saturating(p, limit=5.0)
+            return _saturating(point["p"], limit=5.0)
         except NumericalFailure:
             failed_after.append(len(accepted))
             raise
@@ -264,7 +262,7 @@ def test_lbfgsb_unpacks_an_accepted_iterate_it_did_not_evaluate_last(monkeypatch
         return np.zeros(len(points["p"]))
 
     monkeypatch.setattr(training, "minimize", solver)
-    _optimize({"p": p}, {}, lambda: (0.0, {"p": np.zeros(2)}), val, TrainConfig())
+    _optimize({"p": p}, {}, lambda point: (0.0, {"p": np.zeros(2)}), val, TrainConfig())
     assert seen == [[1.0, 2.0]]
     assert p.tolist() == [1.0, 2.0]
 
@@ -273,10 +271,10 @@ def test_lbfgsb_without_progress_raises_with_the_iteration_count():
     p = np.array([0.0])
     start = p.copy()
 
-    def loss_and_grad():
-        if not np.array_equal(p, start):
+    def loss_and_grad(point):
+        if not np.array_equal(point["p"], start):
             raise NumericalFailure("overflow", record_index=4)
-        return _saturating(p)
+        return _saturating(point["p"])
 
     cfg = TrainConfig(max_epochs=50, patience=50, validation_fraction=0.0)
     with pytest.raises(NumericalFailure) as info:
@@ -294,8 +292,9 @@ def test_lbfgsb_started_at_the_optimum_returns_the_start(early_stop, split):
     p = np.array([3.0, -1.0])
     seen = []
 
-    def loss_and_grad():
-        return -float(np.sum((p - [3.0, -1.0]) ** 2)), {"p": -2.0 * (p - [3.0, -1.0])}
+    def loss_and_grad(point):
+        q = point["p"]
+        return -float(np.sum((q - [3.0, -1.0]) ** 2)), {"p": -2.0 * (q - [3.0, -1.0])}
 
     def val(points):
         seen.extend(points["p"].tolist())
@@ -316,8 +315,9 @@ def test_lbfgsb_holds_the_box_and_records_every_iterate():
     p = np.array(1.0)
     vals = iter(range(1000, 0, -1))
 
-    def loss_and_grad():
-        return -float((p - 1000.0) ** 2), {"p": -2.0 * (p - 1000.0)}
+    def loss_and_grad(point):
+        q = point["p"]
+        return -float((q - 1000.0) ** 2), {"p": -2.0 * (q - 1000.0)}
 
     cfg = TrainConfig(max_epochs=50, patience=50)
     trace, best_epoch, best_val = _optimize(
@@ -342,8 +342,8 @@ def test_lbfgsb_early_stop_restores_the_best_validation_iterate():
         p = np.array([-1.2, 1.0])
         seen = []
 
-        def loss_and_grad():
-            return -float(rosen(p)), {"p": -rosen_der(p)}
+        def loss_and_grad(point):
+            return -float(rosen(point["p"])), {"p": -rosen_der(point["p"])}
 
         def val(points):
             seen.extend(points["p"].copy())
@@ -373,11 +373,11 @@ def test_a_failed_validation_names_its_epoch_and_leaves_its_iterate(case, fail_e
     scored = []
     trial_limit = np.inf if case == "patience" else 12
 
-    def loss_and_grad():
+    def loss_and_grad(point):
         calls["n"] += 1
         if calls["n"] > trial_limit:
             raise NumericalFailure("boom", record_index=7)
-        return -float(rosen(p)), {"p": -rosen_der(p)}
+        return -float(rosen(point["p"])), {"p": -rosen_der(point["p"])}
 
     def val(points):
         first = len(scored)
@@ -456,7 +456,7 @@ CENSOR_FIT = TrainConfig(seed=0)
 def test_fit_marginal_returns_the_best_validation_iterate():
     data = _censor_input()
     model, trace = fit_marginal(data, "linear", CENSOR_FIT)
-    _, val_ds, _ = _setup(data, CENSOR_FIT, "linear")
+    _, val_ds, _, _ = _setup(data, CENSOR_FIT, "linear")
     vals = trace.val_negloglik
     best = int(np.argmin(vals))
     # validation stops improving before L-BFGS-B converges, so the final
@@ -484,7 +484,7 @@ def test_fit_marginal_without_validation_is_stationary():
     cfg = TrainConfig(max_epochs=5000, validation_fraction=0.0)
     model, trace = fit_marginal(data, "mlp", cfg)
     assert np.isnan(trace.val_negloglik).all()
-    penalized, grads = marginal_loglik_and_gradient(model, data, MLP_L2_LAMBDA)
+    penalized, grads = marginal_gradient(model, data, MLP_L2_LAMBDA)
     assert penalized < marginal_loglik(model, data)  # the penalty is active
     assert max(float(np.max(np.abs(g))) for g in grads.values()) < 1e-3, grads
 
@@ -638,7 +638,7 @@ def test_joint_independence_fit_equals_marginal_fit():
     joint = fit(ds, "linear", "linear", "independence", cfg)
     flipped = SurvivalDataset(ds.x, ds.t_obs, 1 - ds.delta)
     for model, data in ((joint.event_model, ds), (joint.censor_model, flipped)):
-        _, grads = marginal_loglik_and_gradient(model, data)
+        _, grads = marginal_gradient(model, data)
         assert max(float(np.max(np.abs(g))) for g in grads.values()) < 1e-3, grads
 
 
@@ -686,7 +686,7 @@ def test_the_trace_records_the_returned_penalized_loglik(family, risks):
     ds = make_data(300, tau=0.5, family=family, seed=1)
     cfg = TrainConfig(max_epochs=300, patience=20, seed=1)
     fitted = fit(ds, *risks, family, cfg)
-    train_ds, _, _ = _setup(ds, cfg, *risks)
+    train_ds, _, _, _ = _setup(ds, cfg, *risks)
     l2 = MLP_L2_LAMBDA if "mlp" in risks else 0.0
     if "mlp" in risks:  # the returned iterate is an earlier one, not the last
         assert fitted.best_epoch < len(fitted.trace.epoch) - 1
@@ -709,7 +709,7 @@ def test_fit_returns_the_start_its_trace_ranks_best(monkeypatch):
     def scripted(params, copula_bounds, loss_and_grad, *args, **kwargs):
         i = len(true_loglik)
         params["event.log_nu"][...] += shifts[i]
-        true_loglik.append(loss_and_grad()[0])
+        true_loglik.append(loss_and_grad(params)[0])
         n = len(losses[i])
         path = {key: np.full(n, float(params[key])) for key in copula_bounds}
         trace = training.TrainTrace(np.arange(n), np.array(losses[i], dtype=float),
@@ -738,7 +738,7 @@ def test_fit_returns_the_start_its_trace_ranks_best(monkeypatch):
         assert np.array_equal(out.trace.train_negloglik, losses[winner])
         assert out.best_epoch == len(losses[winner]) - 1
         # the returned models are the winner's own, and _setup's are untouched
-        _, _, initial = setup(ds, cfg, "linear", "linear")
+        _, _, initial, _ = setup(ds, cfg, "linear", "linear")
         assert float(out.event_model.log_nu) == float(initial[0].log_nu) + shifts[winner]
         assert out.event_model is not drawn[-1][0] and out.censor_model is not drawn[-1][1]
         assert [m.to_dict() for m in drawn[-1]] == [m.to_dict() for m in initial]
@@ -750,8 +750,7 @@ def test_mlp_fit_is_stationary_for_the_penalized_objective():
     ds = _grouped_data(censored=True)
     cfg = TrainConfig(max_epochs=5000, validation_fraction=0.0)
     out = fit(ds, "mlp", "mlp", "clayton", cfg)
-    _, grads = loglik_and_gradient(out.event_model, out.censor_model, out.copula, ds,
-                                   MLP_L2_LAMBDA)
+    _, grads = joint_gradient(out.event_model, out.censor_model, out.copula, ds, MLP_L2_LAMBDA)
     # without the penalty in the value this case ends at a gradient of 0.0044
     assert max(float(np.max(np.abs(g))) for g in grads.values()) < 1e-3, grads
 
@@ -782,3 +781,72 @@ def test_trace_csv_format(tmp_path):
     ind_path = tmp_path / "ind.csv"
     ind.trace.to_csv(ind_path)
     assert ind_path.read_text().splitlines()[0] == "epoch,train_negloglik,val_negloglik"
+
+
+@pytest.mark.parametrize("risks", [("linear", "linear"), ("mlp", "linear"), ("linear",), ("mlp",)],
+                         ids=["linear", "mlp-linear", "marginal-linear", "marginal-mlp"])
+def test_the_models_hold_the_setup_arrays_until_the_solver_returns(risks, monkeypatch):
+    # every evaluation reads its point, so no model is written while the
+    # solver runs: the models stay at _setup's initial values throughout
+    ds = make_data(200, tau=0.5)
+    cfg = TrainConfig(max_epochs=30, patience=30)
+    initial = [model.to_dict() for model in _setup(ds, cfg, *risks)[2]]
+    seen = []
+
+    def recording(call):
+        def wrapped(*args):
+            seen.append([arg.to_dict() for arg in args[:len(risks)]])
+            return call(*args)
+        return wrapped
+
+    for name in ("loglik_and_gradient", "loglik_copula_points", "marginal_loglik_and_gradient",
+                 "marginal_loglik_points"):
+        monkeypatch.setattr(training.likelihood, name, recording(getattr(training.likelihood, name)))
+    if len(risks) == 2:
+        models = [(out := fit(ds, *risks, "clayton", cfg)).event_model, out.censor_model]
+    else:
+        models = [fit_marginal(ds, risks[0], cfg)[0]]
+    assert len(seen) > 30
+    assert all(models_seen == initial for models_seen in seen)
+    assert [model.to_dict() for model in models] != initial
+
+
+@pytest.mark.parametrize("joint", [True, False], ids=["fit", "fit_marginal"])
+def test_a_failing_validation_record_is_named_by_its_row_of_the_dataset(joint):
+    # one validation record has a covariate of 1e200: its term overflows
+    # once the first weight has moved off its start at 0
+    ds = make_data(100, tau=0.5)
+    cfg = TrainConfig(max_epochs=20, patience=20)
+    val_rows = np.random.default_rng(cfg.seed).permutation(len(ds))[:20]
+    row = int(val_rows[7])
+    x = ds.x.copy()
+    x[row, 0] = 1e200
+    data = SurvivalDataset(x, ds.t_obs, ds.delta)
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure) as info:
+        fit(data, "linear", "linear", "clayton", cfg) if joint else fit_marginal(data, "linear", cfg)
+    assert info.value.record_index == row
+    assert re.fullmatch(rf"epoch \d+: non-finite validation log-likelihood term at record {row}",
+                        str(info.value))
+
+
+@pytest.mark.parametrize("joint", [True, False], ids=["fit", "fit_marginal"])
+def test_a_failing_training_record_is_named_by_its_row_of_the_dataset(joint, monkeypatch):
+    # the objective fails at record 3 of the training records it is given,
+    # which is another row of the caller's dataset; times are distinct, so
+    # the time names the row
+    ds = make_data(100, tau=0.5)
+    failed_at = []
+
+    def failing(*args):
+        train_ds = next(arg for arg in args if isinstance(arg, SurvivalDataset))
+        failed_at.append(train_ds.t_obs[3])
+        raise NumericalFailure("non-finite log-likelihood term at record 3", record_index=3)
+
+    name = "loglik_and_gradient" if joint else "marginal_loglik_and_gradient"
+    monkeypatch.setattr(training.likelihood, name, failing)
+    cfg = TrainConfig(max_epochs=20, patience=20)
+    with pytest.raises(NumericalFailure) as info:
+        fit(ds, "linear", "linear", "clayton", cfg) if joint else fit_marginal(ds, "linear", cfg)
+    row = info.value.record_index
+    assert len(np.unique(ds.t_obs)) == len(ds) and ds.t_obs[row] == failed_at[0]
+    assert str(info.value) == f"epoch 0: non-finite training log-likelihood term at record {row}"

@@ -129,7 +129,7 @@ def test_linear_risk_evaluate_and_backprop():
     risk = LinearRisk(np.array([1.0, -2.0]))
     x = np.array([[3.0, 0.5], [0.0, 1.0]])
     assert np.allclose(risk.evaluate(x), [2.0, -2.0])
-    grads = risk.forward(x)[1](np.array([1.0, 1.0]))
+    grads = risk.forward(x, risk.params())[1](np.array([1.0, 1.0]))
     assert np.allclose(grads["w"], x.sum(axis=0))
 
 
@@ -159,7 +159,7 @@ def test_mlp_backprop_matches_finite_differences():
     def objective(r):
         return float(np.dot(coef, r.evaluate(x)))
 
-    grads = risk.forward(x)[1](coef)
+    grads = risk.forward(x, risk.params())[1](coef)
     h = 1e-6
     params = risk.params()
     for key in sorted(params):
@@ -214,7 +214,7 @@ def test_mlp_pass_matches_row_major_oracle(widths, n):
         b[...] = rng.normal(size=b.shape)  # nonzero, so the bias adds are exercised
     x = rng.normal(size=(n, widths[0]))
     coef = rng.normal(size=n)
-    g, backprop = risk.forward(x)
+    g, backprop = risk.forward(x, risk.params())
     want_g, want_backprop = row_major_forward(risk, x)
     assert g.shape == (n,)
     np.testing.assert_allclose(g, want_g, rtol=0.0, atol=1e-12 * np.abs(want_g).max(initial=0.0))
