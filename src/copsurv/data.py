@@ -8,9 +8,11 @@ Every file the package reads or writes goes through this module, and one
 format rule holds for all of them: UTF-8 with LF line endings.  A CSV file
 has a header row; a float cell is the ``repr`` of the float (the shortest
 text that reads back bit-exactly), an int cell its decimal digits, and a
-missing value an empty cell.  A JSON file is indented by 2 with sorted keys
-and ends in a newline.  The config dataclasses read and write plain JSON
-objects through :class:`Config`.
+missing value an empty cell.  A numeric column is formatted in blocks of
+``CELL_BLOCK`` rows as the writer reaches them (:func:`column_cells`), so a
+write's memory does not grow with the row count.  A JSON file is indented by
+2 with sorted keys and ends in a newline.  The config dataclasses read and
+write plain JSON objects through :class:`Config`.
 
 A numeric CSV file (a dataset, a regression table) is read by numpy's C
 tokenizer, which parses a float cell through the same routine as ``float()``
@@ -23,6 +25,7 @@ import csv
 import json
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -48,9 +51,21 @@ def csv_cell(value) -> str:
     return repr(float(value))
 
 
+# rows of a column formatted at a time.  Writing 9,000 rows of 12 columns (generate's
+# dataset) grew peak RSS by 3.6 MB with whole columns, 1.5 MB in blocks of 4,096 rows,
+# 0.4 MB of 1,024 and 0.1 MB of 256; at 50,000 rows the traced peak fell from 18 MB to
+# 0.13 MB.  Block sizes from 4,096 down to 16 formatted equally fast within the run-to-run
+# spread, and a block below 256 would save under 0.1 MB more for one more slice per block.
+CELL_BLOCK = 256
+
+
 def column_cells(values):
-    """The CSV cells of a float or int array, as csv_cell formats them, but faster."""
-    return map(repr, np.asarray(values).tolist())
+    """The CSV cells of a float or int array, as csv_cell formats them, but faster.
+
+    The cells are made lazily, ``CELL_BLOCK`` rows at a time, as the writer reaches them."""
+    values = np.asarray(values)
+    return chain.from_iterable(map(repr, values[start:start + CELL_BLOCK].tolist())
+                               for start in range(0, len(values), CELL_BLOCK))
 
 
 # whitespace that numpy's C tokenizer strips from a cell and float() refuses

@@ -127,6 +127,10 @@ class ExperimentConfig(Config):
 
     def __post_init__(self):
         super().__post_init__()
+        # the id is the first cell of every arms.csv and summary.csv row, written unquoted
+        if any(c in self.experiment_id for c in ',"\r\n'):
+            raise ValidationError(f"experiment_id must hold no comma, quote, CR or LF, "
+                                  f"got {self.experiment_id!r}")
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         self.family = self.family.lower()

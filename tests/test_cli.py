@@ -425,6 +425,18 @@ def test_experiment_config_block_that_is_not_an_object_exits_one(tmp_path, capsy
     assert not out.exists()
 
 
+def test_experiment_id_with_a_comma_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(
+        {"experiment_id": "trial,2", "kind": "metric_bias", "tau_grid": [0.2], "seeds": [0],
+         "n_train": 300}
+    ))
+    out = tmp_path / "out"
+    assert run("experiment", "--config", cfg_path, "--out", out) == 1
+    assert "experiment_id" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def whole(top):
     """The case of a config file that holds ``top``, which is not a JSON object."""
     return lambda text, optional: [(repr(top), json.dumps(top), "must be a JSON object")]

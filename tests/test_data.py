@@ -1,10 +1,15 @@
 """Dataset container and CSV round trips."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from copsurv import data
-from copsurv.data import SurvivalDataset, column_cells, load_regression_csv, read_json, write_csv
+from copsurv.data import (CELL_BLOCK, SurvivalDataset, column_cells, csv_cell, load_regression_csv,
+                          read_json, write_csv)
+from copsurv.datagen import LatentOutcomes
 from copsurv.errors import ValidationError
+from copsurv.training import TrainTrace
 
 
 def small_dataset(n=6, d=3, seed=0):
@@ -234,6 +239,60 @@ def test_regression_csv_reads_every_cell_as_float_does(tmp_path):
     assert np.array_equal(x.view(np.uint64), want[:, [0, 2]].view(np.uint64))
     assert np.array_equal(y.view(np.uint64), want[:, 1].view(np.uint64))
     assert np.isnan(x[0, 0]) and np.isnan(y[0]) and x[0, 1] == np.inf and x[1, 0] == -np.inf
+
+
+def cell_by_cell(header, columns):
+    """The text of a CSV file whose cells csv_cell formats one at a time."""
+    rows = zip(*([csv_cell(v) for v in col] for col in columns))
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+def test_every_writer_formats_each_cell_as_csv_cell_across_block_edges(tmp_path):
+    n = 2 * CELL_BLOCK + 3
+    edges = [0, CELL_BLOCK - 1, CELL_BLOCK, CELL_BLOCK + 1, 2 * CELL_BLOCK, n - 1]
+    rng = np.random.default_rng(21)
+
+    def column(special, finite=False):
+        values = random_doubles(rng, n)
+        if finite:
+            values[~np.isfinite(values) | (values == 0.0)] = 0.5
+        values[edges[:len(special)]] = special
+        return values
+
+    finite = [-0.0, 5e-324, 1e16, -1e16, 0.1, -5e-324]
+    positive = [5e-324, 1e16, 0.1, 1.0, 2.5e-300, 7.0]
+    x = np.column_stack([column(finite, True), column(finite[::-1], True), rng.uniform(size=n)])
+    ds = SurvivalDataset(x, np.abs(column(positive, True)), rng.integers(0, 2, size=n))
+    ds.save_csv(tmp_path / "data.csv")
+    assert (tmp_path / "data.csv").read_text() == cell_by_cell(
+        ["x0", "x1", "x2", "time", "event"], [*ds.x.T, ds.t_obs, ds.delta])
+
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16]
+    latent = LatentOutcomes(column(special), column(special[::-1]))
+    latent.save_csv(tmp_path / "latent.csv")
+    assert (tmp_path / "latent.csv").read_text() == cell_by_cell(
+        ["t_event", "t_censor"], [latent.t_event, latent.t_censor])
+
+    trace = TrainTrace(np.arange(1, n + 1), column(special), column(special[::-1]),
+                       {"theta": column(finite), "kappa": column(special)})
+    trace.to_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text() == cell_by_cell(
+        ["epoch", "train_negloglik", "val_negloglik", "theta", "kappa"],
+        [trace.epoch, trace.train_negloglik, trace.val_negloglik, *trace.copula_path.values()])
+
+
+def test_save_csv_memory_does_not_grow_with_the_row_count(tmp_path):
+    # a writer that formats whole columns holds every cell of the table at once: 15 MB traced here
+    rng = np.random.default_rng(5)
+    ds = SurvivalDataset(rng.uniform(size=(50_000, 8)), rng.uniform(0.1, 5.0, 50_000),
+                         rng.integers(0, 2, size=50_000))
+    tracemalloc.start()
+    try:
+        ds.save_csv(tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_read_json_names_the_line_and_column_of_bad_text(tmp_path):

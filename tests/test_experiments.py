@@ -125,6 +125,13 @@ def test_config_validation():
             ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("experiment_id", ["trial,2", 'say "x"', "two\nlines", "cr\rid"])
+def test_an_experiment_id_that_would_split_a_csv_cell_is_rejected(experiment_id):
+    # the id is written unquoted as the first cell of every arms.csv and summary.csv row
+    with pytest.raises(ValidationError, match="experiment_id"):
+        ExperimentConfig(experiment_id=experiment_id, kind="metric_bias", tau_grid=(0.2,))
+
+
 @pytest.mark.parametrize("train", [{"seed": 3}, {"validation_fraction": 0.25}])
 def test_train_fields_each_arm_derives_are_rejected(train):
     # each arm sets its own training seed and validation fraction, so a
