@@ -21,7 +21,7 @@ from pathlib import Path
 from .copulas import Family, spec_from_tau, theta_to_tau
 from .data import SurvivalDataset, load_regression_csv, read_json, write_json
 from .datagen import (PRESETS, censor_regression, fit_regression_marginal, generate_synthetic,
-                      sidecar_dict, truth_from_sidecar)
+                      regression_table, sidecar_dict, truth_from_sidecar)
 from .errors import DomainError, NumericalFailure, UndefinedMetricError, ValidationError
 from .experiments import ExperimentConfig, evaluate_fitted, run_experiment
 from .metrics import SurvivalL1Config, survival_l1  # noqa: F401 (perfbench's tracer test binds it here)
@@ -53,9 +53,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_censor(args) -> int:
-    x, y = load_regression_csv(args.data, args.target)
+    x, y, shift = regression_table(*load_regression_csv(args.data, args.target),
+                                   f"{args.data}: {args.target!r}", shift=args.shift,
+                                   hint="; pass --shift to translate the targets")
     spec = spec_from_tau(args.family, args.tau, args.kappa)
-    marginal = fit_regression_marginal(x, y, TrainConfig(seed=args.seed), shift=args.shift)
+    marginal = fit_regression_marginal(x, y, TrainConfig(seed=args.seed))
     dataset, _ = censor_regression(marginal, spec, args.seed)
     frac = float(1.0 - dataset.delta.mean())
     out = Path(args.out)
@@ -69,7 +71,7 @@ def cmd_censor(args) -> int:
             "copula": spec.to_dict(),
             "tau": args.tau,
             "seed": args.seed,
-            "shift": marginal.shift,
+            "shift": shift,
             "censoring_fraction": frac,
             "standardize_mean": [float(v) for v in marginal.mean],
             "standardize_std": [float(v) for v in marginal.std],

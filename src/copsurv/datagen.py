@@ -6,12 +6,13 @@ configured copula, and latent times come from inverting the two Weibull
 marginal survival functions at u1 and u2.  The observed record is
 (x, min(T_E, T_C), 1[T_E < T_C]).
 
-Semi-synthetic censoring turns a positive-target regression dataset into a
-dependently censored survival dataset in two steps.  The tau-free
-``fit_regression_marginal`` fits a linear Weibull model on the targets (all
-treated as events) as the event marginal; a sharpened copy of it (shape
-divided by 0.6) is the censoring marginal.  ``censor_regression`` then draws
-each censoring time from the copula conditionally on the event quantile.
+Semi-synthetic censoring turns a regression table into a dependently
+censored survival dataset in three steps.  ``regression_table`` makes the
+targets survival times.  The tau-free ``fit_regression_marginal`` fits a
+linear Weibull model on them (all treated as events) as the event marginal;
+a sharpened copy of it (shape divided by 0.6) is the censoring marginal.
+``censor_regression`` draws each censoring time from the copula
+conditionally on the event quantile.
 """
 from __future__ import annotations
 
@@ -216,10 +217,35 @@ def zscore_fit(x: np.ndarray):
     return mean, std
 
 
+def regression_table(x: np.ndarray, y: np.ndarray, name: str, shift: bool = False, hint: str = ""):
+    """``(x, y, shift)``: the table with its targets ``y`` made survival times,
+    and the amount added to each.  Covariates and targets must be finite.  A
+    negative target is refused by ``name``, record and ``hint``, unless ``shift``
+    translates every target by minus the smallest.  A zero target then lifts
+    every one by ``ZERO_SHIFT_FACTOR`` of the largest; all zeros are refused."""
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
+    if not finite.all():
+        raise ValidationError(f"{name} and the covariates must be finite "
+                              f"(record {int(np.argmin(finite))})")
+    total_shift = 0.0
+    if np.any(y < 0.0):
+        if not shift:
+            raise ValidationError(f"{name} must be non-negative "
+                                  f"(record {int(np.argmax(y < 0.0))}){hint}")
+        total_shift += -float(y.min())
+        y = y - y.min()
+    if np.any(y == 0.0):
+        lift = ZERO_SHIFT_FACTOR * float(y.max())
+        if lift <= 0.0:
+            raise ValidationError(f"{name} is zero on every record")
+        y, total_shift = y + lift, total_shift + lift
+    return x, y, total_shift
+
+
 @dataclass
 class RegressionMarginal:
-    """An all-event marginal fit: the standardized covariates ``x``, shifted
-    targets ``y``, both marginals, and the standardization and shift."""
+    """An all-event marginal fit: the standardized covariates ``x``, the
+    targets ``y``, both marginals, and the standardization."""
 
     x: np.ndarray
     y: np.ndarray
@@ -227,50 +253,20 @@ class RegressionMarginal:
     censor_model: WeibullCoxModel
     mean: np.ndarray
     std: np.ndarray
-    shift: float
 
-    def transform(self, x: np.ndarray, y: np.ndarray):
-        """Held-out rows ``(x, y)`` under this fit's standardization and shift."""
-        return (x - self.mean) / self.std, y + self.shift
-
-
-def lift_zero_targets(y: np.ndarray):
-    """(targets, lift): when any non-negative target ``y`` is 0, every one is
-    lifted by ``ZERO_SHIFT_FACTOR`` of the largest; otherwise they are kept."""
-    if not np.any(y == 0.0):
-        return y, 0.0
-    lift = ZERO_SHIFT_FACTOR * float(y.max())
-    if lift <= 0.0:
-        raise ValidationError("targets are identically zero")
-    return y + lift, lift
+    def standardize(self, x: np.ndarray) -> np.ndarray:
+        """Held-out covariates ``x`` under this fit's standardization."""
+        return (x - self.mean) / self.std
 
 
-def fit_regression_marginal(x: np.ndarray, y: np.ndarray, fit_config: TrainConfig,
-                            shift: bool = False) -> RegressionMarginal:
+def fit_regression_marginal(x: np.ndarray, y: np.ndarray, fit_config: TrainConfig):
     """The tau-free step of semi-synthetic censoring.
 
-    Z-scores ``x`` and fits a linear Weibull event model on ``y`` with every
-    record an event; the censoring marginal divides its shape by 0.6.
-    Negative targets are translated only if ``shift``, and zero targets are
-    lifted by 1e-3 of the largest (``lift_zero_targets``)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValidationError(f"need x (n, d) and y (n,), got {x.shape} and {y.shape}")
+    Z-scores ``x`` and fits a linear Weibull event model on the targets
+    ``y`` (``regression_table``'s) with every record an event; the censoring
+    marginal divides its shape by 0.6."""
     if len(y) == 0:
         raise ValidationError("need at least one record to fit the event marginal")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValidationError("covariates and targets must be finite")
-
-    total_shift = 0.0
-    if np.any(y < 0.0):
-        if not shift:
-            raise ValidationError("targets must be non-negative; pass shift=True to translate them")
-        total_shift += -float(y.min())
-        y = y - y.min()
-    y, lift = lift_zero_targets(y)
-    total_shift += lift
-
     mean, std = zscore_fit(x)
     xs = (x - mean) / std
 
@@ -282,7 +278,7 @@ def fit_regression_marginal(x: np.ndarray, y: np.ndarray, fit_config: TrainConfi
         float(event_model.log_rho),
         LinearRisk(event_model.risk.weights.copy()),
     )
-    return RegressionMarginal(xs, y, event_model, censor_model, mean, std, total_shift)
+    return RegressionMarginal(xs, y, event_model, censor_model, mean, std)
 
 
 def censor_regression(marginal: RegressionMarginal, spec: CopulaSpec, seed: int):

@@ -65,7 +65,7 @@ from . import metrics as met
 from .copulas import Family, spec_from_tau, theta_to_tau
 from .data import Config, SurvivalDataset, csv_cell, load_regression_csv, write_csv, write_json
 from .datagen import (PRESETS, censor_regression, child_seed, fit_regression_marginal,
-                      generate_synthetic, lift_zero_targets, preset_metric_bias, sidecar_dict,
+                      generate_synthetic, preset_metric_bias, regression_table, sidecar_dict,
                       synthetic_regression, tau_key)
 from .errors import DomainError, NumericalFailure, ValidationError
 from .metrics import SurvivalL1Config
@@ -169,6 +169,9 @@ class ExperimentConfig(Config):
             raise ValidationError(
                 f"{self.kind} preset must be linear_risk or nonlinear_risk, got {self.preset!r}"
             )
+        for name in ("data_csv", "target_column"):
+            if getattr(self, name) is not None and self.kind != "semi_synthetic":
+                raise ValidationError(f"{name} is read by semi_synthetic only, not by {self.kind}")
         if self.kind == "semi_synthetic":
             if self.data_csv is None and self.preset != "standin":
                 raise ValidationError(
@@ -278,16 +281,17 @@ def _metric_bias_arm(payload):
     return _row(cfg, tau, seed, wall, **asdict(row))
 
 
+def _semi_table(cfg: ExperimentConfig):
+    """``cfg.data_csv`` under ``datagen.regression_table``, before any split."""
+    x, y = load_regression_csv(cfg.data_csv, cfg.target_column)
+    return regression_table(x, y, f"{cfg.data_csv}: {cfg.target_column!r}")[:2]
+
+
 def _semi_arm(payload):
     cfg, tau, seed, model, out_root = payload
     total = cfg.n_train + cfg.n_val + cfg.n_test
-    if cfg.data_csv is not None:
-        # a zero target anywhere lifts the whole table, so a held-out zero is
-        # lifted like a fitted one and the marginal fit sees none
-        x, y = load_regression_csv(cfg.data_csv, cfg.target_column)
-        y = lift_zero_targets(y)[0]
-    else:
-        x, y = synthetic_regression(total, 10, child_seed(seed, 0, 8))
+    x, y = (_semi_table(cfg) if cfg.data_csv is not None
+            else synthetic_regression(total, 10, child_seed(seed, 0, 8)))
     n = len(y)
     n_test = max(1, int(round(n * cfg.n_test / total)))
     perm = np.random.default_rng(child_seed(seed, 0, 7)).permutation(n)
@@ -298,7 +302,7 @@ def _semi_arm(payload):
     start = time.perf_counter()
     marginal = fit_regression_marginal(x[tv_idx], y[tv_idx], TrainConfig(seed=child_seed(seed, 0, 10)))
     wall = time.perf_counter() - start
-    x_test, target = marginal.transform(x[test_idx], y[test_idx])
+    x_test, target = marginal.standardize(x[test_idx]), y[test_idx]
     test_ds = SurvivalDataset(x_test, target, np.ones(len(test_idx), dtype=np.int64))
 
     if model == "no_censoring":
@@ -398,20 +402,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: Optional[int] = None
     either way.  ``workers < 1`` raises ``ValidationError``.  An exception
     raised by an arm is recorded in ``failures.json``; ``NumericalFailure`` is
     raised only if every arm fails.  A semi-synthetic ``data_csv`` is read
-    first: ``OSError`` if it cannot be, ``ValidationError`` for a bad table
-    or a negative target.  On the pool path an arm function or payload that
-    cannot be pickled raises ``pickle.PicklingError`` and a dead worker
-    raises ``BrokenProcessPool``; neither is recorded as an arm failure.
+    first, as each arm reads it: ``OSError`` if it cannot be,
+    ``ValidationError`` for a table ``_semi_table`` refuses.  On the pool
+    path an arm function or payload that cannot be pickled raises
+    ``pickle.PicklingError`` and a dead worker raises ``BrokenProcessPool``;
+    neither is recorded as an arm failure.
     """
     workers = 1 if workers is None else workers
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     if cfg.kind == "semi_synthetic" and cfg.data_csv is not None:
-        # every arm reads this table; an unreadable or negative one fails the run here
-        _, y = load_regression_csv(cfg.data_csv, cfg.target_column)
-        if np.any(y < 0.0):
-            raise ValidationError(f"{cfg.data_csv}: {cfg.target_column!r} must be non-negative "
-                                  f"(record {int(np.argmax(y < 0.0))})")
+        _semi_table(cfg)  # every arm's first step; a table it refuses fails the run here
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", cfg.to_dict())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import copsurv
+from copsurv import experiments
 from copsurv.cli import main
 from copsurv.datagen import synthetic_regression
 from copsurv.experiments import ExperimentConfig
@@ -184,6 +185,19 @@ def test_censor_nonpositive_targets_need_shift_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_censor_negative_target_message_names_the_column_record_and_flag(tmp_path, capsys):
+    src = tmp_path / "neg.csv"
+    write_regression_csv(src)
+    lines = src.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",-0.25\n"  # record 3
+    src.write_text("".join(lines))
+    out = tmp_path / "c"
+    assert run("censor", "--data", src, "--target", "y", "--tau", 0.3, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {src}: 'y' must be non-negative (record 3); pass --shift to translate the targets\n")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A small generated dataset with a short clayton fit on top."""
@@ -212,6 +226,21 @@ def test_train_outputs(trained, capsys):
     assert "val_negloglik=" in text and "tau_hat=" in text
     indep_header = (out_dir / "trace.csv").read_text().splitlines()[0]
     assert indep_header == "epoch,train_negloglik,val_negloglik"
+
+
+def test_train_seed_flag_overrides_the_config_seed(trained, capsys):
+    data_dir, cfg, fit_dir = trained
+    seeded = fit_dir.parent / "seed3.json"
+    seeded.write_text(json.dumps({**TRAIN_CONFIG, "seed": 3}))
+    flag, config = fit_dir.parent / "flag3", fit_dir.parent / "config3"
+    assert run("train", "--data", data_dir / "data.csv", "--config", cfg, "--seed", 3,
+               "--out", flag) == 0
+    assert run("train", "--data", data_dir / "data.csv", "--config", seeded, "--out", config) == 0
+    checkpoint = (flag / "checkpoint.json").read_bytes()
+    assert checkpoint == (config / "checkpoint.json").read_bytes()
+    # the config's own seed (0) gives another fit, so the flag took effect
+    assert checkpoint != (fit_dir / "checkpoint.json").read_bytes()
+    capsys.readouterr()
 
 
 def test_train_mixture_trace_columns(trained, capsys):
@@ -341,6 +370,26 @@ def test_experiment_tiny_run(tmp_path, capsys):
     assert not (out / "failures.json").exists()
 
 
+def test_experiment_with_some_arms_failing_exits_zero_and_says_so(tmp_path, capsys, monkeypatch):
+    real = experiments._metric_bias_arm
+
+    def flaky(payload):
+        if payload[2] == 1:
+            raise RuntimeError("boom")
+        return real(payload)
+
+    monkeypatch.setattr(experiments, "_metric_bias_arm", flaky)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"experiment_id": "bias_flaky", "kind": "metric_bias",
+                                    "tau_grid": [0.2], "seeds": [0, 1], "n_train": 300}))
+    out = tmp_path / "exp"
+    assert run("experiment", "--config", cfg_path, "--out", out) == 0
+    captured = capsys.readouterr()
+    assert "wrote 1 rows" in captured.out
+    assert captured.err == "1 arms failed; see failures.json\n"
+    assert [f["arm"] for f in json.loads((out / "failures.json").read_text())] == ["0.2/1"]
+
+
 def test_experiment_all_arms_failing_exits_two(tmp_path, capsys):
     # one row: the test split takes it, and every arm's marginal fit fails
     src = tmp_path / "one_row.csv"
@@ -361,10 +410,12 @@ def test_experiment_all_arms_failing_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("table, code, message", [
     (None, 3, "io error:"),
     ("x0,y\n0.5,2.0\n1.5,-1.0\n", 1, "'y' must be non-negative (record 1)"),
+    ("x0,y\n0.5,0.0\n1.5,0.0\n", 1, "'y' is zero on every record"),
+    ("x0,y\n0.5,2.0\nnan,1.0\n", 1, "'y' and the covariates must be finite (record 1)"),
 ])
 def test_experiment_bad_data_csv_exits_before_any_arm(tmp_path, capsys, table, code, message):
-    # a missing table is an I/O error and a negative target invalid input,
-    # not one failure per arm
+    # a missing table is an I/O error, and a table the target rule refuses
+    # invalid input, not one failure per arm
     src = tmp_path / "table.csv"
     if table is not None:
         src.write_text(table)

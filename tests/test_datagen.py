@@ -15,6 +15,7 @@ from copsurv.datagen import (
     preset_linear_risk,
     preset_metric_bias,
     preset_nonlinear_risk,
+    regression_table,
     sidecar_dict,
     synthetic_regression,
     truth_from_sidecar,
@@ -171,7 +172,7 @@ def test_censor_regression_basics():
     assert np.allclose(dataset.x.mean(axis=0), 0.0, atol=1e-10)
     assert np.allclose(dataset.x.std(axis=0), 1.0, atol=1e-10)
     # positive targets are the latent event times, unshifted
-    assert marginal.shift == 0.0 and np.array_equal(latent.t_event, y)
+    assert regression_table(x, y, "'y'")[2] == 0.0 and np.array_equal(latent.t_event, y)
     # indicator rule: event iff the target is at or below its censor draw
     assert np.array_equal(dataset.delta, (latent.t_event <= latent.t_censor).astype(int))
     assert np.array_equal(dataset.t_obs, np.minimum(latent.t_event, latent.t_censor))
@@ -213,24 +214,57 @@ def test_censor_regression_shift_handling():
     x, y = regression_data(300)
 
     y_neg = y - 2.0 * y.max()
-    with pytest.raises(ValidationError):
-        fit_regression_marginal(x, y_neg, short_cfg())
-    marginal = fit_regression_marginal(x, y_neg, short_cfg(), shift=True)
-    assert marginal.shift > 0.0
-    assert np.all(marginal.y > 0.0)
-    # held-out rows get the fit rows' standardization and shift
-    x_held, y_held = marginal.transform(x, y_neg)
-    assert np.array_equal(x_held, marginal.x)
-    assert np.allclose(y_held, marginal.y, rtol=1e-12)
+    with pytest.raises(ValidationError, match=r"^'y' must be non-negative \(record 0\); hint$"):
+        regression_table(x, y_neg, "'y'", hint="; hint")
+    x_out, y_shifted, shift = regression_table(x, y_neg, "'y'", shift=True)
+    assert x_out is x and shift > 0.0
+    assert np.all(y_shifted > 0.0)
+    # the translation leaves a zero, which lifts every target by 1e-3 of the largest
+    assert shift == pytest.approx(-y_neg.min() + 1e-3 * (y_neg.max() - y_neg.min()), rel=1e-12)
+    assert np.allclose(y_shifted, y_neg + shift, rtol=1e-12)
+    # held-out rows get the fit rows' standardization
+    marginal = fit_regression_marginal(x, y_shifted, short_cfg())
+    assert np.array_equal(marginal.standardize(x), marginal.x)
+    assert np.array_equal(marginal.y, y_shifted)
 
     y_zero = y.copy()
     y_zero[0] = 0.0
-    marginal0 = fit_regression_marginal(x, y_zero, short_cfg())
-    assert marginal0.shift == pytest.approx(1e-3 * y_zero.max())
-    assert np.all(marginal0.y > 0.0)
-    # the draw censors the shifted targets
+    _, y_lifted, lift = regression_table(x, y_zero, "'y'")
+    assert lift == pytest.approx(1e-3 * y_zero.max())
+    assert np.array_equal(y_lifted, y_zero + lift)
+    # the draw censors the lifted targets
+    marginal0 = fit_regression_marginal(x, y_lifted, short_cfg())
     _, latent = censor_regression(marginal0, spec_from_tau("clayton", 0.5), 0)
-    assert np.array_equal(latent.t_event, marginal0.y)
+    assert np.array_equal(latent.t_event, y_lifted)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("nan_target", r"^'y' and the covariates must be finite \(record 2\)$"),
+    ("inf_covariate", r"^'y' and the covariates must be finite \(record 5\)$"),
+    ("all_zero", r"^'y' is zero on every record$"),
+    ("all_equal_shifted", r"^'y' is zero on every record$"),
+])
+def test_regression_table_refuses_what_no_survival_time_can_be(case, match):
+    x, y = regression_data(10)
+    x = x.copy()
+    shift = False
+    if case == "nan_target":
+        y[2] = y[7] = np.nan
+    elif case == "inf_covariate":
+        x[5, 1] = np.inf
+    elif case == "all_zero":
+        y = np.zeros(10)
+    else:
+        y, shift = np.full(10, -1.5), True
+    with pytest.raises(ValidationError, match=match):
+        regression_table(x, y, "'y'", shift=shift)
+
+
+def test_regression_table_finite_check_comes_before_the_sign_check():
+    x, y = regression_data(10)
+    y[3], y[6] = -1.0, np.nan
+    with pytest.raises(ValidationError, match=r"finite \(record 6\)"):
+        regression_table(x, y, "'y'", shift=True)
 
 
 def test_fit_regression_marginal_rejects_an_empty_table():

@@ -125,6 +125,14 @@ def test_config_validation():
             ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kind", ["synthetic_sweep", "mixture_sweep", "metric_bias"])
+@pytest.mark.parametrize("name", ["data_csv", "target_column"])
+def test_a_table_field_on_a_kind_that_reads_no_table_is_rejected(kind, name):
+    # the run would never read the table, so the field would be silently ignored
+    with pytest.raises(ValidationError, match=rf"^{name} is read by semi_synthetic only, not by {kind}$"):
+        ExperimentConfig(experiment_id="a", kind=kind, **{name: "x.csv"})
+
+
 @pytest.mark.parametrize("experiment_id", ["trial,2", 'say "x"', "two\nlines", "cr\rid"])
 def test_an_experiment_id_that_would_split_a_csv_cell_is_rejected(experiment_id):
     # the id is written unquoted as the first cell of every arms.csv and summary.csv row
@@ -496,14 +504,25 @@ def regression_csv(path, targets):
     ("no_target", ValidationError, "no column named 'target'"),
     ("negative_first", ValidationError, r"'y' must be non-negative \(record 0\)"),
     ("negative_last", ValidationError, r"'y' must be non-negative \(record 39\)"),
+    ("all_zero", ValidationError, r"'y' is zero on every record"),
+    ("nan_target", ValidationError, r"'y' and the covariates must be finite \(record 11\)"),
+    ("nan_covariate", ValidationError, r"'y' and the covariates must be finite \(record 23\)"),
 ])
 def test_a_semi_data_csv_is_checked_before_anything_is_written(tmp_path, case, error, match):
-    # every arm reads the table, so a missing or negative one would fail
+    # every arm reads the table, so a missing or refused one would fail
     # each arm alike; it fails the run instead, before any output
     targets = np.linspace(1.0, 5.0, 40)
     if case.startswith("negative"):
         targets[0 if case == "negative_first" else -1] = -0.5
+    elif case == "all_zero":
+        targets[:] = 0.0
+    elif case == "nan_target":
+        targets[11] = np.nan
     src = regression_csv(tmp_path / "table.csv", targets)
+    if case == "nan_covariate":
+        lines = Path(src).read_text().splitlines(keepends=True)
+        lines[24] = "nan," + lines[24].split(",", 1)[1]
+        Path(src).write_text("".join(lines))
     cfg = ExperimentConfig(experiment_id="semi_bad", kind="semi_synthetic",
                            data_csv=str(tmp_path / "missing.csv") if case == "missing" else src,
                            target_column="target" if case == "no_target" else "y",

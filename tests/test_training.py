@@ -209,6 +209,31 @@ def test_lbfgsb_restarts_after_an_overflowing_trial_point():
     assert best_epoch == len(trace.epoch) - 1
 
 
+def test_lbfgsb_treats_a_nan_gradient_at_a_finite_value_as_a_failed_trial_point():
+    # beyond p = 5 the value stays finite but the gradient is nan: the run
+    # restarts from its last accepted iterate, as after an overflow
+    p = np.full(2, -2.0)
+    calls = {"nan": 0}
+
+    def loss_and_grad(point):
+        loglik, grads = _saturating(point["p"])
+        if np.any(point["p"] > 5.0):
+            calls["nan"] += 1
+            grads = {"p": np.full(2, np.nan)}
+        return loglik, grads
+
+    cfg = TrainConfig(max_epochs=500, patience=500, validation_fraction=0.0)
+    trace, best_epoch, _ = _optimize({"p": p}, {}, loss_and_grad, None, cfg)
+    assert calls["nan"] > 0
+    assert np.allclose(p, 3.0, atol=1e-4)
+    assert best_epoch == len(trace.epoch) - 1
+    # at the start it is the run's failure, charged to epoch 0 and to no record
+    with pytest.raises(NumericalFailure) as info:
+        _optimize({"p": np.full(2, 6.0)}, {}, loss_and_grad, None, cfg)
+    assert str(info.value) == "epoch 0: non-finite gradient"
+    assert (info.value.epoch, info.value.record_index) == (0, None)
+
+
 @pytest.mark.parametrize("early_stop", [False, True])
 def test_lbfgsb_leaves_the_reported_iterate_after_failed_trial_points(early_stop, monkeypatch):
     # trial points overflow after iterates were accepted; whatever the solver
@@ -850,3 +875,20 @@ def test_a_failing_training_record_is_named_by_its_row_of_the_dataset(joint, mon
     row = info.value.record_index
     assert len(np.unique(ds.t_obs)) == len(ds) and ds.t_obs[row] == failed_at[0]
     assert str(info.value) == f"epoch 0: non-finite training log-likelihood term at record {row}"
+
+
+def test_a_failure_that_names_no_record_passes_the_row_map_unchanged(monkeypatch):
+    failure = NumericalFailure("boom", point_index=2)
+
+    def failing(*args):
+        raise failure
+
+    with pytest.raises(NumericalFailure) as info:
+        training._on_rows(failing, np.arange(5), "training")(None)
+    assert info.value is failure
+    # through a fit: the message gains its epoch and still names no record
+    monkeypatch.setattr(training.likelihood, "loglik_and_gradient", failing)
+    with pytest.raises(NumericalFailure) as info:
+        fit(make_data(100), "linear", "linear", "clayton", TrainConfig(max_epochs=20, patience=20))
+    assert str(info.value) == "epoch 0: boom"
+    assert (info.value.epoch, info.value.record_index) == (0, None)
