@@ -25,11 +25,13 @@ draws first chooses a component, then inverts that component's conditional
 CDF (Nelsen, An Introduction to Copulas, 2006, §2.9).
 
 Kendall's tau is deterministic for every family, and :func:`theta_to_tau`
-gives it for all four.  Clayton and Frank have closed forms; the mixture's
+gives it for all four.  Clayton's is closed-form; Frank's needs the first
+Debye function, a one-dimensional integral.  The mixture's
 tau = 4 E[C(U, V)] - 1 splits into the two components' taus plus a cross
-expectation, a two-dimensional Gauss-Legendre integral over Frank's
-closed-form conditional quantile (:func:`mixture_tau_monte_carlo`, a name
-kept from the Monte Carlo estimator it replaced).
+expectation, a two-dimensional integral over Frank's closed-form
+conditional quantile (:func:`mixture_tau_monte_carlo`, a name kept from the
+Monte Carlo estimator it replaced).  Both integrals use one Gauss-Legendre
+rule on [0, 1], built once at import.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ from enum import Enum
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, ParameterDomainError, check_document
 
@@ -52,9 +53,16 @@ U_EPS = 1e-12
 THETA_LO = 1e-6
 THETA_HI_FRANK = 500.0
 
-# Gauss-Legendre nodes per axis of the mixture tau quadrature; 128 and 1,024
-# agree within 2.3e-6 in tau for theta_frank up to 500 and theta_clayton up to 200
+# Gauss-Legendre nodes of the one rule both tau integrals use: per axis of the
+# mixture's cross term, where 128 and 1,024 agree within 2.3e-6 in tau for
+# theta_frank up to 500 and theta_clayton up to 200; and on Frank's Debye
+# integral, which it gives within 3e-15 of an exact D1 for theta in [1e-6, 500]
 _TAU_QUAD_NODES = 128
+
+# Upper end of the Debye integral.  Past t = 40 the integrand t / (e^t - 1)
+# is below 1.7e-16, and its tail adds about 1e-16 of the integral's value
+# (under half an ulp), so the rule keeps all its nodes where the integrand lives
+_DEBYE_CUT = 40.0
 
 # Cap on the log of each partial-to-mixture ratio in the mixture's kappa
 # gradient, so each ratio is at most 1e100; sums and squares of such terms
@@ -436,12 +444,21 @@ def sample_pairs(spec: CopulaSpec, n: int, rng: np.random.Generator) -> np.ndarr
 # Kendall's tau.
 
 
-def _debye1(theta: float) -> float:
-    def integrand(t):
-        return t / math.expm1(t) if t > 0.0 else 1.0
+def _unit_gauss_legendre(n: int):
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [0, 1]."""
+    x, wt = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * wt  # from [-1, 1] to [0, 1]
 
-    value, _ = integrate.quad(integrand, 0.0, theta, epsabs=1e-10, limit=200)
-    return value / theta
+
+_TAU_RULE = _unit_gauss_legendre(_TAU_QUAD_NODES)
+
+
+def _debye1(theta: float) -> float:
+    """D1(theta) = (1 / theta) * integral of t / (e^t - 1) over [0, theta]."""
+    x, wt = _TAU_RULE
+    span = min(theta, _DEBYE_CUT)
+    t = span * x  # the nodes are interior, so t > 0
+    return span * float(wt @ (t / np.expm1(t))) / theta
 
 
 def _frank_tau(theta: float) -> float:
@@ -452,8 +469,8 @@ def theta_to_tau(spec: CopulaSpec) -> float:
     """Kendall's tau implied by the copula parameters, for every family.
 
     Clayton uses tau = theta / (theta + 2); Frank integrates the first Debye
-    function.  The mixture has no closed form; :func:`mixture_tau_monte_carlo`
-    integrates it.
+    function by the Gauss-Legendre rule.  The mixture has no closed form;
+    :func:`mixture_tau_monte_carlo` integrates it.
     """
     fam = spec.family
     if fam is Family.INDEPENDENCE:
@@ -497,14 +514,13 @@ def mixture_tau_monte_carlo(spec: CopulaSpec) -> float:
     because the concordance function 4 E_F[G] - 1 is symmetric in F and G
     (Nelsen, An Introduction to Copulas, 2006, Theorem 5.1.1).  (U, V) ~ F
     is V = q_F(U, W) for independent uniform U and W, so E_F[G] is the
-    integral of G(u, q_F(u, w)) over the unit square, taken with
-    ``_TAU_QUAD_NODES``-point Gauss-Legendre rules per axis (error about 1e-6).
+    integral of G(u, q_F(u, w)) over the unit square, taken with the
+    ``_TAU_QUAD_NODES``-point Gauss-Legendre rule per axis (error about 1e-6).
     """
     if spec.family is not Family.MIXTURE:
         raise DomainError(f"mixture_tau_monte_carlo needs a mixture, not {spec.family.value}")
     kappa, tf, tc = spec.kappa, spec.theta_frank, spec.theta_clayton
-    x, wt = np.polynomial.legendre.leggauss(_TAU_QUAD_NODES)
-    x, wt = 0.5 * (x + 1.0), 0.5 * wt  # from [-1, 1] to [0, 1]
+    x, wt = _TAU_RULE
     u, w = np.meshgrid(x, x, indexing="ij")
     q_f = clamp_quantile(_frank_conditional_quantile(tf, u, w))
     e_f_of_g = wt @ _clayton_cdf(tc, u, q_f) @ wt

@@ -179,6 +179,9 @@ class ExperimentConfig(Config):
                 )
             if self.data_csv is not None and self.target_column is None:
                 raise ValidationError("data_csv requires target_column")
+            if self.data_csv is None and self.target_column is not None:
+                raise ValidationError("target_column is read from data_csv only; "
+                                      "preset='standin' reads no table")
             if any(t == 0.0 for t in self.tau_grid):
                 raise ValidationError("semi_synthetic tau_grid must be positive")
         if self.event_risk not in RISK_KINDS or self.censor_risk not in RISK_KINDS:

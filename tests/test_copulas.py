@@ -4,6 +4,8 @@ The package needs only log dC/du1 and closed-form conditional inverses.
 The joint CDF, its first partials and a bisection inverse live here, as
 the oracles those are checked against.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from copsurv.copulas import (
     theta_to_tau,
 )
 from copsurv.errors import DomainError, ParameterDomainError, ValidationError
+from copsurv.training import START_TAUS, THETA_MIN
 
 # Frozen oracle values, computed from the closed-form definitions typed out
 # by hand (see the formulas in each assertion's comment).
@@ -35,6 +38,9 @@ CLAYTON_DU1_03_07_T2 = 0.8743161176077271
 FRANK_CDF_03_07_T2 = 0.24972133337304847
 FRANK_DU1_03_07_T2 = 0.7879671882183831
 FRANK_THETA_TAU_HALF = 5.736282709128691
+# tau_to_theta(FRANK, tau) at each fit start tau, as adaptive quadrature of
+# the Debye function gave them; every fit starts from these thetas
+FRANK_START_THETAS = {0.2: 1.8608837812457777, 0.5: FRANK_THETA_TAU_HALF, 0.8: 18.191539747484065}
 
 # conditional_quantile_bisect stops at this bracket width or iteration count
 _BISECT_TOL = 1e-10
@@ -508,6 +514,43 @@ def test_clayton_tau_closed_form():
     assert tau_to_theta(Family.CLAYTON, 0.5) == pytest.approx(2.0, abs=1e-12)
 
 
+def quad_debye1(theta):
+    """D1(theta) = (1 / theta) * integral of t / (e^t - 1) over [0, theta], by
+    scipy's adaptive quadrature: the oracle of the package's fixed rule."""
+    value, _ = integrate.quad(lambda t: t / math.expm1(t) if t > 0.0 else 1.0,
+                              0.0, theta, epsabs=1e-10, limit=200)
+    return value / theta
+
+
+# both sides of the rule's cut at theta 40, and the ends of Frank's range
+DEBYE_THETAS = sorted({*np.geomspace(copulas.THETA_LO, copulas.THETA_HI_FRANK, 60).tolist(),
+                       39.0, 39.999, 40.0, 40.001, 41.0})
+
+
+@pytest.mark.parametrize("theta", DEBYE_THETAS)
+def test_debye1_matches_adaptive_quadrature(theta):
+    assert abs(copulas._debye1(theta) - quad_debye1(theta)) < 1e-14
+
+
+@pytest.mark.parametrize("theta", [t for t in DEBYE_THETAS if t >= THETA_MIN])
+def test_frank_tau_matches_adaptive_quadrature(theta):
+    # tau = 1 - 4 (1 - D1) / theta cancels as theta -> 0; from THETA_MIN, the
+    # smallest theta a fit reaches, it keeps D1's agreement
+    oracle = 1.0 - 4.0 / theta * (1.0 - quad_debye1(theta))
+    assert abs(theta_to_tau(CopulaSpec.frank(theta)) - oracle) < 1e-12
+
+
+def test_frank_start_thetas_are_pinned():
+    # the bisection only compares taus, so a rule within a few ulps of the
+    # quadrature it replaced returns the same thetas, and draws and fits do not move
+    assert tuple(FRANK_START_THETAS) == START_TAUS
+    for tau, theta in FRANK_START_THETAS.items():
+        assert tau_to_theta(Family.FRANK, tau) == theta
+    assert spec_from_tau("mixture", 0.5).to_dict() == {
+        "family": "mixture", "theta_frank": FRANK_START_THETAS[0.5], "theta_clayton": 2.0,
+        "kappa": 0.5}
+
+
 def test_frank_tau_frozen_value():
     assert tau_to_theta(Family.FRANK, 0.5) == pytest.approx(FRANK_THETA_TAU_HALF, abs=1e-6)
     assert theta_to_tau(CopulaSpec.frank(FRANK_THETA_TAU_HALF)) == pytest.approx(0.5, abs=1e-8)
@@ -558,7 +601,7 @@ def test_mixture_tau_matches_sampled_pairs(seed, theta_frank, theta_clayton, kap
     u, v = sample_pairs(spec, 2_000_000, np.random.default_rng(seed)).T
     sampled = stats.kendalltau(u, v).statistic
     assert abs(tau - sampled) < 4.0 * sampled_tau_standard_error(spec, u, v)
-    monkeypatch.setattr(copulas, "_TAU_QUAD_NODES", 512)
+    monkeypatch.setattr(copulas, "_TAU_RULE", copulas._unit_gauss_legendre(512))
     assert tau == pytest.approx(mixture_tau_monte_carlo(spec), abs=2e-5)
 
 

@@ -133,6 +133,13 @@ def test_a_table_field_on_a_kind_that_reads_no_table_is_rejected(kind, name):
         ExperimentConfig(experiment_id="a", kind=kind, **{name: "x.csv"})
 
 
+def test_a_target_column_without_a_data_csv_is_rejected():
+    # the stand-in table has its own target, so the column would be silently ignored
+    with pytest.raises(ValidationError, match=r"^target_column is read from data_csv only"):
+        ExperimentConfig(experiment_id="a", kind="semi_synthetic", preset="standin",
+                         target_column="y", tau_grid=(0.5,))
+
+
 @pytest.mark.parametrize("experiment_id", ["trial,2", 'say "x"', "two\nlines", "cr\rid"])
 def test_an_experiment_id_that_would_split_a_csv_cell_is_rejected(experiment_id):
     # the id is written unquoted as the first cell of every arms.csv and summary.csv row

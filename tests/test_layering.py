@@ -5,7 +5,8 @@ at module level: an import inside a function body hides a dependency (and
 often a cycle) until the function runs.  Files are read and written by
 ``data`` alone, which owns every file format.  ``metrics`` scores what it
 is given and draws nothing, so it sits below ``datagen``.  The command line
-imports no more of scipy than the package needs.  Training settings have one
+imports no more of scipy than the package needs: neither ``scipy.stats`` nor
+``scipy.integrate``, which the tests alone use.  Training settings have one
 default each, set in ``training``.  Every decoder of a JSON document
 calls the one document check, ``errors.check_document``, and every config
 field has an annotation ``data.Config`` knows how to check.  No module reads
@@ -235,11 +236,13 @@ def test_every_config_field_has_a_shape():
     assert not unchecked
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats is the slowest part of scipy to import, and no module needs it
+@pytest.mark.parametrize("subpackage", ["scipy.stats", "scipy.integrate"])
+def test_cli_import_leaves_out_scipy_subpackage(subpackage):
+    # scipy.stats is the slowest part of scipy to import, and scipy.integrate
+    # adds about 1.6 MB to the process's peak RSS; no module needs either
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
-    code = "import sys, copsurv.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = f"import sys, copsurv.cli; print(sorted(m for m in sys.modules if m.startswith({subpackage!r})))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"
