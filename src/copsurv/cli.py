@@ -38,18 +38,33 @@ def non_negative_int(text) -> int:
     return int(text)
 
 
+def unit_interval(text) -> float:
+    """The value of ``--kappa``, a number in [0, 1] whatever the family."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
+def _write_draw(out, dataset, sidecar_name: str, sidecar: dict, latent=None) -> int:
+    """Writes ``dataset`` as ``out``/data.csv, ``latent`` (if given) as
+    latent.csv and ``sidecar`` as ``sidecar_name``, then reports the draw."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    dataset.save_csv(out / "data.csv")
+    if latent is not None:
+        latent.save_csv(out / "latent.csv")
+    write_json(out / sidecar_name, sidecar)
+    frac = 1.0 - dataset.delta.mean()
+    print(f"wrote {out / 'data.csv'}: {len(dataset)} records, censoring fraction {frac:.3f}")
+    return 0
+
+
 def cmd_generate(args) -> int:
     spec = spec_from_tau(args.family, args.tau, args.kappa)
     cfg = PRESETS[args.preset](args.seed, n=args.n, copula=spec)
     dataset, _, latent = generate_synthetic(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dataset.save_csv(out / "data.csv")
-    latent.save_csv(out / "latent.csv")
-    write_json(out / "truth.json", sidecar_dict(cfg, tau=args.tau))
-    frac = 1.0 - dataset.delta.mean()
-    print(f"wrote {out / 'data.csv'}: {len(dataset)} records, censoring fraction {frac:.3f}")
-    return 0
+    return _write_draw(args.out, dataset, "truth.json", sidecar_dict(cfg, tau=args.tau), latent)
 
 
 def cmd_censor(args) -> int:
@@ -59,28 +74,19 @@ def cmd_censor(args) -> int:
     spec = spec_from_tau(args.family, args.tau, args.kappa)
     marginal = fit_regression_marginal(x, y, TrainConfig(seed=args.seed))
     dataset, _ = censor_regression(marginal, spec, args.seed)
-    frac = float(1.0 - dataset.delta.mean())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dataset.save_csv(out / "data.csv")
-    write_json(
-        out / "censoring.json",
-        {
-            "source": str(args.data),
-            "target_column": args.target,
-            "copula": spec.to_dict(),
-            "tau": args.tau,
-            "seed": args.seed,
-            "shift": shift,
-            "censoring_fraction": frac,
-            "standardize_mean": [float(v) for v in marginal.mean],
-            "standardize_std": [float(v) for v in marginal.std],
-            "event_model": marginal.event_model.to_dict(),
-            "censor_model": marginal.censor_model.to_dict(),
-        },
-    )
-    print(f"wrote {out / 'data.csv'}: {len(dataset)} records, censoring fraction {frac:.3f}")
-    return 0
+    return _write_draw(args.out, dataset, "censoring.json", {
+        "source": str(args.data),
+        "target_column": args.target,
+        "copula": spec.to_dict(),
+        "tau": args.tau,
+        "seed": args.seed,
+        "shift": shift,
+        "censoring_fraction": float(1.0 - dataset.delta.mean()),
+        "standardize_mean": [float(v) for v in marginal.mean],
+        "standardize_std": [float(v) for v in marginal.std],
+        "event_model": marginal.event_model.to_dict(),
+        "censor_model": marginal.censor_model.to_dict(),
+    })
 
 
 def cmd_train(args) -> int:
@@ -126,23 +132,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="draw a synthetic dataset from a preset")
+    # the copula flags of the two commands that draw censoring times
+    draw = argparse.ArgumentParser(add_help=False)
+    draw.add_argument("--family", choices=FAMILIES[1:], default="clayton")
+    draw.add_argument("--tau", type=float, required=True, help="Kendall's tau; 0 = independence")
+    draw.add_argument("--kappa", type=unit_interval, default=0.5,
+                      help="mixture weight on the Frank part, in [0, 1]")
+    draw.add_argument("--seed", type=non_negative_int, default=0)
+
+    p = sub.add_parser("generate", parents=[draw], help="draw a synthetic dataset from a preset")
     p.add_argument("--preset", choices=sorted(PRESETS), default="linear_risk")
     p.add_argument("--n", type=int, default=9000)
-    p.add_argument("--family", choices=FAMILIES[1:], default="clayton")
-    p.add_argument("--tau", type=float, required=True, help="Kendall's tau; 0 = independence")
-    p.add_argument("--kappa", type=float, default=0.5, help="mixture weight on the Frank part")
-    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("censor", help="impose dependent censoring on a regression CSV")
+    p = sub.add_parser("censor", parents=[draw],
+                       help="impose dependent censoring on a regression CSV")
     p.add_argument("--data", required=True, help="input CSV with covariates and a target column")
     p.add_argument("--target", required=True, help="name of the target column")
-    p.add_argument("--family", choices=FAMILIES[1:], default="clayton")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--kappa", type=float, default=0.5)
-    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--shift", action="store_true",
                    help="shift nonpositive targets instead of rejecting them")
     p.add_argument("--out", required=True, help="output directory")
@@ -192,7 +199,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

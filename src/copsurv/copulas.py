@@ -4,7 +4,7 @@ Implements the Independence, Clayton, and Frank families together with a
 convex Frank/Clayton mixture, restricted throughout to positive dependence
 (theta > 0).  Provided operations: the log of both first partial
 derivatives and its gradient (the likelihood's building block), conditional
-inversion and sampling, and Kendall's tau conversions in both directions.
+sampling, and Kendall's tau conversions in both directions.
 
 ``PARAMETERS`` lists each family's dependence parameters and their ranges;
 ``CopulaSpec`` validates and serializes by it, and the optimizer's boxes
@@ -19,10 +19,12 @@ One kernel, :func:`log_partial`, gives log dC/du1 and its derivatives on
 clamped quantiles; ``log_partial_u1``/``_u2`` and ``grad_log_partial_u1``/
 ``_u2`` validate and clamp their arguments, then call it.
 
-Sampling inverts the conditional CDF in closed form for Independence,
-Clayton and Frank.  The mixture has no closed-form inverse; each of its
-draws first chooses a component, then inverts that component's conditional
-CDF (Nelsen, An Introduction to Copulas, 2006, §2.9).
+:func:`conditional_sample` is the one route from an event quantile u1 to a
+censoring quantile u2: it draws a uniform v and solves dC/du1(u1, u2) = v
+for u2 in closed form, by the Clayton or Frank kernel (Independence returns
+v itself).  The mixture has no closed-form inverse; each of its draws first
+chooses a component, then inverts that component's conditional CDF by the
+same two kernels (Nelsen, An Introduction to Copulas, 2006, §2.9).
 
 Kendall's tau is deterministic for every family, and :func:`theta_to_tau`
 gives it for all four.  Clayton's is closed-form; Frank's needs the first
@@ -63,6 +65,11 @@ _TAU_QUAD_NODES = 128
 # is below 1.7e-16, and its tail adds about 1e-16 of the integral's value
 # (under half an ulp), so the rule keeps all its nodes where the integrand lives
 _DEBYE_CUT = 40.0
+
+# Below this theta, Frank's tau is taken from its Taylor series, not the
+# Debye form 1 - 4 (1 - D1) / theta, which cancels as theta -> 0: it is off
+# by 2.4e-11 of tau at the cut and by 6e-3 at theta 1e-6
+_FRANK_TAU_SERIES_CUT = 1e-2
 
 # Cap on the log of each partial-to-mixture ratio in the mixture's kappa
 # gradient, so each ratio is at most 1e100; sums and squares of such terms
@@ -149,23 +156,6 @@ class CopulaSpec:
             if domain is not None and not domain.holds(val):
                 raise ParameterDomainError(
                     f"{self.family.value} copula requires a finite {name} in {domain}, got {val}")
-
-    @classmethod
-    def independence(cls) -> "CopulaSpec":
-        return cls(Family.INDEPENDENCE)
-
-    @classmethod
-    def clayton(cls, theta: float) -> "CopulaSpec":
-        return cls(Family.CLAYTON, theta=float(theta))
-
-    @classmethod
-    def frank(cls, theta: float) -> "CopulaSpec":
-        return cls(Family.FRANK, theta=float(theta))
-
-    @classmethod
-    def mixture(cls, theta_frank: float, theta_clayton: float, kappa: float) -> "CopulaSpec":
-        return cls(Family.MIXTURE, theta_frank=float(theta_frank),
-                   theta_clayton=float(theta_clayton), kappa=float(kappa))
 
     def to_dict(self) -> dict:
         return {"family": self.family.value,
@@ -370,29 +360,6 @@ def grad_log_partial_u2(spec: CopulaSpec, u1, u2):
 # Conditional inversion and sampling.
 
 
-def conditional_quantile(spec: CopulaSpec, u1: ArrayLike, v: ArrayLike) -> ArrayLike:
-    """Solves dC/du1(u1, u2) = v for u2, in closed form.
-
-    Independence, Clayton and Frank only: the mixture has no closed-form
-    inverse, and :func:`conditional_sample` draws it by component selection.
-    """
-    a1 = np.asarray(u1, dtype=float)
-    if np.any(a1 <= 0.0) or np.any(a1 >= 1.0):
-        raise DomainError("u1 must lie in (0, 1) for conditional inversion")
-    av = _as_unit_array(v, "v")
-    a1, av = np.broadcast_arrays(a1, av)
-    fam = spec.family
-    if fam is Family.INDEPENDENCE:
-        out = av.copy()
-    elif fam is Family.CLAYTON:
-        out = _clayton_conditional_quantile(spec.theta, a1, av)
-    elif fam is Family.FRANK:
-        out = _frank_conditional_quantile(spec.theta, a1, av)
-    else:
-        raise DomainError("the mixture has no closed-form conditional quantile")
-    return _maybe_scalar(out, np.asarray(u1), np.asarray(v))
-
-
 def _clayton_conditional_quantile(theta, u1, v):
     # u2 = (1 + u1^-theta (v^{-theta/(1+theta)} - 1))^{-1/theta}
     with np.errstate(divide="ignore"):
@@ -412,22 +379,29 @@ def _frank_conditional_quantile(theta, u1, v):
 
 
 def conditional_sample(spec: CopulaSpec, u1: ArrayLike, rng: np.random.Generator) -> ArrayLike:
-    """Draws u2 from the conditional law of U2 given U1 = u1.
+    """Draws u2 from the conditional law of U2 given U1 = u1, for u1 in (0, 1).
 
-    Each draw takes one uniform v and returns the conditional quantile at v.
-    A mixture draw then takes one more uniform per row and is a Frank draw
-    when it falls below kappa, a Clayton draw otherwise: the mixture's
-    conditional CDF is the same convex combination of its components'.
+    Each draw takes one uniform v and returns the closed-form conditional
+    quantile at v.  A mixture draw then takes one more uniform per row and is a
+    Frank draw when it falls below kappa, a Clayton draw otherwise: the
+    mixture's conditional CDF is the same convex combination of its components'.
     """
     a1 = np.asarray(u1, dtype=float)
+    if not np.all((a1 > 0.0) & (a1 < 1.0)):
+        raise DomainError("u1 must lie in (0, 1) for conditional sampling")
     v = clamp_quantile(rng.uniform(size=a1.shape))
-    if spec.family is not Family.MIXTURE:
-        return conditional_quantile(spec, u1, v)
-    frank = rng.uniform(size=a1.shape) < spec.kappa
-    out = np.empty(a1.shape)
-    out[frank] = conditional_quantile(CopulaSpec.frank(spec.theta_frank), a1[frank], v[frank])
-    out[~frank] = conditional_quantile(
-        CopulaSpec.clayton(spec.theta_clayton), a1[~frank], v[~frank])
+    fam = spec.family
+    if fam is Family.INDEPENDENCE:
+        out = v
+    elif fam is Family.CLAYTON:
+        out = _clayton_conditional_quantile(spec.theta, a1, v)
+    elif fam is Family.FRANK:
+        out = _frank_conditional_quantile(spec.theta, a1, v)
+    else:
+        frank = rng.uniform(size=a1.shape) < spec.kappa
+        out = np.empty(a1.shape)
+        out[frank] = _frank_conditional_quantile(spec.theta_frank, a1[frank], v[frank])
+        out[~frank] = _clayton_conditional_quantile(spec.theta_clayton, a1[~frank], v[~frank])
     return _maybe_scalar(out, a1)
 
 
@@ -462,6 +436,9 @@ def _debye1(theta: float) -> float:
 
 
 def _frank_tau(theta: float) -> float:
+    if theta < _FRANK_TAU_SERIES_CUT:
+        # the series' next term, -theta^7 / 2721600, is under 1e-16 of tau here
+        return theta / 9.0 - theta**3 / 900.0 + theta**5 / 52920.0
     return 1.0 - 4.0 / theta * (1.0 - _debye1(theta))
 
 
@@ -537,11 +514,10 @@ def spec_from_tau(family, tau: float, kappa: float = 0.5) -> CopulaSpec:
     """
     fam = coerce_family(family)
     if tau == 0.0:
-        return CopulaSpec.independence()
+        return CopulaSpec(Family.INDEPENDENCE)
     if fam is Family.INDEPENDENCE:
         raise DomainError("independence family only admits tau = 0")
     if fam is Family.MIXTURE:
-        return CopulaSpec.mixture(
-            tau_to_theta(Family.FRANK, tau), tau_to_theta(Family.CLAYTON, tau), kappa
-        )
+        return CopulaSpec(Family.MIXTURE, theta_frank=tau_to_theta(Family.FRANK, tau),
+                          theta_clayton=tau_to_theta(Family.CLAYTON, tau), kappa=float(kappa))
     return CopulaSpec(fam, theta=tau_to_theta(fam, tau))

@@ -3,8 +3,11 @@
 Fully synthetic draws follow the inverse-transform route: covariates are
 uniform on [0, 1]^d, a dependent quantile pair (u1, u2) is drawn from the
 configured copula, and latent times come from inverting the two Weibull
-marginal survival functions at u1 and u2.  The observed record is
-(x, min(T_E, T_C), 1[T_E < T_C]).
+marginal survival functions at u1 and u2.
+
+Both routes observe each latent pair by one rule: the record is
+(x, min(T_E, T_C), 1[T_E <= T_C]).  A censoring time is a lower bound on the
+time until the event, so a tie is an event.
 
 Semi-synthetic censoring turns a regression table into a dependently
 censored survival dataset in three steps.  ``regression_table`` makes the
@@ -21,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .copulas import CopulaSpec, clamp_quantile, conditional_sample, sample_pairs
+from .copulas import CopulaSpec, Family, clamp_quantile, conditional_sample, sample_pairs
 from .data import SurvivalDataset, column_cells, write_csv
 from .errors import ValidationError, check_document
 from .training import TrainConfig, fit_marginal
@@ -46,9 +49,6 @@ class SyntheticGenConfig:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.d < 1:
             raise ValidationError(f"d must be >= 1, got {self.d}")
-        for name in ("nu_event", "rho_event", "nu_censor", "rho_censor"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
 
     def event_model(self) -> WeibullCoxModel:
         return WeibullCoxModel.from_natural(self.nu_event, self.rho_event, self.risk_event)
@@ -76,6 +76,14 @@ class LatentOutcomes:
                   zip(column_cells(self.t_event), column_cells(self.t_censor)))
 
 
+def _observe(x: np.ndarray, t_event: np.ndarray, t_censor: np.ndarray):
+    """(dataset, latent) of the latent times ``t_event`` and ``t_censor`` at
+    covariates ``x``: each record is an event when T_E <= T_C."""
+    dataset = SurvivalDataset(x, np.minimum(t_event, t_censor),
+                              (t_event <= t_censor).astype(np.int64))
+    return dataset, LatentOutcomes(t_event, t_censor)
+
+
 def generate_synthetic(config: SyntheticGenConfig):
     """Draws a dependently censored dataset.
 
@@ -89,11 +97,8 @@ def generate_synthetic(config: SyntheticGenConfig):
     censor_model = config.censor_model()
     t_event = event_model.inverse_survival(pairs[:, 0], x)
     t_censor = censor_model.inverse_survival(pairs[:, 1], x)
-    dataset = SurvivalDataset(
-        x, np.minimum(t_event, t_censor), (t_event < t_censor).astype(np.int64)
-    )
-    truth = GroundTruth(event_model, censor_model, config.copula)
-    return dataset, truth, LatentOutcomes(t_event, t_censor)
+    dataset, latent = _observe(x, t_event, t_censor)
+    return dataset, GroundTruth(event_model, censor_model, config.copula), latent
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +122,7 @@ def _preset(seed, n, copula, data_seed, rho_event, risk_event, risk_censor) -> S
     return SyntheticGenConfig(
         n=n, d=10, nu_event=4.0, rho_event=rho_event, risk_event=risk_event,
         nu_censor=3.0, rho_censor=16.0, risk_censor=risk_censor,
-        copula=copula or CopulaSpec.independence(),
+        copula=copula or CopulaSpec(Family.INDEPENDENCE),
         seed=seed if data_seed is None else data_seed,
     )
 
@@ -283,15 +288,13 @@ def fit_regression_marginal(x: np.ndarray, y: np.ndarray, fit_config: TrainConfi
 
 def censor_regression(marginal: RegressionMarginal, spec: CopulaSpec, seed: int):
     """Draws ``marginal``'s censoring times conditionally on its event
-    quantiles under ``spec``; a record is an event when its target is at or
-    below its censoring time.  Returns (dataset, latent targets and times)."""
+    quantiles under ``spec``, and observes each record by ``_observe``'s rule.
+    Returns (dataset, latent targets and times)."""
     rng = np.random.default_rng(seed)
     u1 = clamp_quantile(marginal.event_model.survival(marginal.y, marginal.x))
     u2 = clamp_quantile(conditional_sample(spec, u1, rng))
     t_censor = marginal.censor_model.inverse_survival(u2, marginal.x)
-    delta = (marginal.y <= t_censor).astype(np.int64)
-    return (SurvivalDataset(marginal.x, np.minimum(marginal.y, t_censor), delta),
-            LatentOutcomes(marginal.y, t_censor))
+    return _observe(marginal.x, marginal.y, t_censor)
 
 
 def synthetic_regression(n: int, d: int, seed: int):

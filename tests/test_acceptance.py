@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from copsurv import copulas
-from copsurv.copulas import CopulaSpec, spec_from_tau
+from copsurv.copulas import CopulaSpec, Family, spec_from_tau
 from copsurv.experiments import ExperimentConfig, run_experiment
 from copsurv.likelihood import loglik_copula
 from copsurv.metrics import SurvivalL1Config, survival_l1
@@ -96,7 +96,7 @@ def test_joint_gradient_matches_finite_differences(risk, spec):
 def test_independence_family_reduces_to_independent_likelihood():
     for seed in range(5):
         event, censor, data = random_instance(60, seed=seed)
-        joint = loglik_copula(event, censor, CopulaSpec.independence(), data)
+        joint = loglik_copula(event, censor, CopulaSpec(Family.INDEPENDENCE), data)
         split = loglik_independent(event, censor, data)
         assert abs(joint - split) <= 1e-10
 

@@ -1,6 +1,9 @@
 """End-to-end runs of the command line interface, in process."""
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 import copsurv
 from copsurv import experiments
 from copsurv.cli import main
+from copsurv.data import SurvivalDataset
 from copsurv.datagen import synthetic_regression
 from copsurv.experiments import ExperimentConfig
 from copsurv.training import TrainConfig
@@ -332,6 +336,90 @@ def test_negative_seed_exits_one(trained, tmp_path, capsys, command):
     assert run(*argv, "--out", tmp_path / "out") == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "censor"])
+@pytest.mark.parametrize("family", ["clayton", "frank", "mixture"])
+def test_kappa_outside_the_unit_interval_exits_one(tmp_path, capsys, command, family):
+    # the mixture weight is refused out of [0, 1] whatever the family, as
+    # ExperimentConfig refuses it, rather than ignored by the families that do not read it
+    argv = {"generate": ("generate", "--n", 100),
+            "censor": ("censor", "--data", tmp_path / "reg.csv", "--target", "y")}[command]
+    for kappa in (7, -0.5, "nan"):
+        assert run(*argv, "--family", family, "--tau", 0.5, "--kappa", kappa,
+                   "--out", tmp_path / "out") == 1, kappa
+        assert "argument --kappa: must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def write_evaluation_inputs(trained, root, data=None, truth=None, risk=None):
+    """Paths of a checkpoint, data CSV and truth sidecar for ``evaluate``:
+    ``trained``'s, with ``data`` (x, t, delta) written in place of its data,
+    ``truth`` keys set in its sidecar, or the checkpoint's event risk ``risk``."""
+    data_dir, _, fit_dir = trained
+    paths = [fit_dir / "checkpoint.json", data_dir / "data.csv", data_dir / "truth.json"]
+    if data is not None:
+        paths[1] = root / "data.csv"
+        SurvivalDataset(*data).save_csv(paths[1])
+    if truth is not None:
+        paths[2] = root / "truth.json"
+        paths[2].write_text(json.dumps({**json.loads((data_dir / "truth.json").read_text()), **truth}))
+    if risk is not None:
+        doc = json.loads((fit_dir / "checkpoint.json").read_text())
+        doc["event"]["risk"] = risk
+        paths[0] = root / "checkpoint.json"
+        paths[0].write_text(json.dumps(doc))
+    return paths
+
+
+# the covariate count of every preset, so of ``trained``'s data and models
+D = 10
+
+
+@pytest.mark.parametrize("edits, eval_time, message", [
+    pytest.param({}, 0, "eval_time must be positive, got 0.0", id="eval-time-0"),
+    pytest.param({}, "nan", "t must be finite", id="eval-time-nan"),
+    pytest.param({"data": (np.full((3, D - 1), 0.5), np.ones(3), [1, 0, 1])}, None,
+                 f"covariate matrix must have shape (n, {D}), got (3, {D - 1})", id="covariate-count"),
+    pytest.param({"risk": {"kind": "mlp", "widths": [D, 2], "weights": [[0.1] * 2 * D],
+                           "biases": [[0.0, 0.0]]}}, None,
+                 f"MLP widths must end at 1, got ({D}, 2)", id="mlp-widths"),
+    pytest.param({"truth": {"nu_E": -1.0}}, None, "nu and rho must be positive, got -1.0, 14.0",
+                 id="truth-nu"),
+])
+def test_evaluate_input_checks_exit_one(trained, tmp_path, capsys, edits, eval_time, message):
+    checkpoint, data, truth = write_evaluation_inputs(trained, tmp_path, **edits)
+    argv = ["evaluate", "--checkpoint", checkpoint, "--data", data, "--truth", truth,
+            "--out", tmp_path / "r.json"]
+    if eval_time is not None:
+        argv += ["--eval-time", eval_time]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_generate_and_train_input_checks_exit_one(tmp_path, capsys):
+    assert run("generate", "--tau", 0.5, "--n", 0, "--out", tmp_path / "gen") == 1
+    assert capsys.readouterr().err == "error: n must be >= 1, got 0\n"
+    # a validation fraction of 0.9 takes both of two records
+    SurvivalDataset(np.ones((2, 2)), [1.0, 2.0], [1, 0]).save_csv(tmp_path / "two.csv")
+    (tmp_path / "train.json").write_text(json.dumps({"validation_fraction": 0.9}))
+    assert run("train", "--data", tmp_path / "two.csv", "--config", tmp_path / "train.json",
+               "--out", tmp_path / "fit") == 1
+    assert capsys.readouterr().err == "error: validation split leaves no training records\n"
+    assert not (tmp_path / "gen").exists() and not (tmp_path / "fit").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    # the form the README documents, through the package's __main__
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(copsurv.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    ok = subprocess.run([sys.executable, "-m", "copsurv", "--help"], env=env,
+                        capture_output=True, text=True)
+    assert ok.returncode == 0 and "usage: copsurv" in ok.stdout
+    bad = subprocess.run([sys.executable, "-m", "copsurv", "generate", "--out", "unused"],
+                         env=env, capture_output=True, text=True)
+    assert bad.returncode == 1 and "--tau" in bad.stderr
 
 
 def test_missing_files_exit_three(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Copula layer: axioms, frozen hand values, derivative oracles, sampling.
 
-The package needs only log dC/du1 and closed-form conditional inverses.
-The joint CDF, its first partials and a bisection inverse live here, as
-the oracles those are checked against.
+The package needs only log dC/du1 and closed-form conditional inverses, which
+only its sampler calls.  The joint CDF, its first partials, the conditional
+quantile over the sampler's kernels and a bisection inverse live here, as the
+oracles those are checked against.
 """
 import math
 
@@ -16,7 +17,6 @@ from copsurv import copulas
 from copsurv.copulas import (
     CopulaSpec,
     Family,
-    conditional_quantile,
     conditional_sample,
     grad_log_partial_u1,
     grad_log_partial_u2,
@@ -109,6 +109,15 @@ def copula_partial_u2(spec, u1, u2):
     return copulas._maybe_scalar(out, np.asarray(u1), np.asarray(u2))
 
 
+def conditional_quantile(spec, u1, v):
+    """Solves dC/du1(u1, u2) = v for u2 by the sampler's closed-form kernels
+    (Clayton and Frank; the mixture has no closed-form inverse)."""
+    kernel = {Family.CLAYTON: copulas._clayton_conditional_quantile,
+              Family.FRANK: copulas._frank_conditional_quantile}[spec.family]
+    out = kernel(spec.theta, np.asarray(u1, dtype=float), np.asarray(v, dtype=float))
+    return copulas._maybe_scalar(out, np.asarray(u1), np.asarray(v))
+
+
 def conditional_quantile_bisect(spec, u1, v):
     """Generic monotone bisection solver for dC/du1(u1, u2) = v."""
     a1 = np.asarray(u1, dtype=float)
@@ -127,12 +136,12 @@ def conditional_quantile_bisect(spec, u1, v):
 
 
 def family_grid():
-    specs = [CopulaSpec.independence()]
+    specs = [CopulaSpec(Family.INDEPENDENCE)]
     for th in (0.5, 2.0, 8.0):
-        specs.append(CopulaSpec.clayton(th))
-        specs.append(CopulaSpec.frank(th))
+        specs.append(CopulaSpec(Family.CLAYTON, theta=th))
+        specs.append(CopulaSpec(Family.FRANK, theta=th))
     for kappa in (0.0, 0.5, 1.0):
-        specs.append(CopulaSpec.mixture(2.0, 2.0, kappa))
+        specs.append(CopulaSpec(Family.MIXTURE, theta_frank=2.0, theta_clayton=2.0, kappa=kappa))
     return specs
 
 
@@ -150,15 +159,15 @@ def spec_id(spec):
 
 def test_spec_rejects_bad_parameters():
     with pytest.raises(ParameterDomainError):
-        CopulaSpec.clayton(0.0)
+        CopulaSpec(Family.CLAYTON, theta=0.0)
     with pytest.raises(ParameterDomainError):
-        CopulaSpec.clayton(-1.0)
+        CopulaSpec(Family.CLAYTON, theta=-1.0)
     with pytest.raises(ParameterDomainError):
-        CopulaSpec.frank(501.0)
+        CopulaSpec(Family.FRANK, theta=501.0)
     with pytest.raises(ParameterDomainError):
-        CopulaSpec.mixture(1.0, 1.0, 1.5)
+        CopulaSpec(Family.MIXTURE, theta_frank=1.0, theta_clayton=1.0, kappa=1.5)
     with pytest.raises(ParameterDomainError):
-        CopulaSpec.mixture(1.0, -1.0, 0.5)
+        CopulaSpec(Family.MIXTURE, theta_frank=1.0, theta_clayton=-1.0, kappa=0.5)
     # a field the family does not take would be dropped by to_dict, so the
     # spec would not survive a round trip
     for fam, fields in ((Family.INDEPENDENCE, {"theta": 1.0}),
@@ -170,13 +179,13 @@ def test_spec_rejects_bad_parameters():
         with pytest.raises(ParameterDomainError):
             CopulaSpec(fam, **fields)
     # every parameter must be finite, including one whose range has no upper end
+    mixture = {"theta_frank": 1.0, "theta_clayton": 1.0, "kappa": 0.5}
     for bad in (np.inf, -np.inf, np.nan):
-        for build in (CopulaSpec.clayton, CopulaSpec.frank,
-                      lambda v: CopulaSpec.mixture(v, 1.0, 0.5),
-                      lambda v: CopulaSpec.mixture(1.0, v, 0.5),
-                      lambda v: CopulaSpec.mixture(1.0, 1.0, v)):
+        cases = [(Family.CLAYTON, {"theta": bad}), (Family.FRANK, {"theta": bad})]
+        cases += [(Family.MIXTURE, {**mixture, name: bad}) for name in mixture]
+        for family, fields in cases:
             with pytest.raises(ParameterDomainError):
-                build(bad)
+                CopulaSpec(family, **fields)
 
 
 def test_spec_serialization_roundtrip():
@@ -205,7 +214,7 @@ def test_spec_from_dict_keeps_the_range_checks():
         CopulaSpec.from_dict({"family": "clayton", "theta": -1.0})
     with pytest.raises(ParameterDomainError):
         CopulaSpec.from_dict({"family": "gumbel"})
-    assert CopulaSpec.from_dict({"family": "frank", "theta": 2}) == CopulaSpec.frank(2.0)
+    assert CopulaSpec.from_dict({"family": "frank", "theta": 2}) == CopulaSpec(Family.FRANK, theta=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,25 +223,25 @@ def test_spec_from_dict_keeps_the_range_checks():
 
 def test_clayton_hand_values():
     # C(u1,u2) = (u1^-t + u2^-t - 1)^(-1/t); at (0.5, 0.5), t=1: 1/3 exactly
-    spec = CopulaSpec.clayton(1.0)
+    spec = CopulaSpec(Family.CLAYTON, theta=1.0)
     assert copula_cdf(spec, 0.5, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-14)
-    spec = CopulaSpec.clayton(2.0)
+    spec = CopulaSpec(Family.CLAYTON, theta=2.0)
     assert copula_cdf(spec, 0.5, 0.5) == pytest.approx(7.0**-0.5, abs=1e-14)
     assert copula_cdf(spec, 0.3, 0.7) == pytest.approx(CLAYTON_CDF_03_07_T2, abs=1e-14)
 
 
 def test_frank_hand_values():
-    spec = CopulaSpec.frank(2.0)
+    spec = CopulaSpec(Family.FRANK, theta=2.0)
     assert copula_cdf(spec, 0.3, 0.7) == pytest.approx(FRANK_CDF_03_07_T2, abs=1e-14)
     # theta -> 0 limit approaches u1*u2
-    tiny = CopulaSpec.frank(1e-6)
+    tiny = CopulaSpec(Family.FRANK, theta=1e-6)
     assert copula_cdf(tiny, 0.3, 0.7) == pytest.approx(0.21, abs=1e-6)
 
 
 def test_mixture_is_convex_combination():
-    frank = CopulaSpec.frank(4.0)
-    clay = CopulaSpec.clayton(2.0)
-    mix = CopulaSpec.mixture(4.0, 2.0, 0.3)
+    frank = CopulaSpec(Family.FRANK, theta=4.0)
+    clay = CopulaSpec(Family.CLAYTON, theta=2.0)
+    mix = CopulaSpec(Family.MIXTURE, theta_frank=4.0, theta_clayton=2.0, kappa=0.3)
     u1, u2 = 0.3, 0.7
     expect = 0.3 * copula_cdf(frank, u1, u2) + 0.7 * copula_cdf(clay, u1, u2)
     assert copula_cdf(mix, u1, u2) == pytest.approx(expect, abs=1e-14)
@@ -266,7 +275,7 @@ def test_two_increasing(spec):
 
 
 def test_frank_extreme_theta_stable():
-    spec = CopulaSpec.frank(500.0)
+    spec = CopulaSpec(Family.FRANK, theta=500.0)
     u = np.linspace(0.01, 0.99, 99)
     c = copula_cdf(spec, u, u[::-1])
     assert np.all(np.isfinite(c))
@@ -283,15 +292,15 @@ def test_frank_extreme_theta_stable():
 
 def test_partial_hand_values():
     # Clayton: dC/du1 = u1^(-t-1) * (u1^-t + u2^-t - 1)^(-(1+t)/t)
-    assert copula_partial_u1(CopulaSpec.clayton(2.0), 0.3, 0.7) == pytest.approx(
+    assert copula_partial_u1(CopulaSpec(Family.CLAYTON, theta=2.0), 0.3, 0.7) == pytest.approx(
         CLAYTON_DU1_03_07_T2, abs=1e-14
     )
     # Frank: dC/du1 = e^(-t u1) (e^(-t u2) - 1) / ((e^-t - 1) + (e^(-t u1)-1)(e^(-t u2)-1))
-    assert copula_partial_u1(CopulaSpec.frank(2.0), 0.3, 0.7) == pytest.approx(
+    assert copula_partial_u1(CopulaSpec(Family.FRANK, theta=2.0), 0.3, 0.7) == pytest.approx(
         FRANK_DU1_03_07_T2, abs=1e-14
     )
     # symmetric families: dC/du2 (u1, u2) = dC/du1 (u2, u1)
-    for spec in (CopulaSpec.clayton(2.0), CopulaSpec.frank(2.0)):
+    for spec in (CopulaSpec(Family.CLAYTON, theta=2.0), CopulaSpec(Family.FRANK, theta=2.0)):
         assert copula_partial_u2(spec, 0.3, 0.7) == pytest.approx(
             copula_partial_u1(spec, 0.7, 0.3), abs=1e-14
         )
@@ -300,7 +309,8 @@ def test_partial_hand_values():
 def test_partial_integrates_back_to_cdf():
     # C(a, v) = integral_0^a dC/du1 (s, v) ds, an oracle independent of
     # finite differencing
-    for spec in (CopulaSpec.clayton(2.0), CopulaSpec.frank(3.0), CopulaSpec.mixture(3.0, 2.0, 0.4)):
+    for spec in (CopulaSpec(Family.CLAYTON, theta=2.0), CopulaSpec(Family.FRANK, theta=3.0),
+                 CopulaSpec(Family.MIXTURE, theta_frank=3.0, theta_clayton=2.0, kappa=0.4)):
         for a, v in ((0.5, 0.5), (0.8, 0.3)):
             val, err = integrate.quad(
                 lambda s: float(copula_partial_u1(spec, s, v)), 0.0, a, epsabs=1e-11
@@ -341,7 +351,8 @@ def test_log_partial_matches_partial():
     rng = np.random.default_rng(11)
     u1 = rng.uniform(0.01, 0.99, size=200)
     u2 = rng.uniform(0.01, 0.99, size=200)
-    for spec in (CopulaSpec.clayton(2.0), CopulaSpec.frank(5.0), CopulaSpec.mixture(2.0, 3.0, 0.6)):
+    for spec in (CopulaSpec(Family.CLAYTON, theta=2.0), CopulaSpec(Family.FRANK, theta=5.0),
+                 CopulaSpec(Family.MIXTURE, theta_frank=2.0, theta_clayton=3.0, kappa=0.6)):
         assert np.allclose(
             log_partial_u1(spec, u1, u2),
             np.log(copula_partial_u1(spec, u1, u2)),
@@ -349,12 +360,13 @@ def test_log_partial_matches_partial():
         )
 
 
-def _fd_param_grad(build, base, key, u1, u2, h=1e-6):
+def _fd_param_grad(family, base, key, u1, u2, h=1e-6):
     hi = dict(base)
     lo = dict(base)
     hi[key] += h
     lo[key] -= h
-    return (log_partial_u1(build(**hi), u1, u2) - log_partial_u1(build(**lo), u1, u2)) / (2 * h)
+    return (log_partial_u1(CopulaSpec(family, **hi), u1, u2)
+            - log_partial_u1(CopulaSpec(family, **lo), u1, u2)) / (2 * h)
 
 
 def test_grad_log_partial_matches_fd():
@@ -364,17 +376,12 @@ def test_grad_log_partial_matches_fd():
     h = 1e-6
 
     cases = [
-        (CopulaSpec.clayton(2.0), lambda theta: CopulaSpec.clayton(theta), {"theta": 2.0}),
-        (CopulaSpec.frank(4.0), lambda theta: CopulaSpec.frank(theta), {"theta": 4.0}),
-        (
-            CopulaSpec.mixture(4.0, 2.0, 0.4),
-            lambda theta_frank, theta_clayton, kappa: CopulaSpec.mixture(
-                theta_frank, theta_clayton, kappa
-            ),
-            {"theta_frank": 4.0, "theta_clayton": 2.0, "kappa": 0.4},
-        ),
+        (CopulaSpec(Family.CLAYTON, theta=2.0), {"theta": 2.0}),
+        (CopulaSpec(Family.FRANK, theta=4.0), {"theta": 4.0}),
+        (CopulaSpec(Family.MIXTURE, theta_frank=4.0, theta_clayton=2.0, kappa=0.4),
+         {"theta_frank": 4.0, "theta_clayton": 2.0, "kappa": 0.4}),
     ]
-    for spec, build, params in cases:
+    for spec, params in cases:
         d_u1, d_u2, d_par = grad_log_partial_u1(spec, u1, u2)
         fd_u1 = (log_partial_u1(spec, u1 + h, u2) - log_partial_u1(spec, u1 - h, u2)) / (2 * h)
         fd_u2 = (log_partial_u1(spec, u1, u2 + h) - log_partial_u1(spec, u1, u2 - h)) / (2 * h)
@@ -382,7 +389,7 @@ def test_grad_log_partial_matches_fd():
         assert np.max(np.abs(d_u2 - fd_u2) / np.maximum(np.abs(fd_u2), 1.0)) < 1e-6
         assert set(d_par) == set(params)
         for key in params:
-            fd = _fd_param_grad(build, params, key, u1, u2)
+            fd = _fd_param_grad(spec.family, params, key, u1, u2)
             assert np.max(np.abs(d_par[key] - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-6
 
         # the u2-conditional gradients follow by symmetry of the families
@@ -401,8 +408,9 @@ def test_mixture_endpoints_equal_the_pure_family(kappa):
     rng = np.random.default_rng(5)
     u1 = np.concatenate([[8.98e-11], rng.uniform(0.01, 0.99, size=40), 10 ** rng.uniform(-12, -1, 20)])
     u2 = np.concatenate([[0.00939], rng.uniform(0.01, 0.99, size=40), 10 ** rng.uniform(-12, -1, 20)])
-    mix = CopulaSpec.mixture(400.0, 40.0, kappa)
-    pure, key = (CopulaSpec.frank(400.0), "theta_frank") if kappa else (CopulaSpec.clayton(40.0), "theta_clayton")
+    mix = CopulaSpec(Family.MIXTURE, theta_frank=400.0, theta_clayton=40.0, kappa=kappa)
+    pure, key = ((CopulaSpec(Family.FRANK, theta=400.0), "theta_frank") if kappa
+                 else (CopulaSpec(Family.CLAYTON, theta=40.0), "theta_clayton"))
     for value, grad in ((log_partial_u1, grad_log_partial_u1), (log_partial_u2, grad_log_partial_u2)):
         assert np.array_equal(value(mix, u1, u2), value(pure, u1, u2))
         m_u1, m_u2, m_par = grad(mix, u1, u2)
@@ -420,7 +428,7 @@ def test_mixture_kappa_gradient_stays_finite_at_kappa_zero():
     # exp(736), so the exact d/dkappa = pf / pc - 1 at kappa 0 passes exp's
     # range; it is capped at 1e100, with no overflow warning
     u1, u2 = np.array([8.98e-11]), np.array([0.00939])
-    mix = CopulaSpec.mixture(400.0, 40.0, 0.0)
+    mix = CopulaSpec(Family.MIXTURE, theta_frank=400.0, theta_clayton=40.0, kappa=0.0)
     with np.errstate(over="raise", invalid="raise"):
         _, (_, _, d_par) = copulas.log_partial(mix, u2, u1, want_grad=True)
         _, (_, _, d_swapped) = copulas.log_partial(mix, u1, u2, want_grad=True)
@@ -436,7 +444,8 @@ def test_conditional_quantile_matches_bisection():
     rng = np.random.default_rng(5)
     u1 = rng.uniform(0.02, 0.98, size=300)
     v = rng.uniform(0.02, 0.98, size=300)
-    for spec in (CopulaSpec.clayton(0.5), CopulaSpec.clayton(8.0), CopulaSpec.frank(2.0), CopulaSpec.frank(8.0)):
+    for spec in (CopulaSpec(Family.CLAYTON, theta=0.5), CopulaSpec(Family.CLAYTON, theta=8.0),
+                 CopulaSpec(Family.FRANK, theta=2.0), CopulaSpec(Family.FRANK, theta=8.0)):
         closed = conditional_quantile(spec, u1, v)
         brute = conditional_quantile_bisect(spec, u1, v)
         assert np.max(np.abs(closed - brute)) < 1e-8
@@ -446,16 +455,13 @@ def test_conditional_quantile_inverts_partial():
     rng = np.random.default_rng(6)
     u1 = rng.uniform(0.05, 0.95, size=200)
     v = rng.uniform(0.05, 0.95, size=200)
-    for spec in (CopulaSpec.clayton(2.0), CopulaSpec.frank(5.0)):
+    for spec in (CopulaSpec(Family.CLAYTON, theta=2.0), CopulaSpec(Family.FRANK, theta=5.0)):
         u2 = conditional_quantile(spec, u1, v)
         assert np.max(np.abs(copula_partial_u1(spec, u1, u2) - v)) < 1e-6
-    # the mixture has no closed-form inverse; conditional_sample draws it
-    with pytest.raises(DomainError):
-        conditional_quantile(CopulaSpec.mixture(3.0, 2.0, 0.5), u1, v)
 
 
 def test_conditional_quantile_boundaries_and_monotonicity():
-    spec = CopulaSpec.clayton(2.0)
+    spec = CopulaSpec(Family.CLAYTON, theta=2.0)
     assert conditional_quantile(spec, 0.4, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert conditional_quantile(spec, 0.4, 1.0) == pytest.approx(1.0, abs=1e-9)
     v = np.linspace(0.01, 0.99, 99)
@@ -465,7 +471,7 @@ def test_conditional_quantile_boundaries_and_monotonicity():
 
 def test_clayton_theta8_lower_tail_clustering():
     # at strong dependence the conditional median hugs the conditioning value
-    spec = CopulaSpec.clayton(8.0)
+    spec = CopulaSpec(Family.CLAYTON, theta=8.0)
     med = float(conditional_quantile(spec, 0.1, 0.5))
     assert med == pytest.approx(0.102026037138505, abs=1e-9)
     assert 0.05 <= med <= 0.2
@@ -482,7 +488,7 @@ def test_sampled_pairs_recover_tau(family, tau):
 
 
 def test_sampled_margins_uniform():
-    spec = CopulaSpec.clayton(2.0)
+    spec = CopulaSpec(Family.CLAYTON, theta=2.0)
     rng = np.random.default_rng(9)
     u1, u2 = sample_pairs(spec, 20_000, rng).T
     assert stats.kstest(u1, "uniform").pvalue > 0.01
@@ -491,12 +497,33 @@ def test_sampled_margins_uniform():
 
 def test_independence_sampling_uncorrelated():
     rng = np.random.default_rng(2)
-    u1, u2 = sample_pairs(CopulaSpec.independence(), 20_000, rng).T
+    u1, u2 = sample_pairs(CopulaSpec(Family.INDEPENDENCE), 20_000, rng).T
     assert abs(stats.kendalltau(u1, u2).statistic) < 0.02
 
 
+def test_sampler_input_checks():
+    spec = CopulaSpec(Family.CLAYTON, theta=2.0)
+    with pytest.raises(DomainError, match="^sample count must be positive, got 0$"):
+        sample_pairs(spec, 0, np.random.default_rng(0))
+    # every family refuses a conditioning quantile outside the open interval
+    for spec in family_grid():
+        for u1 in (0.0, 1.0, 1.5, np.nan, [0.5, 0.0]):
+            with pytest.raises(DomainError, match=r"^u1 must lie in \(0, 1\)"):
+                conditional_sample(spec, u1, np.random.default_rng(0))
+
+
+def test_evaluator_input_checks():
+    spec = CopulaSpec(Family.FRANK, theta=2.0)
+    with pytest.raises(DomainError, match="^u1 must be finite$"):
+        log_partial_u1(spec, np.nan, 0.5)
+    with pytest.raises(DomainError, match=r"^u2 must lie in \[0, 1\]$"):
+        log_partial_u1(spec, 0.5, 1.5)
+    with pytest.raises(DomainError, match="^tau_to_theta supports clayton and frank, not mixture$"):
+        tau_to_theta("mixture", 0.5)
+
+
 def test_conditional_sample_deterministic():
-    spec = CopulaSpec.frank(4.0)
+    spec = CopulaSpec(Family.FRANK, theta=4.0)
     u1 = np.random.default_rng(0).uniform(size=500)
     a = conditional_sample(spec, u1, np.random.default_rng(123))
     b = conditional_sample(spec, u1, np.random.default_rng(123))
@@ -509,8 +536,8 @@ def test_conditional_sample_deterministic():
 
 def test_clayton_tau_closed_form():
     # tau = theta / (theta + 2)
-    assert theta_to_tau(CopulaSpec.clayton(2.0)) == pytest.approx(0.5, abs=1e-14)
-    assert theta_to_tau(CopulaSpec.clayton(8.0)) == pytest.approx(0.8, abs=1e-14)
+    assert theta_to_tau(CopulaSpec(Family.CLAYTON, theta=2.0)) == pytest.approx(0.5, abs=1e-14)
+    assert theta_to_tau(CopulaSpec(Family.CLAYTON, theta=8.0)) == pytest.approx(0.8, abs=1e-14)
     assert tau_to_theta(Family.CLAYTON, 0.5) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -537,7 +564,37 @@ def test_frank_tau_matches_adaptive_quadrature(theta):
     # tau = 1 - 4 (1 - D1) / theta cancels as theta -> 0; from THETA_MIN, the
     # smallest theta a fit reaches, it keeps D1's agreement
     oracle = 1.0 - 4.0 / theta * (1.0 - quad_debye1(theta))
-    assert abs(theta_to_tau(CopulaSpec.frank(theta)) - oracle) < 1e-12
+    assert abs(theta_to_tau(CopulaSpec(Family.FRANK, theta=theta)) - oracle) < 1e-12
+
+
+def mp_frank_tau(theta):
+    """Frank's tau 1 - 4 (1 - D1(theta)) / theta at 40 digits, by mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(theta)
+        d1 = mpmath.quad(lambda s: s / mpmath.expm1(s) if s else mpmath.mpf(1), [0, t]) / t
+        return 1 - 4 * (1 - d1) / t
+
+
+# below the cut at theta 1e-2, Frank's tau is the series theta/9 - theta^3/900 + theta^5/52920
+SERIES_THETAS = [1e-6, 1e-5, 1e-4, THETA_MIN, 3e-3, np.nextafter(1e-2, 0.0)]
+
+
+@pytest.mark.parametrize("theta", SERIES_THETAS)
+def test_frank_tau_below_the_cut_is_its_series(theta):
+    series = theta / 9.0 - theta**3 / 900.0 + theta**5 / 52920.0
+    assert copulas._frank_tau(theta) == pytest.approx(series, rel=1e-16, abs=0.0)
+    assert copulas._frank_tau(theta) == pytest.approx(float(mp_frank_tau(theta)), rel=2e-16, abs=0.0)
+
+
+def test_frank_tau_is_continuous_and_increasing_across_the_cut():
+    below, cut = np.nextafter(1e-2, 0.0), 1e-2
+    assert copulas._frank_tau(cut) == pytest.approx(float(mp_frank_tau(cut)), rel=1e-10, abs=0.0)
+    assert 0.0 < copulas._frank_tau(cut) - copulas._frank_tau(below) < 1e-12
+    # a tau whose theta lies below the cut round-trips through the bisection
+    theta = tau_to_theta(Family.FRANK, 1e-5)
+    assert theta < cut
+    assert theta_to_tau(CopulaSpec(Family.FRANK, theta=theta)) == pytest.approx(1e-5, rel=1e-4)
 
 
 def test_frank_start_thetas_are_pinned():
@@ -553,30 +610,30 @@ def test_frank_start_thetas_are_pinned():
 
 def test_frank_tau_frozen_value():
     assert tau_to_theta(Family.FRANK, 0.5) == pytest.approx(FRANK_THETA_TAU_HALF, abs=1e-6)
-    assert theta_to_tau(CopulaSpec.frank(FRANK_THETA_TAU_HALF)) == pytest.approx(0.5, abs=1e-8)
+    assert theta_to_tau(CopulaSpec(Family.FRANK, theta=FRANK_THETA_TAU_HALF)) == pytest.approx(
+        0.5, abs=1e-8)
 
 
 @pytest.mark.parametrize("family", [Family.CLAYTON, Family.FRANK])
 @pytest.mark.parametrize("tau", [0.05, 0.2, 0.5, 0.8, 0.95])
 def test_tau_theta_roundtrip(family, tau):
     theta = tau_to_theta(family, tau)
-    spec = CopulaSpec.clayton(theta) if family is Family.CLAYTON else CopulaSpec.frank(theta)
-    assert theta_to_tau(spec) == pytest.approx(tau, abs=1e-6)
+    assert theta_to_tau(CopulaSpec(family, theta=theta)) == pytest.approx(tau, abs=1e-6)
 
 
 def test_mixture_tau_endpoints():
     # kappa = 1 is pure Frank, kappa = 0 pure Clayton; the cross term's
     # weight kappa (1 - kappa) vanishes there, leaving the closed forms
     for tf, tc in ((5.0, 3.0), (0.01, 200.0), (500.0, 0.001)):
-        assert mixture_tau_monte_carlo(CopulaSpec.mixture(tf, tc, 1.0)) == pytest.approx(
-            theta_to_tau(CopulaSpec.frank(tf)), abs=1e-12)
-        assert mixture_tau_monte_carlo(CopulaSpec.mixture(tf, tc, 0.0)) == pytest.approx(
-            theta_to_tau(CopulaSpec.clayton(tc)), abs=1e-12)
+        for kappa, pure in ((1.0, CopulaSpec(Family.FRANK, theta=tf)),
+                            (0.0, CopulaSpec(Family.CLAYTON, theta=tc))):
+            mix = CopulaSpec(Family.MIXTURE, theta_frank=tf, theta_clayton=tc, kappa=kappa)
+            assert mixture_tau_monte_carlo(mix) == pytest.approx(theta_to_tau(pure), abs=1e-12)
     # theta_to_tau is the one entry point: the mixture goes to the quadrature
-    mix = CopulaSpec.mixture(5.0, 3.0, 0.5)
+    mix = CopulaSpec(Family.MIXTURE, theta_frank=5.0, theta_clayton=3.0, kappa=0.5)
     assert theta_to_tau(mix) == mixture_tau_monte_carlo(mix)
     with pytest.raises(DomainError):
-        mixture_tau_monte_carlo(CopulaSpec.frank(5.0))
+        mixture_tau_monte_carlo(CopulaSpec(Family.FRANK, theta=5.0))
 
 
 def sampled_tau_standard_error(spec, u, v):
@@ -596,7 +653,7 @@ MIXTURE_TAU_GRID = [(tf, tc, kappa) for tf in (0.01, 5.0, 38.0, 500.0)
 @pytest.mark.parametrize("seed, theta_frank, theta_clayton, kappa",
                          [(seed, *case) for seed, case in enumerate(MIXTURE_TAU_GRID)])
 def test_mixture_tau_matches_sampled_pairs(seed, theta_frank, theta_clayton, kappa, monkeypatch):
-    spec = CopulaSpec.mixture(theta_frank, theta_clayton, kappa)
+    spec = CopulaSpec(Family.MIXTURE, theta_frank=theta_frank, theta_clayton=theta_clayton, kappa=kappa)
     tau = mixture_tau_monte_carlo(spec)
     u, v = sample_pairs(spec, 2_000_000, np.random.default_rng(seed)).T
     sampled = stats.kendalltau(u, v).statistic
@@ -606,7 +663,7 @@ def test_mixture_tau_matches_sampled_pairs(seed, theta_frank, theta_clayton, kap
 
 
 def test_mixture_tau_is_deterministic():
-    spec = CopulaSpec.mixture(5.0, 2.0, 0.5)
+    spec = CopulaSpec(Family.MIXTURE, theta_frank=5.0, theta_clayton=2.0, kappa=0.5)
     first = mixture_tau_monte_carlo(spec)
     assert isinstance(first, float)
     assert all(mixture_tau_monte_carlo(spec) == first for _ in range(3))
@@ -634,7 +691,7 @@ def test_spec_from_tau():
     theta=st.floats(0.01, 50.0, allow_nan=False),
 )
 def test_cdf_frechet_bounds_property(u1, u2, theta):
-    for spec in (CopulaSpec.clayton(theta), CopulaSpec.frank(theta)):
+    for spec in (CopulaSpec(Family.CLAYTON, theta=theta), CopulaSpec(Family.FRANK, theta=theta)):
         c = float(copula_cdf(spec, u1, u2))
         assert max(u1 + u2 - 1.0, 0.0) - 1e-9 <= c <= min(u1, u2) + 1e-9
 
@@ -646,6 +703,6 @@ def test_cdf_frechet_bounds_property(u1, u2, theta):
     theta=st.floats(0.01, 50.0, allow_nan=False),
 )
 def test_partial_is_probability_property(u1, u2, theta):
-    for spec in (CopulaSpec.clayton(theta), CopulaSpec.frank(theta)):
+    for spec in (CopulaSpec(Family.CLAYTON, theta=theta), CopulaSpec(Family.FRANK, theta=theta)):
         p = float(copula_partial_u1(spec, u1, u2))
         assert -1e-12 <= p <= 1.0 + 1e-12

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from copsurv.copulas import CopulaSpec, spec_from_tau
+from copsurv import datagen
+from copsurv.copulas import CopulaSpec, Family, spec_from_tau
 from copsurv.datagen import (
     SyntheticGenConfig,
     censor_regression,
@@ -62,11 +63,19 @@ def test_generate_shapes_and_indicator_rule():
     dataset, truth, latent = generate_synthetic(cfg)
     assert len(dataset) == 500 and dataset.dim == 10
     assert latent.t_event.shape == (500,)
-    # observed time is the minimum; the event indicator is the strict
-    # comparison of the latent outcomes
+    # observed time is the minimum; a record is an event when T_E <= T_C
     assert np.array_equal(dataset.t_obs, np.minimum(latent.t_event, latent.t_censor))
-    assert np.array_equal(dataset.delta, (latent.t_event < latent.t_censor).astype(int))
+    assert np.array_equal(dataset.delta, (latent.t_event <= latent.t_censor).astype(int))
     assert truth.copula == cfg.copula
+
+
+def test_a_tie_between_the_latent_times_is_an_event():
+    # a censoring time bounds the event time from below, so T_E = T_C is observed
+    x = np.zeros((3, 1))
+    dataset, latent = datagen._observe(x, np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.5, 4.0]))
+    assert dataset.delta.tolist() == [1, 0, 1]
+    assert dataset.t_obs.tolist() == [1.0, 1.5, 3.0]
+    assert latent.t_censor.tolist() == [1.0, 1.5, 4.0]
 
 
 def test_generate_deterministic_and_seed_separation():
@@ -82,6 +91,16 @@ def test_generate_deterministic_and_seed_separation():
     assert not np.array_equal(d1.t_obs, d2.t_obs)
 
 
+def test_config_refuses_no_records_or_no_covariates():
+    risk = LinearRisk(np.full(3, 0.5))
+    fields = dict(n=10, d=3, nu_event=2.0, rho_event=5.0, risk_event=risk, nu_censor=2.0,
+                  rho_censor=5.0, risk_censor=risk, copula=CopulaSpec(Family.INDEPENDENCE))
+    with pytest.raises(ValidationError, match="^n must be >= 1, got 0$"):
+        SyntheticGenConfig(**{**fields, "n": 0})
+    with pytest.raises(ValidationError, match="^d must be >= 1, got 0$"):
+        SyntheticGenConfig(**{**fields, "d": 0})
+
+
 def test_symmetric_independence_censors_half():
     # identical marginals under the independence copula: either outcome
     # wins the minimum with probability 1/2
@@ -90,7 +109,7 @@ def test_symmetric_independence_censors_half():
         n=10_000, d=3,
         nu_event=2.0, rho_event=5.0, risk_event=risk,
         nu_censor=2.0, rho_censor=5.0, risk_censor=LinearRisk(risk.weights.copy()),
-        copula=CopulaSpec.independence(), seed=0,
+        copula=CopulaSpec(Family.INDEPENDENCE), seed=0,
     )
     dataset, _, _ = generate_synthetic(cfg)
     assert abs(dataset.delta.mean() - 0.5) < 0.02
@@ -185,13 +204,13 @@ def test_censor_regression_basics():
 def test_censor_regression_independence_stable_and_uncorrelated():
     x, y = regression_data(4000)
     marginal = fit_regression_marginal(x, y, short_cfg(1))
-    dataset, latent = censor_regression(marginal, CopulaSpec.independence(), 1)
+    dataset, latent = censor_regression(marginal, CopulaSpec(Family.INDEPENDENCE), 1)
     # the latent quantile pair shows no dependence
     u1 = marginal.event_model.survival(latent.t_event, dataset.x)
     u2 = marginal.censor_model.survival(latent.t_censor, dataset.x)
     assert abs(stats.kendalltau(u1, u2).statistic) < 0.05
     # and the censoring rate is stable across fresh draw seeds
-    other, _ = censor_regression(marginal, CopulaSpec.independence(), 9)
+    other, _ = censor_regression(marginal, CopulaSpec(Family.INDEPENDENCE), 9)
     assert abs(dataset.delta.mean() - other.delta.mean()) < 0.05
 
 

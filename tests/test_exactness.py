@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from copsurv import copulas, likelihood, weibull
-from copsurv.copulas import U_EPS, CopulaSpec
+from copsurv.copulas import U_EPS, CopulaSpec, Family
 from copsurv.data import SurvivalDataset
 from copsurv.errors import NumericalFailure
 from copsurv.metrics import SURVIVAL_L1_CHUNK, SurvivalL1Config, survival_l1
@@ -247,7 +247,7 @@ def test_frank_log_neg_dab_from_shared_terms_equals_the_oracle():
 @pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("thetas", [(THETA_MIN, THETA_MIN), (500.0, 2.0), (8.0, 500.0)])
 def test_mixture_over_the_oracle_components_is_unchanged(kappa, thetas, monkeypatch):
-    spec = CopulaSpec.mixture(thetas[0], thetas[1], kappa)
+    spec = CopulaSpec(Family.MIXTURE, theta_frank=thetas[0], theta_clayton=thetas[1], kappa=kappa)
     u1, u2 = quantile_pairs(seed=5)
     with np.errstate(all="ignore"):
         got = copulas.log_partial(spec, u1, u2, want_grad=True)
@@ -271,9 +271,10 @@ def _joint_inputs(seed, n):
 
 
 @pytest.mark.parametrize("n", [1, 300])
-@pytest.mark.parametrize("spec", [CopulaSpec.clayton(1.7), CopulaSpec.frank(500.0),
-                                  CopulaSpec.mixture(4.0, 0.8, 0.0),
-                                  CopulaSpec.mixture(4.0, 0.8, 1.0)],
+@pytest.mark.parametrize("spec", [
+    CopulaSpec(Family.CLAYTON, theta=1.7), CopulaSpec(Family.FRANK, theta=500.0),
+    CopulaSpec(Family.MIXTURE, theta_frank=4.0, theta_clayton=0.8, kappa=0.0),
+    CopulaSpec(Family.MIXTURE, theta_frank=4.0, theta_clayton=0.8, kappa=1.0)],
                          ids=["clayton", "frank", "mixture0", "mixture1"])
 def test_loglik_and_gradient_equal_the_oracle_path(spec, n, monkeypatch):
     event, censor, data = _joint_inputs(seed=n, n=n)
@@ -321,12 +322,12 @@ def test_survival_l1_in_place_blocks_equal_the_oracle(n, n_steps):
 # the point's own call and by the value the gradient path returns
 
 BLOCK_SPECS = {
-    "independence": [CopulaSpec.independence()],
-    "clayton": [CopulaSpec.clayton(theta) for theta in THETAS],
-    "frank": [CopulaSpec.frank(theta) for theta in THETAS],
-    "mixture": [CopulaSpec.mixture(500.0, THETA_MIN, 0.0), CopulaSpec.mixture(THETA_MIN, 500.0, 1.0),
-                CopulaSpec.mixture(4.0, 0.8, 0.3), CopulaSpec.mixture(THETA_MIN, THETA_MIN, 0.5),
-                CopulaSpec.mixture(500.0, 500.0, 0.9)],
+    "independence": [CopulaSpec(Family.INDEPENDENCE)],
+    "clayton": [CopulaSpec(Family.CLAYTON, theta=theta) for theta in THETAS],
+    "frank": [CopulaSpec(Family.FRANK, theta=theta) for theta in THETAS],
+    "mixture": [CopulaSpec(Family.MIXTURE, theta_frank=tf, theta_clayton=tc, kappa=kappa)
+                for tf, tc, kappa in ((500.0, THETA_MIN, 0.0), (THETA_MIN, 500.0, 1.0), (4.0, 0.8, 0.3),
+                                      (THETA_MIN, THETA_MIN, 0.5), (500.0, 500.0, 0.9))],
 }
 RISK_PAIRS = [("linear", "linear"), ("mlp", "mlp"), ("mlp", "linear")]
 
@@ -418,7 +419,8 @@ def test_the_first_non_finite_term_names_its_point_and_record():
     fine = WeibullCoxModel(0.1, 0.0, LinearRisk([0.2]))
     models = [fine, fine, WeibullCoxModel(np.log(5e173), 0.0, LinearRisk([0.2])),
               WeibullCoxModel(0.1, 0.0, LinearRisk([np.nan]))]
-    joint = stacked([joint_point(model, fine, CopulaSpec.clayton(2.0)) for model in models])
+    clayton = CopulaSpec(Family.CLAYTON, theta=2.0)
+    joint = stacked([joint_point(model, fine, clayton) for model in models])
     single = stacked([likelihood.parameters(model, "model") for model in models])
     calls = [lambda: likelihood.loglik_copula_points(fine, fine, copulas.Family.CLAYTON, joint,
                                                      data),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from copsurv import experiments as exp
-from copsurv.copulas import CopulaSpec
+from copsurv.copulas import CopulaSpec, Family
 from copsurv.data import SurvivalDataset, write_json
 from copsurv.datagen import LatentOutcomes, SyntheticGenConfig, sidecar_dict
 from copsurv.experiments import ExperimentConfig
@@ -93,7 +93,7 @@ def write_truth(path):
     gen = SyntheticGenConfig(
         n=5, d=2, nu_event=4.0, rho_event=14.0, risk_event=LinearRisk([0.5, 0.25]),
         nu_censor=3.0, rho_censor=16.0, risk_censor=QuadraticRisk([1.0, 0.125]),
-        copula=CopulaSpec.mixture(5.0, 2.0, 0.25), seed=7,
+        copula=CopulaSpec(Family.MIXTURE, theta_frank=5.0, theta_clayton=2.0, kappa=0.25), seed=7,
     )
     write_json(path, sidecar_dict(gen, tau=0.5))
 
@@ -108,7 +108,7 @@ def write_checkpoint(path):
         censor_model=WeibullCoxModel(np.log(3.0), np.log(16.0), MLPRisk(
             widths=(2, 2, 1), weights=[[[0.1, 0.2], [0.3, 0.4]], [[0.5, -0.6]]],
             biases=[[0.0, 0.01], [0.02]])),
-        copula=CopulaSpec.mixture(5.0, 2.0, 0.25),
+        copula=CopulaSpec(Family.MIXTURE, theta_frank=5.0, theta_clayton=2.0, kappa=0.25),
         trace=None, best_epoch=-1, best_val_negloglik=float("nan"),
     ).save(path)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from copsurv import copulas
-from copsurv.copulas import CopulaSpec
+from copsurv.copulas import CopulaSpec, Family
 from copsurv.data import SurvivalDataset
 from copsurv.errors import NumericalFailure
 from copsurv.likelihood import (
@@ -140,26 +140,23 @@ def test_clayton_single_record_hand_value():
     # so loglik = -1 + 3 - 1.5 log(2 e^2 - 1)
     ev, ce = unit_exponential(), unit_exponential()
     expect = 2.0 - 1.5 * math.log(2.0 * math.e**2 - 1.0)
-    got = loglik_copula(ev, ce, CopulaSpec.clayton(2.0), single_record(1.0, 1))
+    got = loglik_copula(ev, ce, CopulaSpec(Family.CLAYTON, theta=2.0), single_record(1.0, 1))
     assert got == pytest.approx(expect, abs=1e-12)
 
 
 def test_frank_single_record_hand_value():
     ev, ce = unit_exponential(), unit_exponential()
-    got = loglik_copula(ev, ce, CopulaSpec.frank(2.0), single_record(1.0, 1))
+    got = loglik_copula(ev, ce, CopulaSpec(Family.FRANK, theta=2.0), single_record(1.0, 1))
     assert got == pytest.approx(FRANK_T2_SINGLE_RECORD, abs=1e-12)
 
 
 def test_mixture_reduces_to_components():
     ev, ce, data = random_instance(30, seed=4)
-    clay = loglik_copula(ev, ce, CopulaSpec.clayton(2.0), data)
-    frank = loglik_copula(ev, ce, CopulaSpec.frank(3.0), data)
-    assert loglik_copula(ev, ce, CopulaSpec.mixture(3.0, 2.0, 0.0), data) == pytest.approx(
-        clay, abs=1e-10
-    )
-    assert loglik_copula(ev, ce, CopulaSpec.mixture(3.0, 2.0, 1.0), data) == pytest.approx(
-        frank, abs=1e-10
-    )
+    clay = loglik_copula(ev, ce, CopulaSpec(Family.CLAYTON, theta=2.0), data)
+    frank = loglik_copula(ev, ce, CopulaSpec(Family.FRANK, theta=3.0), data)
+    for kappa, pure in ((0.0, clay), (1.0, frank)):
+        mix = CopulaSpec(Family.MIXTURE, theta_frank=3.0, theta_clayton=2.0, kappa=kappa)
+        assert loglik_copula(ev, ce, mix, data) == pytest.approx(pure, abs=1e-10)
 
 
 def test_independence_reduction():
@@ -167,14 +164,14 @@ def test_independence_reduction():
     # independent-censoring expression, computed by a separate code path
     for seed in range(5):
         ev, ce, data = random_instance(200, seed=seed)
-        a = loglik_copula(ev, ce, CopulaSpec.independence(), data)
+        a = loglik_copula(ev, ce, CopulaSpec(Family.INDEPENDENCE), data)
         b = loglik_independent(ev, ce, data)
         assert abs(a - b) <= 1e-10
 
 
 def test_sum_over_records_and_permutation_invariance():
     ev, ce, data = random_instance(25, seed=2)
-    spec = CopulaSpec.clayton(1.5)
+    spec = CopulaSpec(Family.CLAYTON, theta=1.5)
     total = loglik_copula(ev, ce, spec, data)
     parts = sum(
         loglik_copula(ev, ce, spec, data.subset(np.array([i]))) for i in range(len(data))
@@ -187,7 +184,7 @@ def test_sum_over_records_and_permutation_invariance():
 def test_empty_dataset_is_zero():
     ev, ce = unit_exponential(), unit_exponential()
     empty = SurvivalDataset(np.empty((0, 1)), np.empty(0), np.empty(0, dtype=int))
-    assert loglik_copula(ev, ce, CopulaSpec.clayton(2.0), empty) == 0.0
+    assert loglik_copula(ev, ce, CopulaSpec(Family.CLAYTON, theta=2.0), empty) == 0.0
     assert loglik_independent(ev, ce, empty) == 0.0
     assert marginal_loglik(unit_exponential(), empty) == 0.0
 
@@ -199,7 +196,7 @@ def test_nonfinite_record_raises_with_index():
     ce = unit_exponential()
     data = SurvivalDataset(np.zeros((2, 1)), np.array([1.0, 2.0]), np.array([1, 1]))
     with pytest.raises(NumericalFailure) as info:
-        loglik_copula(ev, ce, CopulaSpec.clayton(2.0), data)
+        loglik_copula(ev, ce, CopulaSpec(Family.CLAYTON, theta=2.0), data)
     assert info.value.record_index == 1
 
 
@@ -210,7 +207,7 @@ def test_nonfinite_risk_output_is_a_numerical_failure():
     event.risk.weights[0] = np.nan
     for call in (loglik_copula, joint_gradient):
         with pytest.raises(NumericalFailure) as info:
-            call(event, censor, CopulaSpec.clayton(2.0), data)
+            call(event, censor, CopulaSpec(Family.CLAYTON, theta=2.0), data)
         assert info.value.record_index == 0
 
 
@@ -222,18 +219,19 @@ def test_mixture_endpoint_scores_an_underflowing_partial():
 
     ev, ce = model(8.98e-11), model(0.00939)
     data = SurvivalDataset(np.array([[1.0]]), np.array([1.0]), np.array([0]))
-    clayton = loglik_copula(ev, ce, CopulaSpec.clayton(40.0), data)
+    clayton = loglik_copula(ev, ce, CopulaSpec(Family.CLAYTON, theta=40.0), data)
     assert clayton < -745.0
-    assert loglik_copula(ev, ce, CopulaSpec.mixture(400.0, 40.0, 0.0), data) == clayton
+    mix = CopulaSpec(Family.MIXTURE, theta_frank=400.0, theta_clayton=40.0, kappa=0.0)
+    assert loglik_copula(ev, ce, mix, data) == clayton
 
 
 ORIENTATION_SPECS = [
-    CopulaSpec.independence(),
-    CopulaSpec.clayton(1.5),
-    CopulaSpec.frank(3.0),
-    CopulaSpec.mixture(3.0, 1.5, 0.4),
-    CopulaSpec.clayton(40.0),
-    CopulaSpec.frank(400.0),
+    CopulaSpec(Family.INDEPENDENCE),
+    CopulaSpec(Family.CLAYTON, theta=1.5),
+    CopulaSpec(Family.FRANK, theta=3.0),
+    CopulaSpec(Family.MIXTURE, theta_frank=3.0, theta_clayton=1.5, kappa=0.4),
+    CopulaSpec(Family.CLAYTON, theta=40.0),
+    CopulaSpec(Family.FRANK, theta=400.0),
 ]
 
 
@@ -259,19 +257,15 @@ def test_oriented_kernel_equals_two_orientation_oracle(spec, risk, l2_lambda):
 
 def spec_cases():
     return [
-        CopulaSpec.independence(),
-        CopulaSpec.clayton(1.5),
-        CopulaSpec.frank(3.0),
-        CopulaSpec.mixture(3.0, 1.5, 0.4),
+        CopulaSpec(Family.INDEPENDENCE),
+        CopulaSpec(Family.CLAYTON, theta=1.5),
+        CopulaSpec(Family.FRANK, theta=3.0),
+        CopulaSpec(Family.MIXTURE, theta_frank=3.0, theta_clayton=1.5, kappa=0.4),
     ]
 
 
 def rebuild_spec(spec, values):
-    if spec.family.value == "clayton":
-        return CopulaSpec.clayton(values["theta"])
-    if spec.family.value == "frank":
-        return CopulaSpec.frank(values["theta"])
-    return CopulaSpec.mixture(values["theta_frank"], values["theta_clayton"], values["kappa"])
+    return CopulaSpec(spec.family, **values)
 
 
 def spec_values(spec):
@@ -377,9 +371,10 @@ def test_value_only_path_equals_gradient_path(risk, spec):
 
 def test_gradient_keys_and_independence_has_no_copula_keys():
     event, censor, data = random_instance(10, seed=1)
-    _, g_ind = joint_gradient(event, censor, CopulaSpec.independence(), data)
+    _, g_ind = joint_gradient(event, censor, CopulaSpec(Family.INDEPENDENCE), data)
     assert not any(k.startswith("copula.") for k in g_ind)
-    _, g_mix = joint_gradient(event, censor, CopulaSpec.mixture(2.0, 2.0, 0.5), data)
+    mix = CopulaSpec(Family.MIXTURE, theta_frank=2.0, theta_clayton=2.0, kappa=0.5)
+    _, g_mix = joint_gradient(event, censor, mix, data)
     assert {"copula.theta_frank", "copula.theta_clayton", "copula.kappa"} <= set(g_mix)
     assert {"event.log_nu", "event.log_rho", "event.risk.w", "censor.risk.w"} <= set(g_mix)
 
@@ -387,13 +382,13 @@ def test_gradient_keys_and_independence_has_no_copula_keys():
 def test_l2_penalty_touches_only_weights():
     event, censor, data = random_instance(15, seed=7, risk="mlp")
     lam = 0.01
-    ll0, g0 = joint_gradient(event, censor, CopulaSpec.clayton(2.0), data, l2_lambda=0.0)
-    ll1, g1 = joint_gradient(event, censor, CopulaSpec.clayton(2.0), data, l2_lambda=lam)
+    ll0, g0 = joint_gradient(event, censor, CopulaSpec(Family.CLAYTON, theta=2.0), data, l2_lambda=0.0)
+    ll1, g1 = joint_gradient(event, censor, CopulaSpec(Family.CLAYTON, theta=2.0), data, l2_lambda=lam)
     # the value carries the penalty its gradient carries, on the weights alone
     squares = sum(float(np.sum(model.risk.params()[key] ** 2))
                   for model in (event, censor) for key in model.risk.weight_keys())
     assert ll1 == pytest.approx(ll0 - lam * squares, rel=0.0, abs=1e-12)
-    assert loglik_copula(event, censor, CopulaSpec.clayton(2.0), data, lam) == ll1
+    assert loglik_copula(event, censor, CopulaSpec(Family.CLAYTON, theta=2.0), data, lam) == ll1
     weight_keys = {f"event.risk.{k}" for k in event.risk.weight_keys()}
     weight_keys |= {f"censor.risk.{k}" for k in censor.risk.weight_keys()}
     for key in g0:
@@ -472,7 +467,7 @@ def test_marginal_loglik_hand_value_and_gradient():
 HEAP_CHURN_PROBE = """
 import resource
 import numpy as np
-from copsurv.copulas import CopulaSpec
+from copsurv.copulas import CopulaSpec, Family
 from copsurv.data import SurvivalDataset
 from copsurv.likelihood import loglik_and_gradient, parameters
 from copsurv.weibull import MLPRisk, WeibullCoxModel, default_mlp_widths
@@ -483,7 +478,7 @@ data = SurvivalDataset(rng.uniform(size=(n, 10)), rng.uniform(0.2, 4.0, size=n),
                        (rng.uniform(size=n) < 0.6).astype(int))
 event, censor = (WeibullCoxModel.from_natural(1.5, 2.0, MLPRisk.init(default_mlp_widths(10), rng))
                  for _ in range(2))
-spec = CopulaSpec.mixture(5.0, 2.0, 0.5)
+spec = CopulaSpec(Family.MIXTURE, theta_frank=5.0, theta_clayton=2.0, kappa=0.5)
 point = {**parameters(event, "event"), **parameters(censor, "censor"),
          "copula.theta_frank": 5.0, "copula.theta_clayton": 2.0, "copula.kappa": 0.5}
 for _ in range(5):

@@ -486,6 +486,8 @@ def test_r_squared_perfect_and_undefined():
     assert r_squared(model, x, y) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(UndefinedMetricError):
         r_squared(model, x, np.full(20, 3.0))  # zero variance targets
+    with pytest.raises(ValidationError, match=r"y must have shape \(20,\), got \(19,\)"):
+        r_squared(model, x, y[:19])
 
 
 # ---------------------------------------------------------------------------

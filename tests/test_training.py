@@ -51,6 +51,12 @@ def test_train_config_has_four_fields():
         "max_epochs", "patience", "validation_fraction", "seed"}
 
 
+def test_fit_refuses_an_empty_dataset():
+    empty = SurvivalDataset(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int))
+    with pytest.raises(ValidationError, match="^cannot fit on an empty dataset$"):
+        fit(empty, "linear", "linear", "clayton", TrainConfig())
+
+
 def test_train_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(max_epochs=0)

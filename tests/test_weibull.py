@@ -121,6 +121,14 @@ def test_rejects_negative_times():
         model.cumulative_hazard(np.array([-0.1]), np.array([[1.0]]))
 
 
+def test_rejects_a_zero_quantile_and_non_finite_log_parameters():
+    with pytest.raises(DomainError, match=r"^q must lie in \(0, 1\]$"):
+        linear_model().inverse_survival(0.0, np.array([[1.0]]))
+    for log_nu, log_rho in ((np.inf, 0.0), (np.nan, 0.0), (0.0, -np.inf)):
+        with pytest.raises(DomainError, match="^log_nu and log_rho must be finite$"):
+            WeibullCoxModel(log_nu, log_rho, LinearRisk(np.array([0.7])))
+
+
 # ---------------------------------------------------------------------------
 # Risk functions
 
