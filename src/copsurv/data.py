@@ -87,22 +87,27 @@ def read_table(path, check_header, event_last: bool = False):
     (a quoted cell, digits grouped by "_", non-ASCII digits) parse there too.
     """
     table = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        check_header(header)
-        if not _holds_c_only_space(path):
-            try:
-                with warnings.catch_warnings():  # on no data rows, which _parse_rows names
-                    warnings.simplefilter("ignore", UserWarning)
-                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                       converters={-1: int} if event_last else None)
-            except ValueError:  # UnicodeDecodeError too: _parse_rows raises it at its row
-                pass
-    if (table is None or not len(table) or table.shape[1] != len(header)
-            or event_last and not np.isin(table[:, -1], (0, 1)).all()):
-        table = _parse_rows(path, len(header), _event_row if event_last else _float_row)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file")
+            check_header(header)
+            if not _holds_c_only_space(path):
+                try:
+                    with warnings.catch_warnings():  # on no data rows, which _parse_rows names
+                        warnings.simplefilter("ignore", UserWarning)
+                        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                           converters={-1: int} if event_last else None)
+                except ValueError:  # UnicodeDecodeError too: _parse_rows meets it again
+                    pass
+        if (table is None or not len(table) or table.shape[1] != len(header)
+                or event_last and not np.isin(table[:, -1], (0, 1)).all()):
+            table = _parse_rows(path, len(header), _event_row if event_last else _float_row)
+    except UnicodeDecodeError:  # in the header, or in a body _parse_rows reads
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:  # a cell past the csv module's field size limit
+        raise ValidationError(f"{path}: {exc}") from None
     return header, table
 
 
@@ -160,6 +165,8 @@ def read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        except ValueError as exc:  # not UTF-8, or an integer past int()'s digit limit
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 # a config field's shape by its annotation, as text under ``from __future__ import annotations``

@@ -62,11 +62,11 @@ class NumericalFailure(RuntimeError):
 
     ``record_index`` points at the offending record when the failure arose
     from a per-record term, and ``point_index`` at the parameter point when
-    it arose in an evaluation at several points at once.  ``epoch`` counts
-    the accepted iterations when training fails mid-run.  The optimizer
-    leaves the parameters at the last accepted iterate, or, when the
-    validation loss of an iterate fails, at that iterate: ``epoch`` is then
-    its index.
+    it arose in an evaluation at several points at once.  ``epoch`` is None
+    until a solver run charges the failure: one at a trial point restarts the
+    solver from the last accepted iterate, or, with none since the last start,
+    is raised with the count of accepted iterates, and a failed validation
+    loss with its iterate's index; the parameters are left at that iterate.
     """
 
     def __init__(self, message, record_index=None, epoch=None, point_index=None):

@@ -16,20 +16,21 @@ more family of the same objective; there is no separate code path for it.
 
 Both objectives are functions of a parameter point: a dict keyed as the
 gradient is keyed (``event.log_nu``, ``event.risk.W0``, ``copula.theta``
-and so on), whose copula parameters are Python floats, as ``CopulaSpec``
-holds them.  The models supply only their risks' structure; their own
-parameters are not read, so a point can be evaluated without writing it
-into a model.  One function gives a marginal's hazard pieces from one risk
-pass (``forward``), and two paths share it.  The gradient path
-(``loglik_and_gradient``, ``marginal_loglik_and_gradient``) evaluates one
-point, subtracts an optional L2 penalty on its risk weights, and carries
-the gradient back through the pass's backprop closure.  The value path
-(``loglik_copula_points``, ``marginal_loglik_points``) evaluates k points
-stacked on a leading axis in one pass, which is how validation scores a
-block of iterates: log nu, log rho and the copula parameters become (k, 1)
-columns, the risk pass gives a (k, n) stack, and the same formulas
-broadcast over it.  ``loglik_copula`` and ``marginal_loglik`` are the
-value at the models' own parameters.
+and so on).  One point's copula parameters are numpy scalars, whose
+``theta**2`` overflows to inf and, unlike a 0-d array's, squares by the
+``pow`` of a Python float.  The models supply only their risks' structure;
+their own parameters are not read, so a point can be evaluated without
+writing it into a model.  One function gives a marginal's hazard pieces
+from one risk pass (``forward``), and two paths share it.  The gradient
+path (``loglik_and_gradient``, ``marginal_loglik_and_gradient``) evaluates
+one point, subtracts an optional L2 penalty on its risk weights, and
+carries the gradient back through the pass's backprop closure.  The value
+path (``loglik_copula_points``, ``marginal_loglik_points``) evaluates k
+points stacked on a leading axis in one pass, which is how validation
+scores a block of iterates: log nu, log rho and the copula parameters
+become (k, 1) columns, the risk pass gives a (k, n) stack, and the same
+formulas broadcast over it.  ``loglik_copula`` and ``marginal_loglik`` are
+the value at the models' own parameters.
 
 Every supported family is exchangeable, log dC/du2(u1, u2) = log dC/du1(u2,
 u1), so the joint terms orient each record with its own quantile first and
@@ -155,8 +156,8 @@ def _joint_terms(event_model, censor_model, family, point, data, want_grad):
     and both marginals' hazard pieces."""
     ev = _hazard_pieces(event_model, "event", point, data)
     ce = _hazard_pieces(censor_model, "censor", point, data)
-    # k points: (k, 1) columns; one point: Python floats, as CopulaSpec holds them
-    column = (lambda val: val[:, None]) if ev.g.ndim == 2 else float
+    # one point: numpy scalars, whose theta**2 overflows to inf and squares by Python's pow
+    column = (lambda val: val[:, None]) if ev.g.ndim == 2 else np.float64
     spec = SimpleNamespace(family=family, **{
         name: column(point[f"copula.{name}"]) for name in copulas.PARAMETERS[family]})
     delta = data.delta.astype(float)

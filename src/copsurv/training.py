@@ -219,14 +219,6 @@ def _failure_at(epoch, failure):
                             epoch=epoch)
 
 
-class _TrialFailed(Exception):
-    """An L-BFGS-B trial point has a non-finite objective or gradient."""
-
-    def __init__(self, failure: NumericalFailure):
-        super().__init__(str(failure))
-        self.failure = failure
-
-
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -260,9 +252,9 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
     (epoch -1, scored only then) on: each scored iterate moves it, unless
     ``early_stop`` is set and there is a validation split, where only a
     strict validation improvement does and the run stops after ``patience``
-    iterations without one.  An overflowing trial point ends the run and the
-    solver restarts from the last accepted iterate; a run that fails before
-    it accepts one raises ``NumericalFailure``, leaving ``params`` there.
+    iterations without one.  A trial point that raises ``NumericalFailure``
+    ends the run and the solver restarts from the last accepted iterate; a
+    run that fails before it accepts one raises it, leaving ``params`` there.
 
     ``val_negloglik(points)`` scores k iterates at once: ``points`` maps each
     key of ``params`` to a stack of k values, and it returns their k
@@ -339,18 +331,15 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
 
     def objective(x):
         point = point_of(x)
-        try:
-            # an overflowing trial point is expected and handled: no warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                loglik, grads = loss_and_grad(point)
-            for key, view in grad_views:
-                view[...] = grads[key]
-            for k in log_boxes:
-                grad[spans[k].start] *= point[k]  # d/d log theta = theta d/d theta
-            if not np.isfinite(grad).all():
-                raise NumericalFailure("non-finite gradient")
-        except NumericalFailure as failure:
-            raise _TrialFailed(failure) from failure
+        # an overflowing trial point is expected and handled: no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            loglik, grads = loss_and_grad(point)
+        for key, view in grad_views:
+            view[...] = grads[key]
+        for k in log_boxes:
+            grad[spans[k].start] *= point[k]  # d/d log theta = theta d/d theta
+        if not np.isfinite(grad).all():
+            raise NumericalFailure("non-finite gradient")
         return -loglik, -grad
 
     def flush():
@@ -390,11 +379,13 @@ def _optimize(params, copula_bounds, loss_and_grad, val_negloglik, cfg: TrainCon
                 options={"maxiter": cfg.max_epochs - len(train_hist), "ftol": FTOL},
             )
             break
-        except _TrialFailed as trial:
+        except NumericalFailure as failure:
+            if failure.epoch is not None:
+                raise  # a validation failure, already charged to its iterate
             if len(train_hist) == progress:
                 flush()  # a failed validation of an earlier iterate comes first
                 write(x_accepted)
-                raise _failure_at(len(train_hist), trial.failure) from trial.failure
+                raise _failure_at(len(train_hist), failure) from failure
     flush()
 
     best_epoch, x = best

@@ -14,6 +14,7 @@ from copsurv import experiments
 from copsurv.cli import main
 from copsurv.data import SurvivalDataset
 from copsurv.datagen import synthetic_regression
+from copsurv.errors import ValidationError
 from copsurv.experiments import ExperimentConfig
 from copsurv.training import TrainConfig
 
@@ -435,6 +436,103 @@ def test_malformed_data_exits_one(tmp_path, capsys):
     bad.write_text("x0,when,what\n0.1,1.0,1\n")
     assert run("train", "--data", bad, "--out", tmp_path / "o") == 1
     assert "error:" in capsys.readouterr().err
+
+
+# two records, one event and one censored, so a joint fit's theta runs off
+TWO_RECORDS = b"x0,time,event\n0.5,1.0,1\n0.3,2.0,0\n"
+# files every reader must refuse by an exit code, never by an escaping exception
+INPUT_CORPUS = {
+    "empty": b"",
+    "header-only": b"x0,time,event\n",
+    "non-utf8-header": b"\xff" + TWO_RECORDS,
+    "non-utf8-body": TWO_RECORDS.replace(b"0.3,", b"\xff\xfe,"),
+    "nul": TWO_RECORDS.replace(b"2.0", b"2.0\x00"),
+    "quoted-newline": TWO_RECORDS.replace(b"0.5,", b'"0.5\n0.6",'),
+    "long-cell": b"1" * 200_000 + b"\n",
+    "long-event": TWO_RECORDS.replace(b"1.0,1", b"1.0," + b"1" * 200_000),
+    "crlf": TWO_RECORDS.replace(b"\n", b"\r\n"),
+    "bom": b"\xef\xbb\xbf" + TWO_RECORDS,
+    "two-records": TWO_RECORDS,
+}
+# each exit code's stderr prefix
+EXIT_PREFIXES = {1: "error:", 2: "numerical failure:", 3: "io error:"}
+# every command flag that reads a file, the semi-synthetic data_csv among them
+FILE_READERS = ("train --data", "train --config", "evaluate --checkpoint", "evaluate --truth",
+                "evaluate --data", "censor --data", "experiment --config",
+                "experiment data_csv")
+
+
+def reading(reader, path, trained, root):
+    """The arguments of a command whose ``reader`` reads ``path``, its other
+    inputs ``trained``'s."""
+    data_dir, _, fit_dir = trained
+    files = {"--data": data_dir / "data.csv", "--checkpoint": fit_dir / "checkpoint.json",
+             "--truth": data_dir / "truth.json"}
+    command, flag = reader.split(" ")
+    if flag == "data_csv":
+        config = root / "semi.json"
+        config.write_text(json.dumps({
+            "experiment_id": "corpus", "kind": "semi_synthetic", "tau_grid": [0.5],
+            "seeds": [0], "data_csv": str(path), "target_column": "time"}))
+        flag, path = "--config", config
+    inputs = {"train": ["--data"], "evaluate": ["--checkpoint", "--truth", "--data"],
+              "censor": [], "experiment": []}[command]
+    args = {**{name: files[name] for name in inputs}, flag: path}
+    if command == "censor":
+        args.update({"--target": "time", "--tau": 0.5})
+    return [command, *[item for pair in args.items() for item in pair]]
+
+
+@pytest.mark.parametrize("reader", FILE_READERS)
+def test_no_input_file_lets_an_exception_escape(trained, tmp_path, capsys, reader):
+    for name, content in INPUT_CORPUS.items():
+        root = tmp_path / name
+        root.mkdir()
+        (root / "input.csv").write_bytes(content)
+        argv = reading(reader, root / "input.csv", trained, root)
+        try:
+            code = run(*argv, "--out", root / "out")
+        except BaseException as exc:
+            raise AssertionError(f"{reader} on {name} raised {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert code in EXIT_PREFIXES, (name, code, err)
+        assert err.startswith(EXIT_PREFIXES[code]), (name, err)
+
+
+@pytest.mark.parametrize("reader", FILE_READERS)
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff" + TWO_RECORDS, id="header"),
+    pytest.param(TWO_RECORDS.replace(b"0.3,", b"\xff\xfe,"), id="third-line"),
+    pytest.param(json.dumps(TRAIN_CONFIG).encode() + b"\xff", id="json-tail"),
+])
+def test_input_that_is_not_utf8_exits_one_naming_the_file(trained, tmp_path, capsys, reader,
+                                                          content):
+    (tmp_path / "input.csv").write_bytes(content)
+    argv = reading(reader, tmp_path / "input.csv", trained, tmp_path)
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'input.csv'}: ") and "utf-8" in err.lower(), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_semi_synthetic_data_csv_that_is_not_utf8_fails_before_any_write(tmp_path):
+    (tmp_path / "table.csv").write_bytes(b"x0,y\n0.5,2.0\n\xff\xfe,1.0\n")
+    cfg = ExperimentConfig(experiment_id="semi", kind="semi_synthetic", tau_grid=(0.5,),
+                           seeds=(0,), data_csv=str(tmp_path / "table.csv"), target_column="y")
+    with pytest.raises(ValidationError, match="table.csv: not UTF-8 text"):
+        experiments.run_experiment(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("family", ["independence", "clayton", "frank", "mixture"])
+def test_train_on_two_records_is_a_numerical_failure(tmp_path, capsys, family):
+    # the fit runs off on every family; a Clayton theta whose square
+    # overflows fails as a trial point too, not as an OverflowError
+    (tmp_path / "two.csv").write_bytes(TWO_RECORDS)
+    assert run("train", "--data", tmp_path / "two.csv", "--family", family,
+               "--out", tmp_path / "fit") == 2
+    assert capsys.readouterr().err.startswith("numerical failure: epoch ")
+    assert not (tmp_path / "fit").exists()
 
 
 def test_experiment_tiny_run(tmp_path, capsys):

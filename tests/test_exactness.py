@@ -291,6 +291,35 @@ def test_loglik_and_gradient_equal_the_oracle_path(spec, n, monkeypatch):
         assert np.array_equal(got[1][key], want[1][key]), key
 
 
+# a theta whose square by pow (a Python float's or a numpy scalar's) is one
+# ulp below its square by x * x (a 0-d array's)
+POW_SQUARE_THETA = 2.3757953130140117
+
+
+@pytest.mark.parametrize("spec", [
+    CopulaSpec(Family.CLAYTON, theta=POW_SQUARE_THETA),
+    CopulaSpec(Family.MIXTURE, theta_frank=4.0, theta_clayton=POW_SQUARE_THETA, kappa=0.3)],
+                         ids=["clayton", "mixture"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["float", "0-d"])
+def test_one_point_clayton_theta_squares_as_a_python_float(spec, as_array, monkeypatch):
+    # the one-point path hands the kernel a scalar that squares as the
+    # Python float a CopulaSpec holds, whatever form the point gives theta
+    assert POW_SQUARE_THETA ** 2 != np.asarray(POW_SQUARE_THETA) ** 2
+    event, censor, data = _joint_inputs(seed=7, n=50)
+    point = joint_point(event, censor, spec)
+    if as_array:
+        point = {key: np.asarray(val) for key, val in point.items()}
+    got = likelihood.loglik_and_gradient(event, censor, spec.family, point, data)
+    monkeypatch.setattr(copulas, "_clayton_log_partial", lambda theta, u1, u2, want_grad:
+                        clayton_log_partial_oracle(float(theta), u1, u2, want_grad))
+    want = likelihood.loglik_and_gradient(event, censor, spec.family, point, data)
+    assert got[0] == want[0]
+    copula_keys = [key for key in want[1] if key.startswith("copula.")]
+    assert copula_keys
+    for key in copula_keys:
+        assert np.array_equal(got[1][key], want[1][key]), key
+
+
 @pytest.mark.parametrize("dim", [4, 40])
 def test_l2_penalty_equals_the_oracle(dim):
     for seed in range(10):

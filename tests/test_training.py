@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, rosen, rosen_der
 
-from copsurv import training
+from copsurv import likelihood, training
 from copsurv.copulas import (
     PARAMETERS,
     THETA_HI_FRANK,
@@ -590,6 +590,55 @@ def test_linear_frank_fit_holds_the_cap():
     assert path.max() == THETA_HI_FRANK
     assert path[:300].max() == THETA_HI_FRANK
     assert out.copula.theta == THETA_HI_FRANK
+
+
+# small dependent draws on which a Clayton theta runs off so far that a trial
+# point's theta**2 overflows: (n, tau*, seed, family fitted), and the fit's
+# outcome with its iteration count or its failing epoch where pinned
+OVERFLOWING_THETA_FITS = [
+    ((10, 0.9, 4, "clayton"), "fits", None),
+    ((10, 0.9, 4, "mixture"), "fails", 1205),
+    ((20, 0.5, 0, "clayton"), "fits", 331),
+    ((20, 0.5, 2, "mixture"), "fits", None),
+    ((20, 0.5, 3, "clayton"), "fits", None),
+    ((40, 0.5, 5, "clayton"), "fits", None),
+    ((40, 0.9, 5, "clayton"), "fits", None),
+]
+
+
+@pytest.mark.parametrize("case, outcome, count", OVERFLOWING_THETA_FITS,
+                         ids=["-".join(map(str, case)) for case, _, _ in OVERFLOWING_THETA_FITS])
+def test_an_overflowing_clayton_theta_restarts_or_fails_numerically(case, outcome, count):
+    # the overflow is a failed trial point like any other: the run restarts
+    # from its last accepted iterate, or, with none since, raises
+    # NumericalFailure with its epoch, never OverflowError
+    n, tau, seed, family = case
+    ds = make_data(n, tau=tau, seed=seed)
+    cfg = TrainConfig(max_epochs=2000, patience=100)
+    if outcome == "fails":
+        with pytest.raises(NumericalFailure) as info:
+            fit(ds, "linear", "linear", family, cfg)
+        assert info.value.epoch == count
+        assert str(info.value).startswith(f"epoch {count}: ")
+        return
+    out = fit(ds, "linear", "linear", family, cfg)
+    assert np.isfinite(out.trace.train_negloglik).all()
+    if count is not None:
+        assert len(out.trace.epoch) == count and out.best_epoch == count - 1
+
+
+@pytest.mark.parametrize("family, name", [("clayton", "theta"), ("mixture", "theta_clayton")])
+def test_a_clayton_theta_at_the_largest_float_is_a_numerical_failure(family, name):
+    # theta**2 overflows: at one point the kernel gets a numpy scalar, whose
+    # square is inf, and the non-finite terms raise NumericalFailure
+    ds = make_data(50, seed=1)
+    _, _, (event, censor), _ = _setup(ds, TrainConfig(), "linear", "linear")
+    spec = spec_from_tau(family, 0.5)
+    point = {**likelihood.parameters(event, "event"), **likelihood.parameters(censor, "censor"),
+             **{f"copula.{key}": getattr(spec, key) for key in PARAMETERS[family]},
+             f"copula.{name}": float(np.finfo(float).max)}
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
+        likelihood.loglik_and_gradient(event, censor, spec.family, point, ds)
 
 
 class _SolverCall(Exception):
